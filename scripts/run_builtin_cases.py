@@ -3,7 +3,7 @@
 
 The family case runs once per requested q.  With --emit-dir, each full
 report is also written as canonical JSON named after the case, so two runs
-of this script (any thread count) must produce byte-identical files.
+of this script must produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--qs", type=int, nargs="+", default=[2, 3, 4, 5],
                         help="parameters for the staged family case")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--budget", type=int, default=None)
     parser.add_argument("--emit-dir", default=None, metavar="DIR")
     args = parser.parse_args()
@@ -69,7 +68,7 @@ def main() -> int:
         doc = builtin_case(name, par)
         started = time.perf_counter()
         try:
-            report = run_case(doc, budget=args.budget, threads=args.threads)
+            report = run_case(doc, budget=args.budget)
         except Exception as exc:  # noqa: BLE001 - summarized per case
             print(f"{label:24s} ERROR {exc}")
             failures += 1

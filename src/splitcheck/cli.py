@@ -56,6 +56,16 @@ def _require(doc: Mapping, key: str, where: str):
     return doc[key]
 
 
+def _bool(doc: Mapping, key: str, where: str, default: bool | None = None) -> bool:
+    """A JSON true or false; anything else is an error, never a truthiness test."""
+    if default is not None and key not in doc:
+        return default
+    value = _require(doc, key, where)
+    if not isinstance(value, bool):
+        raise CaseError(f"{where}.{key}: expected true or false, got {value!r}")
+    return value
+
+
 def _class_from_terms(ring: RingPresentation, raw, where: str) -> GradedClass:
     if not isinstance(raw, (list, tuple)):
         raise CaseError(f"{where}: expected a list of [coefficient, exponents] terms")
@@ -81,7 +91,7 @@ def _load_targets(ring: RingPresentation, raw, where: str = "targets") -> Target
     return TargetClasses(
         p1_target=_class_from_terms(ring, _require(raw, "p1", where), f"{where}.p1"),
         euler_target=_class_from_terms(ring, _require(raw, "euler", where), f"{where}.euler"),
-        euler_sign_flexible=bool(_require(raw, "euler_sign_flexible", where)),
+        euler_sign_flexible=_bool(raw, "euler_sign_flexible", where),
         real_rank=int(_require(raw, "real_rank", where)),
         chern_target=(
             _class_from_terms(ring, chern_raw, f"{where}.chern") if chern_raw is not None else None
@@ -120,7 +130,7 @@ def _load_search_spec(
             raise CaseError(f"{where}.bound.per_variable: expected a list of integers")
         bound = ExplicitBound(
             per_variable=tuple(per_variable),
-            acknowledged=bool(bound_raw.get("acknowledged", False)),
+            acknowledged=_bool(bound_raw, "acknowledged", f"{where}.bound", default=False),
             note=str(bound_raw.get("note", "")),
         )
     else:
@@ -163,8 +173,8 @@ def _load_obstruction(raw, where: str = "obstruction") -> ObstructionCase:
     return ObstructionCase(
         factors=factors,
         manifold_dim=int(_require(raw, "manifold_dim", where)),
-        euler_nonzero=bool(_require(raw, "euler_nonzero", where)),
-        almost_complex_forbidden=bool(_require(raw, "almost_complex_forbidden", where)),
+        euler_nonzero=_bool(raw, "euler_nonzero", where),
+        almost_complex_forbidden=_bool(raw, "almost_complex_forbidden", where),
         provenance=str(raw.get("provenance", "")),
     )
 
@@ -307,7 +317,17 @@ def _reps_section(case: ObstructionCase) -> dict:
     return out
 
 
-def run_case(doc: Mapping, budget: int | None = None, threads: int = 1) -> dict:
+def _report(doc: Mapping, sections: dict) -> dict:
+    return {
+        "case": str(doc.get("name", "unnamed")),
+        "anchor": str(doc.get("anchor", "")),
+        "version": __version__,
+        "input_digest": input_digest(dict(doc)),
+        "sections": sections,
+    }
+
+
+def run_case(doc: Mapping, budget: int | None = None) -> dict:
     """Execute every actionable section of a case document, in order."""
     if not isinstance(doc, Mapping):
         raise CaseError("case document must be a JSON object")
@@ -329,20 +349,14 @@ def run_case(doc: Mapping, budget: int | None = None, threads: int = 1) -> dict:
         if targets is None:
             raise CaseError("'search' requires a 'targets' section")
         spec = _load_search_spec(ring, targets, doc["search"], budget)
-        sections["search"] = enumerate_splittings(spec, threads=threads).as_jsonable()
+        sections["search"] = enumerate_splittings(spec).as_jsonable()
     if "genus" in doc:
         sections["genus"] = _genus_section(ring, doc["genus"])
     if "obstruction" in doc:
         sections["obstruction"] = _obstruction_section(_load_obstruction(doc["obstruction"]))
     if not sections:
         raise CaseError("case document has no actionable section")
-    return {
-        "case": str(doc.get("name", "unnamed")),
-        "anchor": str(doc.get("anchor", "")),
-        "version": __version__,
-        "input_digest": input_digest(dict(doc)),
-        "sections": sections,
-    }
+    return _report(doc, sections)
 
 
 # -- command line ------------------------------------------------------------
@@ -394,14 +408,6 @@ def _check_expectation(report: dict, expect: str) -> str | None:
     raise CaseError(f"unknown expectation {expect!r}")
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("SPLITCHECK_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="splitcheck",
@@ -422,8 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=None, help="fail (exit 3) unless the verdict matches")
     verify.add_argument("--budget", type=int, default=None, metavar="N",
                         help="override the tuple visit budget")
-    verify.add_argument("--threads", type=int, default=None, metavar="N",
-                        help="worker threads (default SPLITCHECK_THREADS or 1)")
 
     genus = sub.add_parser("genus", help="run only the ring and genus sections")
     add_common(genus)
@@ -450,8 +454,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         doc = _load_case_document(args.case, args.q)
         if args.command == "verify":
-            threads = args.threads if args.threads is not None else _default_threads()
-            report = run_case(doc, budget=args.budget, threads=threads)
+            report = run_case(doc, budget=args.budget)
         elif args.command == "genus":
             if "genus" not in doc:
                 raise CaseError("case document has no genus section")
@@ -465,14 +468,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:  # reps
             if "obstruction" not in doc:
                 raise CaseError("case document has no obstruction section")
-            case = _load_obstruction(doc["obstruction"])
-            report = {
-                "case": str(doc.get("name", "unnamed")),
-                "anchor": str(doc.get("anchor", "")),
-                "version": __version__,
-                "input_digest": input_digest(dict(doc)),
-                "sections": {"reps": _reps_section(case)},
-            }
+            report = _report(doc, {"reps": _reps_section(_load_obstruction(doc["obstruction"]))})
 
         text = json.dumps(jsonable(report), sort_keys=True, indent=2)
         print(text)

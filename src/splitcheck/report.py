@@ -1,9 +1,9 @@
 """Canonical JSON emission.
 
-Reports must be byte-identical across runs and thread counts, so the
-serializer sorts keys, fixes separators, and refuses floats.  Exact rational
-values are kept lossless: a Fraction with denominator 1 becomes a plain JSON
-integer, anything else the string "p/q".
+Reports must be byte-identical across runs, so the serializer sorts keys,
+fixes separators, and refuses floats.  Exact rational values are kept
+lossless: a Fraction with denominator 1 becomes a plain JSON integer,
+anything else the string "p/q".
 """
 
 from __future__ import annotations

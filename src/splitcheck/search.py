@@ -25,7 +25,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -37,7 +36,6 @@ from .ring import (
     RingPresentation,
     basis,
     monomial_mul,
-    monomials_of_degree,
     normal_form,
 )
 
@@ -399,7 +397,11 @@ def _shell_enumerate(
     counter: list[int],
     visit_cap: int,
 ) -> None:
-    """All integer tuples with sum(weights[i] * x_i^2) == budget_value."""
+    """All integer tuples with sum(weights[i] * x_i^2) == budget_value.
+
+    `counter[0]` counts leaves across calls; the leaf that takes it past
+    `visit_cap` raises `_BudgetExceeded` before it is evaluated.
+    """
     index = len(prefix)
     if index == len(weights):
         if budget_value == 0:
@@ -445,19 +447,10 @@ def _canonical_stages(m: int, sum_bound: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _prewarm_ring(ring: RingPresentation) -> None:
-    # fill the reduction cache so concurrent readers never write it
-    for half in range(ring.top_degree // 2 + 1):
-        for mono in monomials_of_degree(len(ring.generators), half):
-            ring.reduce_monomial(mono)
-
-
-def enumerate_splittings(spec: SearchSpec, threads: int = 1) -> SearchCertificate:
+def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
     started = time.perf_counter()
     bounds = derive_bounds(spec)
-    _prewarm_ring(spec.ring)
     evaluator = _Evaluator(spec)
-    r = len(spec.coords)
     box = 1
     for b in bounds.per_variable:
         box *= (2 * b + 1) ** spec.m
@@ -467,11 +460,11 @@ def enumerate_splittings(spec: SearchSpec, threads: int = 1) -> SearchCertificat
         notes.append(bounds.note)
 
     if isinstance(spec.bound, ExplicitBound):
-        cert = _enumerate_explicit(spec, bounds, evaluator, box, digest, notes, threads)
+        cert = _enumerate_explicit(spec, bounds, evaluator, box, digest, notes)
     elif bounds.stage_axis is not None:
-        cert = _enumerate_staged(spec, bounds, evaluator, box, digest, notes, threads)
+        cert = _enumerate_staged(spec, bounds, evaluator, box, digest, notes)
     else:
-        cert = _enumerate_shell(spec, bounds, evaluator, box, digest, notes, threads)
+        cert = _enumerate_shell(spec, bounds, evaluator, box, digest, notes)
     cert.wall_clock_s = time.perf_counter() - started
     return cert
 
@@ -491,7 +484,6 @@ def _enumerate_explicit(
     box: int,
     digest: str,
     notes: list[str],
-    threads: int,
 ) -> SearchCertificate:
     if box > spec.budget:
         notes.append(f"box of {box} tuples exceeds budget {spec.budget}; nothing enumerated")
@@ -506,24 +498,13 @@ def _enumerate_explicit(
             budget=spec.budget,
             notes=notes,
         )
+    r = len(spec.coords)
     ranges = [range(-b, b + 1) for b in bounds.per_variable]
-    first = list(ranges[0]) if ranges else [0]
-
-    def run_chunk(v0: int) -> tuple[int, list]:
-        visited = 0
-        found = []
-        rest = itertools.product(*(ranges[1:] + ranges * (spec.m - 1)))
-        for tail in rest:
-            flat = (v0,) + tail
-            vectors = tuple(flat[i * len(ranges) : (i + 1) * len(ranges)] for i in range(spec.m))
-            visited += 1
-            if evaluator.accepts(vectors):
-                found.append(vectors)
-        return visited, found
-
-    chunk_results = _run_chunks(run_chunk, first, threads)
-    visited = sum(v for v, _ in chunk_results)
-    raw = [sol for _, sols in chunk_results for sol in sols]
+    raw = []
+    for flat in itertools.product(*(ranges * spec.m)):
+        vectors = tuple(flat[i * r : (i + 1) * r] for i in range(spec.m))
+        if evaluator.accepts(vectors):
+            raw.append(vectors)
     solutions = _finalize_solutions(spec, raw)
     if not bounds.certified:
         notes.append("explicit bound not acknowledged; certificate is not exhaustive")
@@ -532,19 +513,12 @@ def _enumerate_explicit(
         bound_type="explicit",
         per_variable_bounds=bounds.per_variable,
         enumerated=box,
-        visited=visited,
+        visited=box,
         solutions=solutions,
         exhaustive=bounds.certified,
         budget=spec.budget,
         notes=notes,
     )
-
-
-def _run_chunks(run_chunk, keys: list, threads: int) -> list:
-    if threads <= 1 or len(keys) <= 1:
-        return [run_chunk(k) for k in keys]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run_chunk, keys))
 
 
 def _enumerate_shell(
@@ -554,45 +528,25 @@ def _enumerate_shell(
     box: int,
     digest: str,
     notes: list[str],
-    threads: int,
 ) -> SearchCertificate:
     assert bounds.diagonal is not None and bounds.constant is not None
     r = len(spec.coords)
     scaled, budget_value = _scaled_diagonal(bounds.diagonal, bounds.constant)
-    weights = scaled * spec.m
     exhaustive = True
-    visited_total = 0
+    visited = [0]
     raw: list[tuple[tuple[int, ...], ...]] = []
+
+    def on_leaf(flat: tuple[int, ...]) -> None:
+        vectors = tuple(flat[i * r : (i + 1) * r] for i in range(spec.m))
+        if evaluator.accepts(vectors):
+            raw.append(vectors)
 
     if budget_value is None:
         notes.append("certified form has a non-integral constant; the equation has no integer solutions")
-
-    if budget_value is not None:
-        first_bound = math.isqrt(budget_value // weights[0])
-        first_values = list(range(-first_bound, first_bound + 1))
-
-        def run_chunk(v0: int) -> tuple[int, list, bool]:
-            visited = [0]
-            found: list[tuple[tuple[int, ...], ...]] = []
-
-            def on_leaf(flat: tuple[int, ...]) -> None:
-                vectors = tuple(flat[i * r : (i + 1) * r] for i in range(spec.m))
-                if evaluator.accepts(vectors):
-                    found.append(vectors)
-
-            rem = budget_value - weights[0] * v0 * v0
-            complete = True
-            if rem >= 0:
-                try:
-                    _shell_enumerate(weights, rem, [v0], on_leaf, visited, spec.budget)
-                except _BudgetExceeded:
-                    complete = False
-            return visited[0], found, complete
-
-        results = _run_chunks(run_chunk, first_values, threads)
-        visited_total = sum(v for v, _, _ in results)
-        raw = [sol for _, sols, _ in results for sol in sols]
-        if not all(ok for _, _, ok in results) or visited_total > spec.budget:
+    else:
+        try:
+            _shell_enumerate(scaled * spec.m, budget_value, [], on_leaf, visited, spec.budget)
+        except _BudgetExceeded:
             exhaustive = False
             notes.append(f"visit budget {spec.budget} exhausted; enumeration incomplete")
 
@@ -602,7 +556,7 @@ def _enumerate_shell(
         bound_type="sum_of_squares",
         per_variable_bounds=bounds.per_variable,
         enumerated=box,
-        visited=visited_total,
+        visited=visited[0],
         solutions=solutions,
         exhaustive=exhaustive,
         budget=spec.budget,
@@ -619,7 +573,6 @@ def _enumerate_staged(
     box: int,
     digest: str,
     notes: list[str],
-    threads: int,
 ) -> SearchCertificate:
     assert bounds.diagonal is not None and bounds.constant is not None
     assert bounds.stage_axis is not None and bounds.stage_sum_bound is not None
@@ -629,31 +582,37 @@ def _enumerate_staged(
     r = len(spec.coords)
     inner_coords = [j for j in range(r) if j != axis]
     scaled, total_budget = _scaled_diagonal(bounds.diagonal, bounds.constant)
-    stages = _canonical_stages(spec.m, bounds.stage_sum_bound)
+    weights = [scaled[j] for j in inner_coords] * spec.m
     notes.append(
         "stages are canonical representatives under bundle permutations and sign flips"
     )
 
-    def run_stage(stage: tuple[int, ...]) -> tuple[StageRecord, list]:
+    visited = [0]
+    raw: list[tuple[tuple[int, ...], ...]] = []
+    records: list[StageRecord] = []
+    exhausted = False
+    for stage in _canonical_stages(spec.m, bounds.stage_sum_bound):
         if total_budget is None:
-            return StageRecord(stage, None, 0, 0, "non-integral budget"), []
+            records.append(StageRecord(stage, None, 0, 0, "non-integral budget"))
+            continue
         residual = total_budget - scaled[axis] * sum(c * c for c in stage)
+        if exhausted:
+            records.append(StageRecord(stage, residual, 0, 0, "budget exhausted"))
+            continue
         if residual < 0:
-            return StageRecord(stage, residual, 0, 0, "residual budget negative"), []
+            records.append(StageRecord(stage, residual, 0, 0, "residual budget negative"))
+            continue
         if not evaluator.euler_target.is_zero() and evaluator.euler_vanishes_identically(axis, stage):
-            return (
+            records.append(
                 StageRecord(
                     stage,
                     residual,
                     0,
                     0,
                     "euler class vanishes identically at this stage but the target does not",
-                ),
-                [],
+                )
             )
-        weights = [scaled[j] for j in inner_coords] * spec.m
-        visited = [0]
-        found: list[tuple[tuple[int, ...], ...]] = []
+            continue
 
         def on_leaf(flat: tuple[int, ...]) -> None:
             vectors = []
@@ -666,24 +625,22 @@ def _enumerate_staged(
                 vec[axis] = stage[i]
                 vectors.append(tuple(vec))
             if evaluator.accepts(vectors):
-                found.append(tuple(vectors))
+                raw.append(tuple(vectors))
 
+        visited_before, found_before = visited[0], len(raw)
         try:
             _shell_enumerate(weights, residual, [], on_leaf, visited, spec.budget)
-            complete = True
         except _BudgetExceeded:
-            complete = False
-        record = StageRecord(stage, residual, visited[0], len(found), None if complete else "budget exhausted")
-        return record, found
-
-    results = _run_chunks(run_stage, stages, threads)
-    records = [rec for rec, _ in results]
-    raw = [sol for _, sols in results for sol in sols]
-    visited_total = sum(rec.visited for rec in records)
-    exhausted = (
-        any(rec.skipped_reason == "budget exhausted" for rec in records)
-        or visited_total > spec.budget
-    )
+            exhausted = True
+        records.append(
+            StageRecord(
+                stage,
+                residual,
+                visited[0] - visited_before,
+                len(raw) - found_before,
+                "budget exhausted" if exhausted else None,
+            )
+        )
     if exhausted:
         notes.append(f"visit budget {spec.budget} exhausted; enumeration incomplete")
     solutions = _finalize_solutions(spec, raw)
@@ -692,7 +649,7 @@ def _enumerate_staged(
         bound_type="sum_of_squares",
         per_variable_bounds=bounds.per_variable,
         enumerated=box,
-        visited=visited_total,
+        visited=visited[0],
         solutions=solutions,
         exhaustive=not exhausted,
         budget=spec.budget,

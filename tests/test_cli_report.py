@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -122,6 +121,20 @@ def test_run_case_errors_name_the_field():
     bad["targets"]["p1"] = [[0.5, [2, 0]]]
     with pytest.raises((CaseError, ValueError), match="targets.p1"):
         run_case(bad)
+    # booleans are JSON true/false only: bool("false") would be True
+    for name, path, value in [
+        ("s2xs2", ("search", "bound", "acknowledged"), "false"),
+        ("sp2-t2", ("targets", "euler_sign_flexible"), "false"),
+        ("hp1-presentation", ("obstruction", "euler_nonzero"), 1),
+        ("m20-eschenburg", ("obstruction", "almost_complex_forbidden"), None),
+    ]:
+        bad = builtin_case(name)
+        parent = bad
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(CaseError, match=r"\.".join(path)):
+            run_case(bad)
 
 
 def test_run_case_rejects_malformed_candidates():
@@ -134,13 +147,10 @@ def test_run_case_rejects_malformed_candidates():
 # -- command line -------------------------------------------------------------------
 
 
-def run_cli(*argv, env=None):
-    merged = dict(os.environ)
-    if env:
-        merged.update(env)
+def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "splitcheck", *argv],
-        capture_output=True, text=True, env=merged,
+        capture_output=True, text=True,
     )
 
 
@@ -223,16 +233,6 @@ def test_cli_emit_writes_canonical_file(tmp_path):
     assert again.read_bytes() == blob
     parsed = json.loads(blob)
     assert parsed["sections"]["search"]["visited_fraction"] == "96/625"
-
-
-def test_cli_thread_env_does_not_change_bytes(tmp_path):
-    single = tmp_path / "one.json"
-    threaded = tmp_path / "four.json"
-    run_cli("verify", "r-p", "--q", "2", "--emit", str(single),
-            env={"SPLITCHECK_THREADS": "1"})
-    run_cli("verify", "r-p", "--q", "2", "--emit", str(threaded),
-            env={"SPLITCHECK_THREADS": "4"})
-    assert single.read_bytes() == threaded.read_bytes()
 
 
 def test_cli_file_case_roundtrip(tmp_path):

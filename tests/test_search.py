@@ -252,31 +252,28 @@ def test_digest_distinguishes_specs():
 # -- determinism and budgets ---------------------------------------------------------
 
 
-@pytest.mark.parametrize(("name", "par"), [
-    ("cp2-connect-sum", None), ("su3-t2", None), ("r-p", 2), ("s2xs2", None),
-])
-def test_thread_count_does_not_change_output(name, par):
-    reports = [
-        enumerate_splittings(search_spec_for(name, par), threads=t).as_jsonable()
-        for t in (1, 2, 4)
-    ]
-    assert reports[0] == reports[1] == reports[2]
-
-
 def test_budget_exhaustion_on_shell():
-    spec = replace(search_spec_for("su3-t2"), budget=100)
-    cert = enumerate_splittings(spec)
-    assert not cert.exhaustive
-    assert cert.visited <= 1020
-    assert cert.visited_fraction < 1
-    assert any("budget" in note for note in cert.notes)
+    for name, budget in [("su3-t2", 100), ("sp2-t2", 500)]:
+        spec = replace(search_spec_for(name), budget=budget)
+        cert = enumerate_splittings(spec)
+        assert not cert.exhaustive, name
+        assert cert.visited <= spec.budget + 1, name
+        assert cert.visited_fraction < 1, name
+        assert any("budget" in note for note in cert.notes), name
 
 
 def test_budget_exhaustion_on_staged():
     spec = replace(search_spec_for("r-p", 2), budget=1000)
     cert = enumerate_splittings(spec)
     assert not cert.exhaustive
+    assert cert.visited <= spec.budget + 1
+    assert cert.visited == sum(s.visited for s in cert.stages)
     assert any("budget" in note for note in cert.notes)
+    reasons = [s.skipped_reason for s in cert.stages]
+    cut = reasons.index("budget exhausted")
+    assert set(reasons[cut:]) == {"budget exhausted"}
+    assert all(s.visited == 0 for s in cert.stages[cut + 1:])
+    assert [s.stage for s in cert.stages] == _canonical_stages(spec.m, cert.stage_sum_bound)
 
 
 def test_budget_exhaustion_on_explicit_box():
