@@ -66,6 +66,17 @@ def _bool(doc: Mapping, key: str, where: str, default: bool | None = None) -> bo
     return value
 
 
+def _int(doc: Mapping, key: str | int, where: str, default: int | None = None) -> int:
+    """A JSON integer; a bool, float, string, list or null is an error."""
+    if default is not None and key not in doc:
+        return default
+    value = _require(doc, key, where)
+    if isinstance(value, bool) or not isinstance(value, int):
+        field = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}"
+        raise CaseError(f"{field}: expected an integer, got {value!r}")
+    return value
+
+
 def _class_from_terms(ring: RingPresentation, raw, where: str) -> GradedClass:
     if not isinstance(raw, (list, tuple)):
         raise CaseError(f"{where}: expected a list of [coefficient, exponents] terms")
@@ -92,7 +103,7 @@ def _load_targets(ring: RingPresentation, raw, where: str = "targets") -> Target
         p1_target=_class_from_terms(ring, _require(raw, "p1", where), f"{where}.p1"),
         euler_target=_class_from_terms(ring, _require(raw, "euler", where), f"{where}.euler"),
         euler_sign_flexible=_bool(raw, "euler_sign_flexible", where),
-        real_rank=int(_require(raw, "real_rank", where)),
+        real_rank=_int(raw, "real_rank", where),
         chern_target=(
             _class_from_terms(ring, chern_raw, f"{where}.chern") if chern_raw is not None else None
         ),
@@ -124,27 +135,29 @@ def _load_search_spec(
         )
     elif kind == "explicit":
         per_variable = _require(bound_raw, "per_variable", f"{where}.bound")
-        if not isinstance(per_variable, (list, tuple)) or not all(
-            isinstance(b, int) for b in per_variable
-        ):
+        if not isinstance(per_variable, (list, tuple)):
             raise CaseError(f"{where}.bound.per_variable: expected a list of integers")
+        indexed = dict(enumerate(per_variable))
         bound = ExplicitBound(
-            per_variable=tuple(per_variable),
+            per_variable=tuple(
+                _int(indexed, i, f"{where}.bound.per_variable") for i in indexed
+            ),
             acknowledged=_bool(bound_raw, "acknowledged", f"{where}.bound", default=False),
             note=str(bound_raw.get("note", "")),
         )
     else:
         raise CaseError(f"{where}.bound.type: unknown bound type {kind!r}")
-    stage_axis = raw.get("stage_axis")
-    if stage_axis is not None and not isinstance(stage_axis, int):
-        raise CaseError(f"{where}.stage_axis: expected an integer coordinate index")
+    if budget is None:
+        budget = _int(raw, "budget", where, default=DEFAULT_BUDGET)
+    if budget < 0:
+        raise CaseError(f"{where}.budget: expected a nonnegative integer, got {budget}")
     return SearchSpec(
         ring=ring,
         targets=targets,
-        m=int(_require(raw, "m", where)),
+        m=_int(raw, "m", where),
         bound=bound,
-        budget=budget if budget is not None else int(raw.get("budget", DEFAULT_BUDGET)),
-        stage_axis=stage_axis,
+        budget=budget,
+        stage_axis=_int(raw, "stage_axis", where) if "stage_axis" in raw else None,
     )
 
 
@@ -152,9 +165,7 @@ def _load_root_system(raw, where: str) -> RootSystem:
     if not isinstance(raw, Mapping):
         raise CaseError(f"{where}: expected an object with 'family' and 'rank'")
     family = _require(raw, "family", where)
-    rank = _require(raw, "rank", where)
-    if not isinstance(rank, int):
-        raise CaseError(f"{where}.rank: expected an integer")
+    rank = _int(raw, "rank", where)
     try:
         return RootSystem(family=family, rank=rank)
     except ValueError as exc:
@@ -172,7 +183,7 @@ def _load_obstruction(raw, where: str = "obstruction") -> ObstructionCase:
     )
     return ObstructionCase(
         factors=factors,
-        manifold_dim=int(_require(raw, "manifold_dim", where)),
+        manifold_dim=_int(raw, "manifold_dim", where),
         euler_nonzero=_bool(raw, "euler_nonzero", where),
         almost_complex_forbidden=_bool(raw, "almost_complex_forbidden", where),
         provenance=str(raw.get("provenance", "")),
@@ -242,8 +253,11 @@ def _genus_section(ring: RingPresentation | None, raw, where: str = "genus") -> 
         roots = tuple(
             _class_from_terms(ring, r, f"{where}.roots[{i}]") for i, r in enumerate(roots_raw)
         )
-        data = ChernRootData(ring=ring, roots=roots)
-        chi = chi_y(data)
+        try:
+            data = ChernRootData(ring=ring, roots=roots)
+            chi = chi_y(data)
+        except ValueError as exc:
+            raise CaseError(f"{where}.roots: {exc}") from exc
         out["chi_y"] = list(chi.coefficients)
         out["euler"] = euler_from_chi(chi)
         out["signature"] = signature_from_chi(chi)
@@ -253,9 +267,9 @@ def _genus_section(ring: RingPresentation | None, raw, where: str = "genus") -> 
     if cong_raw is not None:
         if not isinstance(cong_raw, Mapping):
             raise CaseError(f"{where}.congruence: expected an object")
-        chi_val = int(_require(cong_raw, "chi", f"{where}.congruence"))
-        sigma_val = int(_require(cong_raw, "sigma", f"{where}.congruence"))
-        quarter = int(_require(cong_raw, "quarter_dim", f"{where}.congruence"))
+        chi_val = _int(cong_raw, "chi", f"{where}.congruence")
+        sigma_val = _int(cong_raw, "sigma", f"{where}.congruence")
+        quarter = _int(cong_raw, "quarter_dim", f"{where}.congruence")
         out["congruence"] = {
             "chi": chi_val,
             "sigma": sigma_val,

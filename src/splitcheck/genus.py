@@ -4,7 +4,9 @@ The genus of root data (x_1 .. x_n) is the integral of the product of the
 factor series x*(1 + y*e^{-x})/(1 - e^{-x}) evaluated at each root, an exact
 polynomial in y.  Roots may also describe the tangent bundle stabilized by
 trivial line summands (m > n roots); each trivial summand contributes an
-exact factor (1 + y), which is divided out.
+exact factor (1 + y), which is divided out.  The direct signature (factor
+x/tanh x) and the Euler integral (factor x) are integrals of the same shape,
+so all of them go through one multiplicative-sequence integrator.
 
 Everything is exact: ring coefficients are rationals, y-coefficients are
 rationals, and no floating point appears anywhere.
@@ -20,13 +22,11 @@ from .ring import (
     GradedClass,
     Monomial,
     RingPresentation,
-    integrate,
     monomial_degree,
     monomial_mul,
     ring_mul,
 )
 from .series import (
-    TruncatedSeries,
     series_exp_neg,
     series_scaled_argument,
     series_tanh_factor,
@@ -62,9 +62,6 @@ class YPolynomial:
             acc = acc * y + c
         return acc
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coefficients)
-
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
@@ -99,11 +96,12 @@ class ChernRootData:
 #
 # Elements are dicts monomial -> y-coefficient list.  Multiplication reduces
 # monomial products through the ring's rewrite cache, so it stays exact and
-# fast for the small rings in scope.
+# fast for the small rings in scope.  Accumulators start at int 0, so
+# integral products (the Euler integral) never build a Fraction.
 
 
 def _ypoly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue
@@ -128,15 +126,15 @@ def _yclass_mul(
             for m, c in ring.reduce_monomial(prod).terms.items():
                 dest = acc.setdefault(m, [])
                 if len(dest) < len(py):
-                    dest.extend([Fraction(0)] * (len(py) - len(dest)))
+                    dest.extend([0] * (len(py) - len(dest)))
                 for k, v in enumerate(py):
                     if v:
                         dest[k] += c * v
     return {m: p for m, p in acc.items() if any(p)}
 
 
-def _genus_factor_coeffs(order: int, t: Fraction | int = 1) -> list[tuple[Fraction, Fraction]]:
-    """Per-power (constant, y) coefficient pairs of x(1+y e^{-tx})/(1-e^{-tx}).
+def _genus_factor_coeffs(order: int, t: Fraction | int) -> list[list[Fraction]]:
+    """Per-power [constant, y] coefficients of x(1+y e^{-tx})/(1-e^{-tx}).
 
     The factor with scaled argument keeps an overall 1/t from the leading x,
     so the t-substitution test divides by t^n via these factors directly.
@@ -147,30 +145,44 @@ def _genus_factor_coeffs(order: int, t: Fraction | int = 1) -> list[tuple[Fracti
     mixed = todd * expneg
     # x(1+y e^{-tx})/(1-e^{-tx}) = (1/t) * [T(tx) + y * T(tx)E(tx)]
     return [
-        (todd.coefficients[k] / t, mixed.coefficients[k] / t) for k in range(order + 1)
+        [todd.coefficients[k] / t, mixed.coefficients[k] / t] for k in range(order + 1)
     ]
 
 
-def _integrate_factor_product(
-    data: ChernRootData, factor_coeffs: list[tuple[Fraction, Fraction]]
+def _integrate_multiplicative(
+    data: ChernRootData, coeffs: Sequence[Sequence[Fraction | int]]
 ) -> YPolynomial:
+    """Integral of the product of f(x_i) over the roots, as a y-polynomial.
+
+    f(x) = sum_k c_k(y) x^k is a multiplicative-sequence factor, and
+    coeffs[k] lists the y-coefficients of c_k.  Root powers are formed only up
+    to the last nonzero c_k.
+    """
     ring = data.ring
-    order = len(factor_coeffs) - 1
+    last = max((k for k, ck in enumerate(coeffs) if any(ck)), default=-1)
+    width = max((len(ck) for ck in coeffs), default=1)
     unit = (0,) * len(ring.generators)
-    product: dict[Monomial, list[Fraction]] = {unit: [Fraction(1)]}
+    product: dict[Monomial, list[Fraction]] = {unit: [1]}
     for root in data.roots:
-        powers = [ring.one()]
-        for _ in range(order):
-            powers.append(ring_mul(ring, powers[-1], root))
+        power = ring.one()
         factor: dict[Monomial, list[Fraction]] = {}
-        for k, (c0, c1) in enumerate(factor_coeffs):
-            for mono, coeff in powers[k].terms.items():
-                dest = factor.setdefault(mono, [Fraction(0), Fraction(0)])
-                dest[0] += c0 * coeff
-                dest[1] += c1 * coeff
+        for k in range(last + 1):
+            if k:
+                power = ring_mul(ring, power, root)
+            if not any(coeffs[k]):
+                continue
+            for mono, coeff in power.terms.items():
+                dest = factor.setdefault(mono, [0] * width)
+                for j, c in enumerate(coeffs[k]):
+                    dest[j] += c * coeff
         product = _yclass_mul(ring, product, factor)
-    top = product.get(ring.fundamental, [])
+    top = product.get(ring.fundamental)
     return YPolynomial.from_coeffs(top) if top else YPolynomial.zero()
+
+
+def _check_root_count(data: ChernRootData) -> None:
+    if len(data.roots) < data.n:
+        raise RootCountError(f"need at least {data.n} roots, got {len(data.roots)}")
 
 
 def chi_y(data: ChernRootData) -> YPolynomial:
@@ -179,17 +191,7 @@ def chi_y(data: ChernRootData) -> YPolynomial:
     With m > n roots the extra summands are trivial bundle directions and the
     raw integral carries an exact factor (1+y) each, which is divided out.
     """
-    n = data.n
-    m = len(data.roots)
-    if m < n:
-        raise RootCountError(f"need at least {n} roots, got {m}")
-    raw = _integrate_factor_product(data, _genus_factor_coeffs(n))
-    out = raw
-    for _ in range(m - n):
-        out = out.divide_by_one_plus_y()
-    if out.degree() > n:
-        raise RootCountError("chi_y degree exceeds the complex dimension")
-    return YPolynomial.from_coeffs(list(out.coefficients) + [0] * (n - out.degree()))
+    return chi_y_scaled(data, 1)
 
 
 def chi_y_scaled(data: ChernRootData, t: Fraction | int) -> YPolynomial:
@@ -201,16 +203,14 @@ def chi_y_scaled(data: ChernRootData, t: Fraction | int) -> YPolynomial:
     """
     if not t:
         raise ValueError("t must be nonzero")
+    _check_root_count(data)
     n = data.n
-    m = len(data.roots)
-    if m < n:
-        raise RootCountError(f"need at least {n} roots, got {m}")
-    raw = _integrate_factor_product(data, _genus_factor_coeffs(n, t))
+    extra = len(data.roots) - n
+    raw = _integrate_multiplicative(data, _genus_factor_coeffs(n, t))
     # the per-factor 1/t accounts for t^m; restore the t^(m-n) overshoot
-    scale = Fraction(t) ** (m - n)
-    raw = YPolynomial.from_coeffs([c * scale for c in raw.coefficients])
-    out = raw
-    for _ in range(m - n):
+    scale = Fraction(t) ** extra
+    out = YPolynomial.from_coeffs([c * scale for c in raw.coefficients])
+    for _ in range(extra):
         out = out.divide_by_one_plus_y()
     if out.degree() > n:
         raise RootCountError("chi_y degree exceeds the complex dimension")
@@ -238,37 +238,17 @@ def signature_direct(data: ChernRootData) -> Fraction:
     The factor is 1 at x = 0, so stabilizing trivial roots change nothing
     and no root-count correction is needed.
     """
-    ring = data.ring
-    n = data.n
-    tanh = series_tanh_factor(n)
-    unit = (0,) * len(ring.generators)
-    product: dict[Monomial, list[Fraction]] = {unit: [Fraction(1)]}
-    for root in data.roots:
-        powers = [ring.one()]
-        for _ in range(n):
-            powers.append(ring_mul(ring, powers[-1], root))
-        factor: dict[Monomial, list[Fraction]] = {}
-        for k in range(n + 1):
-            ck = tanh.coefficients[k]
-            if not ck:
-                continue
-            for mono, coeff in powers[k].terms.items():
-                dest = factor.setdefault(mono, [Fraction(0)])
-                dest[0] += ck * coeff
-        product = _yclass_mul(ring, product, factor)
-    top = product.get(ring.fundamental, [Fraction(0)])
-    return top[0]
+    tanh = series_tanh_factor(data.n)
+    return _integrate_multiplicative(data, [[c] for c in tanh.coefficients]).coefficients[0]
 
 
 def top_chern_integral(data: ChernRootData) -> Fraction:
-    """Integral of the product of the roots (the Euler class of the data)."""
-    ring = data.ring
-    out = ring.one()
-    for root in data.roots:
-        out = ring_mul(ring, out, root)
-    if out.is_zero():
-        return Fraction(0)
-    return integrate(ring, out)
+    """Integral of the product of the roots (the Euler class of the data).
+
+    Fewer than n roots is a RootCountError, as for chi_y.
+    """
+    _check_root_count(data)
+    return _integrate_multiplicative(data, [[0], [1]]).coefficients[0]
 
 
 def duality_check(chi: YPolynomial, n: int) -> bool:

@@ -28,11 +28,6 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coefficients) - 1
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.order != other.order:
-            raise ValueError("series truncation orders differ")
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if self.order != other.order:
             raise ValueError("series truncation orders differ")
@@ -46,10 +41,6 @@ class TruncatedSeries:
                 if b:
                     out[i + j] += a * b
         return TruncatedSeries(tuple(out))
-
-    def scale(self, r: Fraction | int) -> "TruncatedSeries":
-        r = Fraction(r)
-        return TruncatedSeries(tuple(r * c for c in self.coefficients))
 
     def divide(self, divisor: "TruncatedSeries") -> "TruncatedSeries":
         """Exact series division; the divisor must be a unit (nonzero at 0)."""

@@ -5,6 +5,10 @@ built-in geometry directly from the presentation relations, independently of
 the characteristic-class module, so the search and the matcher can be checked
 against them term by term.
 
+The reference genus functions at the end compute chi_y, the direct signature
+and the Euler integral with their own loops and their own y-class product,
+independently of the package's shared integrator, as a differential oracle.
+
 Coordinate convention used throughout: a degree-2 vector lists coefficients
 in the ascending basis order of the ring, which for generators written in
 document order [g1, ..., gk] means the *last* generator comes first.  So for
@@ -15,17 +19,29 @@ vector (x0, x1, x2) is x0*v3 + x1*v2 + x2*v1.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from splitcheck.cases import builtin_case
 from splitcheck.charclass import LineBundleSum, TargetClasses, matches_targets
 from splitcheck.cli import _load_search_spec, _load_targets
+from splitcheck.genus import ChernRootData, RootCountError, YPolynomial
 from splitcheck.ring import (
     GradedClass,
     RingPresentation,
     basis,
+    integrate,
+    monomial_degree,
+    monomial_mul,
     monomials_of_degree,
     parse_presentation,
+    ring_mul,
+)
+from splitcheck.series import (
+    series_exp_neg,
+    series_scaled_argument,
+    series_tanh_factor,
+    series_todd_factor,
 )
 
 _RINGS: dict = {}
@@ -156,3 +172,81 @@ def sp2_oracle(vecs) -> bool:
         return tot
 
     return abs(2 * mixed_sum(3) + mixed_sum(1)) == 8
+
+
+# -- reference genus integrals ------------------------------------------------
+
+
+def _ref_ypoly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, z in enumerate(b):
+            out[i + j] += x * z
+    return out
+
+
+def _ref_yclass_mul(ring: RingPresentation, a: dict, b: dict) -> dict:
+    acc: dict = {}
+    for ma, pa in a.items():
+        for mb, pb in b.items():
+            prod = monomial_mul(ma, mb)
+            if monomial_degree(prod) > ring.top_degree:
+                continue
+            py = _ref_ypoly_mul(pa, pb)
+            for m, c in ring.reduce_monomial(prod).terms.items():
+                dest = acc.setdefault(m, [])
+                dest.extend([Fraction(0)] * (len(py) - len(dest)))
+                for k, v in enumerate(py):
+                    dest[k] += c * v
+    return {m: p for m, p in acc.items() if any(p)}
+
+
+def _ref_factor_product(data: ChernRootData, factor_coeffs) -> list:
+    """y-coefficients at the fundamental class of the product over the roots
+    of sum_k factor_coeffs[k] * x^k, all powers up to the last k formed."""
+    ring = data.ring
+    width = len(factor_coeffs[0])
+    product = {(0,) * len(ring.generators): [Fraction(1)]}
+    for root in data.roots:
+        powers = [ring.one()]
+        for _ in range(len(factor_coeffs) - 1):
+            powers.append(ring_mul(ring, powers[-1], root))
+        factor: dict = {}
+        for k, ck in enumerate(factor_coeffs):
+            for mono, coeff in powers[k].terms.items():
+                dest = factor.setdefault(mono, [Fraction(0)] * width)
+                for j, c in enumerate(ck):
+                    dest[j] += c * coeff
+        product = _ref_yclass_mul(ring, product, factor)
+    return product.get(ring.fundamental, [Fraction(0)])
+
+
+def ref_chi_y_scaled(data: ChernRootData, t: int) -> YPolynomial:
+    """chi_y from roots scaled by t, with the (1 + y) padding divided out."""
+    n, m = data.n, len(data.roots)
+    if m < n:
+        raise RootCountError(f"need at least {n} roots, got {m}")
+    t = Fraction(t)
+    todd = series_scaled_argument(series_todd_factor(n), t)
+    mixed = todd * series_scaled_argument(series_exp_neg(n), t)
+    coeffs = [(todd.coefficients[k] / t, mixed.coefficients[k] / t) for k in range(n + 1)]
+    raw = _ref_factor_product(data, coeffs)
+    out = YPolynomial.from_coeffs([c * t ** (m - n) for c in raw])
+    for _ in range(m - n):
+        out = out.divide_by_one_plus_y()
+    if out.degree() > n:
+        raise RootCountError("chi_y degree exceeds the complex dimension")
+    return YPolynomial.from_coeffs(list(out.coefficients) + [0] * (n - out.degree()))
+
+
+def ref_signature_direct(data: ChernRootData) -> Fraction:
+    tanh = series_tanh_factor(data.n)
+    return _ref_factor_product(data, [(c,) for c in tanh.coefficients])[0]
+
+
+def ref_top_chern_integral(data: ChernRootData) -> Fraction:
+    ring = data.ring
+    out = ring.one()
+    for root in data.roots:
+        out = ring_mul(ring, out, root)
+    return integrate(ring, out)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -121,19 +122,39 @@ def test_run_case_errors_name_the_field():
     bad["targets"]["p1"] = [[0.5, [2, 0]]]
     with pytest.raises((CaseError, ValueError), match="targets.p1"):
         run_case(bad)
-    # booleans are JSON true/false only: bool("false") would be True
+    # booleans are JSON true/false only: bool("false") would be True;
+    # integers are JSON integers only: int("2") and int(2.7) would pass, and
+    # True is an int to Python
     for name, path, value in [
         ("s2xs2", ("search", "bound", "acknowledged"), "false"),
         ("sp2-t2", ("targets", "euler_sign_flexible"), "false"),
         ("hp1-presentation", ("obstruction", "euler_nonzero"), 1),
         ("m20-eschenburg", ("obstruction", "almost_complex_forbidden"), None),
+        ("su3-t2", ("search", "m"), [1]),
+        ("su3-t2", ("search", "m"), 2.7),
+        ("su3-t2", ("search", "m"), "2"),
+        ("su3-t2", ("search", "budget"), {}),
+        ("su3-t2", ("search", "budget"), -5),
+        ("r-p", ("search", "stage_axis"), True),
+        ("s2xs2", ("search", "bound", "per_variable", 0), True),
+        ("su3-t2", ("targets", "real_rank"), None),
+        ("m20-eschenburg", ("obstruction", "manifold_dim"), "20"),
+        ("hp1-presentation", ("obstruction", "factors", 0, "rank"), True),
+        ("hp1-presentation", ("genus", "congruence", "chi"), [1]),
+        ("hp1-presentation", ("genus", "congruence", "chi"), True),
+        ("hp1-presentation", ("genus", "congruence", "sigma"), 0.0),
+        ("m20-eschenburg", ("genus", "congruence", "quarter_dim"), "5"),
+        # root-data errors carry the field, not just "root #0" or a count
+        ("genus-cpn", ("genus", "roots"), [[[1, [1]]]]),
+        ("genus-cpn", ("genus", "roots"), [[[1, [2]]]] * 3),
     ]:
         bad = builtin_case(name)
         parent = bad
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = value
-        with pytest.raises(CaseError, match=r"\.".join(path)):
+        field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+        with pytest.raises(CaseError, match=re.escape(field)):
             run_case(bad)
 
 

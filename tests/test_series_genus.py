@@ -4,17 +4,29 @@ The projective-space values and the low-order series coefficients are frozen
 from hand expansions; the structural properties (specialization at -1,
 Poincare duality of the coefficients, invariance under argument scaling, the
 direct signature integrand) run on randomized root data over the built-in
-rings.
+rings, and the package integrator is compared against the reference
+implementations in helpers on the same kind of data.
 """
 
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from helpers import random_degree2, ring_for
+from helpers import (
+    RING_IDS,
+    RING_REFS,
+    random_degree2,
+    ref_chi_y_scaled,
+    ref_signature_direct,
+    ref_top_chern_integral,
+    ring_for,
+)
 from splitcheck.genus import (
     ChernRootData,
     RootCountError,
@@ -122,8 +134,15 @@ def test_projective_line_and_plane_frozen():
 def test_root_count_must_cover_dimension():
     ring = ring_for("cpn-split", 3)
     h = ring.generator_class(0)
+    short = ChernRootData(ring=ring, roots=(h, h))
     with pytest.raises(RootCountError):
-        chi_y(ChernRootData(ring=ring, roots=(h, h)))
+        chi_y(short)
+    # too few roots is a root-count error whether or not their product
+    # vanishes, never a degree error or a zero Euler number
+    with pytest.raises(RootCountError):
+        top_chern_integral(short)
+    with pytest.raises(RootCountError):
+        top_chern_integral(ChernRootData(ring=ring, roots=(h, GradedClass.zero())))
 
 
 def test_extra_trivial_roots_do_not_change_chi():
@@ -157,7 +176,7 @@ def random_data(rng: random.Random, ring, extra: int = 0) -> ChernRootData:
                          ids=[n if p is None else f"{n}-{p}" for n, p in GENUS_RING_REFS])
 def test_genus_properties_random(name, par):
     ring = ring_for(name, par)
-    rng = random.Random(hash((name, par)) & 0xFFFF)
+    rng = random.Random(sum(map(ord, f"{name}-{par}")))
     for i in range(40):
         data = random_data(rng, ring, extra=i % 3)
         chi = chi_y(data)
@@ -172,6 +191,30 @@ def test_genus_properties_random(name, par):
         # substituting t*x for x throughout changes nothing
         t = (-1, 2, 3)[i % 3]
         assert chi_y_scaled(data, t).coefficients == chi.coefficients
+
+
+@pytest.mark.parametrize(("name", "par"), RING_REFS, ids=RING_IDS)
+def test_integrator_matches_reference(name, par):
+    ring = ring_for(name, par)
+    rng = random.Random(sum(map(ord, f"reference-{name}-{par}")))
+    for i in range(15):
+        data = random_data(rng, ring, extra=i % 3)
+        t = (-1, 2, 3)[i // 3 % 3]  # every (zero-root count, t) pair occurs
+        assert chi_y(data) == ref_chi_y_scaled(data, 1)
+        assert chi_y_scaled(data, t) == ref_chi_y_scaled(data, t)
+        assert signature_direct(data) == ref_signature_direct(data)
+        honest = ChernRootData(ring=ring, roots=data.roots[: data.n])
+        assert top_chern_integral(honest) == ref_top_chern_integral(honest)
+        assert top_chern_integral(data) == ref_top_chern_integral(data)
+
+
+def test_genus_sweep_script_runs():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "genus_sweep.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--instances", "3", "--vectors", "50"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_duality_check_rejects_asymmetric():
