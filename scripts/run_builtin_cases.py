@@ -46,7 +46,7 @@ def describe(report: dict) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--qs", type=int, nargs="+", default=[2, 3, 4, 5],
-                        help="parameters for the staged family case")
+                        help="q values for the r-p family case")
     parser.add_argument("--budget", type=int, default=None)
     parser.add_argument("--emit-dir", default=None, metavar="DIR")
     args = parser.parse_args()

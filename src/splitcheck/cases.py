@@ -84,9 +84,9 @@ def su3_t2() -> dict:
 def r_p(q: int = 2) -> dict:
     """Family of 6-manifolds parameterized by q (the even parameter p = 2q).
 
-    The third coordinate squares to 2q^2 times the first, so the p1 equation
-    bounds it tightly; the search stages on that coordinate (index 0 in the
-    ascending degree-2 basis) and spends the residual budget on the rest.
+    The third generator squares to 2q^2 times the first, so the p1 form
+    weighs that coordinate (index 0 in the ascending degree-2 basis) by 2q^2
+    and bounds it by 2 for every q, while the other two grow with q.
     """
     _check_positive("q", q)
     return {
@@ -113,7 +113,6 @@ def r_p(q: int = 2) -> dict:
         "search": {
             "m": 3,
             "bound": {"type": "sum_of_squares", "multipliers": [0, 0, 1]},
-            "stage_axis": 0,
         },
     }
 

@@ -88,7 +88,7 @@ def _class_from_terms(ring: RingPresentation, raw, where: str) -> GradedClass:
         coeff = fraction_from_json(item[0], f"{where}[{i}][0]")
         exps = item[1]
         if not isinstance(exps, (list, tuple)) or len(exps) != n or not all(
-            isinstance(e, int) and e >= 0 for e in exps
+            isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps
         ):
             raise CaseError(f"{where}[{i}][1]: expected {n} nonnegative integer exponents")
         terms.append((tuple(exps), coeff))
@@ -157,7 +157,6 @@ def _load_search_spec(
         m=_int(raw, "m", where),
         bound=bound,
         budget=budget,
-        stage_axis=_int(raw, "stage_axis", where) if "stage_axis" in raw else None,
     )
 
 
@@ -215,7 +214,7 @@ def _matching_section(ring: RingPresentation, targets: TargetClasses, raw, where
         classes = []
         for j, vec in enumerate(cand):
             if not isinstance(vec, (list, tuple)) or len(vec) != len(coords) or not all(
-                isinstance(x, int) for x in vec
+                isinstance(x, int) and not isinstance(x, bool) for x in vec
             ):
                 raise CaseError(
                     f"{where}[{i}][{j}]: expected {len(coords)} integer coordinates"

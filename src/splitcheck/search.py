@@ -4,22 +4,31 @@ The unknowns are the m x r integer coordinates of the first Chern classes in
 the degree-2 basis.  Bounds come from a nonnegative multiplier vector over
 the degree-4 component equations of the p1 match: when the combination is a
 positive diagonal quadratic form sum lam_j x_j^2 = C, any solution satisfies
-that equation *with equality*, which both certifies the per-variable box
-|x_j| <= floor(sqrt(C/lam_j)) and lets the enumerator recurse with an exact
-remaining budget.  Every candidate reaching a full assignment is accepted or
+that equation *with equality*.  Each bundle's own share sum_j lam_j v_j^2 is
+nonnegative, so every bundle vector lies in the ellipsoid
+sum_j lam_j v_j^2 <= C, which certifies the per-variable box
+|x_j| <= floor(sqrt(C/lam_j)).
+
+One enumeration serves every bound:
+
+1. the ball: the vectors of the per-bundle box inside that ellipsoid
+   (lattice points of an ellipsoid, Fincke-Pohst, Math. Comp. 44, 1985; an
+   explicit bound has no form and keeps the whole box), only the larger of
+   v and -v when the Euler target is sign-flexible;
+2. the join table: each ball vector's square c1^2, keyed by the class;
+3. the walk: nondecreasing index multisets of m - 1 ball vectors whose
+   partial norm stays within C, with the last bundle looked up by the
+   residual p1 - sum of squares (meet in the middle, Horowitz-Sahni,
+   JACM 1974).
+
+The lookup only rejects: every candidate it lets through is accepted or
 rejected by re-evaluating p1 and e through the characteristic-class module,
 never through hand-expanded equations.
-
-Large cases are staged: an outer loop fixes the coordinates along one axis
-(up to bundle permutations and sign flips, valid when the Euler target is
-sign-flexible) and the inner enumeration spends the residual budget on the
-remaining coordinates.  A stage whose Euler class vanishes identically in
-the remaining unknowns is rejected without enumeration when the Euler target
-is nonzero; the multilinear expansion that proves it is exact.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import json
@@ -37,6 +46,8 @@ from .ring import (
     basis,
     monomial_mul,
     normal_form,
+    ring_mul,
+    ring_sub,
 )
 
 DEFAULT_BUDGET = 10**9
@@ -65,7 +76,6 @@ class SearchSpec:
     m: int
     bound: SumOfSquaresBound | ExplicitBound
     budget: int = DEFAULT_BUDGET
-    stage_axis: int | None = None
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -85,18 +95,7 @@ class DerivedBounds:
     certified: bool
     diagonal: tuple[Fraction, ...] | None = None
     constant: Fraction | None = None
-    stage_axis: int | None = None
-    stage_sum_bound: int | None = None
     note: str = ""
-
-
-@dataclass
-class StageRecord:
-    stage: tuple[int, ...]
-    residual_budget: int | None
-    visited: int
-    solutions: int
-    skipped_reason: str | None = None
 
 
 @dataclass
@@ -111,9 +110,6 @@ class SearchCertificate:
     budget: int
     diagonal: tuple[Fraction, ...] | None = None
     constant: Fraction | None = None
-    stage_axis: int | None = None
-    stage_sum_bound: int | None = None
-    stages: list[StageRecord] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     wall_clock_s: float | None = None
 
@@ -134,18 +130,6 @@ class SearchCertificate:
             "per_variable_bounds": list(self.per_variable_bounds),
             "diagonal": list(self.diagonal) if self.diagonal is not None else None,
             "constant": self.constant,
-            "stage_axis": self.stage_axis,
-            "stage_sum_bound": self.stage_sum_bound,
-            "stages": [
-                {
-                    "stage": list(s.stage),
-                    "residual_budget": s.residual_budget,
-                    "visited": s.visited,
-                    "solutions": s.solutions,
-                    "skipped_reason": s.skipped_reason,
-                }
-                for s in self.stages
-            ],
             "enumerated": self.enumerated,
             "visited": self.visited,
             "visited_fraction": self.visited_fraction,
@@ -192,7 +176,6 @@ def spec_digest(spec: SearchSpec) -> str:
             }
         ),
         "budget": spec.budget,
-        "stage_axis": spec.stage_axis,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -265,20 +248,11 @@ def derive_bounds(spec: SearchSpec) -> DerivedBounds:
         raise BoundError(f"combined form equals the negative constant {constant}")
 
     per_variable = tuple(math.isqrt(int(constant / d)) for d in diagonal)
-
-    stage_axis = spec.stage_axis
-    stage_sum_bound = None
-    if stage_axis is not None:
-        if not 0 <= stage_axis < r:
-            raise BoundError(f"stage axis {stage_axis} out of range for {r} coordinates")
-        stage_sum_bound = int(constant / diagonal[stage_axis])
     return DerivedBounds(
         per_variable=per_variable,
         certified=True,
         diagonal=diagonal,
         constant=constant,
-        stage_axis=stage_axis,
-        stage_sum_bound=stage_sum_bound,
     )
 
 
@@ -307,7 +281,7 @@ def canonicalize_solution(
 
 
 class _Evaluator:
-    """Per-tuple accept test; also owns the euler feasibility expansion."""
+    """Per-tuple accept test through the characteristic-class module."""
 
     def __init__(self, spec: SearchSpec):
         if 2 * spec.m > spec.targets.real_rank:
@@ -348,29 +322,6 @@ class _Evaluator:
             return False
         return True
 
-    def euler_vanishes_identically(self, axis: int, stage: Sequence[int]) -> bool:
-        """True iff e is the zero polynomial in the non-axis unknowns.
-
-        The product of first Chern classes is multilinear in the coordinate
-        choices, and distinct choices contribute distinct monomials in the
-        unknowns, so the class vanishes identically iff every term does.
-        """
-        ring = self.ring
-        r = len(self.coords)
-        for choice in itertools.product(range(r), repeat=self.spec.m):
-            weight = 1
-            for i, j in enumerate(choice):
-                if j == axis:
-                    weight *= stage[i]
-            if not weight:
-                continue
-            mono = (0,) * len(ring.generators)
-            for j in choice:
-                mono = monomial_mul(mono, self.coords[j])
-            if weight * ring.reduce_monomial(mono).coefficient(ring.fundamental):
-                return False
-        return True
-
 
 # -- enumeration -------------------------------------------------------------
 
@@ -389,274 +340,93 @@ def _scaled_diagonal(diagonal: Sequence[Fraction], constant: Fraction) -> tuple[
     return scaled, int(c) if c.denominator == 1 else None
 
 
-def _shell_enumerate(
-    weights: Sequence[int],
-    budget_value: int,
-    prefix: list[int],
-    on_leaf,
-    counter: list[int],
-    visit_cap: int,
-) -> None:
-    """All integer tuples with sum(weights[i] * x_i^2) == budget_value.
-
-    `counter[0]` counts leaves across calls; the leaf that takes it past
-    `visit_cap` raises `_BudgetExceeded` before it is evaluated.
-    """
-    index = len(prefix)
-    if index == len(weights):
-        if budget_value == 0:
-            counter[0] += 1
-            if counter[0] > visit_cap:
-                raise _BudgetExceeded
-            on_leaf(tuple(prefix))
-        return
-    w = weights[index]
-    if index == len(weights) - 1:
-        # solve w * x^2 == budget_value directly
-        if budget_value % w == 0:
-            square, rem = divmod(budget_value, w)
-            root = math.isqrt(square)
-            if root * root == square:
-                for x in ((0,) if root == 0 else (root, -root)):
-                    counter[0] += 1
-                    if counter[0] > visit_cap:
-                        raise _BudgetExceeded
-                    on_leaf(tuple(prefix + [x]))
-        return
-    bound = math.isqrt(budget_value // w)
-    for x in range(-bound, bound + 1):
-        remaining = budget_value - w * x * x
-        prefix.append(x)
-        _shell_enumerate(weights, remaining, prefix, on_leaf, counter, visit_cap)
-        prefix.pop()
-
-
-def _canonical_stages(m: int, sum_bound: int) -> list[tuple[int, ...]]:
-    """Nonincreasing nonnegative m-tuples with sum of squares <= sum_bound."""
-    out: list[tuple[int, ...]] = []
-
-    def recurse(prefix: list[int], cap: int, remaining: int) -> None:
-        if len(prefix) == m:
-            out.append(tuple(prefix))
-            return
-        for v in range(min(cap, math.isqrt(remaining)), -1, -1):
-            recurse(prefix + [v], v, remaining - v * v)
-
-    recurse([], math.isqrt(sum_bound), sum_bound)
-    out.sort(reverse=True)
-    return out
-
-
 def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
+    """Walk the ball, join the last bundle on p1, accept through charclass.
+
+    `visited` counts each box vector walked while building the ball plus
+    each join probe; the step that takes it past `spec.budget` raises
+    `_BudgetExceeded` before it does any work, so `visited <= budget + 1`.
+    """
     started = time.perf_counter()
     bounds = derive_bounds(spec)
     evaluator = _Evaluator(spec)
+    ring = spec.ring
     box = 1
     for b in bounds.per_variable:
         box *= (2 * b + 1) ** spec.m
-    digest = spec_digest(spec)
     notes: list[str] = []
     if bounds.note:
         notes.append(bounds.note)
-
-    if isinstance(spec.bound, ExplicitBound):
-        cert = _enumerate_explicit(spec, bounds, evaluator, box, digest, notes)
-    elif bounds.stage_axis is not None:
-        cert = _enumerate_staged(spec, bounds, evaluator, box, digest, notes)
+    if bounds.diagonal is None:
+        weights, limit = [0] * len(bounds.per_variable), 0
     else:
-        cert = _enumerate_shell(spec, bounds, evaluator, box, digest, notes)
-    cert.wall_clock_s = time.perf_counter() - started
-    return cert
-
-
-def _finalize_solutions(
-    spec: SearchSpec, raw: list[tuple[tuple[int, ...], ...]]
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    allow = spec.allows_sign_flips()
-    canonical = {canonicalize_solution(sol, allow_sign_flips=allow) for sol in raw}
-    return tuple(sorted(canonical))
-
-
-def _enumerate_explicit(
-    spec: SearchSpec,
-    bounds: DerivedBounds,
-    evaluator: _Evaluator,
-    box: int,
-    digest: str,
-    notes: list[str],
-) -> SearchCertificate:
-    if box > spec.budget:
-        notes.append(f"box of {box} tuples exceeds budget {spec.budget}; nothing enumerated")
-        return SearchCertificate(
-            spec_digest=digest,
-            bound_type="explicit",
-            per_variable_bounds=bounds.per_variable,
-            enumerated=box,
-            visited=0,
-            solutions=(),
-            exhaustive=False,
-            budget=spec.budget,
-            notes=notes,
-        )
-    r = len(spec.coords)
-    ranges = [range(-b, b + 1) for b in bounds.per_variable]
-    raw = []
-    for flat in itertools.product(*(ranges * spec.m)):
-        vectors = tuple(flat[i * r : (i + 1) * r] for i in range(spec.m))
-        if evaluator.accepts(vectors):
-            raw.append(vectors)
-    solutions = _finalize_solutions(spec, raw)
-    if not bounds.certified:
-        notes.append("explicit bound not acknowledged; certificate is not exhaustive")
-    return SearchCertificate(
-        spec_digest=digest,
-        bound_type="explicit",
-        per_variable_bounds=bounds.per_variable,
-        enumerated=box,
-        visited=box,
-        solutions=solutions,
-        exhaustive=bounds.certified,
-        budget=spec.budget,
-        notes=notes,
-    )
-
-
-def _enumerate_shell(
-    spec: SearchSpec,
-    bounds: DerivedBounds,
-    evaluator: _Evaluator,
-    box: int,
-    digest: str,
-    notes: list[str],
-) -> SearchCertificate:
-    assert bounds.diagonal is not None and bounds.constant is not None
-    r = len(spec.coords)
-    scaled, budget_value = _scaled_diagonal(bounds.diagonal, bounds.constant)
-    exhaustive = True
-    visited = [0]
+        weights, limit = _scaled_diagonal(bounds.diagonal, bounds.constant)
+    flips = spec.allows_sign_flips()
+    visited = 0
     raw: list[tuple[tuple[int, ...], ...]] = []
 
-    def on_leaf(flat: tuple[int, ...]) -> None:
-        vectors = tuple(flat[i * r : (i + 1) * r] for i in range(spec.m))
-        if evaluator.accepts(vectors):
-            raw.append(vectors)
+    def tick() -> None:
+        nonlocal visited
+        visited += 1
+        if visited > spec.budget:
+            raise _BudgetExceeded
 
-    if budget_value is None:
+    def search() -> None:
+        ball: list[tuple[int, ...]] = []
+        norms: list[int] = []
+        for vec in itertools.product(*(range(-b, b + 1) for b in bounds.per_variable)):
+            tick()
+            norm = sum(w * x * x for w, x in zip(weights, vec))
+            if norm <= limit and not (flips and vec < tuple(-x for x in vec)):
+                ball.append(vec)
+                norms.append(norm)
+        squares = [ring_mul(ring, c, c) for c in evaluator.classes(ball)]
+        table: dict[GradedClass, list[int]] = {}
+        for i, square in enumerate(squares):
+            table.setdefault(square, []).append(i)
+
+        prefix: list[int] = []
+
+        def walk(start: int, norm: int, residual: GradedClass) -> None:
+            if len(prefix) == spec.m - 1:
+                tick()
+                hits = table.get(residual, [])
+                for k in hits[bisect.bisect_left(hits, start):]:
+                    vectors = tuple(ball[i] for i in prefix) + (ball[k],)
+                    if evaluator.accepts(vectors):
+                        raw.append(vectors)
+                return
+            for i in range(start, len(ball)):
+                if norm + norms[i] <= limit:
+                    prefix.append(i)
+                    walk(i, norm + norms[i], ring_sub(residual, squares[i]))
+                    prefix.pop()
+
+        walk(0, 0, evaluator.p1_target)
+
+    exhausted = False
+    if limit is None:
         notes.append("certified form has a non-integral constant; the equation has no integer solutions")
     else:
         try:
-            _shell_enumerate(scaled * spec.m, budget_value, [], on_leaf, visited, spec.budget)
-        except _BudgetExceeded:
-            exhaustive = False
-            notes.append(f"visit budget {spec.budget} exhausted; enumeration incomplete")
-
-    solutions = _finalize_solutions(spec, raw)
-    return SearchCertificate(
-        spec_digest=digest,
-        bound_type="sum_of_squares",
-        per_variable_bounds=bounds.per_variable,
-        enumerated=box,
-        visited=visited[0],
-        solutions=solutions,
-        exhaustive=exhaustive,
-        budget=spec.budget,
-        diagonal=bounds.diagonal,
-        constant=bounds.constant,
-        notes=notes,
-    )
-
-
-def _enumerate_staged(
-    spec: SearchSpec,
-    bounds: DerivedBounds,
-    evaluator: _Evaluator,
-    box: int,
-    digest: str,
-    notes: list[str],
-) -> SearchCertificate:
-    assert bounds.diagonal is not None and bounds.constant is not None
-    assert bounds.stage_axis is not None and bounds.stage_sum_bound is not None
-    if not spec.allows_sign_flips():
-        raise BoundError("staged enumeration requires a sign-flexible Euler target")
-    axis = bounds.stage_axis
-    r = len(spec.coords)
-    inner_coords = [j for j in range(r) if j != axis]
-    scaled, total_budget = _scaled_diagonal(bounds.diagonal, bounds.constant)
-    weights = [scaled[j] for j in inner_coords] * spec.m
-    notes.append(
-        "stages are canonical representatives under bundle permutations and sign flips"
-    )
-
-    visited = [0]
-    raw: list[tuple[tuple[int, ...], ...]] = []
-    records: list[StageRecord] = []
-    exhausted = False
-    for stage in _canonical_stages(spec.m, bounds.stage_sum_bound):
-        if total_budget is None:
-            records.append(StageRecord(stage, None, 0, 0, "non-integral budget"))
-            continue
-        residual = total_budget - scaled[axis] * sum(c * c for c in stage)
-        if exhausted:
-            records.append(StageRecord(stage, residual, 0, 0, "budget exhausted"))
-            continue
-        if residual < 0:
-            records.append(StageRecord(stage, residual, 0, 0, "residual budget negative"))
-            continue
-        if not evaluator.euler_target.is_zero() and evaluator.euler_vanishes_identically(axis, stage):
-            records.append(
-                StageRecord(
-                    stage,
-                    residual,
-                    0,
-                    0,
-                    "euler class vanishes identically at this stage but the target does not",
-                )
-            )
-            continue
-
-        def on_leaf(flat: tuple[int, ...]) -> None:
-            vectors = []
-            pos = 0
-            for i in range(spec.m):
-                vec = [0] * r
-                for j in inner_coords:
-                    vec[j] = flat[pos]
-                    pos += 1
-                vec[axis] = stage[i]
-                vectors.append(tuple(vec))
-            if evaluator.accepts(vectors):
-                raw.append(tuple(vectors))
-
-        visited_before, found_before = visited[0], len(raw)
-        try:
-            _shell_enumerate(weights, residual, [], on_leaf, visited, spec.budget)
+            search()
         except _BudgetExceeded:
             exhausted = True
-        records.append(
-            StageRecord(
-                stage,
-                residual,
-                visited[0] - visited_before,
-                len(raw) - found_before,
-                "budget exhausted" if exhausted else None,
-            )
-        )
-    if exhausted:
-        notes.append(f"visit budget {spec.budget} exhausted; enumeration incomplete")
-    solutions = _finalize_solutions(spec, raw)
+            notes.append(f"visit budget {spec.budget} exhausted; enumeration incomplete")
+    if not bounds.certified:
+        notes.append("explicit bound not acknowledged; certificate is not exhaustive")
+    canonical = {canonicalize_solution(sol, allow_sign_flips=flips) for sol in raw}
     return SearchCertificate(
-        spec_digest=digest,
-        bound_type="sum_of_squares",
+        spec_digest=spec_digest(spec),
+        bound_type="explicit" if isinstance(spec.bound, ExplicitBound) else "sum_of_squares",
         per_variable_bounds=bounds.per_variable,
         enumerated=box,
-        visited=visited[0],
-        solutions=solutions,
-        exhaustive=not exhausted,
+        visited=visited,
+        solutions=tuple(sorted(canonical)),
+        exhaustive=bounds.certified and not exhausted,
         budget=spec.budget,
         diagonal=bounds.diagonal,
         constant=bounds.constant,
-        stage_axis=axis,
-        stage_sum_bound=bounds.stage_sum_bound,
-        stages=records,
         notes=notes,
+        wall_clock_s=time.perf_counter() - started,
     )

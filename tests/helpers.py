@@ -8,6 +8,9 @@ against them term by term.
 The reference genus functions at the end compute chi_y, the direct signature
 and the Euler integral with their own loops and their own y-class product,
 independently of the package's shared integrator, as a differential oracle.
+`ref_enumerate` is the search's differential oracle: the ordered-tuple walk
+over every coordinate at once, with no ball, no join and no symmetry
+reduction.
 
 Coordinate convention used throughout: a degree-2 vector lists coefficients
 in the ascending basis order of the ring, which for generators written in
@@ -18,6 +21,8 @@ vector (x0, x1, x2) is x0*v3 + x1*v2 + x2*v1.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -34,9 +39,12 @@ from splitcheck.ring import (
     monomial_degree,
     monomial_mul,
     monomials_of_degree,
+    normal_form,
     parse_presentation,
+    ring_add,
     ring_mul,
 )
+from splitcheck.search import ExplicitBound, canonicalize_solution, derive_bounds
 from splitcheck.series import (
     series_exp_neg,
     series_scaled_argument,
@@ -101,6 +109,65 @@ def accepts(ring: RingPresentation, targets: TargetClasses, vecs) -> bool:
     """Public-API acceptance: build the sum and match it against the targets."""
     classes = tuple(ring.class_from_coeffs(v) for v in vecs)
     return matches_targets(LineBundleSum(ring, classes), targets).matched
+
+
+# -- reference search ---------------------------------------------------------
+
+
+def _shell(weights, value: int, prefix: list, on_leaf) -> None:
+    """Every integer tuple with sum(weights[i] * x_i^2) == value, in order."""
+    if len(prefix) == len(weights):
+        if value == 0:
+            on_leaf(tuple(prefix))
+        return
+    w = weights[len(prefix)]
+    bound = math.isqrt(value // w)
+    for x in range(-bound, bound + 1):
+        prefix.append(x)
+        _shell(weights, value - w * x * x, prefix, on_leaf)
+        prefix.pop()
+
+
+def ref_enumerate(spec) -> tuple:
+    """Canonical solution set of a search, by walking ordered m-tuples.
+
+    A sum-of-squares bound walks the exact shell sum_j lam_j x_j^2 = C over
+    all m * r coordinates; an explicit bound walks the full box.  A tuple
+    whose summed squares miss the p1 target cannot match, so only the rest
+    go to `matches_targets`, which alone accepts.
+    """
+    bounds = derive_bounds(spec)
+    ring = spec.ring
+    r = len(basis(ring, 2))
+    p1 = normal_form(ring, spec.targets.p1_target)
+    squares: dict = {}
+    found = set()
+
+    def on_leaf(flat) -> None:
+        vecs = tuple(flat[i * r : (i + 1) * r] for i in range(spec.m))
+        p1_sum = GradedClass.zero()
+        for vec in vecs:
+            if vec not in squares:
+                c = ring.class_from_coeffs(vec)
+                squares[vec] = (c, ring_mul(ring, c, c))
+            p1_sum = ring_add(p1_sum, squares[vec][1])
+        if p1_sum != p1:
+            return
+        lbsum = LineBundleSum(ring, tuple(squares[vec][0] for vec in vecs))
+        if matches_targets(lbsum, spec.targets).matched:
+            found.add(canonicalize_solution(vecs, spec.allows_sign_flips()))
+
+    if isinstance(spec.bound, ExplicitBound):
+        ranges = [range(-b, b + 1) for b in bounds.per_variable] * spec.m
+        for flat in itertools.product(*ranges):
+            on_leaf(flat)
+    else:
+        denom = math.lcm(*(d.denominator for d in bounds.diagonal))
+        constant = bounds.constant * denom
+        if constant.denominator == 1:
+            weights = [int(d * denom) for d in bounds.diagonal] * spec.m
+            _shell(weights, int(constant), [], on_leaf)
+    return tuple(sorted(found))
 
 
 # -- hand-expanded matching systems, one per geometry -------------------------

@@ -9,6 +9,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitcheck.cases import builtin_case, list_builtin_cases
 from splitcheck.cli import CaseError, main, run_case
@@ -75,10 +77,10 @@ def test_run_case_connect_sum_sections():
     assert match["residuals"]["euler"] == "-2*u^2"
     search = sections["search"]
     assert search["enumerated"] == 625
-    assert search["visited"] == 96
+    assert search["visited"] == 36
     assert search["solution_count"] == 0
     assert search["exhaustive"] is True
-    assert search["visited_fraction"] == Fraction(96, 625)
+    assert search["visited_fraction"] == Fraction(36, 625)
     assert search["wall_clock_s"] is None
     genus = sections["genus"]["congruence"]
     assert genus["holds"] is False
@@ -135,7 +137,6 @@ def test_run_case_errors_name_the_field():
         ("su3-t2", ("search", "m"), "2"),
         ("su3-t2", ("search", "budget"), {}),
         ("su3-t2", ("search", "budget"), -5),
-        ("r-p", ("search", "stage_axis"), True),
         ("s2xs2", ("search", "bound", "per_variable", 0), True),
         ("su3-t2", ("targets", "real_rank"), None),
         ("m20-eschenburg", ("obstruction", "manifold_dim"), "20"),
@@ -147,15 +148,96 @@ def test_run_case_errors_name_the_field():
         # root-data errors carry the field, not just "root #0" or a count
         ("genus-cpn", ("genus", "roots"), [[[1, [1]]]]),
         ("genus-cpn", ("genus", "roots"), [[[1, [2]]]] * 3),
+        # a coordinate or an exponent of true is not the integer 1
+        ("cp2-connect-sum", ("candidates", 0, 0), [True, 2]),
+        ("cp2-connect-sum", ("targets", "p1", 0, 1), [True, 1]),
     ]:
         bad = builtin_case(name)
-        parent = bad
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-        field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
-        with pytest.raises(CaseError, match=re.escape(field)):
+        _set(bad, path, value)
+        with pytest.raises(CaseError, match=re.escape(_field_name(path))):
             run_case(bad)
+
+
+def _set(doc, path, value) -> None:
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _field_name(path) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+
+
+_INT_KEYS = ("m", "budget", "real_rank", "manifold_dim", "chi", "sigma", "quarter_dim")
+_BOOL_KEYS = ("euler_sign_flexible", "acknowledged", "euler_nonzero", "almost_complex_forbidden")
+
+
+def _typed_fields() -> list:
+    """(case, path, kind, named path) for each typed leaf `run_case` reads
+    outside the ring.  A coordinate or exponent error names its vector."""
+    out = []
+
+    def visit(name, node, path) -> None:
+        if isinstance(node, dict):
+            for key, value in node.items():
+                here = path + (key,)
+                if key in _BOOL_KEYS:
+                    out.append((name, here, "bool", here))
+                elif key in _INT_KEYS or (key == "rank" and "factors" in path):
+                    out.append((name, here, "int", here))
+                elif key == "per_variable":
+                    out.extend((name, here + (i,), "int", here + (i,)) for i in range(len(value)))
+                elif key in ("p1", "euler", "chern"):
+                    for i, (_, exps) in enumerate(value):
+                        vec = here + (i, 1)
+                        out.extend((name, vec + (k,), "int", vec) for k in range(len(exps)))
+                elif key == "roots":
+                    for i, root in enumerate(value):
+                        for j, (_, exps) in enumerate(root):
+                            vec = here + (i, j, 1)
+                            out.extend((name, vec + (k,), "int", vec) for k in range(len(exps)))
+                elif key == "candidates":
+                    for i, cand in enumerate(value):
+                        for j, coords in enumerate(cand):
+                            vec = here + (i, j)
+                            out.extend((name, vec + (k,), "int", vec) for k in range(len(coords)))
+                elif key != "ring":
+                    visit(name, value, here)
+        elif isinstance(node, list):
+            for i, item in enumerate(node):
+                visit(name, item, path + (i,))
+
+    for name in list_builtin_cases():
+        visit(name, builtin_case(name), ())
+    return out
+
+
+TYPED_FIELDS = _typed_fields()
+
+_NOT_INT_OR_BOOL = [st.floats(), st.text(max_size=3), st.lists(st.integers(), max_size=2), st.none()]
+WRONG_VALUES = {
+    "int": st.one_of(st.booleans(), *_NOT_INT_OR_BOOL),
+    "bool": st.one_of(st.integers(), *_NOT_INT_OR_BOOL),
+}
+
+
+def test_typed_fields_cover_every_section():
+    kinds = {(path[0], kind) for _, path, kind, _ in TYPED_FIELDS}
+    assert kinds >= {
+        ("targets", "int"), ("targets", "bool"), ("candidates", "int"),
+        ("search", "int"), ("search", "bool"), ("genus", "int"),
+        ("obstruction", "int"), ("obstruction", "bool"),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_builtins_name_the_field(data):
+    name, path, kind, named = data.draw(st.sampled_from(TYPED_FIELDS))
+    bad = builtin_case(name)
+    _set(bad, path, data.draw(WRONG_VALUES[kind]))
+    with pytest.raises(CaseError, match=re.escape(_field_name(named))):
+        run_case(bad)
 
 
 def test_run_case_rejects_malformed_candidates():
@@ -217,11 +299,11 @@ def test_cli_parameter_flag():
 
 
 def test_cli_budget_override():
-    proc = run_cli("verify", "su3-t2", "--budget", "100")
+    proc = run_cli("verify", "su3-t2", "--budget", "50")
     assert proc.returncode == 0
     search = json.loads(proc.stdout)["sections"]["search"]
     assert search["exhaustive"] is False
-    assert search["budget"] == 100
+    assert search["budget"] == 50
 
 
 def test_cli_reps_dumps_catalogs():
@@ -253,7 +335,7 @@ def test_cli_emit_writes_canonical_file(tmp_path):
     run_cli("verify", "cp2-connect-sum", "--emit", str(again))
     assert again.read_bytes() == blob
     parsed = json.loads(blob)
-    assert parsed["sections"]["search"]["visited_fraction"] == "96/625"
+    assert parsed["sections"]["search"]["visited_fraction"] == "36/625"
 
 
 def test_cli_file_case_roundtrip(tmp_path):

@@ -2,7 +2,9 @@
 
 The oracle-equivalence block replays each search's accept/reject decision
 against the hand-expanded equation systems in helpers.py: full boxes for the
-two small geometries, deterministic samples for the larger two.
+two small geometries, deterministic samples for the larger two.  The
+differential block compares whole solution sets against `ref_enumerate`,
+the ordered-tuple walk with no ball, join or symmetry reduction.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 from helpers import (
     accepts,
     cp2_oracle,
+    ref_enumerate,
     ring_for,
     rp_oracle,
     search_spec_for,
@@ -24,14 +27,19 @@ from helpers import (
     su3_oracle,
     targets_for,
 )
-from splitcheck.charclass import TargetClasses
+from splitcheck.charclass import (
+    LineBundleSum,
+    TargetClasses,
+    euler_class,
+    first_pontryagin,
+    total_chern,
+)
 from splitcheck.ring import GradedClass
 from splitcheck.search import (
     BoundError,
     ExplicitBound,
     SearchSpec,
     SumOfSquaresBound,
-    _canonical_stages,
     canonicalize_solution,
     derive_bounds,
     enumerate_splittings,
@@ -73,15 +81,14 @@ def test_family_bounds_and_stage_cap():
     assert bounds.diagonal == (8, 1, 1)
     assert bounds.constant == 38
     assert bounds.per_variable == (2, 6, 6)
-    assert bounds.stage_axis == 0
-    assert bounds.stage_sum_bound == 4
+    assert int(bounds.constant / bounds.diagonal[0]) == 4
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_family_stage_cap_is_constant_in_q(q):
     bounds = derive_bounds(search_spec_for("r-p", q))
     # (6 + 8q^2) / (2q^2) = 4 + 3/q^2 floors to 4 for every q >= 2
-    assert bounds.stage_sum_bound == 4
+    assert int(bounds.constant / bounds.diagonal[0]) == 4
 
 
 def test_multiplier_count_must_match_basis():
@@ -166,12 +173,6 @@ def test_canonicalization_without_flips():
     assert canonicalize_solution(sol, allow_sign_flips=False) == ((1, 0), (0, -2))
 
 
-def test_canonical_stages_frozen():
-    assert _canonical_stages(3, 4) == [
-        (2, 0, 0), (1, 1, 1), (1, 1, 0), (1, 0, 0), (0, 0, 0),
-    ]
-
-
 # -- enumeration certificates -------------------------------------------------------
 
 
@@ -180,16 +181,17 @@ def test_connect_sum_certificate():
     assert cert.bound_type == "sum_of_squares"
     assert cert.per_variable_bounds == (2, 2)
     assert cert.enumerated == 5**4
-    assert cert.visited == 96
+    # 25 box vectors walked, 11 sign-canonical ball vectors probed
+    assert cert.visited == 36
     assert cert.solutions == ()
     assert cert.exhaustive
-    assert cert.visited_fraction == Fraction(96, 625)
+    assert cert.visited_fraction == Fraction(36, 625)
 
 
 def test_su3_certificate():
     cert = enumerate_splittings(search_spec_for("su3-t2"))
     assert cert.enumerated == 5**6
-    assert cert.visited == 1020
+    assert cert.visited == 75
     assert cert.solutions == ()
     assert cert.exhaustive
 
@@ -197,21 +199,14 @@ def test_su3_certificate():
 def test_sp2_certificate():
     cert = enumerate_splittings(search_spec_for("sp2-t2"))
     assert cert.enumerated == 35**4
-    assert cert.visited == 6720
+    assert cert.visited == 168
     assert cert.solutions == ()
     assert cert.exhaustive
 
 
 def test_family_staged_certificate():
     cert = enumerate_splittings(search_spec_for("r-p", 2))
-    assert cert.stage_axis == 0
-    assert cert.stage_sum_bound == 4
-    assert [s.stage for s in cert.stages] == _canonical_stages(3, 4)
-    assert [s.residual_budget for s in cert.stages] == [6, 14, 22, 30, 38]
-    skipped = [s for s in cert.stages if s.skipped_reason]
-    assert [s.stage for s in skipped] == [(0, 0, 0)]
-    assert "euler" in skipped[0].skipped_reason
-    assert cert.visited == 26112
+    assert cert.visited == 5690
     assert cert.solutions == ()
     assert cert.exhaustive
 
@@ -220,24 +215,18 @@ def test_product_of_spheres_finds_the_splitting():
     cert = enumerate_splittings(search_spec_for("s2xs2"))
     assert cert.bound_type == "explicit"
     assert cert.enumerated == 7**4
-    assert cert.visited == 7**4
+    # 49 box vectors walked, 25 sign-canonical ones probed
+    assert cert.visited == 74
     assert cert.solutions == (((2, 0), (0, 2)),)
     assert cert.exhaustive
 
 
-@pytest.mark.parametrize(("n", "visited"), [(2, 0), (3, 6), (4, 48)])
+@pytest.mark.parametrize(("n", "visited"), [(2, 6), (3, 13), (4, 21)])
 def test_projective_spaces_find_nothing(n, visited):
     cert = enumerate_splittings(search_spec_for("cpn-split", n))
     assert cert.visited == visited
     assert cert.solutions == ()
     assert cert.exhaustive
-
-
-def test_staged_search_requires_sign_freedom():
-    spec = search_spec_for("r-p", 2)
-    rigid = replace(spec, targets=replace(spec.targets, euler_sign_flexible=False))
-    with pytest.raises(BoundError):
-        enumerate_splittings(rigid)
 
 
 def test_digest_distinguishes_specs():
@@ -253,7 +242,7 @@ def test_digest_distinguishes_specs():
 
 
 def test_budget_exhaustion_on_shell():
-    for name, budget in [("su3-t2", 100), ("sp2-t2", 500)]:
+    for name, budget in [("su3-t2", 50), ("sp2-t2", 100)]:
         spec = replace(search_spec_for(name), budget=budget)
         cert = enumerate_splittings(spec)
         assert not cert.exhaustive, name
@@ -267,21 +256,74 @@ def test_budget_exhaustion_on_staged():
     cert = enumerate_splittings(spec)
     assert not cert.exhaustive
     assert cert.visited <= spec.budget + 1
-    assert cert.visited == sum(s.visited for s in cert.stages)
     assert any("budget" in note for note in cert.notes)
-    reasons = [s.skipped_reason for s in cert.stages]
-    cut = reasons.index("budget exhausted")
-    assert set(reasons[cut:]) == {"budget exhausted"}
-    assert all(s.visited == 0 for s in cert.stages[cut + 1:])
-    assert [s.stage for s in cert.stages] == _canonical_stages(spec.m, cert.stage_sum_bound)
 
 
 def test_budget_exhaustion_on_explicit_box():
-    spec = replace(search_spec_for("s2xs2"), budget=100)
+    # the 49-vector box fits the budget; the budget runs out among the probes
+    spec = replace(search_spec_for("s2xs2"), budget=50)
     cert = enumerate_splittings(spec)
     assert not cert.exhaustive
-    assert cert.visited == 0
+    assert cert.visited <= spec.budget + 1
     assert cert.enumerated == 7**4
+    assert any("budget" in note for note in cert.notes)
+    # a budget smaller than the box stops while the ball is built
+    small = replace(spec, budget=20)
+    cert = enumerate_splittings(small)
+    assert not cert.exhaustive
+    assert cert.visited == small.budget + 1
+    assert cert.solutions == ()
+
+
+# -- differential: the ball-and-join walk against the ordered-tuple walk ---------------
+
+
+DIFFERENTIAL_CASES = [
+    ("cp2-connect-sum", None),
+    ("su3-t2", None),
+    ("sp2-t2", None),
+    ("s2xs2", None),
+    ("cpn-split", 2),
+    ("cpn-split", 3),
+    ("cpn-split", 4),
+    ("r-p", 2),
+]
+
+
+@pytest.mark.parametrize(("name", "par"), DIFFERENTIAL_CASES)
+def test_builtin_solutions_match_reference(name, par):
+    spec = search_spec_for(name, par)
+    cert = enumerate_splittings(spec)
+    assert cert.exhaustive
+    assert cert.solutions == ref_enumerate(spec)
+
+
+PLANTED_CASES = [c for c in DIFFERENTIAL_CASES if c[0] != "r-p" and c != ("cpn-split", 2)]
+
+
+@pytest.mark.parametrize(("name", "par"), PLANTED_CASES)
+def test_planted_solutions_match_reference(name, par):
+    """Targets read off random small vectors, so the planted splitting must be found."""
+    base = search_spec_for(name, par)
+    ring = base.ring
+    r = len(base.coords)
+    rng = random.Random(sum(map(ord, f"planted-{name}-{par}")))
+    for trial in range(6):
+        vecs = [tuple(rng.randint(-1, 1) for _ in range(r)) for _ in range(base.m)]
+        lbsum = LineBundleSum(ring, tuple(ring.class_from_coeffs(v) for v in vecs))
+        with_chern = rng.random() < 0.3
+        targets = TargetClasses(
+            p1_target=first_pontryagin(lbsum),
+            euler_target=euler_class(lbsum),
+            euler_sign_flexible=rng.random() < 0.5,
+            real_rank=base.targets.real_rank,
+            chern_target=total_chern(lbsum) if with_chern else None,
+        )
+        spec = replace(base, targets=targets)
+        cert = enumerate_splittings(spec)
+        expected = ref_enumerate(spec)
+        assert canonicalize_solution(vecs, spec.allows_sign_flips()) in expected, (name, trial)
+        assert cert.solutions == expected, (name, trial)
 
 
 # -- oracle equivalence ---------------------------------------------------------------
