@@ -31,7 +31,7 @@ from .genus import (
 )
 from .repcat import ObstructionCase, RootSystem, catalog_irreps, obstruct_tangent_rep
 from .report import emit_report, fraction_from_json, input_digest, jsonable
-from .ring import GradedClass, RingPresentation, basis, parse_presentation
+from .ring import GradedClass, PresentationError, RingPresentation, basis, parse_presentation
 from .search import (
     DEFAULT_BUDGET,
     ExplicitBound,
@@ -348,7 +348,10 @@ def run_case(doc: Mapping, budget: int | None = None) -> dict:
     ring = None
     targets = None
     if "ring" in doc:
-        ring = parse_presentation(doc["ring"])
+        try:
+            ring = parse_presentation(doc["ring"])
+        except PresentationError as exc:
+            raise CaseError(str(exc)) from exc
         sections["ring"] = _ring_section(ring)
     if "targets" in doc:
         if ring is None:

@@ -8,24 +8,23 @@ exact factor (1 + y), which is divided out.  The direct signature (factor
 x/tanh x) and the Euler integral (factor x) are integrals of the same shape,
 so all of them go through one multiplicative-sequence integrator.
 
-Everything is exact: ring coefficients are rationals, y-coefficients are
-rationals, and no floating point appears anywhere.
+The integrator keeps the running product as one ring class per power of y
+and multiplies only with ring_mul.  The factor's rational series
+coefficients are first scaled by one common denominator, so integral roots
+give integer ring arithmetic; the denominator is divided out of the
+integral at the end.  Everything is exact and no floating point appears
+anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
-from .ring import (
-    GradedClass,
-    Monomial,
-    RingPresentation,
-    monomial_degree,
-    monomial_mul,
-    ring_mul,
-)
+from .ring import GradedClass, RingPresentation, ring_add, ring_mul, ring_scale
 from .series import (
     series_exp_neg,
     series_scaled_argument,
@@ -50,10 +49,6 @@ class YPolynomial:
         while len(trimmed) > 1 and not trimmed[-1]:
             trimmed.pop()
         return YPolynomial(tuple(trimmed))
-
-    @staticmethod
-    def zero() -> "YPolynomial":
-        return YPolynomial((Fraction(0),))
 
     def evaluate(self, y: Fraction | int) -> Fraction:
         y = Fraction(y)
@@ -92,49 +87,9 @@ class ChernRootData:
         return self.ring.top_degree // 2
 
 
-# -- ring tensor rational[y] ------------------------------------------------
-#
-# Elements are dicts monomial -> y-coefficient list.  Multiplication reduces
-# monomial products through the ring's rewrite cache, so it stays exact and
-# fast for the small rings in scope.  Accumulators start at int 0, so
-# integral products (the Euler integral) never build a Fraction.
-
-
-def _ypoly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, z in enumerate(b):
-            if z:
-                out[i + j] += x * z
-    return out
-
-
-def _yclass_mul(
-    ring: RingPresentation,
-    a: dict[Monomial, list[Fraction]],
-    b: dict[Monomial, list[Fraction]],
-) -> dict[Monomial, list[Fraction]]:
-    acc: dict[Monomial, list[Fraction]] = {}
-    for ma, pa in a.items():
-        for mb, pb in b.items():
-            prod = monomial_mul(ma, mb)
-            if monomial_degree(prod) > ring.top_degree:
-                continue
-            py = _ypoly_mul(pa, pb)
-            for m, c in ring.reduce_monomial(prod).terms.items():
-                dest = acc.setdefault(m, [])
-                if len(dest) < len(py):
-                    dest.extend([0] * (len(py) - len(dest)))
-                for k, v in enumerate(py):
-                    if v:
-                        dest[k] += c * v
-    return {m: p for m, p in acc.items() if any(p)}
-
-
-def _genus_factor_coeffs(order: int, t: Fraction | int) -> list[list[Fraction]]:
-    """Per-power [constant, y] coefficients of x(1+y e^{-tx})/(1-e^{-tx}).
+@lru_cache
+def _genus_factor_coeffs(order: int, t: Fraction | int) -> tuple[tuple[Fraction, ...], ...]:
+    """Per-power (constant, y) coefficients of x(1+y e^{-tx})/(1-e^{-tx}).
 
     The factor with scaled argument keeps an overall 1/t from the leading x,
     so the t-substitution test divides by t^n via these factors directly.
@@ -144,9 +99,15 @@ def _genus_factor_coeffs(order: int, t: Fraction | int) -> list[list[Fraction]]:
     expneg = series_scaled_argument(series_exp_neg(order), t)
     mixed = todd * expneg
     # x(1+y e^{-tx})/(1-e^{-tx}) = (1/t) * [T(tx) + y * T(tx)E(tx)]
-    return [
-        [todd.coefficients[k] / t, mixed.coefficients[k] / t] for k in range(order + 1)
-    ]
+    return tuple(
+        (todd.coefficients[k] / t, mixed.coefficients[k] / t) for k in range(order + 1)
+    )
+
+
+@lru_cache
+def _tanh_factor_coeffs(order: int) -> tuple[tuple[Fraction], ...]:
+    """Per-power coefficients of x/tanh x, each a constant in y."""
+    return tuple((c,) for c in series_tanh_factor(order).coefficients)
 
 
 def _integrate_multiplicative(
@@ -155,29 +116,37 @@ def _integrate_multiplicative(
     """Integral of the product of f(x_i) over the roots, as a y-polynomial.
 
     f(x) = sum_k c_k(y) x^k is a multiplicative-sequence factor, and
-    coeffs[k] lists the y-coefficients of c_k.  Root powers are formed only up
-    to the last nonzero c_k.
+    coeffs[k] lists the y-coefficients of c_k.  The product is one ring
+    class per power of y.  The c_k are first scaled by the lcm D of their
+    denominators, so integral roots keep the ring arithmetic on ints, and the
+    integral is divided by D^(number of roots) at the end.  Root powers are
+    formed only up to the last nonzero c_k.
     """
     ring = data.ring
-    last = max((k for k, ck in enumerate(coeffs) if any(ck)), default=-1)
-    width = max((len(ck) for ck in coeffs), default=1)
-    unit = (0,) * len(ring.generators)
-    product: dict[Monomial, list[Fraction]] = {unit: [1]}
+    denom = lcm(*(Fraction(c).denominator for ck in coeffs for c in ck))
+    scaled = [[(Fraction(c) * denom).numerator for c in ck] for ck in coeffs]
+    last = max((k for k, ck in enumerate(scaled) if any(ck)), default=-1)
+    width = max((len(ck) for ck in scaled), default=1)
+    product = [ring.one()]
     for root in data.roots:
+        factor = [GradedClass.zero()] * width
         power = ring.one()
-        factor: dict[Monomial, list[Fraction]] = {}
         for k in range(last + 1):
             if k:
                 power = ring_mul(ring, power, root)
-            if not any(coeffs[k]):
-                continue
-            for mono, coeff in power.terms.items():
-                dest = factor.setdefault(mono, [0] * width)
-                for j, c in enumerate(coeffs[k]):
-                    dest[j] += c * coeff
-        product = _yclass_mul(ring, product, factor)
-    top = product.get(ring.fundamental)
-    return YPolynomial.from_coeffs(top) if top else YPolynomial.zero()
+            for j, c in enumerate(scaled[k]):
+                if c:
+                    factor[j] = ring_add(factor[j], ring_scale(c, power))
+        out = [GradedClass.zero()] * (len(product) + width - 1)
+        for i, a in enumerate(product):
+            for j, b in enumerate(factor):
+                if not (a.is_zero() or b.is_zero()):
+                    out[i + j] = ring_add(out[i + j], ring_mul(ring, a, b))
+        product = out
+    scale = denom ** len(data.roots)
+    return YPolynomial.from_coeffs(
+        [Fraction(c.coefficient(ring.fundamental), scale) for c in product]
+    )
 
 
 def _check_root_count(data: ChernRootData) -> None:
@@ -238,8 +207,7 @@ def signature_direct(data: ChernRootData) -> Fraction:
     The factor is 1 at x = 0, so stabilizing trivial roots change nothing
     and no root-count correction is needed.
     """
-    tanh = series_tanh_factor(data.n)
-    return _integrate_multiplicative(data, [[c] for c in tanh.coefficients]).coefficients[0]
+    return _integrate_multiplicative(data, _tanh_factor_coeffs(data.n)).coefficients[0]
 
 
 def top_chern_integral(data: ChernRootData) -> Fraction:

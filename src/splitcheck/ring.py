@@ -181,23 +181,23 @@ class RingPresentation:
         fundamental: Monomial,
     ):
         if len(set(generators)) != len(generators):
-            raise PresentationError("duplicate generator names")
+            raise PresentationError("generators: duplicate names")
         if not generators:
-            raise PresentationError("at least one generator required")
+            raise PresentationError("generators: at least one required")
         if top_degree < 0 or top_degree % 2:
-            raise PresentationError(f"top_degree must be even and nonnegative, got {top_degree}")
+            raise PresentationError(f"top_degree: must be even and nonnegative, got {top_degree}")
         self.generators = tuple(generators)
         self.rules = tuple(rules)
         self.top_degree = top_degree
         self.fundamental = tuple(fundamental)
         for rule in self.rules:
             if len(rule.lhs) != len(self.generators):
-                raise PresentationError("rule exponent vector length does not match generators")
+                raise PresentationError("relations: rule exponent vector length does not match generators")
         if len(self.fundamental) != len(self.generators):
-            raise PresentationError("fundamental exponent vector length does not match generators")
+            raise PresentationError("fundamental: exponent vector length does not match generators")
         if monomial_degree(self.fundamental) != top_degree:
             raise PresentationError(
-                f"fundamental monomial degree {monomial_degree(self.fundamental)} != top_degree {top_degree}"
+                f"fundamental: degree {monomial_degree(self.fundamental)} != top_degree {top_degree}"
             )
         self._nf_cache: dict[Monomial, GradedClass] = {}
 
@@ -369,15 +369,6 @@ def ring_pow(ring: RingPresentation, a: GradedClass, exp: int) -> GradedClass:
     return out
 
 
-def evaluate_monomial(ring: RingPresentation, values: Sequence[GradedClass], expvec: Monomial) -> GradedClass:
-    """Product of the given classes raised to the exponents in expvec."""
-    out = ring.one()
-    for value, exp in zip(values, expvec):
-        if exp:
-            out = ring_mul(ring, out, ring_pow(ring, value, exp))
-    return out
-
-
 def integrate(ring: RingPresentation, c: GradedClass) -> Fraction:
     """Coefficient of the fundamental monomial in the normal form of c."""
     nf = normal_form(ring, c)
@@ -441,6 +432,11 @@ def check_confluence(ring: RingPresentation) -> ConfluenceReport:
     return ConfluenceReport(ok=True, basis_sizes=sizes)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; a bool is not one, though Python counts it as an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_presentation(doc: Mapping) -> RingPresentation:
     """Build and validate a ring from its JSON case-document form.
 
@@ -450,59 +446,73 @@ def parse_presentation(doc: Mapping) -> RingPresentation:
          "relations": [{"lhs": [2, 0], "rhs": [[1, [0, 2]]]}, ...],
          "top_degree": 4,
          "fundamental": [2, 0]}
+
+    Every error message names the offending field of the case document's
+    ``ring`` section, e.g. ``ring.relations[0].lhs``.
     """
+    if not isinstance(doc, Mapping):
+        raise PresentationError("ring: expected an object")
     for key in ("generators", "relations", "top_degree", "fundamental"):
         if key not in doc:
-            raise PresentationError(f"ring document missing field '{key}'")
+            raise PresentationError(f"ring is missing field '{key}'")
     generators = doc["generators"]
     if not isinstance(generators, (list, tuple)) or not all(isinstance(g, str) for g in generators):
-        raise PresentationError("'generators' must be a list of names")
+        raise PresentationError("ring.generators: expected a list of names")
     n = len(generators)
 
     def expvec(raw, where: str) -> Monomial:
         if (
             not isinstance(raw, (list, tuple))
             or len(raw) != n
-            or not all(isinstance(e, int) and e >= 0 for e in raw)
+            or not all(_is_int(e) and e >= 0 for e in raw)
         ):
             raise PresentationError(f"{where}: expected a length-{n} vector of nonnegative integers")
         return tuple(raw)
 
+    relations = doc["relations"]
+    if not isinstance(relations, (list, tuple)):
+        raise PresentationError("ring.relations: expected a list of rules")
     rules = []
-    for i, rel in enumerate(doc["relations"]):
+    for i, rel in enumerate(relations):
+        where = f"ring.relations[{i}]"
         if not isinstance(rel, Mapping) or "lhs" not in rel or "rhs" not in rel:
-            raise PresentationError(f"relations[{i}]: expected an object with 'lhs' and 'rhs'")
-        lhs = expvec(rel["lhs"], f"relations[{i}].lhs")
+            raise PresentationError(f"{where}: expected an object with 'lhs' and 'rhs'")
+        lhs = expvec(rel["lhs"], f"{where}.lhs")
+        if not isinstance(rel["rhs"], (list, tuple)):
+            raise PresentationError(f"{where}.rhs: expected a list of terms")
         rhs_terms = []
         for j, term in enumerate(rel["rhs"]):
-            if not isinstance(term, (list, tuple)) or len(term) != 2 or not isinstance(term[0], int):
+            if not isinstance(term, (list, tuple)) or len(term) != 2 or not _is_int(term[0]):
                 raise PresentationError(
-                    f"relations[{i}].rhs[{j}]: expected [integer coefficient, exponent vector]"
+                    f"{where}.rhs[{j}]: expected [integer coefficient, exponent vector]"
                 )
-            rhs_terms.append((expvec(term[1], f"relations[{i}].rhs[{j}]"), Fraction(term[0])))
-        rules.append(RewriteRule(lhs=lhs, rhs=GradedClass.from_terms(rhs_terms)))
+            rhs_terms.append((expvec(term[1], f"{where}.rhs[{j}][1]"), Fraction(term[0])))
+        try:
+            rules.append(RewriteRule(lhs=lhs, rhs=GradedClass.from_terms(rhs_terms)))
+        except PresentationError as exc:
+            raise PresentationError(f"{where}: {exc}") from exc
 
-    if not isinstance(doc["top_degree"], int):
-        raise PresentationError("'top_degree' must be an integer")
-    ring = RingPresentation(
-        generators=generators,
-        rules=rules,
-        top_degree=doc["top_degree"],
-        fundamental=expvec(doc["fundamental"], "fundamental"),
-    )
+    top_degree = doc["top_degree"]
+    if not _is_int(top_degree):
+        raise PresentationError(f"ring.top_degree: expected an integer, got {top_degree!r}")
+    fundamental = expvec(doc["fundamental"], "ring.fundamental")
+    try:
+        ring = RingPresentation(generators, rules, top_degree, fundamental)
+    except PresentationError as exc:
+        raise PresentationError(f"ring.{exc}") from exc
     report = check_confluence(ring)
     if not report.ok:
         raise ConfluenceError(
             report.witness if report.witness is not None else (),
             report.witness_forms if report.witness_forms else (GradedClass.zero(), GradedClass.zero()),
-            f"presentation is not confluent: {report.message}",
+            f"ring.relations: presentation is not confluent: {report.message}",
         )
     if ring._first_rule(ring.fundamental) is not None:
-        raise PresentationError("fundamental monomial is reducible")
+        raise PresentationError("ring.fundamental: monomial is reducible")
     top_basis = basis(ring, ring.top_degree)
     if top_basis != [ring.fundamental]:
         names = [ring.format_monomial(m) for m in top_basis]
         raise PresentationError(
-            f"top-degree basis {names} is not the fundamental monomial alone"
+            f"ring.relations: top-degree basis {names} is not the fundamental monomial alone"
         )
     return ring

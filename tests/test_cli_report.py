@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import subprocess
@@ -111,6 +112,46 @@ def test_run_case_genus_roots():
     assert genus["duality"] is True
 
 
+# sha256 of the canonical report of each built-in, at its default and over
+# the parameter ranges the acceptance criteria use.  A refactor must leave
+# every report byte-identical; a deliberate report change updates these
+# digests and says so in CHANGES.md.
+REPORT_DIGESTS = {
+    ("cp2-connect-sum", None): "59a4e383213af5a41ace4dd79c2e746cc65e982582896335ca49dd71d4d97a32",
+    ("cpn-split", None): "310ea743687c81f4354128978548fd387c2b0bb70f8330cf6bfd8b4b832dae9e",
+    ("genus-cpn", None): "2b398264396332fc47a001c5cea660460a819466ae51e3f426f2f807650aebfc",
+    ("hp1-presentation", None): "2e5bc1727a73d1b2b14b72994bb04d9b9a164e35aaa6960e4e31478a4c74e211",
+    ("m20-eschenburg", None): "a9d6d1d7aa52658f1591512a57eaf43408963d8cb7b37898f43497e4b2dcbf4b",
+    ("r-p", None): "0bb33082e633a3850ed20ca2279808899205f46ece14997f9c5c6f4b03deff72",
+    ("r-p-u-variant", None): "0ce4192f31ee4ba2d99597f593dc11278ea904ce856d9dae9ad6223dced29cc7",
+    ("s2xs2", None): "a462e9d1b455a631308fcd254b853f8a295d76e2bfe57ccc909e231e38148ab9",
+    ("sp2-t2", None): "dc794aba5a924e885fa4a760616fd25cfb5ff169fff7206c6c92c79304e7d239",
+    ("su3-t2", None): "9fb950bc1a78ff6fac652a77dbb8d2ee3b85a56fd2eeddad0da334e524c27976",
+    ("r-p", 2): "0bb33082e633a3850ed20ca2279808899205f46ece14997f9c5c6f4b03deff72",
+    ("r-p", 3): "36ca623301563d423993db696ec3ac7b1e94c6a6ca6b2508a31702a029713a75",
+    ("r-p", 4): "cf0f9280f47b0edfeb43731cd55e367776bce70b4fb9d2200e5b4de8e726afb1",
+    ("r-p", 5): "0a93faf9bfa80d039cc85db174dc208a9f67346e79f24b8cc29d05db3d53502d",
+    ("cpn-split", 2): "310ea743687c81f4354128978548fd387c2b0bb70f8330cf6bfd8b4b832dae9e",
+    ("cpn-split", 3): "9c8e3157460a09e7c5c7f46e989a4db82c15e05e4c738ee028f3b15a25cecf7e",
+    ("cpn-split", 4): "9075c88952ab7f031729282654fd9170f0a20b80b7b52f2ff4ebf56c8d53bedf",
+    ("genus-cpn", 1): "845cedd30a2bb5bfa5934f7ab71ee6d31bdcd61bb2e3b6aa09d7baf0e5b418ed",
+    ("genus-cpn", 2): "2b398264396332fc47a001c5cea660460a819466ae51e3f426f2f807650aebfc",
+    ("genus-cpn", 3): "4316655eac6f5d52fdc228c3ba8bffcf1898ee2fc1a5f2ecc3175a1cb3734a9d",
+    ("genus-cpn", 4): "117b7f094996803dbc9e7c4c0c29227e144106eb62d94fdd3a4286aac1715adf",
+}
+
+
+def test_report_digests_cover_every_builtin():
+    assert {name for name, par in REPORT_DIGESTS if par is None} == set(list_builtin_cases())
+
+
+@pytest.mark.parametrize(("name", "par"), list(REPORT_DIGESTS),
+                         ids=[n if p is None else f"{n}-{p}" for n, p in REPORT_DIGESTS])
+def test_builtin_reports_are_byte_identical(name, par):
+    report = canonical_bytes(run_case(builtin_case(name, par)))
+    assert hashlib.sha256(report).hexdigest() == REPORT_DIGESTS[(name, par)]
+
+
 def test_run_case_errors_name_the_field():
     with pytest.raises(CaseError, match="actionable"):
         run_case({"name": "empty"})
@@ -151,6 +192,15 @@ def test_run_case_errors_name_the_field():
         # a coordinate or an exponent of true is not the integer 1
         ("cp2-connect-sum", ("candidates", 0, 0), [True, 2]),
         ("cp2-connect-sum", ("targets", "p1", 0, 1), [True, 1]),
+        # the ring section: no bare TypeError, no bool read as an integer
+        ("cp2-connect-sum", ("ring",), 5),
+        ("cp2-connect-sum", ("ring", "relations"), 5),
+        ("cp2-connect-sum", ("ring", "relations", 1, "rhs"), 5),
+        ("cp2-connect-sum", ("ring", "relations", 0, "lhs"), [True, True]),
+        ("cp2-connect-sum", ("ring", "relations", 1, "rhs", 0), [True, [2, 0]]),
+        ("cp2-connect-sum", ("ring", "relations", 1, "rhs", 0, 1), [True, 1]),
+        ("cp2-connect-sum", ("ring", "fundamental"), [True, 1]),
+        ("cp2-connect-sum", ("ring", "top_degree"), True),
     ]:
         bad = builtin_case(name)
         _set(bad, path, value)

@@ -43,7 +43,7 @@ from splitcheck.genus import (
     todd_from_chi,
     top_chern_integral,
 )
-from splitcheck.ring import GradedClass, parse_presentation
+from splitcheck.ring import GradedClass, basis, parse_presentation
 from splitcheck.series import (
     TruncatedSeries,
     series_exp_neg,
@@ -172,6 +172,17 @@ def random_data(rng: random.Random, ring, extra: int = 0) -> ChernRootData:
     return ChernRootData(ring=ring, roots=roots + (GradedClass.zero(),) * extra)
 
 
+def random_rational_data(rng: random.Random, ring, extra: int = 0) -> ChernRootData:
+    """Like random_data, with root coordinates over denominators 1, 2 and 3."""
+    roots = tuple(
+        GradedClass.from_terms(
+            (m, F(rng.randint(-4, 4), rng.choice((1, 2, 3)))) for m in basis(ring, 2)
+        )
+        for _ in range(ring.top_degree // 2)
+    )
+    return ChernRootData(ring=ring, roots=roots + (GradedClass.zero(),) * extra)
+
+
 @pytest.mark.parametrize(("name", "par"), GENUS_RING_REFS,
                          ids=[n if p is None else f"{n}-{p}" for n, p in GENUS_RING_REFS])
 def test_genus_properties_random(name, par):
@@ -197,9 +208,17 @@ def test_genus_properties_random(name, par):
 def test_integrator_matches_reference(name, par):
     ring = ring_for(name, par)
     rng = random.Random(sum(map(ord, f"reference-{name}-{par}")))
-    for i in range(15):
-        data = random_data(rng, ring, extra=i % 3)
-        t = (-1, 2, 3)[i // 3 % 3]  # every (zero-root count, t) pair occurs
+    cases = [
+        (random_data(rng, ring, extra=i % 3), (-1, 2, 3)[i // 3 % 3]) for i in range(15)
+    ]
+    # rational coordinates put Fractions into the ring arithmetic, and a
+    # rational t changes the series' common denominator
+    cases += [
+        (random_rational_data(rng, ring, extra=i % 3), (F(1, 2), F(-3, 2))[i // 3])
+        for i in range(6)
+    ]
+    # every (zero-root count, t) pair occurs
+    for data, t in cases:
         assert chi_y(data) == ref_chi_y_scaled(data, 1)
         assert chi_y_scaled(data, t) == ref_chi_y_scaled(data, t)
         assert signature_direct(data) == ref_signature_direct(data)
