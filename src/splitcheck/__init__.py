@@ -14,6 +14,8 @@ from .charclass import (
     MatchReport,
     RankError,
     TargetClasses,
+    TargetError,
+    TargetMatcher,
     euler_class,
     first_pontryagin,
     matches_targets,

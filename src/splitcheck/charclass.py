@@ -9,6 +9,10 @@ first Chern classes, each a degree-2 integral class.  The realification has
 and the complex total Chern class is the product of (1 + c1(L_i)).  Targets
 carry the tangent-bundle values these must match; Euler matching is up to
 sign when the orientation is not pinned.
+
+`TargetMatcher` is the only statement of the acceptance rule: candidates,
+`matches_targets` and every search hit go through it.  It rejects a target
+no sum reaches, against which "no splitting" would be certified vacuously.
 """
 
 from __future__ import annotations
@@ -21,12 +25,17 @@ from .ring import (
     normal_form,
     ring_add,
     ring_mul,
+    ring_scale,
     ring_sub,
 )
 
 
 class RankError(ValueError):
     """Line-bundle count is incompatible with the requested real rank."""
+
+
+class TargetError(ValueError):
+    """No sum of line bundles reaches the target named first in the message."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +102,74 @@ class MatchReport:
     euler_ok: bool
     euler_sign: int | None
     chern_ok: bool | None
-    residuals: dict[str, str]
+    residuals: dict[str, GradedClass]
+
+
+def _normal_target(ring: RingPresentation, target: GradedClass, field: str, degree: int) -> GradedClass:
+    nf = normal_form(ring, target)
+    if not nf.is_zero() and nf.homogeneous_degree() != degree:
+        raise TargetError(f"{field}: expected zero or a class of degree {degree}, got degree(s) {nf.degrees()}")
+    return nf
+
+
+class TargetMatcher:
+    """The acceptance rule for sums of m line bundles, compiled once.
+
+    Construction runs the rank and target checks and takes the targets'
+    normal forms; `match` compares by equality and builds a residual only
+    for a check that fails.
+    """
+
+    def __init__(self, ring: RingPresentation, targets: TargetClasses, m: int):
+        if 2 * m > targets.real_rank:
+            raise RankError(f"{m} line bundles exceed real rank {targets.real_rank}")
+        # a sum padded with trivial summands has vanishing top Chern class
+        self.saturated = 2 * m == targets.real_rank
+        self.sign_flexible = targets.euler_sign_flexible
+        self.p1 = _normal_target(ring, targets.p1_target, "p1", 4)
+        self.euler = _normal_target(ring, targets.euler_target, "euler", targets.real_rank)
+        if not self.saturated and not self.euler.is_zero():
+            raise RankError("trivial summands are only allowed when the Euler target vanishes")
+        self.euler_neg = ring_scale(-1, self.euler)
+        self.chern: GradedClass | None = None
+        if targets.chern_target is not None:
+            self.chern = normal_form(ring, targets.chern_target)
+            if self.chern.component(0) != ring.one():
+                raise TargetError(f"chern: degree-0 part is {ring.format_class(self.chern.component(0))}, not 1")
+
+    def match(self, lbsum: LineBundleSum) -> MatchReport:
+        """Compare a sum of the m line bundles the matcher was built for."""
+        residuals: dict[str, GradedClass] = {}
+        p1 = first_pontryagin(lbsum)
+        p1_ok = p1 == self.p1
+        if not p1_ok:
+            residuals["p1"] = ring_sub(p1, self.p1)
+
+        e = euler_class(lbsum) if self.saturated else GradedClass.zero()
+        euler_sign: int | None = None
+        if e == self.euler:
+            euler_sign = 1
+        elif self.sign_flexible and e == self.euler_neg:
+            euler_sign = -1
+        else:
+            residuals["euler"] = ring_sub(e, self.euler)
+
+        chern_ok: bool | None = None
+        if self.chern is not None:
+            chern = total_chern(lbsum)
+            chern_ok = chern == self.chern
+            if not chern_ok:
+                residuals["chern"] = ring_sub(chern, self.chern)
+
+        euler_ok = euler_sign is not None
+        return MatchReport(
+            matched=p1_ok and euler_ok and chern_ok is not False,
+            p1_ok=p1_ok,
+            euler_ok=euler_ok,
+            euler_sign=euler_sign,
+            chern_ok=chern_ok,
+            residuals=residuals,
+        )
 
 
 def matches_targets(lbsum: LineBundleSum, targets: TargetClasses) -> MatchReport:
@@ -102,50 +178,4 @@ def matches_targets(lbsum: LineBundleSum, targets: TargetClasses) -> MatchReport
     The sum may be shorter than the real rank (trivial summands) only when
     the Euler target vanishes; a nonzero Euler class has no trivial factors.
     """
-    ring = lbsum.ring
-    if 2 * lbsum.m > targets.real_rank:
-        raise RankError(f"{lbsum.m} line bundles exceed real rank {targets.real_rank}")
-    saturated = 2 * lbsum.m == targets.real_rank
-    euler_target = normal_form(ring, targets.euler_target)
-    if not saturated and not euler_target.is_zero():
-        raise RankError(
-            "trivial summands are only allowed when the Euler target vanishes"
-        )
-
-    residuals: dict[str, str] = {}
-
-    p1 = first_pontryagin(lbsum)
-    p1_residual = ring_sub(p1, normal_form(ring, targets.p1_target))
-    p1_ok = p1_residual.is_zero()
-    if not p1_ok:
-        residuals["p1"] = ring.format_class(p1_residual)
-
-    # a sum padded with trivial summands has vanishing top Chern class
-    e = euler_class(lbsum) if saturated else GradedClass.zero()
-    euler_sign: int | None = None
-    if ring_sub(e, euler_target).is_zero():
-        euler_ok = True
-        euler_sign = 1
-    elif targets.euler_sign_flexible and ring_add(e, euler_target).is_zero():
-        euler_ok = True
-        euler_sign = -1
-    else:
-        euler_ok = False
-        residuals["euler"] = ring.format_class(ring_sub(e, euler_target))
-
-    chern_ok: bool | None = None
-    if targets.chern_target is not None:
-        chern_residual = ring_sub(total_chern(lbsum), normal_form(ring, targets.chern_target))
-        chern_ok = chern_residual.is_zero()
-        if not chern_ok:
-            residuals["chern"] = ring.format_class(chern_residual)
-
-    matched = p1_ok and euler_ok and (chern_ok is not False)
-    return MatchReport(
-        matched=matched,
-        p1_ok=p1_ok,
-        euler_ok=euler_ok,
-        euler_sign=euler_sign if euler_ok else None,
-        chern_ok=chern_ok,
-        residuals=residuals,
-    )
+    return TargetMatcher(lbsum.ring, targets, lbsum.m).match(lbsum)

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from . import __version__
 from .cases import PARAMETER_NAMES, builtin_case, list_builtin_cases
-from .charclass import LineBundleSum, TargetClasses, matches_targets
+from .charclass import LineBundleSum, RankError, TargetClasses, TargetError, matches_targets
 from .genus import (
     ChernRootData,
     chi_y,
@@ -34,6 +34,7 @@ from .report import emit_report, fraction_from_json, input_digest, jsonable
 from .ring import GradedClass, PresentationError, RingPresentation, basis, parse_presentation
 from .search import (
     DEFAULT_BUDGET,
+    BoundError,
     ExplicitBound,
     SearchSpec,
     SumOfSquaresBound,
@@ -151,13 +152,16 @@ def _load_search_spec(
         budget = _int(raw, "budget", where, default=DEFAULT_BUDGET)
     if budget < 0:
         raise CaseError(f"{where}.budget: expected a nonnegative integer, got {budget}")
-    return SearchSpec(
-        ring=ring,
-        targets=targets,
-        m=_int(raw, "m", where),
-        bound=bound,
-        budget=budget,
-    )
+    try:
+        return SearchSpec(
+            ring=ring,
+            targets=targets,
+            m=_int(raw, "m", where),
+            bound=bound,
+            budget=budget,
+        )
+    except ValueError as exc:
+        raise CaseError(f"{where}.{exc}") from exc
 
 
 def _load_root_system(raw, where: str) -> RootSystem:
@@ -224,7 +228,12 @@ def _matching_section(ring: RingPresentation, targets: TargetClasses, raw, where
                     (mono, Fraction(x)) for mono, x in zip(coords, vec) if x
                 )
             )
-        rep = matches_targets(LineBundleSum(ring, tuple(classes)), targets)
+        try:
+            rep = matches_targets(LineBundleSum(ring, tuple(classes)), targets)
+        except TargetError as exc:
+            raise CaseError(f"targets.{exc}") from exc
+        except ValueError as exc:  # a rank error or an empty candidate
+            raise CaseError(f"{where}[{i}]: {exc}") from exc
         out.append(
             {
                 "candidate": [list(vec) for vec in cand],
@@ -233,7 +242,7 @@ def _matching_section(ring: RingPresentation, targets: TargetClasses, raw, where
                 "euler_ok": rep.euler_ok,
                 "euler_sign": rep.euler_sign,
                 "chern_ok": rep.chern_ok,
-                "residuals": dict(rep.residuals),
+                "residuals": {k: ring.format_class(v) for k, v in rep.residuals.items()},
             }
         )
     return out
@@ -365,7 +374,15 @@ def run_case(doc: Mapping, budget: int | None = None) -> dict:
         if targets is None:
             raise CaseError("'search' requires a 'targets' section")
         spec = _load_search_spec(ring, targets, doc["search"], budget)
-        sections["search"] = enumerate_splittings(spec).as_jsonable()
+        try:
+            sections["search"] = enumerate_splittings(spec).as_jsonable()
+        except TargetError as exc:
+            raise CaseError(f"targets.{exc}") from exc
+        except RankError as exc:
+            raise CaseError(f"search.m: {exc}") from exc
+        except BoundError as exc:
+            key = "per_variable" if isinstance(spec.bound, ExplicitBound) else "multipliers"
+            raise CaseError(f"search.bound.{key}: {exc}") from exc
     if "genus" in doc:
         sections["genus"] = _genus_section(ring, doc["genus"])
     if "obstruction" in doc:

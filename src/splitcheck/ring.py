@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
@@ -21,6 +22,11 @@ Monomial = tuple[int, ...]
 # which share Fraction's numerator/denominator protocol and hashing but
 # keep the common all-integer arithmetic fast.
 Coeff = Fraction | int
+
+# The confluence check walks and caches every monomial of degree <= top, of
+# which n generators have comb(n + top/2, n); the largest built-in ring, r-p,
+# has 20.
+MAX_MONOMIALS = 10**5
 
 
 def _tighten(value: Coeff) -> Coeff:
@@ -500,6 +506,12 @@ def parse_presentation(doc: Mapping) -> RingPresentation:
         ring = RingPresentation(generators, rules, top_degree, fundamental)
     except PresentationError as exc:
         raise PresentationError(f"ring.{exc}") from exc
+    monomials = comb(n + top_degree // 2, n)
+    if monomials > MAX_MONOMIALS:
+        raise PresentationError(
+            f"ring.top_degree: {top_degree} over {n} generators gives {monomials} monomials "
+            f"of degree <= top, more than the {MAX_MONOMIALS} the confluence check walks"
+        )
     report = check_confluence(ring)
     if not report.ok:
         raise ConfluenceError(

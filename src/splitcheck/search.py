@@ -22,8 +22,8 @@ One enumeration serves every bound:
    JACM 1974).
 
 The lookup only rejects: every candidate it lets through is accepted or
-rejected by re-evaluating p1 and e through the characteristic-class module,
-never through hand-expanded equations.
+rejected by `charclass.TargetMatcher`, the one acceptance rule, which
+re-evaluates the candidate's classes, never hand-expanded equations.
 """
 
 from __future__ import annotations
@@ -38,7 +38,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .charclass import LineBundleSum, TargetClasses, euler_class, first_pontryagin, total_chern
+from .charclass import LineBundleSum, TargetClasses, TargetMatcher
+# Not called here: perfbench/tracing.py rebinds these names on this module.
+from .charclass import euler_class, first_pontryagin, total_chern  # noqa: F401
 from .ring import (
     GradedClass,
     Monomial,
@@ -79,7 +81,7 @@ class SearchSpec:
 
     def __post_init__(self) -> None:
         if self.m < 1:
-            raise ValueError("need at least one line bundle")
+            raise ValueError(f"m: need at least one line bundle, got {self.m}")
 
     @property
     def coords(self) -> list[Monomial]:
@@ -277,52 +279,6 @@ def canonicalize_solution(
     return best
 
 
-# -- evaluation through the characteristic-class module ----------------------
-
-
-class _Evaluator:
-    """Per-tuple accept test through the characteristic-class module."""
-
-    def __init__(self, spec: SearchSpec):
-        if 2 * spec.m > spec.targets.real_rank:
-            raise BoundError(f"{spec.m} line bundles exceed real rank {spec.targets.real_rank}")
-        if 2 * spec.m < spec.targets.real_rank and not spec.targets.euler_target.is_zero():
-            raise BoundError(
-                "trivial real summands force a zero Euler class, but the target is nonzero"
-            )
-        self.spec = spec
-        self.ring = spec.ring
-        self.coords = spec.coords
-        self.p1_target = normal_form(self.ring, spec.targets.p1_target)
-        self.euler_target = normal_form(self.ring, spec.targets.euler_target)
-        self.euler_neg = GradedClass({m: -c for m, c in self.euler_target.terms.items()})
-        self.chern_target = (
-            normal_form(self.ring, spec.targets.chern_target)
-            if spec.targets.chern_target is not None
-            else None
-        )
-        self.saturated = 2 * spec.m == spec.targets.real_rank
-
-    def classes(self, vectors: Sequence[Sequence[int]]) -> list[GradedClass]:
-        return [
-            GradedClass({mono: c for mono, c in zip(self.coords, vec) if c})
-            for vec in vectors
-        ]
-
-    def accepts(self, vectors: Sequence[Sequence[int]]) -> bool:
-        lbsum = LineBundleSum(self.ring, tuple(self.classes(vectors)))
-        if first_pontryagin(lbsum) != self.p1_target:
-            return False
-        e = euler_class(lbsum) if self.saturated else GradedClass.zero()
-        if e != self.euler_target and not (
-            self.spec.targets.euler_sign_flexible and e == self.euler_neg
-        ):
-            return False
-        if self.chern_target is not None and total_chern(lbsum) != self.chern_target:
-            return False
-        return True
-
-
 # -- enumeration -------------------------------------------------------------
 
 
@@ -348,9 +304,10 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
     `_BudgetExceeded` before it does any work, so `visited <= budget + 1`.
     """
     started = time.perf_counter()
+    matcher = TargetMatcher(spec.ring, spec.targets, spec.m)
     bounds = derive_bounds(spec)
-    evaluator = _Evaluator(spec)
     ring = spec.ring
+    coords = spec.coords
     box = 1
     for b in bounds.per_variable:
         box *= (2 * b + 1) ** spec.m
@@ -380,7 +337,8 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
             if norm <= limit and not (flips and vec < tuple(-x for x in vec)):
                 ball.append(vec)
                 norms.append(norm)
-        squares = [ring_mul(ring, c, c) for c in evaluator.classes(ball)]
+        classes = [GradedClass({mono: c for mono, c in zip(coords, vec) if c}) for vec in ball]
+        squares = [ring_mul(ring, c, c) for c in classes]
         table: dict[GradedClass, list[int]] = {}
         for i, square in enumerate(squares):
             table.setdefault(square, []).append(i)
@@ -392,9 +350,9 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
                 tick()
                 hits = table.get(residual, [])
                 for k in hits[bisect.bisect_left(hits, start):]:
-                    vectors = tuple(ball[i] for i in prefix) + (ball[k],)
-                    if evaluator.accepts(vectors):
-                        raw.append(vectors)
+                    lbsum = LineBundleSum(ring, tuple(classes[i] for i in prefix) + (classes[k],))
+                    if matcher.match(lbsum).matched:
+                        raw.append(tuple(ball[i] for i in prefix) + (ball[k],))
                 return
             for i in range(start, len(ball)):
                 if norm + norms[i] <= limit:
@@ -402,7 +360,7 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
                     walk(i, norm + norms[i], ring_sub(residual, squares[i]))
                     prefix.pop()
 
-        walk(0, 0, evaluator.p1_target)
+        walk(0, 0, matcher.p1)
 
     exhausted = False
     if limit is None:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_degree2, ring_for, targets_for
+from helpers import random_degree2, ring_for, search_spec_for, targets_for
 from splitcheck.charclass import (
     LineBundleSum,
     RankError,
@@ -20,6 +21,7 @@ from splitcheck.charclass import (
     total_chern,
 )
 from splitcheck.ring import GradedClass, basis, ring_scale
+from splitcheck.search import enumerate_splittings
 
 
 def cls(*pairs) -> GradedClass:
@@ -45,7 +47,7 @@ def test_connect_sum_candidate_fails_on_euler_only():
     assert not report.euler_ok
     assert not report.matched
     assert report.euler_sign is None
-    assert report.residuals["euler"] == "-2*u^2"
+    assert ring.format_class(report.residuals["euler"]) == "-2*u^2"
 
 
 def test_family_diagonal_pontryagin():
@@ -101,11 +103,17 @@ def test_product_of_spheres_positive_control():
 def test_rank_validation():
     ring = ring_for("cp2-connect-sum")
     targets = targets_for("cp2-connect-sum")
-    with pytest.raises(RankError):
+    with pytest.raises(RankError) as too_many:
         matches_targets(lbsum(ring, (0, 1), (0, 1), (0, 1)), targets)
     # an unsaturated sum cannot hit a nonzero Euler target
-    with pytest.raises(RankError):
+    with pytest.raises(RankError) as unsaturated:
         matches_targets(lbsum(ring, (0, 1)), targets)
+    # the search states the same rule through the same matcher
+    spec = search_spec_for("cp2-connect-sum")
+    for m, expected in [(3, too_many), (1, unsaturated)]:
+        with pytest.raises(RankError) as raised:
+            enumerate_splittings(replace(spec, m=m))
+        assert str(raised.value) == str(expected.value)
 
 
 def test_unsaturated_sum_with_zero_euler_target():
@@ -191,4 +199,4 @@ def test_residual_strings_report_differences():
     report = matches_targets(lbsum(ring, (0, 1), (0, 1), (0, 1)), targets)
     # p1 of (x, x, x) is 3x^2 against a target of 8x^2
     assert not report.p1_ok
-    assert report.residuals["p1"] == "-5*x^2"
+    assert ring.format_class(report.residuals["p1"]) == "-5*x^2"

@@ -152,6 +152,15 @@ def test_builtin_reports_are_byte_identical(name, par):
     assert hashlib.sha256(report).hexdigest() == REPORT_DIGESTS[(name, par)]
 
 
+# 8 generators, no relations, top degree 40: 3.1 million monomials to walk
+_BIG_RING = {
+    "generators": [f"x{i}" for i in range(8)],
+    "relations": [],
+    "top_degree": 40,
+    "fundamental": [20] + [0] * 7,
+}
+
+
 def test_run_case_errors_name_the_field():
     with pytest.raises(CaseError, match="actionable"):
         run_case({"name": "empty"})
@@ -168,7 +177,7 @@ def test_run_case_errors_name_the_field():
     # booleans are JSON true/false only: bool("false") would be True;
     # integers are JSON integers only: int("2") and int(2.7) would pass, and
     # True is an int to Python
-    for name, path, value in [
+    for name, path, value, *named in [
         ("s2xs2", ("search", "bound", "acknowledged"), "false"),
         ("sp2-t2", ("targets", "euler_sign_flexible"), "false"),
         ("hp1-presentation", ("obstruction", "euler_nonzero"), 1),
@@ -201,10 +210,25 @@ def test_run_case_errors_name_the_field():
         ("cp2-connect-sum", ("ring", "relations", 1, "rhs", 0, 1), [True, 1]),
         ("cp2-connect-sum", ("ring", "fundamental"), [True, 1]),
         ("cp2-connect-sum", ("ring", "top_degree"), True),
+        # a ring too large to check names the degree that makes it so
+        ("cp2-connect-sum", ("ring",), _BIG_RING, ("ring", "top_degree")),
+        # search and candidate errors name the field they come from
+        ("cp2-connect-sum", ("ring", "relations", 0), {"lhs": [1, 1], "rhs": [[1, [2, 0]]]},
+         ("search", "bound", "multipliers")),
+        ("cp2-connect-sum", ("search", "m"), 3),
+        ("cp2-connect-sum", ("search", "m"), 1),
+        ("cp2-connect-sum", ("search", "m"), 0),
+        ("s2xs2", ("search", "bound", "per_variable"), [3]),
+        ("cp2-connect-sum", ("candidates", 0), [[1, 2], [0, 1], [0, 1]]),
+        ("cp2-connect-sum", ("candidates", 0), []),
+        # targets no sum of line bundles reaches would certify vacuously
+        ("s2xs2", ("targets", "p1"), [[1, [1, 0]]]),
+        ("cp2-connect-sum", ("targets", "euler"), [[4, [1, 0]]]),
+        (("cpn-split", 3), ("targets", "chern"), [[4, [1]], [6, [2]], [4, [3]]]),
     ]:
-        bad = builtin_case(name)
+        bad = builtin_case(name) if isinstance(name, str) else builtin_case(*name)
         _set(bad, path, value)
-        with pytest.raises(CaseError, match=re.escape(_field_name(path))):
+        with pytest.raises(CaseError, match=re.escape(_field_name(named[0] if named else path))):
             run_case(bad)
 
 
