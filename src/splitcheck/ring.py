@@ -31,7 +31,9 @@ MAX_MONOMIALS = 10**5
 
 def _tighten(value: Coeff) -> Coeff:
     """Collapse an integral Fraction to a plain int."""
-    if isinstance(value, Fraction) and value.denominator == 1:
+    # coefficients are plain ints or Fractions, never subclasses; isinstance
+    # would consult the numbers ABCs for every int
+    if type(value) is Fraction and value.denominator == 1:
         return value.numerator
     return value
 
@@ -333,7 +335,14 @@ def ring_add(a: GradedClass, b: GradedClass) -> GradedClass:
 
 
 def ring_sub(a: GradedClass, b: GradedClass) -> GradedClass:
-    return ring_add(a, ring_scale(-1, b))
+    acc = dict(a.terms)
+    for mono, coeff in b.terms.items():
+        v = acc.get(mono, 0) - coeff
+        if v:
+            acc[mono] = _tighten(v)
+        else:
+            acc.pop(mono, None)
+    return GradedClass(acc)
 
 
 def ring_scale(r: Fraction | int, a: GradedClass) -> GradedClass:

@@ -9,30 +9,42 @@ nonnegative, so every bundle vector lies in the ellipsoid
 sum_j lam_j v_j^2 <= C, which certifies the per-variable box
 |x_j| <= floor(sqrt(C/lam_j)).
 
-One enumeration serves every bound:
+The ring is compiled once per search into `RingTables`: multiplication by
+each degree-2 coordinate as coefficient tuples over the bases of degree 2k
+and 2k + 2.  Its degree-2 products give the bound's quadratic form, and
+every class the walk touches is a tuple over a fixed basis.  One
+enumeration serves every bound:
 
 1. the ball: the vectors of the per-bundle box inside that ellipsoid
    (lattice points of an ellipsoid, Fincke-Pohst, Math. Comp. 44, 1985; an
    explicit bound has no form and keeps the whole box), only the larger of
    v and -v when the Euler target is sign-flexible;
-2. the join table: each ball vector's square c1^2, keyed by the class;
+2. the join table: each ball vector's square c1^2 as a tuple over the
+   degree-4 basis, keyed by that tuple;
 3. the walk: nondecreasing index multisets of m - 1 ball vectors whose
    partial norm stays within C, with the last bundle looked up by the
    residual p1 - sum of squares (meet in the middle, Horowitz-Sahni,
-   JACM 1974).
+   JACM 1974);
+4. the Euler prefilter: when the bundles fill the real rank, the product
+   of the prefix is folded through the tables once per probe with hits, and
+   a hit whose Euler tuple is neither the target nor (when sign-flexible)
+   its negation is dropped.
 
-The lookup only rejects: every candidate it lets through is accepted or
-rejected by `charclass.TargetMatcher`, the one acceptance rule, which
-re-evaluates the candidate's classes, never hand-expanded equations.
+The lookup and the prefilter only reject: every candidate they let through
+is accepted or rejected by `charclass.TargetMatcher`, the one acceptance
+rule, which re-evaluates the candidate's classes, never hand-expanded
+equations.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import itertools
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,14 +54,13 @@ from .charclass import LineBundleSum, TargetClasses, TargetMatcher
 # Not called here: perfbench/tracing.py rebinds these names on this module.
 from .charclass import euler_class, first_pontryagin, total_chern  # noqa: F401
 from .ring import (
+    Coeff,
     GradedClass,
     Monomial,
     RingPresentation,
     basis,
-    monomial_mul,
     normal_form,
     ring_mul,
-    ring_sub,
 )
 
 DEFAULT_BUDGET = 10**9
@@ -57,6 +68,60 @@ DEFAULT_BUDGET = 10**9
 
 class BoundError(ValueError):
     """The requested multipliers do not certify a finite search box."""
+
+
+Vector = tuple[Coeff, ...]
+
+
+class RingTables:
+    """Multiplication by the degree-2 coordinates, compiled to tuples.
+
+    `bases[k]` is the basis of degree 2k (empty above the top degree) and
+    `rows[k][i][j]` the coefficient tuple over `bases[k + 1]` of
+    `bases[k][i] * coords[j]`, one `ring_mul` per entry, for k < `depth`.
+    A class of degree 2k is its tuple over `bases[k]`; a product of normal
+    forms is linear in both factors, so `mul` equals `ring_mul` on tuples.
+    """
+
+    def __init__(self, ring: RingPresentation, depth: int):
+        self.bases = [
+            basis(ring, 2 * k) if 2 * k <= ring.top_degree else [] for k in range(depth + 1)
+        ]
+        coords = self.bases[1]
+        self.rows = [
+            [
+                [
+                    self.vector(ring_mul(ring, GradedClass({a: 1}), GradedClass({c: 1})), k + 1)
+                    for c in coords
+                ]
+                for a in self.bases[k]
+            ]
+            for k in range(depth)
+        ]
+        self.one = self.vector(ring.one(), 0)
+
+    def vector(self, cls: GradedClass, k: int) -> Vector:
+        """Coefficients of a normal form of degree 2k over `bases[k]`."""
+        return tuple(cls.coefficient(mono) for mono in self.bases[k])
+
+    def mul(self, k: int, a: Vector, b: Vector) -> Vector:
+        """The tuple of a * b for a over `bases[k]` and b over the coordinates."""
+        out = [0] * len(self.bases[k + 1])
+        for x, row in zip(a, self.rows[k]):
+            if x:
+                for y, entry in zip(b, row):
+                    if y:
+                        xy = x * y
+                        for t, z in enumerate(entry):
+                            out[t] += xy * z
+        return tuple(out)
+
+    def product(self, vectors: Sequence[Vector]) -> Vector:
+        """The tuple of the product of degree-2 classes, over `bases[len(vectors)]`."""
+        out = self.one
+        for k, vec in enumerate(vectors):
+            out = self.mul(k, out, vec)
+        return out
 
 
 @dataclass(frozen=True)
@@ -86,6 +151,11 @@ class SearchSpec:
     @property
     def coords(self) -> list[Monomial]:
         return basis(self.ring, 2)
+
+    @functools.cached_property
+    def tables(self) -> RingTables:
+        """Built on first use: the bound reads the squares, the walk the Euler rows."""
+        return RingTables(self.ring, max(self.m, 2))
 
     def allows_sign_flips(self) -> bool:
         return self.targets.euler_sign_flexible and self.targets.chern_target is None
@@ -186,15 +256,6 @@ def spec_digest(spec: SearchSpec) -> str:
 # -- bound derivation --------------------------------------------------------
 
 
-def _pair_products(ring: RingPresentation, coords: list[Monomial]) -> dict[tuple[int, int], GradedClass]:
-    out = {}
-    for j in range(len(coords)):
-        for k in range(j, len(coords)):
-            prod = GradedClass({monomial_mul(coords[j], coords[k]): 1})
-            out[(j, k)] = normal_form(ring, prod)
-    return out
-
-
 def derive_bounds(spec: SearchSpec) -> DerivedBounds:
     coords = spec.coords
     r = len(coords)
@@ -218,15 +279,11 @@ def derive_bounds(spec: SearchSpec) -> DerivedBounds:
         raise BoundError(f"need {len(b4)} multipliers (one per degree-4 basis element), got {len(multipliers)}")
     if any(x < 0 for x in multipliers):
         raise BoundError("multipliers must be nonnegative")
-    products = _pair_products(ring, coords)
+    products = spec.tables.rows[1]
     index = {mono: i for i, mono in enumerate(b4)}
 
     def combined(j: int, k: int) -> Fraction:
-        cls = products[(j, k)]
-        return sum(
-            (multipliers[index[mono]] * coeff for mono, coeff in cls.terms.items()),
-            Fraction(0),
-        )
+        return sum((x * coeff for x, coeff in zip(multipliers, products[j][k])), Fraction(0))
 
     for j in range(r):
         for k in range(j + 1, r):
@@ -337,30 +394,43 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
             if norm <= limit and not (flips and vec < tuple(-x for x in vec)):
                 ball.append(vec)
                 norms.append(norm)
-        classes = [GradedClass({mono: c for mono, c in zip(coords, vec) if c}) for vec in ball]
-        squares = [ring_mul(ring, c, c) for c in classes]
-        table: dict[GradedClass, list[int]] = {}
+        tables = spec.tables
+        squares = [tables.mul(1, vec, vec) for vec in ball]
+        table: dict[Vector, list[int]] = {}
         for i, square in enumerate(squares):
             table.setdefault(square, []).append(i)
-
+        last = spec.m - 1
+        euler_targets = {tables.vector(matcher.euler, spec.m)}
+        if matcher.sign_flexible:
+            euler_targets.add(tables.vector(matcher.euler_neg, spec.m))
         prefix: list[int] = []
 
-        def walk(start: int, norm: int, residual: GradedClass) -> None:
-            if len(prefix) == spec.m - 1:
+        def walk(start: int, norm: int, residual: Vector) -> None:
+            if len(prefix) == last:
                 tick()
                 hits = table.get(residual, [])
-                for k in hits[bisect.bisect_left(hits, start):]:
-                    lbsum = LineBundleSum(ring, tuple(classes[i] for i in prefix) + (classes[k],))
-                    if matcher.match(lbsum).matched:
-                        raw.append(tuple(ball[i] for i in prefix) + (ball[k],))
+                hits = hits[bisect.bisect_left(hits, start):]
+                if not hits:
+                    return
+                head = tuple(ball[i] for i in prefix)
+                if matcher.saturated:
+                    folded = tables.product(head)
+                    hits = [k for k in hits if tables.mul(last, folded, ball[k]) in euler_targets]
+                for k in hits:
+                    vectors = head + (ball[k],)
+                    classes = tuple(
+                        GradedClass({mono: c for mono, c in zip(coords, vec) if c}) for vec in vectors
+                    )
+                    if matcher.match(LineBundleSum(ring, classes)).matched:
+                        raw.append(vectors)
                 return
             for i in range(start, len(ball)):
                 if norm + norms[i] <= limit:
                     prefix.append(i)
-                    walk(i, norm + norms[i], ring_sub(residual, squares[i]))
+                    walk(i, norm + norms[i], tuple(map(operator.sub, residual, squares[i])))
                     prefix.pop()
 
-        walk(0, 0, matcher.p1)
+        walk(0, 0, tables.vector(matcher.p1, 2))
 
     exhausted = False
     if limit is None:

@@ -104,7 +104,7 @@ def test_criterion_2_su3_search():
     assert elapsed() < 10.0
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 10])
 def test_criterion_3_family_staged_search(q):
     elapsed = timed()
     cert = enumerate_splittings(search_spec_for("r-p", q))

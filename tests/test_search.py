@@ -4,7 +4,10 @@ The oracle-equivalence block replays each search's accept/reject decision
 against the hand-expanded equation systems in helpers.py: full boxes for the
 two small geometries, deterministic samples for the larger two.  The
 differential block compares whole solution sets against `ref_enumerate`,
-the ordered-tuple walk with no ball, join or symmetry reduction.
+the ordered-tuple walk with no ball, join or symmetry reduction.  The
+table block checks the compiled ring tables against `ring_mul` and
+`euler_class`, and the acceptance block checks that every solution was
+accepted by `TargetMatcher.match`.
 """
 
 from __future__ import annotations
@@ -30,11 +33,12 @@ from helpers import (
 from splitcheck.charclass import (
     LineBundleSum,
     TargetClasses,
+    TargetMatcher,
     euler_class,
     first_pontryagin,
     total_chern,
 )
-from splitcheck.ring import GradedClass
+from splitcheck.ring import GradedClass, basis, ring_mul
 from splitcheck.search import (
     BoundError,
     ExplicitBound,
@@ -298,7 +302,7 @@ def test_builtin_solutions_match_reference(name, par):
     assert cert.solutions == ref_enumerate(spec)
 
 
-PLANTED_CASES = [c for c in DIFFERENTIAL_CASES if c[0] != "r-p" and c != ("cpn-split", 2)]
+PLANTED_CASES = [c for c in DIFFERENTIAL_CASES if c != ("cpn-split", 2)]
 
 
 @pytest.mark.parametrize(("name", "par"), PLANTED_CASES)
@@ -324,6 +328,97 @@ def test_planted_solutions_match_reference(name, par):
         expected = ref_enumerate(spec)
         assert canonicalize_solution(vecs, spec.allows_sign_flips()) in expected, (name, trial)
         assert cert.solutions == expected, (name, trial)
+
+
+# -- compiled ring tables against ring_mul ------------------------------------------
+
+
+@pytest.mark.parametrize(("name", "par"), DIFFERENTIAL_CASES + [("r-p", 3)])
+def test_tables_match_ring_mul(name, par):
+    spec = search_spec_for(name, par)
+    ring, tables, m = spec.ring, spec.tables, spec.m
+    r = len(spec.coords)
+    b4 = basis(ring, 4)
+    top = basis(ring, 2 * m) if 2 * m <= ring.top_degree else []
+    rng = random.Random(sum(map(ord, f"tables-{name}-{par}")))
+    for _ in range(60):
+        vecs = [tuple(rng.randint(-4, 4) for _ in range(r)) for _ in range(m)]
+        classes = tuple(ring.class_from_coeffs(v) for v in vecs)
+        square = ring_mul(ring, classes[0], classes[0])
+        assert tables.mul(1, vecs[0], vecs[0]) == tuple(square.coefficient(mono) for mono in b4)
+        euler = tuple(euler_class(LineBundleSum(ring, classes)).coefficient(mono) for mono in top)
+        assert tables.product(vecs) == euler
+        # the walk folds the prefix once and multiplies each hit into it
+        assert tables.mul(m - 1, tables.product(vecs[:-1]), vecs[-1]) == euler
+
+
+# -- TargetMatcher.match is the only acceptance -------------------------------------
+
+
+def _matched_solutions(monkeypatch, spec):
+    """Run the search, returning it with every candidate `match` accepted and each report."""
+    reports = []
+    match = TargetMatcher.match
+
+    def recording(self, lbsum):
+        report = match(self, lbsum)
+        vecs = tuple(tuple(c.coefficient(mono) for mono in spec.coords) for c in lbsum.first_chern_classes)
+        reports.append((vecs, report))
+        return report
+
+    monkeypatch.setattr(TargetMatcher, "match", recording)
+    cert = enumerate_splittings(spec)
+    accepted = {
+        canonicalize_solution(vecs, spec.allows_sign_flips()) for vecs, report in reports if report.matched
+    }
+    return cert, accepted, [report for _, report in reports]
+
+
+@pytest.mark.parametrize(("name", "par"), DIFFERENTIAL_CASES)
+def test_every_solution_was_matched(monkeypatch, name, par):
+    spec = search_spec_for(name, par)
+    cert, accepted, _ = _matched_solutions(monkeypatch, spec)
+    assert set(cert.solutions) == accepted
+
+
+def test_planted_solutions_were_matched(monkeypatch):
+    base = search_spec_for("sp2-t2")
+    ring = base.ring
+    rng = random.Random(4242)
+    for trial in range(4):
+        vecs = [tuple(rng.randint(-1, 1) for _ in range(2)) for _ in range(base.m)]
+        lbsum = LineBundleSum(ring, tuple(ring.class_from_coeffs(v) for v in vecs))
+        targets = replace(base.targets, p1_target=first_pontryagin(lbsum), euler_target=euler_class(lbsum))
+        spec = replace(base, targets=targets)
+        cert, accepted, _ = _matched_solutions(monkeypatch, spec)
+        assert canonicalize_solution(vecs) in cert.solutions, trial
+        assert set(cert.solutions) == accepted, trial
+
+
+def test_chern_is_decided_by_the_matcher(monkeypatch):
+    """Hits pass p1 and the Euler prefilter; the matcher rejects them on Chern."""
+    base = search_spec_for("cpn-split", 3)
+    ring = base.ring
+    lbsum = LineBundleSum(ring, tuple(ring.class_from_coeffs((1,)) for _ in range(3)))
+    h2 = ring.class_from_coeffs((1,))
+    # (1 + h)^3 + h^2 has c1 = 3, c2 = 4, so c1^2 - 2c2 = 1 is not the p1 coefficient 3
+    chern = GradedClass.from_terms(
+        list(total_chern(lbsum).terms.items()) + list(ring_mul(ring, h2, h2).terms.items())
+    )
+    targets = replace(
+        base.targets,
+        p1_target=first_pontryagin(lbsum),
+        euler_target=euler_class(lbsum),
+        chern_target=chern,
+    )
+    spec = replace(base, targets=targets)
+    cert, accepted, reports = _matched_solutions(monkeypatch, spec)
+    assert cert.exhaustive
+    assert cert.solutions == ()
+    assert accepted == set()
+    assert reports
+    assert all(r.p1_ok and r.euler_ok and r.chern_ok is False for r in reports)
+    assert cert.solutions == ref_enumerate(spec)
 
 
 # -- oracle equivalence ---------------------------------------------------------------
