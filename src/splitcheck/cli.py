@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import __version__
@@ -210,24 +209,18 @@ def _ring_section(ring: RingPresentation) -> dict:
 def _matching_section(ring: RingPresentation, targets: TargetClasses, raw, where: str) -> list:
     if not isinstance(raw, (list, tuple)):
         raise CaseError(f"{where}: expected a list of candidate splittings")
-    coords = basis(ring, 2)
+    r = len(basis(ring, 2))
     out = []
     for i, cand in enumerate(raw):
         if not isinstance(cand, (list, tuple)):
             raise CaseError(f"{where}[{i}]: expected a list of coefficient vectors")
         classes = []
         for j, vec in enumerate(cand):
-            if not isinstance(vec, (list, tuple)) or len(vec) != len(coords) or not all(
+            if not isinstance(vec, (list, tuple)) or len(vec) != r or not all(
                 isinstance(x, int) and not isinstance(x, bool) for x in vec
             ):
-                raise CaseError(
-                    f"{where}[{i}][{j}]: expected {len(coords)} integer coordinates"
-                )
-            classes.append(
-                GradedClass.from_terms(
-                    (mono, Fraction(x)) for mono, x in zip(coords, vec) if x
-                )
-            )
+                raise CaseError(f"{where}[{i}][{j}]: expected {r} integer coordinates")
+            classes.append(ring.class_from_coeffs(vec))
         try:
             rep = matches_targets(LineBundleSum(ring, tuple(classes)), targets)
         except TargetError as exc:

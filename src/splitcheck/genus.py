@@ -8,12 +8,12 @@ exact factor (1 + y), which is divided out.  The direct signature (factor
 x/tanh x) and the Euler integral (factor x) are integrals of the same shape,
 so all of them go through one multiplicative-sequence integrator.
 
-The integrator keeps the running product as one ring class per power of y
-and multiplies only with ring_mul.  The factor's rational series
-coefficients are first scaled by one common denominator, so integral roots
-give integer ring arithmetic; the denominator is divided out of the
-integral at the end.  Everything is exact and no floating point appears
-anywhere.
+The integrator keeps the running product as one coefficient tuple per power
+of y and per degree, and multiplies each root in through the ring's tables
+(`ring.RingTables`).  The factor's rational series coefficients are first
+scaled by one common denominator, so integral roots give integer ring
+arithmetic; the denominator is divided out of the integral at the end.
+Everything is exact and no floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
-from .ring import GradedClass, RingPresentation, ring_add, ring_mul, ring_scale
+from .ring import GradedClass, RingPresentation, normal_form
+# Not called here: perfbench/tracing.py rebinds this name on this module.
+from .ring import ring_mul  # noqa: F401
 from .series import (
     series_exp_neg,
     series_scaled_argument,
@@ -116,37 +118,40 @@ def _integrate_multiplicative(
     """Integral of the product of f(x_i) over the roots, as a y-polynomial.
 
     f(x) = sum_k c_k(y) x^k is a multiplicative-sequence factor, and
-    coeffs[k] lists the y-coefficients of c_k.  The product is one ring
-    class per power of y.  The c_k are first scaled by the lcm D of their
-    denominators, so integral roots keep the ring arithmetic on ints, and the
-    integral is divided by D^(number of roots) at the end.  Root powers are
-    formed only up to the last nonzero c_k.
+    coeffs[k] lists the y-coefficients of c_k.  The product is one tuple per
+    power of y and per degree 2d, over the ring's degree-2d basis, and each
+    root's normal form is multiplied in through the ring's tables.  The c_k
+    are first scaled by the lcm D of their denominators, so integral roots
+    keep the arithmetic on ints, and the integral is divided by
+    D^(number of roots) at the end.  Root powers are formed only up to the
+    last nonzero c_k.
     """
     ring = data.ring
+    tables = ring.tables
+    n = data.n
     denom = lcm(*(Fraction(c).denominator for ck in coeffs for c in ck))
     scaled = [[(Fraction(c) * denom).numerator for c in ck] for ck in coeffs]
     last = max((k for k, ck in enumerate(scaled) if any(ck)), default=-1)
     width = max((len(ck) for ck in scaled), default=1)
-    product = [ring.one()]
+    zero = [tables.vector(GradedClass.zero(), d) for d in range(n + 1)]
+    product = [[tables.one] + zero[1:]]
     for root in data.roots:
-        factor = [GradedClass.zero()] * width
-        power = ring.one()
+        vec = tables.vector(normal_form(ring, root), 1)
+        out = [list(zero) for _ in range(len(product) + width - 1)]
+        power = product  # the product times root^k, per power of y
         for k in range(last + 1):
             if k:
-                power = ring_mul(ring, power, root)
+                power = [[zero[0]] + [tables.mul(d, part[d], vec) for d in range(n)] for part in power]
             for j, c in enumerate(scaled[k]):
                 if c:
-                    factor[j] = ring_add(factor[j], ring_scale(c, power))
-        out = [GradedClass.zero()] * (len(product) + width - 1)
-        for i, a in enumerate(product):
-            for j, b in enumerate(factor):
-                if not (a.is_zero() or b.is_zero()):
-                    out[i + j] = ring_add(out[i + j], ring_mul(ring, a, b))
+                    for i, part in enumerate(power):
+                        dest = out[i + j]
+                        for d, term in enumerate(part):
+                            dest[d] = tuple(x + c * t for x, t in zip(dest[d], term))
         product = out
     scale = denom ** len(data.roots)
-    return YPolynomial.from_coeffs(
-        [Fraction(c.coefficient(ring.fundamental), scale) for c in product]
-    )
+    top = tables.bases[n].index(ring.fundamental)
+    return YPolynomial.from_coeffs([Fraction(part[n][top], scale) for part in product])
 
 
 def _check_root_count(data: ChernRootData) -> None:

@@ -22,6 +22,9 @@ REAL = "real"
 COMPLEX = "complex"
 QUATERNIONIC = "quaternionic"
 
+# Circle catalogs list the rotation weights 0 .. MAX_CIRCLE_WEIGHT only.
+MAX_CIRCLE_WEIGHT = 1
+
 
 class CatalogError(ValueError):
     """A catalog cannot certify completeness for the requested bound."""
@@ -219,13 +222,13 @@ def _enumerate_b_weights(rs: RootSystem, cdim_bound: int) -> Iterator[tuple[int,
     yield from extend([], 0)
 
 
-def catalog_irreps(rs: RootSystem, dim_bound: int, max_circle_weight: int = 1) -> IrrepCatalog:
+def catalog_irreps(rs: RootSystem, dim_bound: int) -> IrrepCatalog:
     """Every irrep with real dimension <= dim_bound.
 
     Completeness: any weight not visited has complex dimension > dim_bound,
     hence real dimension > dim_bound.  Circle catalogs are infinite in
     principle (all rotation weights share real dimension 2); only weights up
-    to max_circle_weight are listed and the catalog is flagged reconstructed
+    to MAX_CIRCLE_WEIGHT are listed and the catalog is flagged reconstructed
     by its root system family.
     """
     if dim_bound < 1:
@@ -246,7 +249,7 @@ def catalog_irreps(rs: RootSystem, dim_bound: int, max_circle_weight: int = 1) -
                 entries.append(irrep)
             k += 1
     else:
-        for w in range(max_circle_weight + 1):
+        for w in range(MAX_CIRCLE_WEIGHT + 1):
             irrep = Irrep.build(rs, (w,))
             if irrep.real_dim <= dim_bound:
                 entries.append(irrep)

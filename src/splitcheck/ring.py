@@ -8,12 +8,20 @@ repeatedly applying the first matching rule in document order.  Rules preserve
 degree, hence a reduction can only fail to terminate by cycling, which is
 detected and reported.  Confluence is not assumed: it is checked exhaustively
 on the finite set of monomials of degree <= top_degree.
+
+Each ring also compiles itself once, on first use, into `RingTables`: a
+class of degree 2k becomes its coefficient tuple over the degree-2k basis,
+and multiplication by a degree-2 class becomes a table lookup on tuples.
+The search and the genus integrator both multiply through these tables;
+`ring_mul` on dicts stays the reference product that builds them and that
+the acceptance rule uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -22,6 +30,8 @@ Monomial = tuple[int, ...]
 # which share Fraction's numerator/denominator protocol and hashing but
 # keep the common all-integer arithmetic fast.
 Coeff = Fraction | int
+# A homogeneous class as its coefficients over one degree's basis.
+Vector = tuple[Coeff, ...]
 
 # The confluence check walks and caches every monomial of degree <= top, of
 # which n generators have comb(n + top/2, n); the largest built-in ring, r-p,
@@ -301,9 +311,14 @@ class RingPresentation:
     def one(self) -> GradedClass:
         return GradedClass({(0,) * len(self.generators): 1})
 
+    @cached_property
+    def tables(self) -> "RingTables":
+        """The ring's compiled multiplication, built on first use."""
+        return RingTables(self)
+
     def class_from_coeffs(self, coeffs: Sequence[int | Fraction]) -> GradedClass:
         """Degree-2 class with the given coordinates in the degree-2 basis."""
-        b2 = basis(self, 2)
+        b2 = self.tables.bases[1]
         if len(coeffs) != len(b2):
             raise ValueError(f"expected {len(b2)} coefficients, got {len(coeffs)}")
         return GradedClass.from_terms(zip(b2, coeffs))
@@ -406,6 +421,63 @@ def basis(ring: RingPresentation, degree: int) -> list[Monomial]:
         if ring._first_rule(mono) is None:
             out.append(mono)
     return out
+
+
+class RingTables:
+    """Multiplication by the degree-2 coordinates, compiled to tuples.
+
+    `bases[k]` is the basis of degree 2k, for k up to max(top/2, 2) so that
+    the degree-4 basis always exists; above the top degree it is empty.
+    `rows[k][i][j]` is the coefficient tuple over `bases[k + 1]` of
+    `bases[k][i] * bases[1][j]`, one `ring_mul` per entry.  A class of
+    degree 2k is its tuple over `bases[k]`, and every degree past the tables
+    is the empty tuple.  A product of normal forms is linear in both
+    factors, so `mul` equals `ring_mul` on tuples.
+    """
+
+    def __init__(self, ring: RingPresentation):
+        depth = max(ring.top_degree // 2, 2)
+        self.bases = [
+            basis(ring, 2 * k) if 2 * k <= ring.top_degree else [] for k in range(depth + 1)
+        ]
+        self.rows = [
+            [
+                [
+                    self.vector(ring_mul(ring, GradedClass({a: 1}), GradedClass({c: 1})), k + 1)
+                    for c in self.bases[1]
+                ]
+                for a in self.bases[k]
+            ]
+            for k in range(depth)
+        ]
+        self.one = self.vector(ring.one(), 0)
+
+    def vector(self, cls: GradedClass, k: int) -> Vector:
+        """Coefficients of a normal form of degree 2k over `bases[k]`."""
+        if k >= len(self.bases):
+            return ()
+        return tuple(cls.coefficient(mono) for mono in self.bases[k])
+
+    def mul(self, k: int, a: Vector, b: Vector) -> Vector:
+        """The tuple of a * b for a over `bases[k]` and b over `bases[1]`."""
+        if k >= len(self.rows):
+            return ()
+        out = [0] * len(self.bases[k + 1])
+        for x, row in zip(a, self.rows[k]):
+            if x:
+                for y, entry in zip(b, row):
+                    if y:
+                        xy = x * y
+                        for t, z in enumerate(entry):
+                            out[t] += xy * z
+        return tuple(out)
+
+    def product(self, vectors: Sequence[Vector]) -> Vector:
+        """The tuple of the product of degree-2 classes, over `bases[len(vectors)]`."""
+        out = self.one
+        for k, vec in enumerate(vectors):
+            out = self.mul(k, out, vec)
+        return out
 
 
 def check_confluence(ring: RingPresentation) -> ConfluenceReport:

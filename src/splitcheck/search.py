@@ -9,10 +9,9 @@ nonnegative, so every bundle vector lies in the ellipsoid
 sum_j lam_j v_j^2 <= C, which certifies the per-variable box
 |x_j| <= floor(sqrt(C/lam_j)).
 
-The ring is compiled once per search into `RingTables`: multiplication by
-each degree-2 coordinate as coefficient tuples over the bases of degree 2k
-and 2k + 2.  Its degree-2 products give the bound's quadratic form, and
-every class the walk touches is a tuple over a fixed basis.  One
+The search multiplies through the ring's tables (`ring.RingTables`, built
+once per ring): their degree-2 products give the bound's quadratic form,
+and every class the walk touches is a tuple over a fixed basis.  One
 enumeration serves every bound:
 
 1. the ball: the vectors of the per-bundle box inside that ellipsoid
@@ -39,7 +38,6 @@ equations.
 from __future__ import annotations
 
 import bisect
-import functools
 import hashlib
 import itertools
 import json
@@ -53,75 +51,13 @@ from typing import Sequence
 from .charclass import LineBundleSum, TargetClasses, TargetMatcher
 # Not called here: perfbench/tracing.py rebinds these names on this module.
 from .charclass import euler_class, first_pontryagin, total_chern  # noqa: F401
-from .ring import (
-    Coeff,
-    GradedClass,
-    Monomial,
-    RingPresentation,
-    basis,
-    normal_form,
-    ring_mul,
-)
+from .ring import RingPresentation, Vector, normal_form
 
 DEFAULT_BUDGET = 10**9
 
 
 class BoundError(ValueError):
     """The requested multipliers do not certify a finite search box."""
-
-
-Vector = tuple[Coeff, ...]
-
-
-class RingTables:
-    """Multiplication by the degree-2 coordinates, compiled to tuples.
-
-    `bases[k]` is the basis of degree 2k (empty above the top degree) and
-    `rows[k][i][j]` the coefficient tuple over `bases[k + 1]` of
-    `bases[k][i] * coords[j]`, one `ring_mul` per entry, for k < `depth`.
-    A class of degree 2k is its tuple over `bases[k]`; a product of normal
-    forms is linear in both factors, so `mul` equals `ring_mul` on tuples.
-    """
-
-    def __init__(self, ring: RingPresentation, depth: int):
-        self.bases = [
-            basis(ring, 2 * k) if 2 * k <= ring.top_degree else [] for k in range(depth + 1)
-        ]
-        coords = self.bases[1]
-        self.rows = [
-            [
-                [
-                    self.vector(ring_mul(ring, GradedClass({a: 1}), GradedClass({c: 1})), k + 1)
-                    for c in coords
-                ]
-                for a in self.bases[k]
-            ]
-            for k in range(depth)
-        ]
-        self.one = self.vector(ring.one(), 0)
-
-    def vector(self, cls: GradedClass, k: int) -> Vector:
-        """Coefficients of a normal form of degree 2k over `bases[k]`."""
-        return tuple(cls.coefficient(mono) for mono in self.bases[k])
-
-    def mul(self, k: int, a: Vector, b: Vector) -> Vector:
-        """The tuple of a * b for a over `bases[k]` and b over the coordinates."""
-        out = [0] * len(self.bases[k + 1])
-        for x, row in zip(a, self.rows[k]):
-            if x:
-                for y, entry in zip(b, row):
-                    if y:
-                        xy = x * y
-                        for t, z in enumerate(entry):
-                            out[t] += xy * z
-        return tuple(out)
-
-    def product(self, vectors: Sequence[Vector]) -> Vector:
-        """The tuple of the product of degree-2 classes, over `bases[len(vectors)]`."""
-        out = self.one
-        for k, vec in enumerate(vectors):
-            out = self.mul(k, out, vec)
-        return out
 
 
 @dataclass(frozen=True)
@@ -147,15 +83,6 @@ class SearchSpec:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"m: need at least one line bundle, got {self.m}")
-
-    @property
-    def coords(self) -> list[Monomial]:
-        return basis(self.ring, 2)
-
-    @functools.cached_property
-    def tables(self) -> RingTables:
-        """Built on first use: the bound reads the squares, the walk the Euler rows."""
-        return RingTables(self.ring, max(self.m, 2))
 
     def allows_sign_flips(self) -> bool:
         return self.targets.euler_sign_flexible and self.targets.chern_target is None
@@ -257,8 +184,8 @@ def spec_digest(spec: SearchSpec) -> str:
 
 
 def derive_bounds(spec: SearchSpec) -> DerivedBounds:
-    coords = spec.coords
-    r = len(coords)
+    tables = spec.ring.tables
+    r = len(tables.bases[1])
     if isinstance(spec.bound, ExplicitBound):
         if len(spec.bound.per_variable) != r:
             raise BoundError(
@@ -273,13 +200,13 @@ def derive_bounds(spec: SearchSpec) -> DerivedBounds:
         )
 
     ring = spec.ring
-    b4 = basis(ring, 4)
+    b4 = tables.bases[2]
     multipliers = spec.bound.multipliers
     if len(multipliers) != len(b4):
         raise BoundError(f"need {len(b4)} multipliers (one per degree-4 basis element), got {len(multipliers)}")
     if any(x < 0 for x in multipliers):
         raise BoundError("multipliers must be nonnegative")
-    products = spec.tables.rows[1]
+    products = tables.rows[1]
     index = {mono: i for i, mono in enumerate(b4)}
 
     def combined(j: int, k: int) -> Fraction:
@@ -364,7 +291,7 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
     matcher = TargetMatcher(spec.ring, spec.targets, spec.m)
     bounds = derive_bounds(spec)
     ring = spec.ring
-    coords = spec.coords
+    tables = ring.tables
     box = 1
     for b in bounds.per_variable:
         box *= (2 * b + 1) ** spec.m
@@ -394,7 +321,6 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
             if norm <= limit and not (flips and vec < tuple(-x for x in vec)):
                 ball.append(vec)
                 norms.append(norm)
-        tables = spec.tables
         squares = [tables.mul(1, vec, vec) for vec in ball]
         table: dict[Vector, list[int]] = {}
         for i, square in enumerate(squares):
@@ -418,9 +344,7 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
                     hits = [k for k in hits if tables.mul(last, folded, ball[k]) in euler_targets]
                 for k in hits:
                     vectors = head + (ball[k],)
-                    classes = tuple(
-                        GradedClass({mono: c for mono, c in zip(coords, vec) if c}) for vec in vectors
-                    )
+                    classes = tuple(ring.class_from_coeffs(vec) for vec in vectors)
                     if matcher.match(LineBundleSum(ring, classes)).matched:
                         raw.append(vectors)
                 return

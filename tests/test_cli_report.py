@@ -161,6 +161,15 @@ _BIG_RING = {
 }
 
 
+# the projective line: h^2 = 0, top degree 2
+_LINE_RING = {
+    "generators": ["h"],
+    "relations": [{"lhs": [2], "rhs": []}],
+    "top_degree": 2,
+    "fundamental": [1],
+}
+
+
 def test_run_case_errors_name_the_field():
     with pytest.raises(CaseError, match="actionable"):
         run_case({"name": "empty"})
@@ -215,6 +224,8 @@ def test_run_case_errors_name_the_field():
         # search and candidate errors name the field they come from
         ("cp2-connect-sum", ("ring", "relations", 0), {"lhs": [1, 1], "rhs": [[1, [2, 0]]]},
          ("search", "bound", "multipliers")),
+        # a ring below degree 4 has no degree-4 equation to weight
+        (("cpn-split", 2), ("ring",), _LINE_RING, ("search", "bound", "multipliers")),
         ("cp2-connect-sum", ("search", "m"), 3),
         ("cp2-connect-sum", ("search", "m"), 1),
         ("cp2-connect-sum", ("search", "m"), 0),

@@ -14,6 +14,7 @@ from math import comb
 
 import pytest
 
+from splitcheck import repcat
 from splitcheck.repcat import (
     COMPLEX,
     QUATERNIONIC,
@@ -209,8 +210,10 @@ def test_spin11_wide_catalog():
     ]
 
 
-def test_circle_catalog():
-    entries = catalog_irreps(CIRCLE, 4, max_circle_weight=3).entries
+def test_circle_catalog(monkeypatch):
+    assert [e.name for e in catalog_irreps(CIRCLE, 4).entries] == ["1", "rot1"]
+    monkeypatch.setattr(repcat, "MAX_CIRCLE_WEIGHT", 3)
+    entries = catalog_irreps(CIRCLE, 4).entries
     assert [e.name for e in entries] == ["1", "rot1", "rot2", "rot3"]
     assert [e.real_dim for e in entries] == [1, 2, 2, 2]
 

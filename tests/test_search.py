@@ -302,6 +302,18 @@ def test_builtin_solutions_match_reference(name, par):
     assert cert.solutions == ref_enumerate(spec)
 
 
+def test_euler_degree_above_the_top_matches_reference():
+    """Three bundles on a ring of top degree 4: the Euler class would sit in
+    degree 6, past the ring's tables, so its target and every product is zero."""
+    base = search_spec_for("cp2-connect-sum")
+    targets = replace(base.targets, euler_target=GradedClass.zero(), real_rank=6)
+    spec = replace(base, targets=targets, m=3)
+    cert = enumerate_splittings(spec)
+    assert cert.exhaustive
+    assert len(cert.solutions) == 22
+    assert cert.solutions == ref_enumerate(spec)
+
+
 PLANTED_CASES = [c for c in DIFFERENTIAL_CASES if c != ("cpn-split", 2)]
 
 
@@ -310,7 +322,7 @@ def test_planted_solutions_match_reference(name, par):
     """Targets read off random small vectors, so the planted splitting must be found."""
     base = search_spec_for(name, par)
     ring = base.ring
-    r = len(base.coords)
+    r = len(base.ring.tables.bases[1])
     rng = random.Random(sum(map(ord, f"planted-{name}-{par}")))
     for trial in range(6):
         vecs = [tuple(rng.randint(-1, 1) for _ in range(r)) for _ in range(base.m)]
@@ -336,8 +348,8 @@ def test_planted_solutions_match_reference(name, par):
 @pytest.mark.parametrize(("name", "par"), DIFFERENTIAL_CASES + [("r-p", 3)])
 def test_tables_match_ring_mul(name, par):
     spec = search_spec_for(name, par)
-    ring, tables, m = spec.ring, spec.tables, spec.m
-    r = len(spec.coords)
+    ring, tables, m = spec.ring, spec.ring.tables, spec.m
+    r = len(tables.bases[1])
     b4 = basis(ring, 4)
     top = basis(ring, 2 * m) if 2 * m <= ring.top_degree else []
     rng = random.Random(sum(map(ord, f"tables-{name}-{par}")))
@@ -362,7 +374,8 @@ def _matched_solutions(monkeypatch, spec):
 
     def recording(self, lbsum):
         report = match(self, lbsum)
-        vecs = tuple(tuple(c.coefficient(mono) for mono in spec.coords) for c in lbsum.first_chern_classes)
+        coords = spec.ring.tables.bases[1]
+        vecs = tuple(tuple(c.coefficient(mono) for mono in coords) for c in lbsum.first_chern_classes)
         reports.append((vecs, report))
         return report
 

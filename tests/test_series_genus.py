@@ -219,12 +219,41 @@ def test_integrator_matches_reference(name, par):
     ]
     # every (zero-root count, t) pair occurs
     for data, t in cases:
-        assert chi_y(data) == ref_chi_y_scaled(data, 1)
-        assert chi_y_scaled(data, t) == ref_chi_y_scaled(data, t)
-        assert signature_direct(data) == ref_signature_direct(data)
-        honest = ChernRootData(ring=ring, roots=data.roots[: data.n])
-        assert top_chern_integral(honest) == ref_top_chern_integral(honest)
-        assert top_chern_integral(data) == ref_top_chern_integral(data)
+        _assert_matches_reference(data, t)
+
+
+def _assert_matches_reference(data: ChernRootData, t) -> None:
+    assert chi_y(data) == ref_chi_y_scaled(data, 1)
+    assert chi_y_scaled(data, t) == ref_chi_y_scaled(data, t)
+    assert signature_direct(data) == ref_signature_direct(data)
+    honest = ChernRootData(ring=data.ring, roots=data.roots[: data.n])
+    assert top_chern_integral(honest) == ref_top_chern_integral(honest)
+    assert top_chern_integral(data) == ref_top_chern_integral(data)
+
+
+def test_integrator_reduces_roots_first():
+    """Roots written in a reducible generator: k -> h, h^3 = 0, top degree 4."""
+    ring = parse_presentation(
+        {
+            "generators": ["h", "k"],
+            "relations": [
+                {"lhs": [0, 1], "rhs": [[1, [1, 0]]]},
+                {"lhs": [3, 0], "rhs": []},
+            ],
+            "top_degree": 4,
+            "fundamental": [2, 0],
+        }
+    )
+    k = GradedClass({(0, 1): 1})
+    half_k = GradedClass({(0, 1): F(1, 2)})
+    mixed = GradedClass({(0, 1): 3, (1, 0): -1})
+    zero = GradedClass.zero()
+    for roots in [(k, k), (half_k, mixed), (k, half_k, zero), (mixed, k, zero, zero)]:
+        data = ChernRootData(ring=ring, roots=roots)
+        for t in (1, -1, 2, F(1, 2)):
+            _assert_matches_reference(data, t)
+    # 3 copies of h give the chi_y of complex projective 2-space
+    assert chi_y(ChernRootData(ring=ring, roots=(k, k, k))).coefficients == (1, -1, 1)
 
 
 def test_genus_sweep_script_runs():
