@@ -17,13 +17,19 @@ enumeration serves every bound:
 1. the ball: the vectors of the per-bundle box inside that ellipsoid
    (lattice points of an ellipsoid, Fincke-Pohst, Math. Comp. 44, 1985; an
    explicit bound has no form and keeps the whole box), only the larger of
-   v and -v when the Euler target is sign-flexible;
-2. the join table: each ball vector's square c1^2 as a tuple over the
-   degree-4 basis, keyed by that tuple;
+   v and -v when the Euler target is sign-flexible, stably sorted by norm;
+2. the join table: each ball vector's square c1^2, a tuple over the
+   degree-4 basis, packed into one int key sum_t c_t R^t.  The p1 tuple and
+   the squares are first scaled by the lcm of their denominators, and
+   R = 2 span + 1 with span = max|p1_t| + m max|square_t|.  Packing is
+   linear, so equal tuples always get equal keys and no hit is lost; every
+   residual and square lies within span, where distinct tuples get
+   distinct keys;
 3. the walk: nondecreasing index multisets of m - 1 ball vectors whose
-   partial norm stays within C, with the last bundle looked up by the
-   residual p1 - sum of squares (meet in the middle, Horowitz-Sahni,
-   JACM 1974);
+   partial norm stays within C.  The norms are sorted, so each level stops
+   at the first vector past C, and the last level probes inline: the
+   residual key is one int subtraction, looked up in the table (meet in the
+   middle with a sorted list, Horowitz-Sahni, JACM 1974);
 4. the Euler prefilter: when the bundles fill the real rank, the product
    of the prefix is folded through the tables once per probe with hits, and
    a hit whose Euler tuple is neither the target nor (when sign-flexible)
@@ -42,7 +48,6 @@ import hashlib
 import itertools
 import json
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,7 +56,7 @@ from typing import Sequence
 from .charclass import LineBundleSum, TargetClasses, TargetMatcher
 # Not called here: perfbench/tracing.py rebinds these names on this module.
 from .charclass import euler_class, first_pontryagin, total_chern  # noqa: F401
-from .ring import RingPresentation, Vector, normal_form
+from .ring import RingPresentation, normal_form
 
 DEFAULT_BUDGET = 10**9
 
@@ -221,7 +226,8 @@ def derive_bounds(spec: SearchSpec) -> DerivedBounds:
                 )
     diagonal = tuple(combined(j, j) for j in range(r))
     if any(d <= 0 for d in diagonal):
-        raise BoundError(f"combined form is not positive on every coordinate: {diagonal}")
+        shown = ", ".join(map(str, diagonal))
+        raise BoundError(f"combined form is not positive on every coordinate: {shown}")
 
     p1_nf = normal_form(ring, spec.targets.p1_target)
     if any(mono not in index for mono in p1_nf.terms):
@@ -280,21 +286,33 @@ def _scaled_diagonal(diagonal: Sequence[Fraction], constant: Fraction) -> tuple[
     return scaled, int(c) if c.denominator == 1 else None
 
 
+def pack(vec: Sequence[int], span: int) -> int:
+    """The join key of an integer tuple: sum_t vec[t] * R**t with R = 2*span + 1.
+
+    Packing is linear, so the key of a difference is the difference of the
+    keys.  In radix 2*span + 1 every entry in [-span, span] is one balanced
+    digit, so tuples whose entries all lie within span have distinct keys.
+    """
+    radix = 2 * span + 1
+    key = 0
+    for x in reversed(vec):
+        key = key * radix + x
+    return key
+
+
 def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
-    """Walk the ball, join the last bundle on p1, accept through charclass.
+    """Walk the ball in norm order, join the last bundle on p1, accept through charclass.
 
     `visited` counts each box vector walked while building the ball plus
-    each join probe; the step that takes it past `spec.budget` raises
-    `_BudgetExceeded` before it does any work, so `visited <= budget + 1`.
+    each join probe; a run that would take it past `spec.budget` stops with
+    `visited == budget + 1`, and the step past the budget does no work.
     """
     started = time.perf_counter()
     matcher = TargetMatcher(spec.ring, spec.targets, spec.m)
     bounds = derive_bounds(spec)
     ring = spec.ring
     tables = ring.tables
-    box = 1
-    for b in bounds.per_variable:
-        box *= (2 * b + 1) ** spec.m
+    cells = math.prod(2 * b + 1 for b in bounds.per_variable)
     notes: list[str] = []
     if bounds.note:
         notes.append(bounds.note)
@@ -303,58 +321,83 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
     else:
         weights, limit = _scaled_diagonal(bounds.diagonal, bounds.constant)
     flips = spec.allows_sign_flips()
+    budget = spec.budget
     visited = 0
     raw: list[tuple[tuple[int, ...], ...]] = []
 
-    def tick() -> None:
-        nonlocal visited
-        visited += 1
-        if visited > spec.budget:
-            raise _BudgetExceeded
-
     def search() -> None:
-        ball: list[tuple[int, ...]] = []
-        norms: list[int] = []
+        nonlocal visited
+        if cells > budget:
+            visited = budget + 1
+            raise _BudgetExceeded
+        visited = cells
+        kept: list[tuple[int, tuple[int, ...]]] = []
         for vec in itertools.product(*(range(-b, b + 1) for b in bounds.per_variable)):
-            tick()
             norm = sum(w * x * x for w, x in zip(weights, vec))
             if norm <= limit and not (flips and vec < tuple(-x for x in vec)):
-                ball.append(vec)
-                norms.append(norm)
+                kept.append((norm, vec))
+        kept.sort(key=lambda item: item[0])
+        norms = [norm for norm, _ in kept]
+        ball = [vec for _, vec in kept]
+        # clear denominators: a ring built through the API may have Fraction products
+        p1 = tables.vector(matcher.p1, 2)
         squares = [tables.mul(1, vec, vec) for vec in ball]
-        table: dict[Vector, list[int]] = {}
-        for i, square in enumerate(squares):
-            table.setdefault(square, []).append(i)
+        denom = math.lcm(1, *(x.denominator for vec in [p1, *squares] for x in vec))
+        p1 = [int(x * denom) for x in p1]
+        squares = [[int(x * denom) for x in vec] for vec in squares]
+        span = max(map(abs, p1), default=0) + spec.m * max(
+            (abs(x) for vec in squares for x in vec), default=0
+        )
+        keys = [pack(vec, span) for vec in squares]
+        table: dict[int, list[int]] = {}
+        for i, key in enumerate(keys):
+            table.setdefault(key, []).append(i)
         last = spec.m - 1
         euler_targets = {tables.vector(matcher.euler, spec.m)}
         if matcher.sign_flexible:
             euler_targets.add(tables.vector(matcher.euler_neg, spec.m))
         prefix: list[int] = []
 
-        def walk(start: int, norm: int, residual: Vector) -> None:
-            if len(prefix) == last:
-                tick()
-                hits = table.get(residual, [])
-                hits = hits[bisect.bisect_left(hits, start):]
-                if not hits:
-                    return
-                head = tuple(ball[i] for i in prefix)
-                if matcher.saturated:
-                    folded = tables.product(head)
-                    hits = [k for k in hits if tables.mul(last, folded, ball[k]) in euler_targets]
-                for k in hits:
-                    vectors = head + (ball[k],)
-                    classes = tuple(ring.class_from_coeffs(vec) for vec in vectors)
-                    if matcher.match(LineBundleSum(ring, classes)).matched:
-                        raw.append(vectors)
-                return
-            for i in range(start, len(ball)):
-                if norm + norms[i] <= limit:
-                    prefix.append(i)
-                    walk(i, norm + norms[i], tuple(map(operator.sub, residual, squares[i])))
-                    prefix.pop()
+        def accept(hits: list[int]) -> None:
+            head = tuple(ball[i] for i in prefix)
+            if matcher.saturated:
+                folded = tables.product(head)
+                hits = [k for k in hits if tables.mul(last, folded, ball[k]) in euler_targets]
+            for k in hits:
+                vectors = head + (ball[k],)
+                classes = tuple(ring.class_from_coeffs(vec) for vec in vectors)
+                if matcher.match(LineBundleSum(ring, classes)).matched:
+                    raw.append(vectors)
 
-        walk(0, 0, tables.vector(matcher.p1, 2))
+        def walk(start: int, norm: int, residual: int) -> None:
+            nonlocal visited
+            stop = bisect.bisect_right(norms, limit - norm, start)
+            if len(prefix) < last - 1:
+                for i in range(start, stop):
+                    prefix.append(i)
+                    walk(i, norm + norms[i], residual - keys[i])
+                    prefix.pop()
+                return
+            # the last prefix level: each step is one probe of the join
+            cut = min(stop, start + budget - visited)
+            for i in range(start, cut):
+                hits = table.get(residual - keys[i])
+                if hits is not None and hits[-1] >= i:
+                    prefix.append(i)
+                    accept(hits[bisect.bisect_left(hits, i):])
+                    prefix.pop()
+            visited += cut - start
+            if cut < stop:
+                visited += 1
+                raise _BudgetExceeded
+
+        if last:
+            walk(0, 0, pack(p1, span))
+        else:
+            visited += 1
+            if visited > budget:
+                raise _BudgetExceeded
+            accept(table.get(pack(p1, span), []))
 
     exhausted = False
     if limit is None:
@@ -372,7 +415,7 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
         spec_digest=spec_digest(spec),
         bound_type="explicit" if isinstance(spec.bound, ExplicitBound) else "sum_of_squares",
         per_variable_bounds=bounds.per_variable,
-        enumerated=box,
+        enumerated=cells**spec.m,
         visited=visited,
         solutions=tuple(sorted(canonical)),
         exhaustive=bounds.certified and not exhausted,

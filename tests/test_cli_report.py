@@ -226,6 +226,8 @@ def test_run_case_errors_name_the_field():
          ("search", "bound", "multipliers")),
         # a ring below degree 4 has no degree-4 equation to weight
         (("cpn-split", 2), ("ring",), _LINE_RING, ("search", "bound", "multipliers")),
+        # a zero form is reported as numbers, not as a tuple of Fraction reprs
+        ("cp2-connect-sum", ("search", "bound", "multipliers"), [0]),
         ("cp2-connect-sum", ("search", "m"), 3),
         ("cp2-connect-sum", ("search", "m"), 1),
         ("cp2-connect-sum", ("search", "m"), 0),
@@ -239,8 +241,9 @@ def test_run_case_errors_name_the_field():
     ]:
         bad = builtin_case(name) if isinstance(name, str) else builtin_case(*name)
         _set(bad, path, value)
-        with pytest.raises(CaseError, match=re.escape(_field_name(named[0] if named else path))):
+        with pytest.raises(CaseError, match=re.escape(_field_name(named[0] if named else path))) as info:
             run_case(bad)
+        assert "Fraction(" not in str(info.value), (name, path)
 
 
 def _set(doc, path, value) -> None:

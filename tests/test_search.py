@@ -18,6 +18,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     accepts,
@@ -38,7 +40,7 @@ from splitcheck.charclass import (
     first_pontryagin,
     total_chern,
 )
-from splitcheck.ring import GradedClass, basis, ring_mul
+from splitcheck.ring import GradedClass, RewriteRule, RingPresentation, basis, ring_mul
 from splitcheck.search import (
     BoundError,
     ExplicitBound,
@@ -47,6 +49,7 @@ from splitcheck.search import (
     canonicalize_solution,
     derive_bounds,
     enumerate_splittings,
+    pack,
     spec_digest,
 )
 
@@ -261,6 +264,16 @@ def test_budget_exhaustion_on_staged():
     assert not cert.exhaustive
     assert cert.visited <= spec.budget + 1
     assert any("budget" in note for note in cert.notes)
+    # r-p q=3 walks a box of 5 * 9 * 9 vectors, then 18,806 probes
+    base = search_spec_for("r-p", 3)
+    assert enumerate_splittings(base).visited == 405 + 18806
+    for budget in (200, 405 + 9000):
+        spec = replace(base, budget=budget)
+        cert = enumerate_splittings(spec)
+        assert not cert.exhaustive, budget
+        assert cert.visited == budget + 1, budget
+        assert any("budget" in note for note in cert.notes), budget
+        assert enumerate_splittings(spec).as_jsonable() == cert.as_jsonable(), budget
 
 
 def test_budget_exhaustion_on_explicit_box():
@@ -314,6 +327,38 @@ def test_euler_degree_above_the_top_matches_reference():
     assert cert.solutions == ref_enumerate(spec)
 
 
+def _half_ring() -> RingPresentation:
+    """x^2 = y^2 / 2 and xy = 0, top degree 4: a square's y^2 coefficient is a^2/2 + b^2."""
+    half_y2 = GradedClass.from_terms([((0, 2), Fraction(1, 2))])
+    rules = [RewriteRule((2, 0), half_y2), RewriteRule((1, 1), GradedClass.zero())]
+    return RingPresentation(["x", "y"], rules, 4, (0, 2))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_non_integral_ring_matches_reference(m):
+    """A ring whose products are not integral: the join keys are built after
+    the squares' denominators are cleared, so no hit is lost."""
+    ring = _half_ring()
+    assert any(
+        Fraction(x).denominator != 1 for row in ring.tables.rows[1] for entry in row for x in entry
+    )
+    rng = random.Random(2024 + m)
+    for trial in range(4):
+        vecs = [tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(m)]
+        lbsum = LineBundleSum(ring, tuple(ring.class_from_coeffs(v) for v in vecs))
+        targets = TargetClasses(
+            p1_target=first_pontryagin(lbsum),
+            euler_target=euler_class(lbsum),
+            euler_sign_flexible=True,
+            real_rank=2 * m,
+        )
+        spec = SearchSpec(ring=ring, targets=targets, m=m, bound=SumOfSquaresBound((Fraction(1),)))
+        cert = enumerate_splittings(spec)
+        assert cert.exhaustive, trial
+        assert canonicalize_solution(vecs) in cert.solutions, trial
+        assert cert.solutions == ref_enumerate(spec), trial
+
+
 PLANTED_CASES = [c for c in DIFFERENTIAL_CASES if c != ("cpn-split", 2)]
 
 
@@ -340,6 +385,19 @@ def test_planted_solutions_match_reference(name, par):
         expected = ref_enumerate(spec)
         assert canonicalize_solution(vecs, spec.allows_sign_flips()) in expected, (name, trial)
         assert cert.solutions == expected, (name, trial)
+
+
+# -- packed join keys ---------------------------------------------------------------
+
+
+@given(data=st.data())
+def test_pack_is_linear_and_injective_within_span(data):
+    span = data.draw(st.integers(0, 6))
+    n = data.draw(st.integers(0, 4))
+    vectors = st.lists(st.integers(-span, span), min_size=n, max_size=n)
+    a, b = data.draw(vectors), data.draw(vectors)
+    assert pack(a, span) - pack(b, span) == pack([x - y for x, y in zip(a, b)], span)
+    assert (pack(a, span) == pack(b, span)) == (a == b)
 
 
 # -- compiled ring tables against ring_mul ------------------------------------------
