@@ -77,6 +77,15 @@ def _int(doc: Mapping, key: str | int, where: str, default: int | None = None) -
     return value
 
 
+def _str(doc: Mapping, key: str, where: str, default: str) -> str:
+    """An optional JSON string; any other value is an error, never coerced by str()."""
+    value = doc.get(key, default)
+    if not isinstance(value, str):
+        field = f"{where}.{key}" if where else key
+        raise CaseError(f"{field}: expected a string, got {value!r}")
+    return value
+
+
 def _class_from_terms(ring: RingPresentation, raw, where: str) -> GradedClass:
     if not isinstance(raw, (list, tuple)):
         raise CaseError(f"{where}: expected a list of [coefficient, exponents] terms")
@@ -99,11 +108,14 @@ def _load_targets(ring: RingPresentation, raw, where: str = "targets") -> Target
     if not isinstance(raw, Mapping):
         raise CaseError(f"{where}: expected an object")
     chern_raw = raw.get("chern")
+    real_rank = _int(raw, "real_rank", where)
+    if real_rank < 0:
+        raise CaseError(f"{where}.real_rank: expected a nonnegative integer, got {real_rank}")
     return TargetClasses(
         p1_target=_class_from_terms(ring, _require(raw, "p1", where), f"{where}.p1"),
         euler_target=_class_from_terms(ring, _require(raw, "euler", where), f"{where}.euler"),
         euler_sign_flexible=_bool(raw, "euler_sign_flexible", where),
-        real_rank=_int(raw, "real_rank", where),
+        real_rank=real_rank,
         chern_target=(
             _class_from_terms(ring, chern_raw, f"{where}.chern") if chern_raw is not None else None
         ),
@@ -143,7 +155,7 @@ def _load_search_spec(
                 _int(indexed, i, f"{where}.bound.per_variable") for i in indexed
             ),
             acknowledged=_bool(bound_raw, "acknowledged", f"{where}.bound", default=False),
-            note=str(bound_raw.get("note", "")),
+            note=_str(bound_raw, "note", f"{where}.bound", ""),
         )
     else:
         raise CaseError(f"{where}.bound.type: unknown bound type {kind!r}")
@@ -188,7 +200,7 @@ def _load_obstruction(raw, where: str = "obstruction") -> ObstructionCase:
         manifold_dim=_int(raw, "manifold_dim", where),
         euler_nonzero=_bool(raw, "euler_nonzero", where),
         almost_complex_forbidden=_bool(raw, "almost_complex_forbidden", where),
-        provenance=str(raw.get("provenance", "")),
+        provenance=_str(raw, "provenance", where, ""),
     )
 
 
@@ -332,10 +344,15 @@ def _reps_section(case: ObstructionCase) -> dict:
     return out
 
 
-def _report(doc: Mapping, sections: dict) -> dict:
+def _title(doc: Mapping) -> tuple[str, str]:
+    """The case's name and anchor, checked before any section runs."""
+    return _str(doc, "name", "", "unnamed"), _str(doc, "anchor", "", "")
+
+
+def _report(doc: Mapping, title: tuple[str, str], sections: dict) -> dict:
     return {
-        "case": str(doc.get("name", "unnamed")),
-        "anchor": str(doc.get("anchor", "")),
+        "case": title[0],
+        "anchor": title[1],
         "version": __version__,
         "input_digest": input_digest(dict(doc)),
         "sections": sections,
@@ -346,6 +363,7 @@ def run_case(doc: Mapping, budget: int | None = None) -> dict:
     """Execute every actionable section of a case document, in order."""
     if not isinstance(doc, Mapping):
         raise CaseError("case document must be a JSON object")
+    title = _title(doc)
     sections: dict = {}
     ring = None
     targets = None
@@ -382,7 +400,7 @@ def run_case(doc: Mapping, budget: int | None = None) -> dict:
         sections["obstruction"] = _obstruction_section(_load_obstruction(doc["obstruction"]))
     if not sections:
         raise CaseError("case document has no actionable section")
-    return _report(doc, sections)
+    return _report(doc, title, sections)
 
 
 # -- command line ------------------------------------------------------------
@@ -494,7 +512,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:  # reps
             if "obstruction" not in doc:
                 raise CaseError("case document has no obstruction section")
-            report = _report(doc, {"reps": _reps_section(_load_obstruction(doc["obstruction"]))})
+            title = _title(doc)
+            report = _report(doc, title, {"reps": _reps_section(_load_obstruction(doc["obstruction"]))})
 
         text = json.dumps(jsonable(report), sort_keys=True, indent=2)
         print(text)

@@ -218,6 +218,7 @@ class RingPresentation:
                 f"fundamental: degree {monomial_degree(self.fundamental)} != top_degree {top_degree}"
             )
         self._nf_cache: dict[Monomial, GradedClass] = {}
+        self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
 
     # -- monomial-level reduction ------------------------------------------
 
@@ -413,14 +414,20 @@ def integrate(ring: RingPresentation, c: GradedClass) -> Fraction:
 
 
 def basis(ring: RingPresentation, degree: int) -> list[Monomial]:
-    """Irreducible monomials of the given degree, ascending lex order."""
+    """Irreducible monomials of the given degree, ascending lex order.
+
+    Computed once per ring and degree; each call returns a fresh list.
+    """
     if degree % 2 or degree < 0 or degree > ring.top_degree:
         raise DegreeError(f"degree must be even in [0, {ring.top_degree}], got {degree}")
-    out = []
-    for mono in monomials_of_degree(len(ring.generators), degree // 2):
-        if ring._first_rule(mono) is None:
-            out.append(mono)
-    return out
+    cached = ring._basis_cache.get(degree)
+    if cached is None:
+        cached = ring._basis_cache[degree] = tuple(
+            mono
+            for mono in monomials_of_degree(len(ring.generators), degree // 2)
+            if ring._first_rule(mono) is None
+        )
+    return list(cached)
 
 
 class RingTables:
@@ -478,6 +485,27 @@ class RingTables:
         for k, vec in enumerate(vectors):
             out = self.mul(k, out, vec)
         return out
+
+    def bilinear(self, k: int, a: Vector) -> tuple[tuple[Vector, ...], ...]:
+        """The form (u, v) -> a * u * v for a over `bases[k]`, u and v over `bases[1]`.
+
+        Entry [t][x][y] is the coefficient of `bases[k + 2][t]` in
+        a * e_x * e_y, so coefficient t of a * u * v is
+        sum_x,y u_x [t][x][y] v_y.  Each matrix is symmetric; past the
+        tables there are no coefficients, hence no matrices.
+        """
+        if k + 1 >= len(self.rows):
+            return ()
+        r = len(self.bases[1])
+        halves = [self.mul(k, a, tuple(int(x == y) for y in range(r))) for x in range(r)]
+        rows = self.rows[k + 1]
+        return tuple(
+            tuple(
+                tuple(sum(h * row[y][t] for h, row in zip(half, rows) if h) for y in range(r))
+                for half in halves
+            )
+            for t in range(len(self.bases[k + 2]))
+        )
 
 
 def check_confluence(ring: RingPresentation) -> ConfluenceReport:

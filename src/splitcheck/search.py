@@ -15,9 +15,11 @@ and every class the walk touches is a tuple over a fixed basis.  One
 enumeration serves every bound:
 
 1. the ball: the vectors of the per-bundle box inside that ellipsoid
-   (lattice points of an ellipsoid, Fincke-Pohst, Math. Comp. 44, 1985; an
-   explicit bound has no form and keeps the whole box), only the larger of
-   v and -v when the Euler target is sign-flexible, stably sorted by norm;
+   (lattice points of an ellipsoid, Fincke-Pohst, Math. Comp. 44, 1985),
+   enumerated one coordinate at a time over |v_j| <= isqrt(norm left /
+   lam_j), in the box's lex order; an explicit bound has no form and keeps
+   the whole box.  Only the larger of v and -v is kept when the Euler
+   target is sign-flexible, and the ball is stably sorted by norm;
 2. the join table: each ball vector's square c1^2, a tuple over the
    degree-4 basis, packed into one int key sum_t c_t R^t.  The p1 tuple and
    the squares are first scaled by the lcm of their denominators, and
@@ -26,14 +28,23 @@ enumeration serves every bound:
    residual and square lies within span, where distinct tuples get
    distinct keys;
 3. the walk: nondecreasing index multisets of m - 1 ball vectors whose
-   partial norm stays within C.  The norms are sorted, so each level stops
-   at the first vector past C, and the last level probes inline: the
-   residual key is one int subtraction, looked up in the table (meet in the
-   middle with a sorted list, Horowitz-Sahni, JACM 1974);
-4. the Euler prefilter: when the bundles fill the real rank, the product
-   of the prefix is folded through the tables once per probe with hits, and
-   a hit whose Euler tuple is neither the target nor (when sign-flexible)
-   its negation is dropped.
+   partial norm stays within C.  A solution's norms sum to exactly C and
+   the norms are sorted, so with R vectors still to place the next has norm
+   at most (C - partial) // R: each level walks up to that cut, and the
+   probes and subtrees between it and the first vector past C, which hold
+   no solution, are counted without being made.  The last level probes
+   inline: the residual key is one int subtraction, looked up in the table
+   (meet in the middle with a sorted list, Horowitz-Sahni, JACM 1974);
+4. the Euler prefilter: when the bundles fill the real rank, the walk
+   carries the prefix product down, one fold per node, and the node above
+   the last prefix level compiles it, on its first probe with hits, into
+   the bilinear form (v_i, v_k) -> Euler tuple (`RingTables.bilinear`).  A
+   probe with hits costs one matrix-vector product, each hit one dot
+   product, and a hit whose Euler tuple is neither the target nor (when
+   sign-flexible) its negation is dropped before the matcher.
+
+`visited` counts the box cells plus the probes of the walk without the cut,
+so it does not depend on how much of that work is skipped.
 
 The lookup and the prefilter only reject: every candidate they let through
 is accepted or rejected by `charclass.TargetMatcher`, the one acceptance
@@ -51,12 +62,13 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .charclass import LineBundleSum, TargetClasses, TargetMatcher
 # Not called here: perfbench/tracing.py rebinds these names on this module.
 from .charclass import euler_class, first_pontryagin, total_chern  # noqa: F401
-from .ring import RingPresentation, normal_form
+from .ring import RingPresentation, Vector, normal_form
 
 DEFAULT_BUDGET = 10**9
 
@@ -300,12 +312,41 @@ def pack(vec: Sequence[int], span: int) -> int:
     return key
 
 
+def _ellipsoid(
+    per_variable: Sequence[int], weights: Sequence[int], limit: int, flips: bool
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(norm, vector) for the box vectors with sum_j w_j v_j^2 <= limit, in the box's lex order.
+
+    Each coordinate runs over the range the norm left by the coordinates
+    before it allows, |v_j| <= isqrt((limit - partial) // w_j); a zero
+    weight keeps the box's range.  With flips only the larger of v and -v
+    is kept: the first nonzero coordinate is positive.
+    """
+    out: list[tuple[int, tuple[int, ...]]] = []
+    vec = [0] * len(per_variable)
+
+    def fill(j: int, partial: int, lead: bool) -> None:
+        if j == len(vec):
+            out.append((partial, tuple(vec)))
+            return
+        w = weights[j]
+        b = math.isqrt((limit - partial) // w) if w else per_variable[j]
+        for x in range(0 if lead else -b, b + 1):
+            vec[j] = x
+            fill(j + 1, partial + w * x * x, lead and not x)
+
+    fill(0, 0, flips)
+    return out
+
+
 def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
     """Walk the ball in norm order, join the last bundle on p1, accept through charclass.
 
-    `visited` counts each box vector walked while building the ball plus
-    each join probe; a run that would take it past `spec.budget` stops with
-    `visited == budget + 1`, and the step past the budget does no work.
+    `visited` counts each cell of the per-bundle box (only the ball inside
+    it is built) plus each probe of the join within the norm bound (those
+    past the norm-sum cut are counted without being made).  A run that would
+    take it past `spec.budget` stops with `visited == budget + 1`, and the
+    step past the budget does no work.
     """
     started = time.perf_counter()
     matcher = TargetMatcher(spec.ring, spec.targets, spec.m)
@@ -331,11 +372,7 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
             visited = budget + 1
             raise _BudgetExceeded
         visited = cells
-        kept: list[tuple[int, tuple[int, ...]]] = []
-        for vec in itertools.product(*(range(-b, b + 1) for b in bounds.per_variable)):
-            norm = sum(w * x * x for w, x in zip(weights, vec))
-            if norm <= limit and not (flips and vec < tuple(-x for x in vec)):
-                kept.append((norm, vec))
+        kept = _ellipsoid(bounds.per_variable, weights, limit, flips)
         kept.sort(key=lambda item: item[0])
         norms = [norm for norm, _ in kept]
         ball = [vec for _, vec in kept]
@@ -352,52 +389,80 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
         table: dict[int, list[int]] = {}
         for i, key in enumerate(keys):
             table.setdefault(key, []).append(i)
-        last = spec.m - 1
-        euler_targets = {tables.vector(matcher.euler, spec.m)}
+        m, last = spec.m, spec.m - 1
+        saturated = matcher.saturated
+        euler_targets = {tables.vector(matcher.euler, m)}
         if matcher.sign_flexible:
-            euler_targets.add(tables.vector(matcher.euler_neg, spec.m))
-        prefix: list[int] = []
+            euler_targets.add(tables.vector(matcher.euler_neg, m))
 
-        def accept(hits: list[int]) -> None:
-            head = tuple(ball[i] for i in prefix)
-            if matcher.saturated:
-                folded = tables.product(head)
-                hits = [k for k in hits if tables.mul(last, folded, ball[k]) in euler_targets]
+        def accept(head: tuple[tuple[int, ...], ...], hits: list[int]) -> None:
             for k in hits:
                 vectors = head + (ball[k],)
                 classes = tuple(ring.class_from_coeffs(vec) for vec in vectors)
                 if matcher.match(LineBundleSum(ring, classes)).matched:
                     raw.append(vectors)
 
-        def walk(start: int, norm: int, residual: int) -> None:
+        def skip(count: int) -> None:
             nonlocal visited
-            stop = bisect.bisect_right(norms, limit - norm, start)
-            if len(prefix) < last - 1:
-                for i in range(start, stop):
-                    prefix.append(i)
-                    walk(i, norm + norms[i], residual - keys[i])
-                    prefix.pop()
-                return
-            # the last prefix level: each step is one probe of the join
-            cut = min(stop, start + budget - visited)
-            for i in range(start, cut):
-                hits = table.get(residual - keys[i])
-                if hits is not None and hits[-1] >= i:
-                    prefix.append(i)
-                    accept(hits[bisect.bisect_left(hits, i):])
-                    prefix.pop()
-            visited += cut - start
-            if cut < stop:
-                visited += 1
+            visited += count
+            if visited > budget:
+                visited = budget + 1
                 raise _BudgetExceeded
 
+        def probes(depth: int, start: int, room: int) -> int:
+            """The probes the walk below a node makes, the norm-sum cut aside."""
+            stop = bisect.bisect_right(norms, room, start)
+            if depth == last - 1:
+                return stop - start
+            return sum(probes(depth + 1, i, room - norms[i]) for i in range(start, stop))
+
+        def walk(start: int, norm: int, residual: int, product: Vector | None) -> None:
+            nonlocal visited
+            depth = len(prefix)
+            room = limit - norm
+            stop = bisect.bisect_right(norms, room, start)
+            # a solution's norms sum to exactly limit and never decrease along the
+            # multiset, so each of the m - depth vectors still to place is within the cut
+            cut = bisect.bisect_right(norms, room // (m - depth), start, stop)
+            if depth < last - 1:
+                for i in range(start, cut):
+                    prefix.append(i)
+                    walk(i, norm + norms[i], residual - keys[i],
+                         tables.mul(depth, product, ball[i]) if saturated else None)
+                    prefix.pop()
+                skip(sum(probes(depth + 1, i, room - norms[i]) for i in range(cut, stop)))
+                return
+            # the last prefix level: each step is one probe of the join
+            end = min(cut, start + budget - visited)
+            form = None
+            for i in range(start, end):
+                hits = table.get(residual - keys[i])
+                if hits is not None and hits[-1] >= i:
+                    hits = hits[bisect.bisect_left(hits, i):]
+                    vec = ball[i]
+                    if saturated:
+                        if form is None:
+                            form = tables.bilinear(depth, product)
+                        row = [[sum(map(mul, vec, col)) for col in mat] for mat in form]
+                        hits = [
+                            k for k in hits
+                            if tuple([sum(map(mul, ball[k], r)) for r in row]) in euler_targets
+                        ]
+                    if hits:
+                        accept(tuple(ball[j] for j in prefix) + (vec,), hits)
+            visited += end - start
+            # a loop the budget cut short leaves visited == budget, so this raises
+            skip(stop - end)
+
+        prefix: list[int] = []
         if last:
-            walk(0, 0, pack(p1, span))
+            walk(0, 0, pack(p1, span), tables.one)
         else:
-            visited += 1
-            if visited > budget:
-                raise _BudgetExceeded
-            accept(table.get(pack(p1, span), []))
+            skip(1)
+            hits = table.get(pack(p1, span), [])
+            if saturated:
+                hits = [k for k in hits if tables.mul(0, tables.one, ball[k]) in euler_targets]
+            accept((), hits)
 
     exhausted = False
     if limit is None:

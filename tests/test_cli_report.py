@@ -198,6 +198,14 @@ def test_run_case_errors_name_the_field():
         ("su3-t2", ("search", "budget"), -5),
         ("s2xs2", ("search", "bound", "per_variable", 0), True),
         ("su3-t2", ("targets", "real_rank"), None),
+        # a negative rank is the rank's error, not the candidates' or search.m's
+        ("cp2-connect-sum", ("targets", "real_rank"), -2),
+        ("su3-t2", ("targets", "real_rank"), -2),
+        # text fields are JSON strings only: str() would print 7 as "7"
+        ("cp2-connect-sum", ("name",), 7),
+        ("cp2-connect-sum", ("anchor",), 7),
+        ("s2xs2", ("search", "bound", "note"), {"a": 1}),
+        ("hp1-presentation", ("obstruction", "provenance"), None),
         ("m20-eschenburg", ("obstruction", "manifold_dim"), "20"),
         ("hp1-presentation", ("obstruction", "factors", 0, "rank"), True),
         ("hp1-presentation", ("genus", "congruence", "chi"), [1]),
@@ -258,6 +266,7 @@ def _field_name(path) -> str:
 
 _INT_KEYS = ("m", "budget", "real_rank", "manifold_dim", "chi", "sigma", "quarter_dim")
 _BOOL_KEYS = ("euler_sign_flexible", "acknowledged", "euler_nonzero", "almost_complex_forbidden")
+_STR_KEYS = ("name", "anchor", "note", "provenance")
 
 
 def _typed_fields() -> list:
@@ -271,6 +280,8 @@ def _typed_fields() -> list:
                 here = path + (key,)
                 if key in _BOOL_KEYS:
                     out.append((name, here, "bool", here))
+                elif key in _STR_KEYS:
+                    out.append((name, here, "str", here))
                 elif key in _INT_KEYS or (key == "rank" and "factors" in path):
                     out.append((name, here, "int", here))
                 elif key == "per_variable":
@@ -306,6 +317,10 @@ _NOT_INT_OR_BOOL = [st.floats(), st.text(max_size=3), st.lists(st.integers(), ma
 WRONG_VALUES = {
     "int": st.one_of(st.booleans(), *_NOT_INT_OR_BOOL),
     "bool": st.one_of(st.integers(), *_NOT_INT_OR_BOOL),
+    "str": st.one_of(
+        st.integers(), st.booleans(), st.floats(), st.lists(st.text(max_size=2), max_size=2),
+        st.none(), st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    ),
 }
 
 
@@ -315,6 +330,7 @@ def test_typed_fields_cover_every_section():
         ("targets", "int"), ("targets", "bool"), ("candidates", "int"),
         ("search", "int"), ("search", "bool"), ("genus", "int"),
         ("obstruction", "int"), ("obstruction", "bool"),
+        ("name", "str"), ("anchor", "str"), ("search", "str"), ("obstruction", "str"),
     }
 
 

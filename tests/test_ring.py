@@ -95,6 +95,9 @@ def test_su3_degree4_basis():
     ring = ring_for("su3-t2")
     assert set(basis(ring, 4)) == {(2, 0), (1, 1)}  # x^2 and x*y
     assert basis(ring, 4) == [(1, 1), (2, 0)]  # ascending lex
+    # computed once per ring, and no caller can change what the next one gets
+    basis(ring, 4).append((0, 2))
+    assert basis(ring, 4) == [(1, 1), (2, 0)]
 
 
 def test_sp2_degree4_basis():

@@ -12,6 +12,7 @@ accepted by `TargetMatcher.match`.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from dataclasses import replace
@@ -40,6 +41,7 @@ from splitcheck.charclass import (
     first_pontryagin,
     total_chern,
 )
+from splitcheck.report import canonical_bytes
 from splitcheck.ring import GradedClass, RewriteRule, RingPresentation, basis, ring_mul
 from splitcheck.search import (
     BoundError,
@@ -264,9 +266,9 @@ def test_budget_exhaustion_on_staged():
     assert not cert.exhaustive
     assert cert.visited <= spec.budget + 1
     assert any("budget" in note for note in cert.notes)
-    # r-p q=3 walks a box of 5 * 9 * 9 vectors, then 18,806 probes
+    # r-p q=3 walks a box of 5 * 17 * 17 = 1,445 cells, then 17,766 probes
     base = search_spec_for("r-p", 3)
-    assert enumerate_splittings(base).visited == 405 + 18806
+    assert enumerate_splittings(base).visited == 1445 + 17766
     for budget in (200, 405 + 9000):
         spec = replace(base, budget=budget)
         cert = enumerate_splittings(spec)
@@ -274,6 +276,40 @@ def test_budget_exhaustion_on_staged():
         assert cert.visited == budget + 1, budget
         assert any("budget" in note for note in cert.notes), budget
         assert enumerate_splittings(spec).as_jsonable() == cert.as_jsonable(), budget
+
+
+def _planted_rp2():
+    """r-p q=2 with targets read off one splitting; the walk finds it at about visited 1,500."""
+    base = search_spec_for("r-p", 2)
+    ring = base.ring
+    vecs = ((1, 2, 0), (0, 1, -2), (1, 0, 3))
+    lbsum = LineBundleSum(ring, tuple(ring.class_from_coeffs(v) for v in vecs))
+    targets = replace(base.targets, p1_target=first_pontryagin(lbsum), euler_target=euler_class(lbsum))
+    return replace(base, targets=targets)
+
+
+# sha256 of the canonical certificate, taken from the walk that made every
+# probe, at budgets that run out inside a range of probes (r-p 1600, sp2 45,
+# planted 700 and 1560) or a subtree (r-p 16000, sp2 96, planted 3500) that
+# the norm-sum cut skips; the planted target's two solutions are found
+# between 700 and 1560
+BUDGET_CUT_DIGESTS = [
+    (("r-p", 3), 1600, "635069461b0bcedbed191d0fdbcf38892ab0d02d8de1b06fbb0ad179f6db37d6"),
+    (("r-p", 3), 16000, "8bfbe3236ddd9a26f220f7e016036bcc3b25f8e56ead65d8fdbdf81fd6eb3587"),
+    (("sp2-t2", None), 45, "2ecef442c4d639c665d32cd949cb2e19a67a6fc7cff302e4d674f433e1422f8e"),
+    (("sp2-t2", None), 96, "2e45c4983ce717067659001bf77f3b1f13a8299da44ca1bee570169366848a79"),
+    ("planted", 700, "2b4526163bfdf6f316602c349f8d0d3637922eec4470cd4e638ba2ffd7c48dbc"),
+    ("planted", 1560, "b9e58501583cf7464daf83f262dec2679b77a452436208c96a709e656b93de9e"),
+    ("planted", 3500, "fd588093c5e359ea0045ee57bffcd34a5e4fa7b35cec003a562ea550a9907b1a"),
+]
+
+
+@pytest.mark.parametrize(("case", "budget", "digest"), BUDGET_CUT_DIGESTS)
+def test_budget_inside_a_cut_keeps_the_certificate(case, budget, digest):
+    spec = _planted_rp2() if case == "planted" else search_spec_for(*case)
+    cert = enumerate_splittings(replace(spec, budget=budget))
+    assert cert.visited == budget + 1
+    assert hashlib.sha256(canonical_bytes(cert.as_jsonable())).hexdigest() == digest
 
 
 def test_budget_exhaustion_on_explicit_box():
@@ -387,6 +423,31 @@ def test_planted_solutions_match_reference(name, par):
         assert cert.solutions == expected, (name, trial)
 
 
+@pytest.mark.parametrize(
+    ("name", "par", "vecs"),
+    [
+        # norms 8 under the form 8a^2 + b^2 + c^2
+        ("r-p", 2, ((1, 0, 0), (0, 2, 2), (0, 2, -2))),
+        # norms 3 under the form a^2 + 2b^2
+        ("sp2-t2", None, ((1, 1), (1, -1), (1, 1), (1, -1))),
+    ],
+)
+def test_planted_equal_norms_meet_the_cut(name, par, vecs):
+    """All m planted vectors share one norm, limit / m, so every level of the
+    walk keeps the last vector at its cut and none past it."""
+    base = search_spec_for(name, par)
+    ring = base.ring
+    lbsum = LineBundleSum(ring, tuple(ring.class_from_coeffs(v) for v in vecs))
+    targets = replace(base.targets, p1_target=first_pontryagin(lbsum), euler_target=euler_class(lbsum))
+    spec = replace(base, targets=targets)
+    bounds = derive_bounds(spec)
+    norms = {sum(d * x * x for d, x in zip(bounds.diagonal, v)) for v in vecs}
+    assert norms == {bounds.constant / spec.m}
+    cert = enumerate_splittings(spec)
+    assert canonicalize_solution(vecs, spec.allows_sign_flips()) in cert.solutions
+    assert cert.solutions == ref_enumerate(spec)
+
+
 # -- packed join keys ---------------------------------------------------------------
 
 
@@ -418,8 +479,18 @@ def test_tables_match_ring_mul(name, par):
         assert tables.mul(1, vecs[0], vecs[0]) == tuple(square.coefficient(mono) for mono in b4)
         euler = tuple(euler_class(LineBundleSum(ring, classes)).coefficient(mono) for mono in top)
         assert tables.product(vecs) == euler
-        # the walk folds the prefix once and multiplies each hit into it
-        assert tables.mul(m - 1, tables.product(vecs[:-1]), vecs[-1]) == euler
+        # the walk carries the prefix product down, folding one vector per level
+        product = tables.one
+        for k, vec in enumerate(vecs):
+            product = tables.mul(k, product, vec)
+            assert product == tables.product(vecs[: k + 1])
+        # the node before the last prefix level compiles its Euler form once
+        if m >= 2:
+            u, v = vecs[-2], vecs[-1]
+            form = tables.bilinear(m - 2, tables.product(vecs[:-2]))
+            assert tuple(
+                sum(u[x] * mat[x][y] * v[y] for x in range(r) for y in range(r)) for mat in form
+            ) == euler
 
 
 # -- TargetMatcher.match is the only acceptance -------------------------------------
