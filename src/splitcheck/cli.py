@@ -195,13 +195,17 @@ def _load_obstruction(raw, where: str = "obstruction") -> ObstructionCase:
     factors = tuple(
         _load_root_system(f, f"{where}.factors[{i}]") for i, f in enumerate(factors_raw)
     )
-    return ObstructionCase(
+    fields = dict(
         factors=factors,
         manifold_dim=_int(raw, "manifold_dim", where),
         euler_nonzero=_bool(raw, "euler_nonzero", where),
         almost_complex_forbidden=_bool(raw, "almost_complex_forbidden", where),
         provenance=_str(raw, "provenance", where, ""),
     )
+    try:
+        return ObstructionCase(**fields)
+    except ValueError as exc:  # an odd or nonpositive manifold_dim
+        raise CaseError(f"{where}.{exc}") from exc
 
 
 # -- sections ----------------------------------------------------------------

@@ -1,21 +1,22 @@
 """Weyl-dimension catalogs for Spin(2m+1), SU(2) and circle factors, plus the
 representation-dimension obstruction engine.
 
-Dimensions come from the Weyl formula evaluated in exact rationals.  Field
-types (real / complex / quaternionic) are computed from the Frobenius-Schur
-indicator: for the self-dual B_m and A_1 irreps the indicator is
-(-1)^<lambda, 2 rho-check>, which reduces to the familiar rules (exterior
-powers real; half-spin real iff 2m+1 = +-1 mod 8; SU(2) irreps real iff odd
-complex dimension).  Circle representations are the reconstructed catalog of
-2-dimensional rotations plus the trivial representation; they carry a complex
-structure.
+Dimensions come from the Weyl formula evaluated in exact integers: B_m
+weights are written in doubled e-coordinates, a = 2(lambda + rho), so every
+factor of the product is an integer, and one exact division by the same
+product over 2 rho gives the dimension.  Field types (real / complex /
+quaternionic) are computed from the Frobenius-Schur indicator: for the
+self-dual B_m and A_1 irreps the indicator is (-1)^<lambda, 2 rho-check>,
+which reduces to the familiar rules (exterior powers real; half-spin real
+iff 2m+1 = +-1 mod 8; SU(2) irreps real iff odd complex dimension).  Circle
+representations are the reconstructed catalog of 2-dimensional rotations
+plus the trivial representation; they carry a complex structure.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 REAL = "real"
@@ -54,74 +55,69 @@ class RootSystem:
         return f"Spin({2 * self.rank + 1})"
 
 
-def _b_weight_coordinates(rank: int, weight: Sequence[int]) -> list[Fraction]:
-    """e-coordinates of a B_m weight given in fundamental-weight coefficients."""
-    coords = []
-    for i in range(rank):
-        total = Fraction(weight[rank - 1], 2)
-        total += sum(weight[k] for k in range(i, rank - 1))
-        coords.append(total)
+def _check_weight(rs: RootSystem, weight: Sequence[int]) -> tuple[int, ...]:
+    """The weight as a tuple, once it is dominant and has the family's length."""
+    weight = tuple(weight)
+    if any(w < 0 for w in weight):
+        raise ValueError(f"weight {weight} is not dominant")
+    if len(weight) != rs.rank:  # A_1 and circle weights have rank 1 too
+        raise ValueError(f"{rs.group_name} weights have length {rs.rank}, got {weight}")
+    return weight
+
+
+def _b_doubled_coordinates(weight: tuple[int, ...]) -> list[int]:
+    """2 lambda in e-coordinates for a B_m weight in fundamental-weight coefficients.
+
+    Entry i is w_{m-1} + 2 (w_i + ... + w_{m-2}): the last fundamental weight
+    is (1/2, ..., 1/2), the others are e_1 + ... + e_{k+1}.
+    """
+    coords = list(weight)
+    total = coords[-1]
+    for i in range(len(coords) - 2, -1, -1):
+        total += 2 * coords[i]
+        coords[i] = total
     return coords
 
 
-def _b_positive_roots(rank: int) -> list[tuple[int, int, int]]:
-    """(i, j, kind): kind 0 = e_i - e_j, 1 = e_i + e_j, 2 = e_i (j unused)."""
-    roots = []
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            roots.append((i, j, 0))
-            roots.append((i, j, 1))
-        roots.append((i, i, 2))
-    return roots
+def _b_weyl_product(a: Sequence[int]) -> int:
+    """Product over the positive roots of B_m: (a_i - a_j)(a_i + a_j) for i < j, and a_i."""
+    product = 1
+    for i, ai in enumerate(a):
+        product *= ai
+        for aj in a[i + 1:]:
+            product *= (ai - aj) * (ai + aj)
+    return product
 
 
 def weyl_dim(rs: RootSystem, weight: Sequence[int]) -> int:
     """Complex dimension of the irrep with the given dominant weight."""
-    weight = tuple(weight)
-    if any(w < 0 for w in weight):
-        raise ValueError(f"weight {weight} is not dominant")
+    weight = _check_weight(rs, weight)
     if rs.family == "A":
-        if len(weight) != 1:
-            raise ValueError("A_1 weights have one coefficient")
         return weight[0] + 1
     if rs.family == "T":
-        if len(weight) != 1:
-            raise ValueError("circle weights have one coefficient")
         return 1
-    if len(weight) != rs.rank:
-        raise ValueError(f"B_{rs.rank} weights have {rs.rank} coefficients")
-    lam = _b_weight_coordinates(rs.rank, weight)
-    rho = [Fraction(2 * (rs.rank - i) - 1, 2) for i in range(rs.rank)]
-    num = Fraction(1)
-    den = Fraction(1)
-    for i, j, kind in _b_positive_roots(rs.rank):
-        if kind == 0:
-            num *= (lam[i] + rho[i]) - (lam[j] + rho[j])
-            den *= rho[i] - rho[j]
-        elif kind == 1:
-            num *= (lam[i] + rho[i]) + (lam[j] + rho[j])
-            den *= rho[i] + rho[j]
-        else:
-            num *= lam[i] + rho[i]
-            den *= rho[i]
-    dim = num / den
-    if dim.denominator != 1:
-        raise ArithmeticError(f"Weyl dimension for {weight} came out non-integral: {dim}")
-    return int(dim)
+    # 2 rho = (2m - 1, 2m - 3, ..., 1); both products carry the same number
+    # of factors, so doubling every coordinate leaves their quotient alone
+    two_rho = range(2 * rs.rank - 1, 0, -2)
+    a = [lam + r for lam, r in zip(_b_doubled_coordinates(weight), two_rho)]
+    num = _b_weyl_product(a)
+    den = _b_weyl_product(two_rho)
+    dim, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError(f"Weyl dimension for {weight} came out non-integral: {num}/{den}")
+    return dim
 
 
 def field_type(rs: RootSystem, weight: Sequence[int]) -> str:
     """Frobenius-Schur type of the irrep with the given dominant weight."""
-    weight = tuple(weight)
-    if any(w < 0 for w in weight):
-        raise ValueError(f"weight {weight} is not dominant")
+    weight = _check_weight(rs, weight)
     if rs.family == "T":
         return REAL if weight[0] == 0 else COMPLEX
     if rs.family == "A":
         return REAL if weight[0] % 2 == 0 else QUATERNIONIC
     # <lambda, sum of positive coroots> = sum_i (m - i + 1) * (2 lambda_i)
-    lam = _b_weight_coordinates(rs.rank, weight)
-    pairing = sum((rs.rank - i) * int(2 * lam[i]) for i in range(rs.rank))
+    doubled = _b_doubled_coordinates(weight)
+    pairing = sum((rs.rank - i) * d for i, d in enumerate(doubled))
     return REAL if pairing % 2 == 0 else QUATERNIONIC
 
 
@@ -300,7 +296,7 @@ class ObstructionCase:
 
     def __post_init__(self) -> None:
         if self.manifold_dim <= 0 or self.manifold_dim % 2:
-            raise ValueError("manifold_dim must be even and positive")
+            raise ValueError(f"manifold_dim: expected an even positive integer, got {self.manifold_dim}")
 
 
 @dataclass

@@ -14,8 +14,36 @@ from fractions import Fraction
 from pathlib import Path
 
 
+# Types whose values pass through jsonable unchanged, matched by exact type.
+_PLAIN = frozenset({str, int, bool, type(None)})
+
+
 def jsonable(value):
-    """Recursively convert to types json.dumps handles deterministically."""
+    """Recursively convert to types json.dumps handles deterministically.
+
+    The common values are dispatched on their exact type: str, int, bool and
+    None pass through, dicts whose keys are all of type str and lists and
+    tuples are rebuilt item by item.  Everything else (Fractions, floats,
+    unknown objects, and subclasses of int, str or dict) goes through the
+    isinstance chain in `_jsonable_other`, so a value is accepted, refused
+    and converted just as that chain alone would do it.
+    """
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is dict:
+        out = {}
+        for key, item in value.items():
+            if type(key) is not str and not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
+            out[key] = item if type(item) in _PLAIN else jsonable(item)
+        return out
+    if kind is list or kind is tuple:
+        return [item if type(item) in _PLAIN else jsonable(item) for item in value]
+    return _jsonable_other(value)
+
+
+def _jsonable_other(value):
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
     if isinstance(value, Fraction):

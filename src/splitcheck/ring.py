@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+from operator import le
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
@@ -83,7 +84,7 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def monomial_divides(lhs: Monomial, mono: Monomial) -> bool:
-    return all(l <= m for l, m in zip(lhs, mono))
+    return all(map(le, lhs, mono))
 
 
 def monomial_quotient(mono: Monomial, lhs: Monomial) -> Monomial:

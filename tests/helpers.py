@@ -12,6 +12,12 @@ independently of the package's shared integrator, as a differential oracle.
 over every coordinate at once, with no ball, no join and no symmetry
 reduction.
 
+`ref_weyl_dim` and `ref_field_type` are the representation catalogs'
+oracle: the Weyl product over the positive roots of B_m taken in `Fraction`
+e-coordinates, with the halves of lambda and rho kept.  `ref_jsonable` is
+the serializer's oracle: the plain isinstance chain, with no dispatch on
+exact types.
+
 Coordinate convention used throughout: a degree-2 vector lists coefficients
 in the ascending basis order of the ring, which for generators written in
 document order [g1, ..., gk] means the *last* generator comes first.  So for
@@ -31,6 +37,7 @@ from splitcheck.cases import builtin_case
 from splitcheck.charclass import LineBundleSum, TargetClasses, matches_targets
 from splitcheck.cli import _load_search_spec, _load_targets
 from splitcheck.genus import ChernRootData, RootCountError, YPolynomial
+from splitcheck.repcat import QUATERNIONIC, REAL, RootSystem
 from splitcheck.ring import (
     GradedClass,
     RingPresentation,
@@ -317,3 +324,70 @@ def ref_top_chern_integral(data: ChernRootData) -> Fraction:
     for root in data.roots:
         out = ring_mul(ring, out, root)
     return integrate(ring, out)
+
+
+# -- reference representation dimensions and types ----------------------------
+
+
+def _ref_b_weight_coordinates(rank: int, weight) -> list:
+    """e-coordinates of a B_m weight given in fundamental-weight coefficients."""
+    coords = []
+    for i in range(rank):
+        total = Fraction(weight[rank - 1], 2)
+        total += sum(weight[k] for k in range(i, rank - 1))
+        coords.append(total)
+    return coords
+
+
+def ref_weyl_dim(rs: RootSystem, weight) -> int:
+    """The Weyl dimension formula over the positive roots of B_m, in Fractions."""
+    rank = rs.rank
+    lam = _ref_b_weight_coordinates(rank, weight)
+    rho = [Fraction(2 * (rank - i) - 1, 2) for i in range(rank)]
+    shifted = [lam[i] + rho[i] for i in range(rank)]
+    num = Fraction(1)
+    den = Fraction(1)
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            num *= (shifted[i] - shifted[j]) * (shifted[i] + shifted[j])
+            den *= (rho[i] - rho[j]) * (rho[i] + rho[j])
+        num *= shifted[i]
+        den *= rho[i]
+    dim = num / den
+    assert dim.denominator == 1, (weight, dim)
+    return int(dim)
+
+
+def ref_field_type(rs: RootSystem, weight) -> str:
+    """B_m type from the parity of <lambda, 2 rho-check>, in Fraction coordinates."""
+    lam = _ref_b_weight_coordinates(rs.rank, weight)
+    pairing = sum((rs.rank - i) * 2 * lam[i] for i in range(rs.rank))
+    assert pairing.denominator == 1, (weight, pairing)
+    return REAL if pairing % 2 == 0 else QUATERNIONIC
+
+
+# -- reference serializer -------------------------------------------------------
+
+
+def ref_jsonable(value):
+    """The canonical-JSON conversion as a plain isinstance chain."""
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return value
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return int(value)
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"refusing to serialize float {value!r}; reports must be exact")
+    if isinstance(value, dict):
+        out = {}
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
+            out[key] = ref_jsonable(item)
+        return out
+    if isinstance(value, (list, tuple)):
+        return [ref_jsonable(item) for item in value]
+    raise TypeError(f"cannot serialize {type(value).__name__} canonically")

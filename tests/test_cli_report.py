@@ -7,12 +7,14 @@ import json
 import re
 import subprocess
 import sys
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import ref_jsonable
 from splitcheck.cases import builtin_case, list_builtin_cases
 from splitcheck.cli import CaseError, main, run_case
 from splitcheck.report import canonical_bytes, fraction_from_json, input_digest, jsonable
@@ -34,6 +36,62 @@ def test_jsonable_refuses_floats_and_bad_keys():
         jsonable({1: "a"})
     with pytest.raises(TypeError):
         jsonable({"a": object()})
+
+
+class _Level(IntEnum):
+    LOW = 1
+
+
+class _Name(str):
+    pass
+
+
+_scalars = st.one_of(
+    st.text(max_size=3),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.fractions(max_denominator=5),
+    st.floats(),
+    st.just(_Level.LOW),
+    st.text(max_size=3).map(_Name),
+)
+_keys = st.one_of(st.text(max_size=3), st.text(max_size=3).map(_Name), st.integers(), st.none())
+_trees = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), children, max_size=4),
+        st.dictionaries(_keys, children, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+def _typed(value):
+    """The value with the exact type of every node, so True != 1 and a str
+    subclass differs from str."""
+    if type(value) is dict:
+        return dict, [(_typed(k), _typed(v)) for k, v in value.items()]
+    if type(value) is list:
+        return list, [_typed(item) for item in value]
+    return type(value), value
+
+
+@given(_trees)
+def test_jsonable_matches_isinstance_oracle(value):
+    try:
+        expected = ref_jsonable(value)
+    except TypeError:
+        with pytest.raises(TypeError):
+            jsonable(value)
+        return
+    got = jsonable(value)
+    assert _typed(got) == _typed(expected)
+    assert canonical_bytes(value) == (
+        json.dumps(expected, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+    ).encode("utf-8")
 
 
 def test_canonical_bytes_are_order_insensitive():
@@ -207,6 +265,8 @@ def test_run_case_errors_name_the_field():
         ("s2xs2", ("search", "bound", "note"), {"a": 1}),
         ("hp1-presentation", ("obstruction", "provenance"), None),
         ("m20-eschenburg", ("obstruction", "manifold_dim"), "20"),
+        ("m20-eschenburg", ("obstruction", "manifold_dim"), 7),
+        ("m20-eschenburg", ("obstruction", "manifold_dim"), 0),
         ("hp1-presentation", ("obstruction", "factors", 0, "rank"), True),
         ("hp1-presentation", ("genus", "congruence", "chi"), [1]),
         ("hp1-presentation", ("genus", "congruence", "chi"), True),

@@ -10,10 +10,12 @@ dimension 32.  The tests assert the claimed values and are expected to fail.
 
 from __future__ import annotations
 
+import itertools
 from math import comb
 
 import pytest
 
+from helpers import ref_field_type, ref_weyl_dim
 from splitcheck import repcat
 from splitcheck.repcat import (
     COMPLEX,
@@ -88,12 +90,39 @@ def test_circle_weights():
 
 
 def test_weight_validation():
-    with pytest.raises(ValueError):
-        weyl_dim(A1, (-1,))
-    with pytest.raises(ValueError):
-        weyl_dim(A1, (1, 1))
-    with pytest.raises(ValueError):
-        weyl_dim(spin(7), (1,))
+    # one check for both: an undominant weight or a wrong length is an error,
+    # never a type read off the first coefficient or a bare IndexError
+    for rs, weight in [
+        (A1, (-1,)),
+        (A1, (1, 1)),
+        (A1, ()),
+        (CIRCLE, (0, 1)),
+        (CIRCLE, (-1,)),
+        (spin(5), (1, 0, 0)),
+        (spin(7), (1,)),
+        (spin(7), (0, -1, 2)),
+    ]:
+        for fn in (weyl_dim, field_type):
+            with pytest.raises(ValueError):
+                fn(rs, weight)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_b_family_matches_fraction_oracle(m):
+    rs = RootSystem("B", m)
+    for weight in itertools.product(range(3), repeat=m):
+        assert weyl_dim(rs, weight) == ref_weyl_dim(rs, weight), weight
+        assert field_type(rs, weight) == ref_field_type(rs, weight), weight
+
+
+@pytest.mark.parametrize("bound", [20, 36, 64])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_b_catalogs_match_fraction_oracle(m, bound, monkeypatch):
+    rs = RootSystem("B", m)
+    fast = catalog_irreps(rs, bound)
+    monkeypatch.setattr(repcat, "weyl_dim", ref_weyl_dim)
+    monkeypatch.setattr(repcat, "field_type", ref_field_type)
+    assert fast == catalog_irreps(rs, bound)
 
 
 def test_vector_rep_frozen():
