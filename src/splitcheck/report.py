@@ -21,30 +21,24 @@ _PLAIN = frozenset({str, int, bool, type(None)})
 def jsonable(value):
     """Recursively convert to types json.dumps handles deterministically.
 
-    The common values are dispatched on their exact type: str, int, bool and
-    None pass through, dicts whose keys are all of type str and lists and
-    tuples are rebuilt item by item.  Everything else (Fractions, floats,
-    unknown objects, and subclasses of int, str or dict) goes through the
-    isinstance chain in `_jsonable_other`, so a value is accepted, refused
-    and converted just as that chain alone would do it.
+    Values of exact type str, int, bool or None pass through before any
+    isinstance test, and dict and list items of those types are copied
+    without a recursive call.  Dicts (string keys only) and lists and tuples
+    are rebuilt item by item; Fractions become an int or "p/q"; subclasses
+    of int and str pass through; floats and anything else are refused.
     """
-    kind = type(value)
-    if kind in _PLAIN:
+    if type(value) in _PLAIN:
         return value
-    if kind is dict:
+    if isinstance(value, dict):
         out = {}
         for key, item in value.items():
-            if type(key) is not str and not isinstance(key, str):
+            if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
             out[key] = item if type(item) in _PLAIN else jsonable(item)
         return out
-    if kind is list or kind is tuple:
+    if isinstance(value, (list, tuple)):
         return [item if type(item) in _PLAIN else jsonable(item) for item in value]
-    return _jsonable_other(value)
-
-
-def _jsonable_other(value):
-    if isinstance(value, bool) or value is None or isinstance(value, str):
+    if isinstance(value, str):
         return value
     if isinstance(value, Fraction):
         if value.denominator == 1:
@@ -54,15 +48,6 @@ def _jsonable_other(value):
         return value
     if isinstance(value, float):
         raise TypeError(f"refusing to serialize float {value!r}; reports must be exact")
-    if isinstance(value, dict):
-        out = {}
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {key!r}")
-            out[key] = jsonable(item)
-        return out
-    if isinstance(value, (list, tuple)):
-        return [jsonable(item) for item in value]
     raise TypeError(f"cannot serialize {type(value).__name__} canonically")
 
 

@@ -11,7 +11,7 @@ from enum import IntEnum
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import ref_jsonable
@@ -80,6 +80,11 @@ def _typed(value):
 
 
 @given(_trees)
+@example(_Level.LOW)
+@example({_Name("k"): [_Name("v"), (1, Fraction(1, 2))]})
+@example({1: "a"})
+@example([None, 0.5])
+@example(object())
 def test_jsonable_matches_isinstance_oracle(value):
     try:
         expected = ref_jsonable(value)
