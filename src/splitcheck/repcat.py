@@ -261,6 +261,7 @@ class ProductIrrep:
     complex_dim: int
     field_type: str
     real_dim: int
+    name: str
 
     @staticmethod
     def build(components: Sequence[Irrep]) -> "ProductIrrep":
@@ -275,11 +276,8 @@ class ProductIrrep:
             complex_dim=cdim,
             field_type=ftype,
             real_dim=_real_dim(cdim, ftype),
+            name="x".join(c.name for c in components),
         )
-
-    @property
-    def name(self) -> str:
-        return "x".join(c.name for c in self.components)
 
     @property
     def is_trivial(self) -> bool:

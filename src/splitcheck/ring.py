@@ -9,6 +9,12 @@ degree, hence a reduction can only fail to terminate by cycling, which is
 detected and reported.  Confluence is not assumed: it is checked exhaustively
 on the finite set of monomials of degree <= top_degree.
 
+Class arithmetic states its rule once: `_add_into` adds c * terms into a
+dict accumulator and drops the monomials that cancel, and `_graded` turns
+an accumulator into a `GradedClass` with integral values stored as ints.
+Sums, differences, scalings, products and reductions all go through them.
+Coefficients are ints or Fractions only; anything else raises `TypeError`.
+
 Each ring also compiles itself once, on first use, into `RingTables`: a
 class of degree 2k becomes its coefficient tuple over the degree-2k basis,
 and multiplication by a degree-2 class becomes a table lookup on tuples.
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from operator import le
+from operator import add, le
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
@@ -47,6 +53,30 @@ def _tighten(value: Coeff) -> Coeff:
     if type(value) is Fraction and value.denominator == 1:
         return value.numerator
     return value
+
+
+def _exact(value: Coeff) -> Coeff:
+    """An int or a Fraction; a float would carry its binary rounding into the class."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError(f"class coefficients are ints or Fractions, got {type(value).__name__} {value!r}")
+
+
+def _add_into(acc: dict[Monomial, Coeff], terms: Iterable[tuple[Monomial, Coeff]], factor: Coeff = 1) -> None:
+    """acc += factor * terms; a monomial whose coefficient cancels leaves acc."""
+    for mono, coeff in terms:
+        value = acc.get(mono, 0) + factor * coeff
+        if value:
+            acc[mono] = value
+        else:
+            acc.pop(mono, None)
+
+
+def _graded(acc: dict[Monomial, Coeff]) -> "GradedClass":
+    """The class of an accumulator, taking it over, with integral values as ints."""
+    for mono, value in acc.items():
+        acc[mono] = _tighten(value)
+    return GradedClass(acc)
 
 
 class PresentationError(ValueError):
@@ -80,7 +110,7 @@ def monomial_degree(mono: Monomial) -> int:
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(lhs: Monomial, mono: Monomial) -> bool:
@@ -116,17 +146,10 @@ class GradedClass:
     terms: Mapping[Monomial, Coeff]
 
     @staticmethod
-    def from_terms(pairs: Iterable[tuple[Monomial, Coeff | int]]) -> "GradedClass":
+    def from_terms(pairs: Iterable[tuple[Monomial, Coeff]]) -> "GradedClass":
         acc: dict[Monomial, Coeff] = {}
-        for mono, coeff in pairs:
-            if not isinstance(coeff, (int, Fraction)):
-                coeff = Fraction(coeff)
-            c = acc.get(mono, 0) + coeff
-            if c:
-                acc[mono] = _tighten(c)
-            else:
-                acc.pop(mono, None)
-        return GradedClass(acc)
+        _add_into(acc, ((mono, _exact(coeff)) for mono, coeff in pairs))
+        return _graded(acc)
 
     @staticmethod
     def zero() -> "GradedClass":
@@ -153,11 +176,6 @@ class GradedClass:
 
     def coefficient(self, mono: Monomial) -> Coeff:
         return self.terms.get(mono, 0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GradedClass):
-            return NotImplemented
-        return dict(self.terms) == dict(other.terms)
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
@@ -253,14 +271,9 @@ class RingPresentation:
             acc: dict[Monomial, Coeff] = {}
             for rmono, rcoeff in rule.rhs.terms.items():
                 reduced = self._reduce(monomial_mul(rmono, quotient), in_progress)
-                for m, c in reduced.terms.items():
-                    v = acc.get(m, 0) + rcoeff * c
-                    if v:
-                        acc[m] = _tighten(v)
-                    else:
-                        acc.pop(m, None)
+                _add_into(acc, reduced.terms.items(), rcoeff)
             in_progress.discard(mono)
-            result = GradedClass(acc)
+            result = _graded(acc)
         self._nf_cache[mono] = result
         return result
 
@@ -331,43 +344,26 @@ def normal_form(ring: RingPresentation, c: GradedClass) -> GradedClass:
     for mono, coeff in c.terms.items():
         if len(mono) != len(ring.generators):
             raise ValueError("class does not live over this ring's generators")
-        for m, k in ring.reduce_monomial(mono).terms.items():
-            v = acc.get(m, 0) + coeff * k
-            if v:
-                acc[m] = _tighten(v)
-            else:
-                acc.pop(m, None)
-    return GradedClass(acc)
+        _add_into(acc, ring.reduce_monomial(mono).terms.items(), coeff)
+    return _graded(acc)
 
 
 def ring_add(a: GradedClass, b: GradedClass) -> GradedClass:
     acc = dict(a.terms)
-    for mono, coeff in b.terms.items():
-        v = acc.get(mono, 0) + coeff
-        if v:
-            acc[mono] = _tighten(v)
-        else:
-            acc.pop(mono, None)
-    return GradedClass(acc)
+    _add_into(acc, b.terms.items())
+    return _graded(acc)
 
 
 def ring_sub(a: GradedClass, b: GradedClass) -> GradedClass:
     acc = dict(a.terms)
-    for mono, coeff in b.terms.items():
-        v = acc.get(mono, 0) - coeff
-        if v:
-            acc[mono] = _tighten(v)
-        else:
-            acc.pop(mono, None)
-    return GradedClass(acc)
+    _add_into(acc, b.terms.items(), -1)
+    return _graded(acc)
 
 
-def ring_scale(r: Fraction | int, a: GradedClass) -> GradedClass:
-    if not isinstance(r, (int, Fraction)):
-        r = Fraction(r)
-    if not r:
-        return GradedClass.zero()
-    return GradedClass({m: _tighten(r * c) for m, c in a.terms.items()})
+def ring_scale(r: Coeff, a: GradedClass) -> GradedClass:
+    acc: dict[Monomial, Coeff] = {}
+    _add_into(acc, a.terms.items(), _exact(r))
+    return _graded(acc)
 
 
 def ring_mul(ring: RingPresentation, a: GradedClass, b: GradedClass) -> GradedClass:
@@ -379,19 +375,9 @@ def ring_mul(ring: RingPresentation, a: GradedClass, b: GradedClass) -> GradedCl
             raise ValueError("class does not live over this ring's generators")
         deg_a = sum(ma)
         for mb, cb in b.terms.items():
-            if deg_a + sum(mb) > top:
-                continue
-            prod = tuple(x + y for x, y in zip(ma, mb))
-            cab = ca * cb
-            for m, k in reduce_monomial(prod).terms.items():
-                v = acc.get(m, 0) + cab * k
-                if v:
-                    acc[m] = v
-                else:
-                    acc.pop(m, None)
-    for m, v in acc.items():
-        acc[m] = _tighten(v)
-    return GradedClass(acc)
+            if deg_a + sum(mb) <= top:
+                _add_into(acc, reduce_monomial(monomial_mul(ma, mb)).terms.items(), ca * cb)
+    return _graded(acc)
 
 
 def ring_pow(ring: RingPresentation, a: GradedClass, exp: int) -> GradedClass:

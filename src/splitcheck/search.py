@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import itertools
 import json
 import math
 import time
@@ -68,7 +67,7 @@ from typing import Sequence
 from .charclass import LineBundleSum, TargetClasses, TargetMatcher
 # Not called here: perfbench/tracing.py rebinds these names on this module.
 from .charclass import euler_class, first_pontryagin, total_chern  # noqa: F401
-from .ring import RingPresentation, Vector, normal_form
+from .ring import GradedClass, RingPresentation, Vector, normal_form
 
 DEFAULT_BUDGET = 10**9
 
@@ -161,26 +160,21 @@ class SearchCertificate:
 def spec_digest(spec: SearchSpec) -> str:
     """Stable digest of everything that determines the search."""
     ring = spec.ring
+    targets = spec.targets
+
+    def terms(cls: GradedClass) -> list:
+        return sorted((str(c), list(m)) for m, c in cls.terms.items())
+
     payload = {
         "generators": list(ring.generators),
-        "rules": [
-            {
-                "lhs": list(r.lhs),
-                "rhs": sorted((str(c), list(m)) for m, c in r.rhs.terms.items()),
-            }
-            for r in ring.rules
-        ],
+        "rules": [{"lhs": list(r.lhs), "rhs": terms(r.rhs)} for r in ring.rules],
         "top_degree": ring.top_degree,
         "fundamental": list(ring.fundamental),
-        "p1_target": sorted((str(c), list(m)) for m, c in spec.targets.p1_target.terms.items()),
-        "euler_target": sorted((str(c), list(m)) for m, c in spec.targets.euler_target.terms.items()),
-        "euler_sign_flexible": spec.targets.euler_sign_flexible,
-        "real_rank": spec.targets.real_rank,
-        "chern_target": (
-            sorted((str(c), list(m)) for m, c in spec.targets.chern_target.terms.items())
-            if spec.targets.chern_target is not None
-            else None
-        ),
+        "p1_target": terms(targets.p1_target),
+        "euler_target": terms(targets.euler_target),
+        "euler_sign_flexible": targets.euler_sign_flexible,
+        "real_rank": targets.real_rank,
+        "chern_target": terms(targets.chern_target) if targets.chern_target is not None else None,
         "m": spec.m,
         "bound": (
             {"type": "sum_of_squares", "multipliers": [str(x) for x in spec.bound.multipliers]}
@@ -266,19 +260,16 @@ def derive_bounds(spec: SearchSpec) -> DerivedBounds:
 def canonicalize_solution(
     solution: Sequence[Sequence[int]], allow_sign_flips: bool = True
 ) -> tuple[tuple[int, ...], ...]:
-    """Lexicographically greatest image under bundle permutations and flips."""
+    """Lexicographically greatest image under bundle permutations and flips.
+
+    Each vector can be flipped on its own, so the greatest image takes the
+    larger of v and -v for every vector (when flips are allowed) and sorts
+    the vectors in descending order.
+    """
     vectors = [tuple(int(x) for x in vec) for vec in solution]
-    best: tuple[tuple[int, ...], ...] | None = None
-    flip_choices = [(1, -1)] * len(vectors) if allow_sign_flips else [(1,)] * len(vectors)
-    for perm in itertools.permutations(vectors):
-        for flips in itertools.product(*flip_choices):
-            image = tuple(
-                tuple(s * x for x in vec) for s, vec in zip(flips, perm)
-            )
-            if best is None or image > best:
-                best = image
-    assert best is not None
-    return best
+    if allow_sign_flips:
+        vectors = [max(vec, tuple(-x for x in vec)) for vec in vectors]
+    return tuple(sorted(vectors, reverse=True))
 
 
 # -- enumeration -------------------------------------------------------------
@@ -290,9 +281,7 @@ class _BudgetExceeded(Exception):
 
 def _scaled_diagonal(diagonal: Sequence[Fraction], constant: Fraction) -> tuple[list[int], int | None]:
     """Clear the form's denominators; a non-integral constant means no solutions."""
-    denom = 1
-    for d in diagonal:
-        denom = denom * d.denominator // math.gcd(denom, d.denominator)
+    denom = math.lcm(*(d.denominator for d in diagonal))
     scaled = [int(d * denom) for d in diagonal]
     c = constant * denom
     return scaled, int(c) if c.denominator == 1 else None

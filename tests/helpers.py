@@ -10,7 +10,8 @@ and the Euler integral with their own loops and their own y-class product,
 independently of the package's shared integrator, as a differential oracle.
 `ref_enumerate` is the search's differential oracle: the ordered-tuple walk
 over every coordinate at once, with no ball, no join and no symmetry
-reduction.
+reduction.  `ref_canonicalize_solution` is the canonicalizer's oracle: the
+greatest of all m! * 2^m images under permutations and sign flips.
 
 `ref_weyl_dim` and `ref_field_type` are the representation catalogs'
 oracle: the Weyl product over the positive roots of B_m taken in `Fraction`
@@ -51,7 +52,7 @@ from splitcheck.ring import (
     ring_add,
     ring_mul,
 )
-from splitcheck.search import ExplicitBound, canonicalize_solution, derive_bounds
+from splitcheck.search import ExplicitBound, derive_bounds
 from splitcheck.series import (
     series_exp_neg,
     series_scaled_argument,
@@ -162,7 +163,7 @@ def ref_enumerate(spec) -> tuple:
             return
         lbsum = LineBundleSum(ring, tuple(squares[vec][0] for vec in vecs))
         if matches_targets(lbsum, spec.targets).matched:
-            found.add(canonicalize_solution(vecs, spec.allows_sign_flips()))
+            found.add(ref_canonicalize_solution(vecs, spec.allows_sign_flips()))
 
     if isinstance(spec.bound, ExplicitBound):
         ranges = [range(-b, b + 1) for b in bounds.per_variable] * spec.m
@@ -175,6 +176,17 @@ def ref_enumerate(spec) -> tuple:
             weights = [int(d * denom) for d in bounds.diagonal] * spec.m
             _shell(weights, int(constant), [], on_leaf)
     return tuple(sorted(found))
+
+
+def ref_canonicalize_solution(solution, allow_sign_flips: bool = True) -> tuple:
+    """Lexicographically greatest image, by trying every permutation and flip."""
+    vectors = [tuple(int(x) for x in vec) for vec in solution]
+    signs = (1, -1) if allow_sign_flips else (1,)
+    return max(
+        tuple(tuple(s * x for x in vec) for s, vec in zip(flips, perm))
+        for perm in itertools.permutations(vectors)
+        for flips in itertools.product(signs, repeat=len(vectors))
+    )
 
 
 # -- hand-expanded matching systems, one per geometry -------------------------

@@ -233,7 +233,7 @@ _LINE_RING = {
 }
 
 
-def test_run_case_errors_name_the_field():
+def test_run_case_errors_name_the_field(tmp_path, capsys):
     with pytest.raises(CaseError, match="actionable"):
         run_case({"name": "empty"})
     with pytest.raises(CaseError, match="'ring'"):
@@ -311,12 +311,20 @@ def test_run_case_errors_name_the_field():
         ("s2xs2", ("targets", "p1"), [[1, [1, 0]]]),
         ("cp2-connect-sum", ("targets", "euler"), [[4, [1, 0]]]),
         (("cpn-split", 3), ("targets", "chern"), [[4, [1]], [6, [2]], [4, [3]]]),
+        # a float in a field no section reads is refused where the document is digested
+        ("cp2-connect-sum", ("comment",), 1.5),
     ]:
         bad = builtin_case(name) if isinstance(name, str) else builtin_case(*name)
         _set(bad, path, value)
         with pytest.raises(CaseError, match=re.escape(_field_name(named[0] if named else path))) as info:
             run_case(bad)
         assert "Fraction(" not in str(info.value), (name, path)
+    doc = tmp_path / "comment.json"
+    doc.write_text(json.dumps(bad))
+    capsys.readouterr()
+    assert main(["verify", str(doc)]) == 1
+    err = capsys.readouterr().err
+    assert "comment" in err and "Traceback" not in err
 
 
 def _set(doc, path, value) -> None:

@@ -349,3 +349,15 @@ def test_scale_and_subtract_cancel():
         assert ring_sub(a, a).is_zero()
         tripled = ring_add(a, ring_add(a, a))
         assert ring_scale(Fraction(3), a) == tripled
+
+
+def test_coefficients_are_ints_or_fractions():
+    # a float would carry its binary rounding into the class
+    with pytest.raises(TypeError, match="float"):
+        cls(((0, 2), 0.5))
+    with pytest.raises(TypeError, match="float"):
+        ring_scale(0.1, cls(((0, 2), 1)))
+    # halves that add up to an integer are stored as an int; cancelled terms leave
+    summed = cls(((0, 2), Fraction(1, 2)), ((0, 2), Fraction(1, 2)), ((2, 0), 3), ((2, 0), -3))
+    assert summed.terms == {(0, 2): 1} and type(summed.terms[(0, 2)]) is int
+    assert summed == cls(((0, 2), Fraction(1)))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from helpers import (
     accepts,
     cp2_oracle,
+    ref_canonicalize_solution,
     ref_enumerate,
     ring_for,
     rp_oracle,
@@ -41,6 +43,7 @@ from splitcheck.charclass import (
     first_pontryagin,
     total_chern,
 )
+from splitcheck.cli import run_case
 from splitcheck.report import canonical_bytes
 from splitcheck.ring import GradedClass, RewriteRule, RingPresentation, basis, ring_mul
 from splitcheck.search import (
@@ -163,11 +166,13 @@ def test_canonical_representative_is_orbit_maximum():
 
 def test_canonicalization_is_idempotent_and_orbit_invariant():
     rng = random.Random(31337)
-    for _ in range(200):
-        m = rng.randint(1, 3)
+    for trial in range(200):
+        m = rng.randint(1, 5)
         r = rng.randint(1, 3)
         sol = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(m)]
         canon = canonicalize_solution(sol)
+        assert canon == ref_canonicalize_solution(sol), trial
+        assert canonicalize_solution(sol, False) == ref_canonicalize_solution(sol, False), trial
         assert canonicalize_solution(canon) == canon
         perm = list(range(m))
         rng.shuffle(perm)
@@ -180,6 +185,33 @@ def test_canonicalization_is_idempotent_and_orbit_invariant():
 def test_canonicalization_without_flips():
     sol = [(0, -2), (1, 0)]
     assert canonicalize_solution(sol, allow_sign_flips=False) == ((1, 0), (0, -2))
+
+
+def test_eight_line_bundles_canonicalize_in_linear_time():
+    # eight copies of +-h on the truncated h^9 = 0: one solution, with 8! * 2^8
+    # images under permutations and flips, which canonicalizing must not try
+    doc = {
+        "name": "eight-lines",
+        "ring": {
+            "generators": ["h"],
+            "relations": [{"lhs": [9], "rhs": []}],
+            "top_degree": 16,
+            "fundamental": [8],
+        },
+        "targets": {
+            "p1": [[8, [2]]],
+            "euler": [[1, [8]]],
+            "euler_sign_flexible": True,
+            "real_rank": 16,
+        },
+        "search": {"m": 8, "bound": {"type": "sum_of_squares", "multipliers": [1]}},
+    }
+    started = time.perf_counter()
+    search = run_case(doc)["sections"]["search"]
+    assert time.perf_counter() - started < 5
+    assert search["solutions"] == [[[1]] * 8]
+    assert search["visited"] == 19
+    assert search["exhaustive"]
 
 
 # -- enumeration certificates -------------------------------------------------------
