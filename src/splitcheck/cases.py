@@ -14,11 +14,7 @@ from __future__ import annotations
 
 from math import comb
 
-
-def _check_positive(name: str, value: int) -> int:
-    if not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return value
+from .report import integer
 
 
 def cp2_connect_sum() -> dict:
@@ -88,7 +84,7 @@ def r_p(q: int = 2) -> dict:
     weighs that coordinate (index 0 in the ascending degree-2 basis) by 2q^2
     and bounds it by 2 for every q, while the other two grow with q.
     """
-    _check_positive("q", q)
+    integer(q, "q", low=1)
     return {
         "name": "r-p",
         "anchor": f"circle-bundle family member with q = {q}",
@@ -126,7 +122,7 @@ def r_p_u_variant(q: int = 2) -> dict:
     in one step.  No search section: the p1 form is not diagonal in this
     basis, which is why the search runs on the primary presentation.
     """
-    _check_positive("q", q)
+    integer(q, "q", low=1)
     p = 2 * q
     return {
         "name": "r-p-u-variant",
@@ -203,9 +199,7 @@ def cpn_split(n: int = 2) -> dict:
     component, so the Euler sign is rigid and the total Chern class is part
     of the target.
     """
-    _check_positive("n", n)
-    if n < 2:
-        raise ValueError("need n >= 2 for a degree-4 class")
+    integer(n, "n", low=2)  # a degree-4 class needs n >= 2
     chern = [[comb(n + 1, k), [k]] for k in range(0, n + 1)]
     return {
         "name": "cpn-split",
@@ -308,7 +302,7 @@ def m20_eschenburg() -> dict:
 
 def genus_cpn(n: int = 2) -> dict:
     """Chern-root data for complex projective n-space, n + 1 copies of h."""
-    _check_positive("n", n)
+    integer(n, "n", low=1)
     return {
         "name": "genus-cpn",
         "anchor": f"genus polynomial of complex projective {n}-space",

@@ -5,7 +5,8 @@ a ring presentation and any of: target classes, candidate splittings, a
 search section, genus data, an obstruction section.  `verify` runs every
 section present, in order: ring checks, class matching, search, genus,
 obstruction.  The exit code reports operational success only; mathematical
-verdicts are asserted with --expect.
+verdicts are asserted with --expect.  Every field is read through the
+readers in `report`, so a malformed one is a `CaseError` naming its path.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from typing import Mapping, Sequence
 
 from . import __version__
@@ -29,8 +31,22 @@ from .genus import (
     todd_from_chi,
 )
 from .repcat import ObstructionCase, RootSystem, catalog_irreps, obstruct_tangent_rep
-from .report import emit_report, fraction_from_json, input_digest, jsonable
-from .ring import GradedClass, PresentationError, RingPresentation, basis, parse_presentation
+from .report import (
+    CaseError,
+    array,
+    boolean,
+    emit_report,
+    field,
+    fraction_from_json,
+    input_digest,
+    integer,
+    integers,
+    jsonable,
+    obj,
+    string,
+    terms,
+)
+from .ring import GradedClass, RingPresentation, basis, parse_presentation
 from .search import (
     DEFAULT_BUDGET,
     BoundError,
@@ -41,84 +57,26 @@ from .search import (
 )
 
 
-class CaseError(ValueError):
-    """Malformed case document; the message names the offending field."""
-
-
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_EXPECTATION = 3
 
 
-def _require(doc: Mapping, key: str, where: str):
-    if key not in doc:
-        raise CaseError(f"{where} is missing field '{key}'")
-    return doc[key]
-
-
-def _bool(doc: Mapping, key: str, where: str, default: bool | None = None) -> bool:
-    """A JSON true or false; anything else is an error, never a truthiness test."""
-    if default is not None and key not in doc:
-        return default
-    value = _require(doc, key, where)
-    if not isinstance(value, bool):
-        raise CaseError(f"{where}.{key}: expected true or false, got {value!r}")
-    return value
-
-
-def _int(doc: Mapping, key: str | int, where: str, default: int | None = None) -> int:
-    """A JSON integer; a bool, float, string, list or null is an error."""
-    if default is not None and key not in doc:
-        return default
-    value = _require(doc, key, where)
-    if isinstance(value, bool) or not isinstance(value, int):
-        field = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}"
-        raise CaseError(f"{field}: expected an integer, got {value!r}")
-    return value
-
-
-def _str(doc: Mapping, key: str, where: str, default: str) -> str:
-    """An optional JSON string; any other value is an error, never coerced by str()."""
-    value = doc.get(key, default)
-    if not isinstance(value, str):
-        field = f"{where}.{key}" if where else key
-        raise CaseError(f"{field}: expected a string, got {value!r}")
-    return value
-
-
-def _class_from_terms(ring: RingPresentation, raw, where: str) -> GradedClass:
-    if not isinstance(raw, (list, tuple)):
-        raise CaseError(f"{where}: expected a list of [coefficient, exponents] terms")
+def _class_reader(ring: RingPresentation):
+    """A reader of a class's [coefficient, exponents] term list over `ring`."""
     n = len(ring.generators)
-    terms = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise CaseError(f"{where}[{i}]: expected a [coefficient, exponents] pair")
-        coeff = fraction_from_json(item[0], f"{where}[{i}][0]")
-        exps = item[1]
-        if not isinstance(exps, (list, tuple)) or len(exps) != n or not all(
-            isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps
-        ):
-            raise CaseError(f"{where}[{i}][1]: expected {n} nonnegative integer exponents")
-        terms.append((tuple(exps), coeff))
-    return GradedClass.from_terms(terms)
+    return lambda raw, where: GradedClass.from_terms(terms(raw, where, n, fraction_from_json))
 
 
 def _load_targets(ring: RingPresentation, raw, where: str = "targets") -> TargetClasses:
-    if not isinstance(raw, Mapping):
-        raise CaseError(f"{where}: expected an object")
-    chern_raw = raw.get("chern")
-    real_rank = _int(raw, "real_rank", where)
-    if real_rank < 0:
-        raise CaseError(f"{where}.real_rank: expected a nonnegative integer, got {real_rank}")
+    raw = obj(raw, where)
+    read_class = _class_reader(ring)
     return TargetClasses(
-        p1_target=_class_from_terms(ring, _require(raw, "p1", where), f"{where}.p1"),
-        euler_target=_class_from_terms(ring, _require(raw, "euler", where), f"{where}.euler"),
-        euler_sign_flexible=_bool(raw, "euler_sign_flexible", where),
-        real_rank=real_rank,
-        chern_target=(
-            _class_from_terms(ring, chern_raw, f"{where}.chern") if chern_raw is not None else None
-        ),
+        p1_target=field(raw, "p1", where, read_class),
+        euler_target=field(raw, "euler", where, read_class),
+        euler_sign_flexible=field(raw, "euler_sign_flexible", where, boolean),
+        real_rank=field(raw, "real_rank", where, partial(integer, low=0)),
+        chern_target=field(raw, "chern", where, read_class, None),
     )
 
 
@@ -129,57 +87,35 @@ def _load_search_spec(
     budget: int | None,
     where: str = "search",
 ) -> SearchSpec:
-    if not isinstance(raw, Mapping):
-        raise CaseError(f"{where}: expected an object")
-    bound_raw = _require(raw, "bound", where)
-    if not isinstance(bound_raw, Mapping):
-        raise CaseError(f"{where}.bound: expected an object")
-    kind = _require(bound_raw, "type", f"{where}.bound")
+    raw = obj(raw, where)
+    bound_raw = field(raw, "bound", where, obj)
+    at = f"{where}.bound"
+    kind = field(bound_raw, "type", at, string)
     if kind == "sum_of_squares":
-        multipliers = _require(bound_raw, "multipliers", f"{where}.bound")
-        if not isinstance(multipliers, (list, tuple)):
-            raise CaseError(f"{where}.bound.multipliers: expected a list")
-        bound = SumOfSquaresBound(
-            tuple(
-                fraction_from_json(x, f"{where}.bound.multipliers[{i}]")
-                for i, x in enumerate(multipliers)
-            )
-        )
+        multipliers = field(bound_raw, "multipliers", at, partial(array, item=fraction_from_json))
+        bound = SumOfSquaresBound(tuple(multipliers))
     elif kind == "explicit":
-        per_variable = _require(bound_raw, "per_variable", f"{where}.bound")
-        if not isinstance(per_variable, (list, tuple)):
-            raise CaseError(f"{where}.bound.per_variable: expected a list of integers")
-        indexed = dict(enumerate(per_variable))
         bound = ExplicitBound(
-            per_variable=tuple(
-                _int(indexed, i, f"{where}.bound.per_variable") for i in indexed
-            ),
-            acknowledged=_bool(bound_raw, "acknowledged", f"{where}.bound", default=False),
-            note=_str(bound_raw, "note", f"{where}.bound", ""),
+            per_variable=field(bound_raw, "per_variable", at, integers),
+            acknowledged=field(bound_raw, "acknowledged", at, boolean, False),
+            note=field(bound_raw, "note", at, string, ""),
         )
     else:
-        raise CaseError(f"{where}.bound.type: unknown bound type {kind!r}")
+        raise CaseError(f"{at}.type: unknown bound type {kind!r}")
     if budget is None:
-        budget = _int(raw, "budget", where, default=DEFAULT_BUDGET)
-    if budget < 0:
-        raise CaseError(f"{where}.budget: expected a nonnegative integer, got {budget}")
+        budget = field(raw, "budget", where, integer, DEFAULT_BUDGET)
+    budget = integer(budget, f"{where}.budget", low=0)  # a --budget override too
+    m = field(raw, "m", where, integer)
     try:
-        return SearchSpec(
-            ring=ring,
-            targets=targets,
-            m=_int(raw, "m", where),
-            bound=bound,
-            budget=budget,
-        )
+        return SearchSpec(ring=ring, targets=targets, m=m, bound=bound, budget=budget)
     except ValueError as exc:
         raise CaseError(f"{where}.{exc}") from exc
 
 
 def _load_root_system(raw, where: str) -> RootSystem:
-    if not isinstance(raw, Mapping):
-        raise CaseError(f"{where}: expected an object with 'family' and 'rank'")
-    family = _require(raw, "family", where)
-    rank = _int(raw, "rank", where)
+    raw = obj(raw, where)
+    family = field(raw, "family", where, string)
+    rank = field(raw, "rank", where, integer)
     try:
         return RootSystem(family=family, rank=rank)
     except ValueError as exc:
@@ -187,20 +123,16 @@ def _load_root_system(raw, where: str) -> RootSystem:
 
 
 def _load_obstruction(raw, where: str = "obstruction") -> ObstructionCase:
-    if not isinstance(raw, Mapping):
-        raise CaseError(f"{where}: expected an object")
-    factors_raw = _require(raw, "factors", where)
-    if not isinstance(factors_raw, (list, tuple)) or not factors_raw:
+    raw = obj(raw, where)
+    factors = field(raw, "factors", where, partial(array, item=_load_root_system))
+    if not factors:
         raise CaseError(f"{where}.factors: expected a nonempty list")
-    factors = tuple(
-        _load_root_system(f, f"{where}.factors[{i}]") for i, f in enumerate(factors_raw)
-    )
     fields = dict(
-        factors=factors,
-        manifold_dim=_int(raw, "manifold_dim", where),
-        euler_nonzero=_bool(raw, "euler_nonzero", where),
-        almost_complex_forbidden=_bool(raw, "almost_complex_forbidden", where),
-        provenance=_str(raw, "provenance", where, ""),
+        factors=tuple(factors),
+        manifold_dim=field(raw, "manifold_dim", where, integer),
+        euler_nonzero=field(raw, "euler_nonzero", where, boolean),
+        almost_complex_forbidden=field(raw, "almost_complex_forbidden", where, boolean),
+        provenance=field(raw, "provenance", where, string, ""),
     )
     try:
         return ObstructionCase(**fields)
@@ -223,20 +155,10 @@ def _ring_section(ring: RingPresentation) -> dict:
 
 
 def _matching_section(ring: RingPresentation, targets: TargetClasses, raw, where: str) -> list:
-    if not isinstance(raw, (list, tuple)):
-        raise CaseError(f"{where}: expected a list of candidate splittings")
-    r = len(basis(ring, 2))
+    coordinates = partial(integers, length=len(basis(ring, 2)))
     out = []
-    for i, cand in enumerate(raw):
-        if not isinstance(cand, (list, tuple)):
-            raise CaseError(f"{where}[{i}]: expected a list of coefficient vectors")
-        classes = []
-        for j, vec in enumerate(cand):
-            if not isinstance(vec, (list, tuple)) or len(vec) != r or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in vec
-            ):
-                raise CaseError(f"{where}[{i}][{j}]: expected {r} integer coordinates")
-            classes.append(ring.class_from_coeffs(vec))
+    for i, cand in enumerate(array(raw, where, partial(array, item=coordinates))):
+        classes = [ring.class_from_coeffs(vec) for vec in cand]
         try:
             rep = matches_targets(LineBundleSum(ring, tuple(classes)), targets)
         except TargetError as exc:
@@ -258,18 +180,12 @@ def _matching_section(ring: RingPresentation, targets: TargetClasses, raw, where
 
 
 def _genus_section(ring: RingPresentation | None, raw, where: str = "genus") -> dict:
-    if not isinstance(raw, Mapping):
-        raise CaseError(f"{where}: expected an object")
+    raw = obj(raw, where)
     out: dict = {}
-    roots_raw = raw.get("roots")
-    if roots_raw is not None:
+    if "roots" in raw:
         if ring is None:
             raise CaseError(f"{where}.roots requires a ring presentation")
-        if not isinstance(roots_raw, (list, tuple)):
-            raise CaseError(f"{where}.roots: expected a list of classes")
-        roots = tuple(
-            _class_from_terms(ring, r, f"{where}.roots[{i}]") for i, r in enumerate(roots_raw)
-        )
+        roots = tuple(field(raw, "roots", where, partial(array, item=_class_reader(ring))))
         try:
             data = ChernRootData(ring=ring, roots=roots)
             chi = chi_y(data)
@@ -280,13 +196,12 @@ def _genus_section(ring: RingPresentation | None, raw, where: str = "genus") -> 
         out["signature"] = signature_from_chi(chi)
         out["todd"] = todd_from_chi(chi)
         out["duality"] = duality_check(chi, data.n)
-    cong_raw = raw.get("congruence")
-    if cong_raw is not None:
-        if not isinstance(cong_raw, Mapping):
-            raise CaseError(f"{where}.congruence: expected an object")
-        chi_val = _int(cong_raw, "chi", f"{where}.congruence")
-        sigma_val = _int(cong_raw, "sigma", f"{where}.congruence")
-        quarter = _int(cong_raw, "quarter_dim", f"{where}.congruence")
+    if "congruence" in raw:
+        at = f"{where}.congruence"
+        cong = field(raw, "congruence", where, obj)
+        chi_val = field(cong, "chi", at, integer)
+        sigma_val = field(cong, "sigma", at, integer)
+        quarter = field(cong, "quarter_dim", at, integer)
         out["congruence"] = {
             "chi": chi_val,
             "sigma": sigma_val,
@@ -350,7 +265,7 @@ def _reps_section(case: ObstructionCase) -> dict:
 
 def _title(doc: Mapping) -> tuple[str, str]:
     """The case's name and anchor, checked before any section runs."""
-    return _str(doc, "name", "", "unnamed"), _str(doc, "anchor", "", "")
+    return field(doc, "name", "", string, "unnamed"), field(doc, "anchor", "", string, "")
 
 
 def _refused_at(value, where: str) -> str:
@@ -385,17 +300,12 @@ def _report(doc: Mapping, title: tuple[str, str], sections: dict) -> dict:
 
 def run_case(doc: Mapping, budget: int | None = None) -> dict:
     """Execute every actionable section of a case document, in order."""
-    if not isinstance(doc, Mapping):
-        raise CaseError("case document must be a JSON object")
-    title = _title(doc)
+    title = _title(obj(doc, "case document"))
     sections: dict = {}
     ring = None
     targets = None
     if "ring" in doc:
-        try:
-            ring = parse_presentation(doc["ring"])
-        except PresentationError as exc:
-            raise CaseError(str(exc)) from exc
+        ring = parse_presentation(doc["ring"])
         sections["ring"] = _ring_section(ring)
     if "targets" in doc:
         if ring is None:

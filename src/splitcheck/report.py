@@ -1,9 +1,18 @@
-"""Canonical JSON emission.
+"""Canonical JSON in and out.
 
-Reports must be byte-identical across runs, so the serializer sorts keys,
-fixes separators, and refuses floats.  Exact rational values are kept
+Out: reports must be byte-identical across runs, so the serializer sorts
+keys, fixes separators, and refuses floats.  Exact rational values are kept
 lossless: a Fraction with denominator 1 becomes a plain JSON integer,
 anything else the string "p/q".
+
+In: the readers below state once what each value of a case document must
+be.  A reader takes the raw value and its path (`search.bound.note`,
+`candidates[0][1][0]`) and returns the value or raises `CaseError` naming
+that path.  `field` reads one key of an object: a missing key is its
+default, or an error when it has none; a `null` is a value like any other,
+so an optional field is absent or well typed, never null.  `array` builds
+the `a[i]` paths of a list's items, so an error in an element names the
+element.  `fraction_from_json` is the inbound mirror of the "p/q" rule.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, Mapping
 
 
 # Types whose values pass through jsonable unchanged, matched by exact type.
@@ -56,18 +66,102 @@ def canonical_bytes(value) -> bytes:
     return text.encode("utf-8") + b"\n"
 
 
+class CaseError(ValueError):
+    """Malformed case document; the message names the offending field."""
+
+
+_REQUIRED = object()
+
+
+def field(doc: Mapping, key: str, where: str, read: Callable, default=_REQUIRED):
+    """`read` applied to doc[key] at path `where.key`; a missing key is `default`."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise CaseError(f"{where} is missing field '{key}'")
+        return default
+    return read(doc[key], f"{where}.{key}" if where else key)
+
+
+def obj(raw, where: str) -> Mapping:
+    if not isinstance(raw, Mapping):
+        raise CaseError(f"{where}: expected an object, got {raw!r:.80}")
+    return raw
+
+
+def array(raw, where: str, item: Callable | None = None) -> list:
+    """A JSON list, each element read by `item` at path `where[i]` when given."""
+    if not isinstance(raw, (list, tuple)):
+        raise CaseError(f"{where}: expected a list, got {raw!r:.80}")
+    if item is None:
+        return list(raw)
+    return [item(x, f"{where}[{i}]") for i, x in enumerate(raw)]
+
+
+def _is_integer(raw) -> bool:
+    """A JSON integer; a bool is not one, though Python counts it as an int."""
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
+def integer(raw, where: str, low: int | None = None) -> int:
+    """A JSON integer, at least `low` when given; never a bool, float or string."""
+    if not _is_integer(raw):
+        raise CaseError(f"{where}: expected an integer, got {raw!r:.80}")
+    if low is not None and raw < low:
+        raise CaseError(f"{where}: expected an integer >= {low}, got {raw}")
+    return raw
+
+
+def boolean(raw, where: str) -> bool:
+    """A JSON true or false, never a truthiness test."""
+    if not isinstance(raw, bool):
+        raise CaseError(f"{where}: expected true or false, got {raw!r:.80}")
+    return raw
+
+
+def string(raw, where: str) -> str:
+    """A JSON string, never coerced by str()."""
+    if not isinstance(raw, str):
+        raise CaseError(f"{where}: expected a string, got {raw!r:.80}")
+    return raw
+
+
+def integers(raw, where: str, length: int | None = None, low: int | None = None) -> tuple[int, ...]:
+    """A list of `length` integers (any number when None), each at least `low`."""
+    items = array(raw, where)
+    if length is not None and len(items) != length:
+        raise CaseError(f"{where}: expected {length} integers, got {len(items)}")
+    for i, x in enumerate(items):
+        if not _is_integer(x) or (low is not None and x < low):
+            integer(x, f"{where}[{i}]", low)  # raises, naming the element
+    return tuple(items)
+
+
+def terms(raw, where: str, n: int, coefficient: Callable) -> list:
+    """A list of [coefficient, exponents] pairs as (exponents, coefficient).
+
+    Exponents are n nonnegative integers; `coefficient` reads the other half
+    (`integer` in ring rules, `fraction_from_json` in classes).
+    """
+    out = []
+    for i, item in enumerate(array(raw, where)):
+        pair = f"{where}[{i}]"
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise CaseError(f"{pair}: expected a [coefficient, exponents] pair, got {item!r:.80}")
+        coeff = coefficient(item[0], f"{pair}[0]")
+        out.append((integers(item[1], f"{pair}[1]", n, 0), coeff))
+    return out
+
+
 def fraction_from_json(raw, where: str) -> Fraction:
     """Accept an int or a "p/q" string; mirror of the emission rule."""
-    if isinstance(raw, bool):
-        raise ValueError(f"{where}: expected a rational, got a boolean")
-    if isinstance(raw, int):
+    if _is_integer(raw):
         return Fraction(raw)
     if isinstance(raw, str):
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{where}: not a rational: {raw!r}") from exc
-    raise ValueError(f"{where}: expected an integer or 'p/q' string, got {type(raw).__name__}")
+            raise CaseError(f"{where}: not a rational: {raw!r}") from exc
+    raise CaseError(f"{where}: expected an integer or 'p/q' string, got {raw!r:.80}")
 
 
 def input_digest(doc: dict) -> str:

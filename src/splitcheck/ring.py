@@ -27,10 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb
 from operator import add, le
 from typing import Iterable, Iterator, Mapping, Sequence
+
+from .report import CaseError, array, field, integer, integers, obj, string, terms
 
 Monomial = tuple[int, ...]
 # Exact rational coefficient.  Integral values are stored as plain ints,
@@ -79,7 +81,7 @@ def _graded(acc: dict[Monomial, Coeff]) -> "GradedClass":
     return GradedClass(acc)
 
 
-class PresentationError(ValueError):
+class PresentationError(CaseError):
     """Raised when a ring document is malformed or its rules misbehave."""
 
 
@@ -534,9 +536,33 @@ def check_confluence(ring: RingPresentation) -> ConfluenceReport:
     return ConfluenceReport(ok=True, basis_sizes=sizes)
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; a bool is not one, though Python counts it as an int."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _read_presentation(doc) -> RingPresentation:
+    """The ring a document describes, before any check of its rewriting.
+
+    Every error is a `CaseError` naming its field; `parse_presentation`
+    turns each into a `PresentationError`.
+    """
+    doc = obj(doc, "ring")
+    generators = field(doc, "generators", "ring", partial(array, item=string))
+    if not generators:
+        raise CaseError("ring.generators: expected at least one name")
+    n = len(generators)
+    monomial = partial(integers, length=n, low=0)
+    rules = []
+    for i, rel in enumerate(field(doc, "relations", "ring", partial(array, item=obj))):
+        where = f"ring.relations[{i}]"
+        lhs = field(rel, "lhs", where, monomial)
+        rhs = field(rel, "rhs", where, partial(terms, n=n, coefficient=integer))
+        try:
+            rules.append(RewriteRule(lhs=lhs, rhs=GradedClass.from_terms(rhs)))
+        except PresentationError as exc:
+            raise CaseError(f"{where}: {exc}") from exc
+    top_degree = field(doc, "top_degree", "ring", integer)
+    fundamental = field(doc, "fundamental", "ring", monomial)
+    try:
+        return RingPresentation(generators, rules, top_degree, fundamental)
+    except PresentationError as exc:
+        raise CaseError(f"ring.{exc}") from exc
 
 
 def parse_presentation(doc: Mapping) -> RingPresentation:
@@ -550,58 +576,14 @@ def parse_presentation(doc: Mapping) -> RingPresentation:
          "fundamental": [2, 0]}
 
     Every error message names the offending field of the case document's
-    ``ring`` section, e.g. ``ring.relations[0].lhs``.
+    ``ring`` section, e.g. ``ring.relations[0].lhs``.  Each is a
+    `PresentationError`, the readers' type errors included.
     """
-    if not isinstance(doc, Mapping):
-        raise PresentationError("ring: expected an object")
-    for key in ("generators", "relations", "top_degree", "fundamental"):
-        if key not in doc:
-            raise PresentationError(f"ring is missing field '{key}'")
-    generators = doc["generators"]
-    if not isinstance(generators, (list, tuple)) or not all(isinstance(g, str) for g in generators):
-        raise PresentationError("ring.generators: expected a list of names")
-    n = len(generators)
-
-    def expvec(raw, where: str) -> Monomial:
-        if (
-            not isinstance(raw, (list, tuple))
-            or len(raw) != n
-            or not all(_is_int(e) and e >= 0 for e in raw)
-        ):
-            raise PresentationError(f"{where}: expected a length-{n} vector of nonnegative integers")
-        return tuple(raw)
-
-    relations = doc["relations"]
-    if not isinstance(relations, (list, tuple)):
-        raise PresentationError("ring.relations: expected a list of rules")
-    rules = []
-    for i, rel in enumerate(relations):
-        where = f"ring.relations[{i}]"
-        if not isinstance(rel, Mapping) or "lhs" not in rel or "rhs" not in rel:
-            raise PresentationError(f"{where}: expected an object with 'lhs' and 'rhs'")
-        lhs = expvec(rel["lhs"], f"{where}.lhs")
-        if not isinstance(rel["rhs"], (list, tuple)):
-            raise PresentationError(f"{where}.rhs: expected a list of terms")
-        rhs_terms = []
-        for j, term in enumerate(rel["rhs"]):
-            if not isinstance(term, (list, tuple)) or len(term) != 2 or not _is_int(term[0]):
-                raise PresentationError(
-                    f"{where}.rhs[{j}]: expected [integer coefficient, exponent vector]"
-                )
-            rhs_terms.append((expvec(term[1], f"{where}.rhs[{j}][1]"), Fraction(term[0])))
-        try:
-            rules.append(RewriteRule(lhs=lhs, rhs=GradedClass.from_terms(rhs_terms)))
-        except PresentationError as exc:
-            raise PresentationError(f"{where}: {exc}") from exc
-
-    top_degree = doc["top_degree"]
-    if not _is_int(top_degree):
-        raise PresentationError(f"ring.top_degree: expected an integer, got {top_degree!r}")
-    fundamental = expvec(doc["fundamental"], "ring.fundamental")
     try:
-        ring = RingPresentation(generators, rules, top_degree, fundamental)
-    except PresentationError as exc:
-        raise PresentationError(f"ring.{exc}") from exc
+        ring = _read_presentation(doc)
+    except CaseError as exc:
+        raise PresentationError(str(exc)) from exc
+    n, top_degree = len(ring.generators), ring.top_degree
     monomials = comb(n + top_degree // 2, n)
     if monomials > MAX_MONOMIALS:
         raise PresentationError(

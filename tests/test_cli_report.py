@@ -244,7 +244,7 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         run_case(doc)
     bad = builtin_case("cp2-connect-sum")
     bad["targets"]["p1"] = [[0.5, [2, 0]]]
-    with pytest.raises((CaseError, ValueError), match="targets.p1"):
+    with pytest.raises(CaseError, match="targets.p1"):
         run_case(bad)
     # booleans are JSON true/false only: bool("false") would be True;
     # integers are JSON integers only: int("2") and int(2.7) would pass, and
@@ -273,6 +273,8 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         ("m20-eschenburg", ("obstruction", "manifold_dim"), 7),
         ("m20-eschenburg", ("obstruction", "manifold_dim"), 0),
         ("hp1-presentation", ("obstruction", "factors", 0, "rank"), True),
+        ("hp1-presentation", ("obstruction", "factors", 0, "family"), 5),
+        ("hp1-presentation", ("obstruction", "factors", 0, "family"), ["A"]),
         ("hp1-presentation", ("genus", "congruence", "chi"), [1]),
         ("hp1-presentation", ("genus", "congruence", "chi"), True),
         ("hp1-presentation", ("genus", "congruence", "sigma"), 0.0),
@@ -292,6 +294,8 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         ("cp2-connect-sum", ("ring", "relations", 1, "rhs", 0, 1), [True, 1]),
         ("cp2-connect-sum", ("ring", "fundamental"), [True, 1]),
         ("cp2-connect-sum", ("ring", "top_degree"), True),
+        # no generators is the generators' error, not the first exponent vector's
+        ("cp2-connect-sum", ("ring", "generators"), []),
         # a ring too large to check names the degree that makes it so
         ("cp2-connect-sum", ("ring",), _BIG_RING, ("ring", "top_degree")),
         # search and candidate errors name the field they come from
@@ -301,6 +305,13 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         (("cpn-split", 2), ("ring",), _LINE_RING, ("search", "bound", "multipliers")),
         # a zero form is reported as numbers, not as a tuple of Fraction reprs
         ("cp2-connect-sum", ("search", "bound", "multipliers"), [0]),
+        # a multiplier is an integer or a "p/q" string with a nonzero q
+        ("cp2-connect-sum", ("search", "bound", "multipliers", 0), 0.5),
+        ("cp2-connect-sum", ("search", "bound", "multipliers", 0), "1/0"),
+        # an optional field is absent or well typed: null is not absent
+        (("cpn-split", 2), ("targets", "chern"), None),
+        (("genus-cpn", 2), ("genus", "roots"), None),
+        ("m20-eschenburg", ("genus", "congruence"), None),
         ("cp2-connect-sum", ("search", "m"), 3),
         ("cp2-connect-sum", ("search", "m"), 1),
         ("cp2-connect-sum", ("search", "m"), 0),
@@ -337,43 +348,47 @@ def _field_name(path) -> str:
     return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
 
 
-_INT_KEYS = ("m", "budget", "real_rank", "manifold_dim", "chi", "sigma", "quarter_dim")
+_INT_KEYS = ("m", "budget", "real_rank", "manifold_dim", "chi", "sigma", "quarter_dim", "top_degree")
 _BOOL_KEYS = ("euler_sign_flexible", "acknowledged", "euler_nonzero", "almost_complex_forbidden")
-_STR_KEYS = ("name", "anchor", "note", "provenance")
+_STR_KEYS = ("name", "anchor", "note", "provenance", "family")
 
 
 def _typed_fields() -> list:
-    """(case, path, kind, named path) for each typed leaf `run_case` reads
-    outside the ring.  A coordinate or exponent error names its vector."""
+    """(case, path, kind) for each typed leaf `run_case` reads.  An error in
+    a list's element, such as one exponent, names that element's path."""
     out = []
+
+    def leaves(name, path, kind, items) -> None:
+        out.extend((name, path + (k,), kind) for k in range(len(items)))
 
     def visit(name, node, path) -> None:
         if isinstance(node, dict):
             for key, value in node.items():
                 here = path + (key,)
                 if key in _BOOL_KEYS:
-                    out.append((name, here, "bool", here))
+                    out.append((name, here, "bool"))
                 elif key in _STR_KEYS:
-                    out.append((name, here, "str", here))
+                    out.append((name, here, "str"))
                 elif key in _INT_KEYS or (key == "rank" and "factors" in path):
-                    out.append((name, here, "int", here))
-                elif key == "per_variable":
-                    out.extend((name, here + (i,), "int", here + (i,)) for i in range(len(value)))
-                elif key in ("p1", "euler", "chern"):
+                    out.append((name, here, "int"))
+                elif key == "generators":
+                    leaves(name, here, "str", value)
+                elif key in ("per_variable", "lhs", "fundamental"):
+                    leaves(name, here, "int", value)
+                elif key in ("p1", "euler", "chern", "rhs"):
                     for i, (_, exps) in enumerate(value):
-                        vec = here + (i, 1)
-                        out.extend((name, vec + (k,), "int", vec) for k in range(len(exps)))
+                        if key == "rhs":  # a ring rule's coefficients are integers
+                            out.append((name, here + (i, 0), "int"))
+                        leaves(name, here + (i, 1), "int", exps)
                 elif key == "roots":
                     for i, root in enumerate(value):
                         for j, (_, exps) in enumerate(root):
-                            vec = here + (i, j, 1)
-                            out.extend((name, vec + (k,), "int", vec) for k in range(len(exps)))
+                            leaves(name, here + (i, j, 1), "int", exps)
                 elif key == "candidates":
                     for i, cand in enumerate(value):
                         for j, coords in enumerate(cand):
-                            vec = here + (i, j)
-                            out.extend((name, vec + (k,), "int", vec) for k in range(len(coords)))
-                elif key != "ring":
+                            leaves(name, here + (i, j), "int", coords)
+                else:
                     visit(name, value, here)
         elif isinstance(node, list):
             for i, item in enumerate(node):
@@ -398,8 +413,9 @@ WRONG_VALUES = {
 
 
 def test_typed_fields_cover_every_section():
-    kinds = {(path[0], kind) for _, path, kind, _ in TYPED_FIELDS}
+    kinds = {(path[0], kind) for _, path, kind in TYPED_FIELDS}
     assert kinds >= {
+        ("ring", "int"), ("ring", "str"),
         ("targets", "int"), ("targets", "bool"), ("candidates", "int"),
         ("search", "int"), ("search", "bool"), ("genus", "int"),
         ("obstruction", "int"), ("obstruction", "bool"),
@@ -410,10 +426,10 @@ def test_typed_fields_cover_every_section():
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_mutated_builtins_name_the_field(data):
-    name, path, kind, named = data.draw(st.sampled_from(TYPED_FIELDS))
+    name, path, kind = data.draw(st.sampled_from(TYPED_FIELDS))
     bad = builtin_case(name)
     _set(bad, path, data.draw(WRONG_VALUES[kind]))
-    with pytest.raises(CaseError, match=re.escape(_field_name(named))):
+    with pytest.raises(CaseError, match=re.escape(_field_name(path))):
         run_case(bad)
 
 
@@ -473,6 +489,14 @@ def test_cli_parameter_flag():
     assert json.loads(proc.stdout)["sections"]["genus"]["chi_y"] == [1, -1, 1]
     rejected = run_cli("verify", "s2xs2", "--q", "3")
     assert rejected.returncode == 1
+
+
+def test_builtin_parameters_are_integers_not_bools():
+    # True is an int to Python; as q it would print "q = True" in the anchor
+    with pytest.raises(CaseError, match="^q: expected an integer, got True"):
+        builtin_case("r-p", True)
+    with pytest.raises(CaseError, match="^n: expected an integer, got False"):
+        builtin_case("genus-cpn", False)
 
 
 def test_cli_budget_override():
