@@ -35,6 +35,7 @@ RING_REFS = [
     ("cp2-connect-sum", None),
     ("su3-t2", None),
     ("r-p", 2),
+    ("r-p-u-variant", 2),
     ("sp2-t2", None),
     ("s2xs2", None),
     ("cpn-split", 4),

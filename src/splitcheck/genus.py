@@ -8,11 +8,14 @@ exact factor (1 + y), which is divided out.  The direct signature (factor
 x/tanh x) and the Euler integral (factor x) are integrals of the same shape,
 so all of them go through one multiplicative-sequence integrator.
 
-The integrator keeps the running product as one coefficient tuple per power
-of y and per degree, and multiplies each root in through the ring's tables
-(`ring.RingTables`).  The factor's rational series coefficients are first
-scaled by one common denominator, so integral roots give integer ring
-arithmetic; the denominator is divided out of the integral at the end.
+The integrator packs each y-polynomial into one int by the substitution
+y -> 2^s (Kronecker substitution), so the running product is one int tuple
+per degree and each root is multiplied in through the ring's tables
+(`ring.RingTables`) once, whatever the y-degree.  The factor's rational
+series coefficients, the roots and the tables are scaled to ints by their
+common denominators, which are divided out of the integral at the end.  The
+digit width s comes from a proven bound on the coefficients, and decoding
+checks it: a remainder raises `ArithmeticError`, never a wrong polynomial.
 Everything is exact and no floating point appears anywhere.
 """
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import ceil, lcm
 from typing import Sequence
 
 from .ring import GradedClass, RingPresentation, normal_form
@@ -64,14 +67,19 @@ class YPolynomial:
 
     def divide_by_one_plus_y(self) -> "YPolynomial":
         """Exact division by (1 + y); raises if there is a remainder."""
-        coeffs = list(self.coefficients)
-        quotient = [Fraction(0)] * max(len(coeffs) - 1, 1)
-        for k in range(len(coeffs) - 1, 0, -1):
-            quotient[k - 1] = coeffs[k]
-            coeffs[k - 1] -= coeffs[k]
-        if coeffs[0]:
-            raise RootCountError("y-polynomial is not divisible by (1 + y)")
-        return YPolynomial.from_coeffs(quotient)
+        return YPolynomial.from_coeffs(_divide_by_one_plus_y(self.coefficients))
+
+
+def _divide_by_one_plus_y(coeffs: Sequence[Fraction | int]) -> list[Fraction | int]:
+    """Coefficients of the exact quotient by (1 + y); raises if there is a remainder."""
+    coeffs = list(coeffs)
+    quotient = [0] * max(len(coeffs) - 1, 1)
+    for k in range(len(coeffs) - 1, 0, -1):
+        quotient[k - 1] = coeffs[k]
+        coeffs[k - 1] -= coeffs[k]
+    if coeffs[0]:
+        raise RootCountError("y-polynomial is not divisible by (1 + y)")
+    return quotient
 
 
 @dataclass(frozen=True)
@@ -89,9 +97,30 @@ class ChernRootData:
         return self.ring.top_degree // 2
 
 
+@dataclass(frozen=True)
+class _Factor:
+    """A multiplicative-sequence factor f(x) = sum_k c_k(y) x^k over ints.
+
+    `coeffs[k]` lists the y-coefficients of denom * c_k, up to the last
+    nonzero c_k (at least c_0), where denom is the lcm of the c_k's
+    denominators.
+    """
+
+    coeffs: tuple[tuple[int, ...], ...]
+    denom: int
+
+    @staticmethod
+    def of(coeffs: Sequence[Sequence[Fraction | int]]) -> "_Factor":
+        denom = lcm(*(c.denominator for ck in coeffs for c in ck))
+        scaled = [tuple((c * denom).numerator for c in ck) for ck in coeffs]
+        while len(scaled) > 1 and not any(scaled[-1]):
+            scaled.pop()
+        return _Factor(tuple(scaled), denom)
+
+
 @lru_cache
-def _genus_factor_coeffs(order: int, t: Fraction | int) -> tuple[tuple[Fraction, ...], ...]:
-    """Per-power (constant, y) coefficients of x(1+y e^{-tx})/(1-e^{-tx}).
+def _genus_factor(order: int, t: Fraction | int) -> _Factor:
+    """(constant, y) coefficients of x(1+y e^{-tx})/(1-e^{-tx}).
 
     The factor with scaled argument keeps an overall 1/t from the leading x,
     so the t-substitution test divides by t^n via these factors directly.
@@ -101,57 +130,95 @@ def _genus_factor_coeffs(order: int, t: Fraction | int) -> tuple[tuple[Fraction,
     expneg = series_scaled_argument(series_exp_neg(order), t)
     mixed = todd * expneg
     # x(1+y e^{-tx})/(1-e^{-tx}) = (1/t) * [T(tx) + y * T(tx)E(tx)]
-    return tuple(
-        (todd.coefficients[k] / t, mixed.coefficients[k] / t) for k in range(order + 1)
+    return _Factor.of(
+        [(todd.coefficients[k] / t, mixed.coefficients[k] / t) for k in range(order + 1)]
     )
 
 
 @lru_cache
-def _tanh_factor_coeffs(order: int) -> tuple[tuple[Fraction], ...]:
-    """Per-power coefficients of x/tanh x, each a constant in y."""
-    return tuple((c,) for c in series_tanh_factor(order).coefficients)
+def _tanh_factor(order: int) -> _Factor:
+    """Coefficients of x/tanh x, each a constant in y."""
+    return _Factor.of([(c,) for c in series_tanh_factor(order).coefficients])
 
 
-def _integrate_multiplicative(
-    data: ChernRootData, coeffs: Sequence[Sequence[Fraction | int]]
-) -> YPolynomial:
+_EULER_FACTOR = _Factor.of([(0,), (1,)])
+
+
+def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[list[int], int]:
     """Integral of the product of f(x_i) over the roots, as a y-polynomial.
 
-    f(x) = sum_k c_k(y) x^k is a multiplicative-sequence factor, and
-    coeffs[k] lists the y-coefficients of c_k.  The product is one tuple per
-    power of y and per degree 2d, over the ring's degree-2d basis, and each
-    root's normal form is multiplied in through the ring's tables.  The c_k
-    are first scaled by the lcm D of their denominators, so integral roots
-    keep the arithmetic on ints, and the integral is divided by
-    D^(number of roots) at the end.  Root powers are formed only up to the
-    last nonzero c_k.
+    The polynomial is returned as its y-coefficients' numerators over one
+    common denominator, so callers finish on ints.
+
+    The y-polynomials are packed into ints by y -> R = 2^s, a ring map
+    from Z[y] that is injective on polynomials whose coefficients are below
+    R/2 in absolute value.  So the product is one int tuple per degree 2d,
+    over the ring's degree-2d basis, and each root's normal form is
+    multiplied in through the ring's tables once, whatever the y-degree.
+    Arithmetic stays on ints: the factor's coefficients are scaled by their
+    common denominator D, the roots by the lcm L of their coordinates'
+    denominators, and the tables' rows by their denominator E; only the
+    degree-n part survives integration, so the integral is divided by
+    D^m * (L * E)^n at the end, for m roots.
+
+    The width s comes from a proven bound.  With tau the tables' largest
+    row norm, |a * b|_1 <= tau * |a|_1 * |b|_1, so every y-coefficient of
+    the scaled integral is at most prod_i sum_k |D c_k|_1 (tau |L x_i|_1)^k
+    times E^n in absolute value, and s = bit_length(2 * bound) + 1.  The
+    fundamental coefficient is decoded into balanced base-R digits; a
+    nonzero remainder means the bound failed and raises ArithmeticError.
     """
     ring = data.ring
     tables = ring.tables
     n = data.n
-    denom = lcm(*(Fraction(c).denominator for ck in coeffs for c in ck))
-    scaled = [[(Fraction(c) * denom).numerator for c in ck] for ck in coeffs]
-    last = max((k for k, ck in enumerate(scaled) if any(ck)), default=-1)
-    width = max((len(ck) for ck in scaled), default=1)
-    zero = [tables.vector(GradedClass.zero(), d) for d in range(n + 1)]
-    product = [[tables.one] + zero[1:]]
-    for root in data.roots:
-        vec = tables.vector(normal_form(ring, root), 1)
-        out = [list(zero) for _ in range(len(product) + width - 1)]
-        power = product  # the product times root^k, per power of y
-        for k in range(last + 1):
-            if k:
-                power = [[zero[0]] + [tables.mul(d, part[d], vec) for d in range(n)] for part in power]
-            for j, c in enumerate(scaled[k]):
+    coeffs = factor.coeffs
+    last = len(coeffs) - 1
+    vecs = [tables.vector(normal_form(ring, root), 1) for root in data.roots]
+    roots_denom = lcm(*(c.denominator for vec in vecs for c in vec))
+    if roots_denom != 1:  # integral coefficients are already ints
+        vecs = [
+            tuple(c.numerator * (roots_denom // c.denominator) for c in vec) for vec in vecs
+        ]
+    rows_denom = tables.row_denominator
+    tau = tables.mul_norm
+    norms = [sum(map(abs, ck)) for ck in coeffs]
+    bound = rows_denom**n
+    for vec in vecs:
+        size = tau * sum(map(abs, vec))
+        bound *= sum(norm * size**k for k, norm in enumerate(norms))
+    shift = (2 * ceil(bound)).bit_length() + 1
+    packed = [sum(c << shift * j for j, c in enumerate(ck)) for ck in coeffs]
+    zero = [(0,) * len(tables.bases[d]) for d in range(n + 1)]
+    product = [tables.one] + zero[1:]
+    for vec in vecs:
+        c = packed[0]
+        out = [tuple(c * x for x in part) for part in product]
+        if any(vec):
+            power = product  # the product times root^k
+            for k in range(1, last + 1):
+                power = zero[:k] + [tables.mul(d, power[d], vec) for d in range(k - 1, n)]
+                c = packed[k]
                 if c:
-                    for i, part in enumerate(power):
-                        dest = out[i + j]
-                        for d, term in enumerate(part):
-                            dest[d] = tuple(x + c * t for x, t in zip(dest[d], term))
+                    for d in range(k, n + 1):
+                        out[d] = tuple(x + c * t for x, t in zip(out[d], power[d]))
         product = out
-    scale = denom ** len(data.roots)
-    top = tables.bases[n].index(ring.fundamental)
-    return YPolynomial.from_coeffs([Fraction(part[n][top], scale) for part in product])
+    top = product[n][tables.bases[n].index(ring.fundamental)] * rows_denom**n
+    if top.denominator != 1:
+        raise ArithmeticError("genus integral is not integral after clearing denominators")
+    top = top.numerator
+    width = max(map(len, coeffs))
+    mask, half = (1 << shift) - 1, 1 << (shift - 1)
+    digits = []
+    for _ in range(len(vecs) * (width - 1) + 1):
+        digit = top & mask
+        if digit >= half:
+            digit -= mask + 1
+        digits.append(digit)
+        top = (top - digit) >> shift
+    if top:
+        raise ArithmeticError(f"packed genus integral overflows {shift}-bit digits")
+    denom = factor.denom ** len(vecs) * (roots_denom * rows_denom) ** n
+    return digits, denom
 
 
 def _check_root_count(data: ChernRootData) -> None:
@@ -180,15 +247,17 @@ def chi_y_scaled(data: ChernRootData, t: Fraction | int) -> YPolynomial:
     _check_root_count(data)
     n = data.n
     extra = len(data.roots) - n
-    raw = _integrate_multiplicative(data, _genus_factor_coeffs(n, t))
+    raw, denom = _integrate_multiplicative(data, _genus_factor(n, t))
+    t = Fraction(t)
     # the per-factor 1/t accounts for t^m; restore the t^(m-n) overshoot
-    scale = Fraction(t) ** extra
-    out = YPolynomial.from_coeffs([c * scale for c in raw.coefficients])
+    raw = [c * t.numerator**extra for c in raw]
+    denom *= t.denominator**extra
     for _ in range(extra):
-        out = out.divide_by_one_plus_y()
+        raw = _divide_by_one_plus_y(raw)
+    out = YPolynomial.from_coeffs([Fraction(c, denom) for c in raw])
     if out.degree() > n:
         raise RootCountError("chi_y degree exceeds the complex dimension")
-    return YPolynomial.from_coeffs(list(out.coefficients) + [0] * (n - out.degree()))
+    return out
 
 
 def euler_from_chi(chi: YPolynomial) -> Fraction:
@@ -212,7 +281,8 @@ def signature_direct(data: ChernRootData) -> Fraction:
     The factor is 1 at x = 0, so stabilizing trivial roots change nothing
     and no root-count correction is needed.
     """
-    return _integrate_multiplicative(data, _tanh_factor_coeffs(data.n)).coefficients[0]
+    raw, denom = _integrate_multiplicative(data, _tanh_factor(data.n))
+    return Fraction(raw[0], denom)
 
 
 def top_chern_integral(data: ChernRootData) -> Fraction:
@@ -221,7 +291,8 @@ def top_chern_integral(data: ChernRootData) -> Fraction:
     Fewer than n roots is a RootCountError, as for chi_y.
     """
     _check_root_count(data)
-    return _integrate_multiplicative(data, [[0], [1]]).coefficients[0]
+    raw, denom = _integrate_multiplicative(data, _EULER_FACTOR)
+    return Fraction(raw[0], denom)
 
 
 def duality_check(chi: YPolynomial, n: int) -> bool:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping
@@ -152,15 +153,25 @@ def terms(raw, where: str, n: int, coefficient: Callable) -> list:
     return out
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def fraction_from_json(raw, where: str) -> Fraction:
-    """Accept an int or a "p/q" string; mirror of the emission rule."""
+    """Accept an int or a "p/q" string; mirror of the emission rule.
+
+    A string is an optional "-", ASCII digits, and optionally "/" and
+    digits: `Fraction` alone would also read decimals, exponents,
+    underscores and padding such as "6e0" or " 1.0 ".
+    """
     if _is_integer(raw):
         return Fraction(raw)
     if isinstance(raw, str):
+        if not _RATIONAL.fullmatch(raw):
+            raise CaseError(f"{where}: not a rational: {raw!r:.80}")
         try:
             return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CaseError(f"{where}: not a rational: {raw!r}") from exc
+        except ZeroDivisionError as exc:
+            raise CaseError(f"{where}: not a rational: {raw!r:.80}") from exc
     raise CaseError(f"{where}: expected an integer or 'p/q' string, got {raw!r:.80}")
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from math import comb
+from math import comb, lcm
 from operator import add, le
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -467,6 +467,27 @@ class RingTables:
                         for t, z in enumerate(entry):
                             out[t] += xy * z
         return tuple(out)
+
+    @cached_property
+    def mul_norm(self) -> Coeff:
+        """tau, the largest l1 norm of a `rows` entry, built on first use.
+
+        Each output of `mul(k, a, b)` is sum_i,j a_i b_j rows[k][i][j], so
+        its l1 norm is at most tau * |a|_1 * |b|_1.
+        """
+        return max((sum(map(abs, entry)) for table in self.rows for row in table
+                    for entry in row), default=0)
+
+    @cached_property
+    def row_denominator(self) -> int:
+        """The lcm of the denominators in `rows`, built on first use.
+
+        It is 1 unless a rule has a fractional coefficient.  k `mul` steps
+        from integral tuples give a tuple that is integral once multiplied
+        by its k-th power.
+        """
+        return lcm(*(z.denominator for table in self.rows for row in table
+                     for entry in row for z in entry))
 
     def product(self, vectors: Sequence[Vector]) -> Vector:
         """The tuple of the product of degree-2 classes, over `bases[len(vectors)]`."""

@@ -111,8 +111,13 @@ def test_fraction_roundtrip():
     assert fraction_from_json(3, "x") == Fraction(3)
     assert fraction_from_json("1/12", "x") == Fraction(1, 12)
     assert fraction_from_json("-7/2", "x") == Fraction(-7, 2)
+    assert fraction_from_json("12", "x") == Fraction(12)
     with pytest.raises(ValueError):
         fraction_from_json(True, "x")
+    # `Fraction` alone reads every one of these
+    for raw in ["6e0", " 1.0 ", "1.5", "1_000", "+1", "1/-2", " 3", "3\n", "\u0663"]:
+        with pytest.raises(CaseError, match="x: not a rational"):
+            fraction_from_json(raw, "x")
     with pytest.raises(ValueError):
         fraction_from_json("abc", "x")
     with pytest.raises(ValueError):
@@ -336,6 +341,25 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
     assert main(["verify", str(doc)]) == 1
     err = capsys.readouterr().err
     assert "comment" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(("path", "value", "named"), [
+    (("targets", "p1"), [["6e0", [2, 0]]], "targets.p1[0][0]"),
+    (("search", "bound", "multipliers"), [" 1.0 "], "search.bound.multipliers[0]"),
+], ids=["p1-exponent", "multiplier-padding"])
+def test_rational_strings_are_strict(tmp_path, capsys, path, value, named):
+    """A class coefficient or multiplier string is "p/q" or an integer:
+    an exponent or padding is an error naming the element, not a 6 or a 1."""
+    bad = builtin_case("cp2-connect-sum")
+    _set(bad, path, value)
+    with pytest.raises(CaseError, match=re.escape(named)):
+        run_case(bad)
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps(bad))
+    capsys.readouterr()
+    assert main(["verify", str(doc)]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 def _set(doc, path, value) -> None:

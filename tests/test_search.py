@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from helpers import (
     accepts,
     cp2_oracle,
+    half_ring,
     ref_canonicalize_solution,
     ref_enumerate,
     ring_for,
@@ -45,7 +46,7 @@ from splitcheck.charclass import (
 )
 from splitcheck.cli import run_case
 from splitcheck.report import canonical_bytes
-from splitcheck.ring import GradedClass, RewriteRule, RingPresentation, basis, ring_mul
+from splitcheck.ring import GradedClass, basis, ring_mul
 from splitcheck.search import (
     BoundError,
     ExplicitBound,
@@ -395,18 +396,11 @@ def test_euler_degree_above_the_top_matches_reference():
     assert cert.solutions == ref_enumerate(spec)
 
 
-def _half_ring() -> RingPresentation:
-    """x^2 = y^2 / 2 and xy = 0, top degree 4: a square's y^2 coefficient is a^2/2 + b^2."""
-    half_y2 = GradedClass.from_terms([((0, 2), Fraction(1, 2))])
-    rules = [RewriteRule((2, 0), half_y2), RewriteRule((1, 1), GradedClass.zero())]
-    return RingPresentation(["x", "y"], rules, 4, (0, 2))
-
-
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_non_integral_ring_matches_reference(m):
     """A ring whose products are not integral: the join keys are built after
     the squares' denominators are cleared, so no hit is lost."""
-    ring = _half_ring()
+    ring = half_ring()
     assert any(
         Fraction(x).denominator != 1 for row in ring.tables.rows[1] for entry in row for x in entry
     )

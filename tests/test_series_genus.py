@@ -21,6 +21,7 @@ import pytest
 from helpers import (
     RING_IDS,
     RING_REFS,
+    half_ring,
     random_degree2,
     ref_chi_y_scaled,
     ref_signature_direct,
@@ -43,6 +44,7 @@ from splitcheck.genus import (
     todd_from_chi,
     top_chern_integral,
 )
+from splitcheck.cases import builtin_case
 from splitcheck.ring import GradedClass, basis, parse_presentation
 from splitcheck.series import (
     TruncatedSeries,
@@ -229,6 +231,70 @@ def _assert_matches_reference(data: ChernRootData, t) -> None:
     honest = ChernRootData(ring=data.ring, roots=data.roots[: data.n])
     assert top_chern_integral(honest) == ref_top_chern_integral(honest)
     assert top_chern_integral(data) == ref_top_chern_integral(data)
+
+
+def random_wide_data(rng: random.Random, ring, extra: int) -> ChernRootData:
+    """n roots with coordinates up to 10^6 over denominators up to 997."""
+    roots = tuple(
+        GradedClass.from_terms(
+            (m, F(rng.randint(-10**6, 10**6), rng.choice((1, 1, rng.randint(2, 997)))))
+            for m in basis(ring, 2)
+        )
+        for _ in range(ring.top_degree // 2)
+    )
+    return ChernRootData(ring=ring, roots=roots + (GradedClass.zero(),) * extra)
+
+
+@pytest.mark.parametrize(("name", "par"), RING_REFS, ids=RING_IDS)
+def test_integrator_matches_reference_on_wide_roots(name, par):
+    """Coefficients far past the small-span data: the packed y-digits then
+    run to hundreds of bits, and the bound that sizes them must still hold."""
+    ring = ring_for(name, par)
+    rng = random.Random(sum(map(ord, f"wide-{name}-{par}")))
+    for i, t in enumerate((-1, 2, 3, F(1, 2), F(-3, 2)) * 2):
+        data = random_wide_data(rng, ring, extra=i % 3)
+        assert chi_y_scaled(data, t) == ref_chi_y_scaled(data, t)
+        assert signature_direct(data) == ref_signature_direct(data)
+        assert top_chern_integral(data) == ref_top_chern_integral(data)
+
+
+@pytest.mark.parametrize(("name", "par"), RING_REFS, ids=RING_IDS)
+def test_table_products_obey_the_row_norm_bound(name, par):
+    """|mul(k, a, b)|_1 <= tau |a|_1 |b|_1: the inequality the integrator's
+    digit width rests on."""
+    tables = ring_for(name, par).tables
+    tau = tables.mul_norm
+    rng = random.Random(sum(map(ord, f"norm-{name}-{par}")))
+    r = len(tables.bases[1])
+    for k in range(len(tables.rows)):
+        for _ in range(30):
+            a = tuple(rng.randint(-50, 50) for _ in tables.bases[k])
+            b = tuple(rng.randint(-50, 50) for _ in range(r))
+            norm = sum(map(abs, tables.mul(k, a, b)))
+            assert norm <= tau * sum(map(abs, a)) * sum(map(abs, b))
+    # tau is attained: some product of basis elements has norm tau
+    assert any(sum(map(abs, entry)) == tau for table in tables.rows for row in table for entry in row)
+
+
+def test_integrator_on_fractional_rules():
+    """Rule coefficients with a denominator put Fractions in the tables'
+    rows; each mul step then scales by the rows' denominator."""
+    ring = half_ring()
+    assert ring.tables.row_denominator == 2
+    rng = random.Random(5)
+    for i in range(12):
+        data = random_data(rng, ring, extra=i % 3)
+        _assert_matches_reference(data, (-1, 2, F(1, 2))[i % 3])
+
+
+def test_integrator_overflow_raises():
+    """A digit width below the true coefficients is caught, never decoded
+    into a wrong polynomial: here tau is forced to 0."""
+    ring = parse_presentation(builtin_case("cpn-split", 3)["ring"])
+    ring.tables.mul_norm = 0
+    data = ChernRootData(ring=ring, roots=(GradedClass({(1,): 1000}),) * 4)
+    with pytest.raises(ArithmeticError, match="overflows"):
+        chi_y(data)
 
 
 def test_integrator_reduces_roots_first():
