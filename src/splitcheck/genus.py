@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil, lcm
 from typing import Sequence
 
@@ -95,6 +95,22 @@ class ChernRootData:
     @property
     def n(self) -> int:
         return self.ring.top_degree // 2
+
+    @cached_property
+    def integer_roots(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The roots' normal forms over the degree-2 basis, scaled to ints,
+        and the scale: the lcm of their coordinates' denominators.
+
+        Built on first use, so every genus of one root set normalizes the
+        roots once.
+        """
+        tables = self.ring.tables
+        vecs = [tables.vector(normal_form(self.ring, root), 1) for root in self.roots]
+        denom = lcm(*(c.denominator for vec in vecs for c in vec))
+        # integral coefficients are already ints
+        if denom != 1:
+            vecs = [tuple(c.numerator * (denom // c.denominator) for c in vec) for vec in vecs]
+        return tuple(vecs), denom
 
 
 @dataclass(frozen=True)
@@ -173,12 +189,7 @@ def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[lis
     n = data.n
     coeffs = factor.coeffs
     last = len(coeffs) - 1
-    vecs = [tables.vector(normal_form(ring, root), 1) for root in data.roots]
-    roots_denom = lcm(*(c.denominator for vec in vecs for c in vec))
-    if roots_denom != 1:  # integral coefficients are already ints
-        vecs = [
-            tuple(c.numerator * (roots_denom // c.denominator) for c in vec) for vec in vecs
-        ]
+    vecs, roots_denom = data.integer_roots
     rows_denom = tables.row_denominator
     tau = tables.mul_norm
     norms = [sum(map(abs, ck)) for ck in coeffs]
@@ -238,9 +249,10 @@ def chi_y(data: ChernRootData) -> YPolynomial:
 def chi_y_scaled(data: ChernRootData, t: Fraction | int) -> YPolynomial:
     """chi_y computed from roots scaled by t (t nonzero), dividing by t^n.
 
-    The substitution is exact because only the top-degree component of the
-    integrand survives integration, and that component scales by exactly
-    t^n, which the per-factor 1/t normalization removes.
+    Like `chi_y`, it has exactly n + 1 coefficients, chi^0 .. chi^n, a zero
+    chi^n included.  The substitution is exact because only the top-degree
+    component of the integrand survives integration, and that component
+    scales by exactly t^n, which the per-factor 1/t normalization removes.
     """
     if not t:
         raise ValueError("t must be nonzero")
@@ -254,10 +266,11 @@ def chi_y_scaled(data: ChernRootData, t: Fraction | int) -> YPolynomial:
     denom *= t.denominator**extra
     for _ in range(extra):
         raw = _divide_by_one_plus_y(raw)
-    out = YPolynomial.from_coeffs([Fraction(c, denom) for c in raw])
-    if out.degree() > n:
+    if any(raw[n + 1:]):
         raise RootCountError("chi_y degree exceeds the complex dimension")
-    return out
+    # exactly chi^0 .. chi^n, so a zero chi^n is still listed
+    raw = raw[: n + 1] + [0] * (n + 1 - len(raw))
+    return YPolynomial(tuple(Fraction(c, denom) for c in raw))
 
 
 def euler_from_chi(chi: YPolynomial) -> Fraction:

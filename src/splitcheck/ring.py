@@ -17,10 +17,10 @@ Coefficients are ints or Fractions only; anything else raises `TypeError`.
 
 Each ring also compiles itself once, on first use, into `RingTables`: a
 class of degree 2k becomes its coefficient tuple over the degree-2k basis,
-and multiplication by a degree-2 class becomes a table lookup on tuples.
-The search and the genus integrator both multiply through these tables;
-`ring_mul` on dicts stays the reference product that builds them and that
-the acceptance rule uses.
+and multiplication by a degree-2 class becomes one pass over the nonzero
+entries of a table, read off the memoized normal forms of monomial
+products.  The search and the genus integrator both multiply through these
+tables; `ring_mul` on dicts stays the product the acceptance rule uses.
 """
 
 from __future__ import annotations
@@ -420,15 +420,17 @@ def basis(ring: RingPresentation, degree: int) -> list[Monomial]:
 
 
 class RingTables:
-    """Multiplication by the degree-2 coordinates, compiled to tuples.
+    """Multiplication by the degree-2 coordinates, compiled to its nonzero entries.
 
     `bases[k]` is the basis of degree 2k, for k up to max(top/2, 2) so that
     the degree-4 basis always exists; above the top degree it is empty.
-    `rows[k][i][j]` is the coefficient tuple over `bases[k + 1]` of
-    `bases[k][i] * bases[1][j]`, one `ring_mul` per entry.  A class of
-    degree 2k is its tuple over `bases[k]`, and every degree past the tables
-    is the empty tuple.  A product of normal forms is linear in both
-    factors, so `mul` equals `ring_mul` on tuples.
+    `terms[k]` lists each (i, j, t, z) with z != 0 the coefficient of
+    `bases[k + 1][t]` in `bases[k][i] * bases[1][j]`, read off the memoized
+    normal form of that monomial product, and `rows[k][i][j]` is the same
+    product as a dense tuple over `bases[k + 1]`.  A class of degree 2k is
+    its tuple over `bases[k]`, and every degree past the tables is the empty
+    tuple.  A product of normal forms is linear in both factors, so `mul`
+    equals `ring_mul` on tuples.
     """
 
     def __init__(self, ring: RingPresentation):
@@ -436,16 +438,21 @@ class RingTables:
         self.bases = [
             basis(ring, 2 * k) if 2 * k <= ring.top_degree else [] for k in range(depth + 1)
         ]
-        self.rows = [
-            [
-                [
-                    self.vector(ring_mul(ring, GradedClass({a: 1}), GradedClass({c: 1})), k + 1)
-                    for c in self.bases[1]
-                ]
-                for a in self.bases[k]
-            ]
-            for k in range(depth)
-        ]
+        self.terms: list[tuple[tuple[int, int, int, Coeff], ...]] = []
+        self.rows: list[list[list[Vector]]] = []
+        for k in range(depth):
+            index = {mono: t for t, mono in enumerate(self.bases[k + 1])}
+            terms = tuple(
+                (i, j, index[mono], z)
+                for i, a in enumerate(self.bases[k])
+                for j, c in enumerate(self.bases[1])
+                for mono, z in ring.reduce_monomial(monomial_mul(a, c)).terms.items()
+            )
+            rows = [[[0] * len(index) for _ in self.bases[1]] for _ in self.bases[k]]
+            for i, j, t, z in terms:
+                rows[i][j][t] = z
+            self.terms.append(terms)
+            self.rows.append([list(map(tuple, row)) for row in rows])
         self.one = self.vector(ring.one(), 0)
 
     def vector(self, cls: GradedClass, k: int) -> Vector:
@@ -456,16 +463,11 @@ class RingTables:
 
     def mul(self, k: int, a: Vector, b: Vector) -> Vector:
         """The tuple of a * b for a over `bases[k]` and b over `bases[1]`."""
-        if k >= len(self.rows):
+        if k >= len(self.terms):
             return ()
         out = [0] * len(self.bases[k + 1])
-        for x, row in zip(a, self.rows[k]):
-            if x:
-                for y, entry in zip(b, row):
-                    if y:
-                        xy = x * y
-                        for t, z in enumerate(entry):
-                            out[t] += xy * z
+        for i, j, t, z in self.terms[k]:
+            out[t] += a[i] * b[j] * z
         return tuple(out)
 
     @cached_property
@@ -496,26 +498,42 @@ class RingTables:
             out = self.mul(k, out, vec)
         return out
 
+    @cached_property
+    def pairs(self) -> list[tuple[tuple[int, int, int, int, Coeff], ...]]:
+        """Products by two degree-2 coordinates, built on first use.
+
+        `pairs[k]` lists each (s, x, y, t, z) with z != 0 the coefficient of
+        `bases[k + 2][t]` in `bases[k][s] * e_x * e_y`, composed from
+        `terms[k]` and `terms[k + 1]`.
+        """
+        out = []
+        for k in range(len(self.terms) - 1):
+            after: dict[int, list[tuple[int, int, Coeff]]] = {}
+            for u, y, t, z in self.terms[k + 1]:
+                after.setdefault(u, []).append((y, t, z))
+            acc: dict[tuple[int, int, int, int], Coeff] = {}
+            for s, x, u, z in self.terms[k]:
+                for y, t, w in after.get(u, ()):
+                    key = (s, x, y, t)
+                    acc[key] = acc.get(key, 0) + z * w
+            out.append(tuple(key + (_tighten(z),) for key, z in acc.items() if z))
+        return out
+
     def bilinear(self, k: int, a: Vector) -> tuple[tuple[Vector, ...], ...]:
         """The form (u, v) -> a * u * v for a over `bases[k]`, u and v over `bases[1]`.
 
         Entry [t][x][y] is the coefficient of `bases[k + 2][t]` in
-        a * e_x * e_y, so coefficient t of a * u * v is
-        sum_x,y u_x [t][x][y] v_y.  Each matrix is symmetric; past the
-        tables there are no coefficients, hence no matrices.
+        a * e_x * e_y, one pass over `pairs[k]`, so coefficient t of
+        a * u * v is sum_x,y u_x [t][x][y] v_y.  Each matrix is symmetric;
+        past the tables there are no coefficients, hence no matrices.
         """
-        if k + 1 >= len(self.rows):
+        if k + 1 >= len(self.terms):
             return ()
         r = len(self.bases[1])
-        halves = [self.mul(k, a, tuple(int(x == y) for y in range(r))) for x in range(r)]
-        rows = self.rows[k + 1]
-        return tuple(
-            tuple(
-                tuple(sum(h * row[y][t] for h, row in zip(half, rows) if h) for y in range(r))
-                for half in halves
-            )
-            for t in range(len(self.bases[k + 2]))
-        )
+        form = [[[0] * r for _ in range(r)] for _ in self.bases[k + 2]]
+        for s, x, y, t, z in self.pairs[k]:
+            form[t][x][y] += a[s] * z
+        return tuple(tuple(map(tuple, mat)) for mat in form)
 
 
 def check_confluence(ring: RingPresentation) -> ConfluenceReport:

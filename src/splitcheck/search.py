@@ -38,10 +38,12 @@ enumeration serves every bound:
 4. the Euler prefilter: when the bundles fill the real rank, the walk
    carries the prefix product down, one fold per node, and the node above
    the last prefix level compiles it, on its first probe with hits, into
-   the bilinear form (v_i, v_k) -> Euler tuple (`RingTables.bilinear`).  A
-   probe with hits costs one matrix-vector product, each hit one dot
-   product, and a hit whose Euler tuple is neither the target nor (when
-   sign-flexible) its negation is dropped before the matcher.
+   the bilinear form (v_i, v_k) -> Euler tuple (`RingTables.bilinear`, one
+   pass over the ring's table of nonzero products by two degree-2
+   coordinates, built once per ring).  A probe with hits costs one
+   matrix-vector product, each hit one dot product, and a hit whose Euler
+   tuple is neither the target nor (when sign-flexible) its negation is
+   dropped before the matcher.
 
 `visited` counts the box cells plus the probes of the walk without the cut,
 so it does not depend on how much of that work is skipped.

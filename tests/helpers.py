@@ -8,6 +8,8 @@ against them term by term.
 The reference genus functions at the end compute chi_y, the direct signature
 and the Euler integral with their own loops and their own y-class product,
 independently of the package's shared integrator, as a differential oracle.
+`ref_rows`, `ref_table_mul` and `ref_bilinear` are the compiled ring
+tables' oracle: rows built with `ring_mul`, and the dense loops over them.
 `ref_enumerate` is the search's differential oracle: the ordered-tuple walk
 over every coordinate at once, with no ball, no join and no symmetry
 reduction.  `ref_canonicalize_solution` is the canonicalizer's oracle: the
@@ -269,6 +271,56 @@ def sp2_oracle(vecs) -> bool:
     return abs(2 * mixed_sum(3) + mixed_sum(1)) == 8
 
 
+# -- reference ring tables ----------------------------------------------------
+
+
+def ref_rows(ring: RingPresentation) -> list:
+    """`RingTables.rows` built with one `ring_mul` per entry."""
+    tables = ring.tables
+    return [
+        [
+            [
+                tables.vector(ring_mul(ring, GradedClass({a: 1}), GradedClass({c: 1})), k + 1)
+                for c in tables.bases[1]
+            ]
+            for a in tables.bases[k]
+        ]
+        for k in range(len(tables.bases) - 1)
+    ]
+
+
+def ref_table_mul(bases, rows, k: int, a, b) -> tuple:
+    """`RingTables.mul` as the dense loop over every row entry."""
+    if k >= len(rows):
+        return ()
+    out = [0] * len(bases[k + 1])
+    for x, row in zip(a, rows[k]):
+        if x:
+            for y, entry in zip(b, row):
+                if y:
+                    xy = x * y
+                    for t, z in enumerate(entry):
+                        out[t] += xy * z
+    return tuple(out)
+
+
+def ref_bilinear(bases, rows, k: int, a) -> tuple:
+    """`RingTables.bilinear` through r dense products a * e_x, then the rows."""
+    if k + 1 >= len(rows):
+        return ()
+    r = len(bases[1])
+    units = [tuple(int(x == y) for y in range(r)) for x in range(r)]
+    halves = [ref_table_mul(bases, rows, k, a, unit) for unit in units]
+    after = rows[k + 1]
+    return tuple(
+        tuple(
+            tuple(sum(h * row[y][t] for h, row in zip(half, after) if h) for y in range(r))
+            for half in halves
+        )
+        for t in range(len(bases[k + 2]))
+    )
+
+
 # -- reference genus integrals ------------------------------------------------
 
 
@@ -331,7 +383,7 @@ def ref_chi_y_scaled(data: ChernRootData, t: int) -> YPolynomial:
         out = out.divide_by_one_plus_y()
     if out.degree() > n:
         raise RootCountError("chi_y degree exceeds the complex dimension")
-    return YPolynomial.from_coeffs(list(out.coefficients) + [0] * (n - out.degree()))
+    return YPolynomial(out.coefficients + (Fraction(0),) * (n - out.degree()))
 
 
 def ref_signature_direct(data: ChernRootData) -> Fraction:

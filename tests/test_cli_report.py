@@ -178,6 +178,10 @@ def test_run_case_genus_roots():
     assert genus["signature"] == 0
     assert genus["todd"] == 1
     assert genus["duality"] is True
+    # a zero chi^n is listed, not trimmed away
+    doc = builtin_case("genus-cpn", 3)
+    doc["genus"]["roots"] = [[]] * 3
+    assert run_case(doc)["sections"]["genus"]["chi_y"] == [0, 0, 0, 0]
 
 
 # sha256 of the canonical report of each built-in, at its default and over

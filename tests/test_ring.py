@@ -14,7 +14,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import RING_IDS, RING_REFS, all_monomials, random_class, ring_for
+from helpers import (
+    RING_IDS,
+    RING_REFS,
+    all_monomials,
+    half_ring,
+    random_class,
+    ref_bilinear,
+    ref_rows,
+    ref_table_mul,
+    ring_for,
+)
+from splitcheck.cases import builtin_case, list_builtin_cases
 from splitcheck.ring import (
     ConfluenceError,
     DegreeError,
@@ -361,3 +372,81 @@ def test_coefficients_are_ints_or_fractions():
     summed = cls(((0, 2), Fraction(1, 2)), ((0, 2), Fraction(1, 2)), ((2, 0), 3), ((2, 0), -3))
     assert summed.terms == {(0, 2): 1} and type(summed.terms[(0, 2)]) is int
     assert summed == cls(((0, 2), Fraction(1)))
+
+
+# -- compiled tables against the dense reference loops -----------------------------
+
+PARAMETERS = {
+    "r-p": (2, 3),
+    "r-p-u-variant": (2, 3),
+    "cpn-split": (2, 3, 4),
+    "genus-cpn": (1, 2, 3, 4),
+}
+TABLE_RINGS = [
+    (name, par)
+    for name in list_builtin_cases()
+    for par in PARAMETERS.get(name, (None,))
+    if "ring" in builtin_case(name, par)
+]
+
+
+def _random_vector(rng: random.Random, size: int, fractions: bool) -> tuple:
+    """Coordinates with about one zero in three, Fractions mixed in on request."""
+    out = []
+    for _ in range(size):
+        x = rng.choice((0, rng.randint(-5, 5)))
+        if fractions and rng.random() < 0.3:
+            x = Fraction(x, rng.randint(2, 5))
+        out.append(x)
+    return tuple(out)
+
+
+def cancelling_ring() -> RingPresentation:
+    """x^2 = xy - y^2, top degree 6: x^3 = -y^3, the two xy^2 terms of x^2 * x
+    cancelling, so a pair entry sums to zero."""
+    rule = RewriteRule((2, 0), cls(((1, 1), 1), ((0, 2), -1)))
+    return RingPresentation(["x", "y"], [rule], 6, (0, 3))
+
+
+@pytest.mark.parametrize(
+    ("name", "par"),
+    TABLE_RINGS + [("half", None), ("cancel", None)],
+    ids=[name if par is None else f"{name}-{par}" for name, par in TABLE_RINGS]
+    + ["half", "cancel"],
+)
+def test_sparse_tables_match_dense_reference(name, par):
+    """`terms` holds exactly the nonzero `ring_mul` entries, `pairs` no zero
+    entry, and `mul` and `bilinear` equal the dense loops at every k, past
+    the tables included."""
+    if name == "half":
+        ring = half_ring()
+    elif name == "cancel":
+        ring = cancelling_ring()
+    else:
+        ring = parse_presentation(builtin_case(name, par)["ring"])
+    tables = ring.tables
+    bases, rows = tables.bases, ref_rows(ring)
+    assert tables.rows == rows
+    for k, terms in enumerate(tables.terms):
+        assert all(z != 0 for _, _, _, z in terms)
+        assert sorted(terms) == sorted(
+            (i, j, t, z)
+            for i, row in enumerate(rows[k])
+            for j, entry in enumerate(row)
+            for t, z in enumerate(entry)
+            if z
+        )
+    assert all(z != 0 for pairs in tables.pairs for *_, z in pairs)
+    rng = random.Random(sum(map(ord, f"sparse-{name}-{par}")))
+    r = len(bases[1])
+    for k in range(len(bases) + 2):
+        size = len(bases[k]) if k < len(bases) else 0
+        for trial in range(25):
+            a = _random_vector(rng, size, fractions=trial % 2 == 1)
+            b = _random_vector(rng, r, fractions=trial % 3 == 2)
+            assert tables.mul(k, a, b) == ref_table_mul(bases, rows, k, a, b)
+            assert tables.bilinear(k, a) == ref_bilinear(bases, rows, k, a)
+    # bilinear accepts every depth k with k + 2 inside the tables
+    assert [k for k in range(len(bases)) if tables.bilinear(k, (0,) * len(bases[k]))] == [
+        k for k in range(len(bases) - 2) if bases[k + 2]
+    ]

@@ -45,7 +45,7 @@ from splitcheck.genus import (
     top_chern_integral,
 )
 from splitcheck.cases import builtin_case
-from splitcheck.ring import GradedClass, basis, parse_presentation
+from splitcheck.ring import GradedClass, basis, normal_form, parse_presentation
 from splitcheck.series import (
     TruncatedSeries,
     series_exp_neg,
@@ -152,6 +152,31 @@ def test_extra_trivial_roots_do_not_change_chi():
     ring = data.ring
     padded = ChernRootData(ring=ring, roots=data.roots + (GradedClass.zero(),) * 2)
     assert chi_y(padded).coefficients == chi_y(data).coefficients
+
+
+def test_chi_y_lists_a_zero_top_coefficient():
+    """Exactly n + 1 coefficients, chi^0 .. chi^n, even when chi^n = 0."""
+    data = ChernRootData(ring=ring_for("cpn-split", 3), roots=(GradedClass.zero(),) * 3)
+    assert chi_y(data).coefficients == (0, 0, 0, 0)
+    assert chi_y_scaled(data, 2).coefficients == (0, 0, 0, 0)
+    assert ref_chi_y_scaled(data, 1).coefficients == (0, 0, 0, 0)
+
+
+def test_roots_are_normalized_once_per_root_set(monkeypatch):
+    """chi_y, chi_y_scaled and signature_direct of one root set share its
+    integer root vectors."""
+    calls = []
+
+    def counting(ring, c):
+        calls.append(c)
+        return normal_form(ring, c)
+
+    monkeypatch.setattr("splitcheck.genus.normal_form", counting)
+    data = projective_data(3)
+    chi = chi_y(data)
+    assert chi_y_scaled(data, 2) == chi
+    assert signature_direct(data) == signature_from_chi(chi)
+    assert len(calls) == len(data.roots)
 
 
 # -- structural properties on random root data ------------------------------------
