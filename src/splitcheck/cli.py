@@ -201,7 +201,7 @@ def _genus_section(ring: RingPresentation | None, raw, where: str = "genus") -> 
         cong = field(raw, "congruence", where, obj)
         chi_val = field(cong, "chi", at, integer)
         sigma_val = field(cong, "sigma", at, integer)
-        quarter = field(cong, "quarter_dim", at, integer)
+        quarter = field(cong, "quarter_dim", at, partial(integer, low=1))
         out["congruence"] = {
             "chi": chi_val,
             "sigma": sigma_val,

@@ -173,16 +173,17 @@ def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[lis
     multiplied in through the ring's tables once, whatever the y-degree.
     Arithmetic stays on ints: the factor's coefficients are scaled by their
     common denominator D, the roots by the lcm L of their coordinates'
-    denominators, and the tables' rows by their denominator E; only the
+    denominators, and the tables' entries by their denominator E; only the
     degree-n part survives integration, so the integral is divided by
     D^m * (L * E)^n at the end, for m roots.
 
-    The width s comes from a proven bound.  With tau the tables' largest
-    row norm, |a * b|_1 <= tau * |a|_1 * |b|_1, so every y-coefficient of
-    the scaled integral is at most prod_i sum_k |D c_k|_1 (tau |L x_i|_1)^k
-    times E^n in absolute value, and s = bit_length(2 * bound) + 1.  The
-    fundamental coefficient is decoded into balanced base-R digits; a
-    nonzero remainder means the bound failed and raises ArithmeticError.
+    The width s comes from a proven bound.  With tau the largest l1 norm of
+    a product of basis elements, |a * b|_1 <= tau * |a|_1 * |b|_1, so every
+    y-coefficient of the scaled integral is at most
+    prod_i sum_k |D c_k|_1 (tau |L x_i|_1)^k times E^n in absolute value,
+    and s = bit_length(2 * bound) + 1.  The fundamental coefficient is
+    decoded into balanced base-R digits; a nonzero remainder means the
+    bound failed and raises ArithmeticError.
     """
     ring = data.ring
     tables = ring.tables

@@ -279,10 +279,6 @@ class ProductIrrep:
             name="x".join(c.name for c in components),
         )
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(c.is_trivial for c in self.components)
-
 
 @dataclass
 class ObstructionCase:

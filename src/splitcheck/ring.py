@@ -19,8 +19,9 @@ Each ring also compiles itself once, on first use, into `RingTables`: a
 class of degree 2k becomes its coefficient tuple over the degree-2k basis,
 and multiplication by a degree-2 class becomes one pass over the nonzero
 entries of a table, read off the memoized normal forms of monomial
-products.  The search and the genus integrator both multiply through these
-tables; `ring_mul` on dicts stays the product the acceptance rule uses.
+products.  That table is the only one: the search, its bound and the genus
+integrator all multiply through `RingTables.mul`; `ring_mul` on dicts
+stays the product the acceptance rule uses.
 """
 
 from __future__ import annotations
@@ -426,9 +427,8 @@ class RingTables:
     the degree-4 basis always exists; above the top degree it is empty.
     `terms[k]` lists each (i, j, t, z) with z != 0 the coefficient of
     `bases[k + 1][t]` in `bases[k][i] * bases[1][j]`, read off the memoized
-    normal form of that monomial product, and `rows[k][i][j]` is the same
-    product as a dense tuple over `bases[k + 1]`.  A class of degree 2k is
-    its tuple over `bases[k]`, and every degree past the tables is the empty
+    normal form of that monomial product.  A class of degree 2k is its
+    tuple over `bases[k]`, and every degree past the tables is the empty
     tuple.  A product of normal forms is linear in both factors, so `mul`
     equals `ring_mul` on tuples.
     """
@@ -439,20 +439,14 @@ class RingTables:
             basis(ring, 2 * k) if 2 * k <= ring.top_degree else [] for k in range(depth + 1)
         ]
         self.terms: list[tuple[tuple[int, int, int, Coeff], ...]] = []
-        self.rows: list[list[list[Vector]]] = []
         for k in range(depth):
             index = {mono: t for t, mono in enumerate(self.bases[k + 1])}
-            terms = tuple(
+            self.terms.append(tuple(
                 (i, j, index[mono], z)
                 for i, a in enumerate(self.bases[k])
                 for j, c in enumerate(self.bases[1])
                 for mono, z in ring.reduce_monomial(monomial_mul(a, c)).terms.items()
-            )
-            rows = [[[0] * len(index) for _ in self.bases[1]] for _ in self.bases[k]]
-            for i, j, t, z in terms:
-                rows[i][j][t] = z
-            self.terms.append(terms)
-            self.rows.append([list(map(tuple, row)) for row in rows])
+            ))
         self.one = self.vector(ring.one(), 0)
 
     def vector(self, cls: GradedClass, k: int) -> Vector:
@@ -472,68 +466,27 @@ class RingTables:
 
     @cached_property
     def mul_norm(self) -> Coeff:
-        """tau, the largest l1 norm of a `rows` entry, built on first use.
+        """tau, the largest l1 norm of a product of basis elements, built on first use.
 
-        Each output of `mul(k, a, b)` is sum_i,j a_i b_j rows[k][i][j], so
-        its l1 norm is at most tau * |a|_1 * |b|_1.
+        `bases[k][i] * bases[1][j]` has l1 norm sum |z| over the (i, j, t, z)
+        in `terms[k]`, and each output of `mul(k, a, b)` is sum_i,j a_i b_j
+        times that product, so its l1 norm is at most tau * |a|_1 * |b|_1.
         """
-        return max((sum(map(abs, entry)) for table in self.rows for row in table
-                    for entry in row), default=0)
+        norms: dict[tuple[int, int, int], Coeff] = {}
+        for k, terms in enumerate(self.terms):
+            for i, j, _, z in terms:
+                norms[k, i, j] = norms.get((k, i, j), 0) + abs(z)
+        return max(norms.values(), default=0)
 
     @cached_property
     def row_denominator(self) -> int:
-        """The lcm of the denominators in `rows`, built on first use.
+        """The lcm of the denominators in `terms`, built on first use.
 
         It is 1 unless a rule has a fractional coefficient.  k `mul` steps
         from integral tuples give a tuple that is integral once multiplied
         by its k-th power.
         """
-        return lcm(*(z.denominator for table in self.rows for row in table
-                     for entry in row for z in entry))
-
-    def product(self, vectors: Sequence[Vector]) -> Vector:
-        """The tuple of the product of degree-2 classes, over `bases[len(vectors)]`."""
-        out = self.one
-        for k, vec in enumerate(vectors):
-            out = self.mul(k, out, vec)
-        return out
-
-    @cached_property
-    def pairs(self) -> list[tuple[tuple[int, int, int, int, Coeff], ...]]:
-        """Products by two degree-2 coordinates, built on first use.
-
-        `pairs[k]` lists each (s, x, y, t, z) with z != 0 the coefficient of
-        `bases[k + 2][t]` in `bases[k][s] * e_x * e_y`, composed from
-        `terms[k]` and `terms[k + 1]`.
-        """
-        out = []
-        for k in range(len(self.terms) - 1):
-            after: dict[int, list[tuple[int, int, Coeff]]] = {}
-            for u, y, t, z in self.terms[k + 1]:
-                after.setdefault(u, []).append((y, t, z))
-            acc: dict[tuple[int, int, int, int], Coeff] = {}
-            for s, x, u, z in self.terms[k]:
-                for y, t, w in after.get(u, ()):
-                    key = (s, x, y, t)
-                    acc[key] = acc.get(key, 0) + z * w
-            out.append(tuple(key + (_tighten(z),) for key, z in acc.items() if z))
-        return out
-
-    def bilinear(self, k: int, a: Vector) -> tuple[tuple[Vector, ...], ...]:
-        """The form (u, v) -> a * u * v for a over `bases[k]`, u and v over `bases[1]`.
-
-        Entry [t][x][y] is the coefficient of `bases[k + 2][t]` in
-        a * e_x * e_y, one pass over `pairs[k]`, so coefficient t of
-        a * u * v is sum_x,y u_x [t][x][y] v_y.  Each matrix is symmetric;
-        past the tables there are no coefficients, hence no matrices.
-        """
-        if k + 1 >= len(self.terms):
-            return ()
-        r = len(self.bases[1])
-        form = [[[0] * r for _ in range(r)] for _ in self.bases[k + 2]]
-        for s, x, y, t, z in self.pairs[k]:
-            form[t][x][y] += a[s] * z
-        return tuple(tuple(map(tuple, mat)) for mat in form)
+        return lcm(*(z.denominator for terms in self.terms for *_, z in terms))
 
 
 def check_confluence(ring: RingPresentation) -> ConfluenceReport:

@@ -9,8 +9,8 @@ nonnegative, so every bundle vector lies in the ellipsoid
 sum_j lam_j v_j^2 <= C, which certifies the per-variable box
 |x_j| <= floor(sqrt(C/lam_j)).
 
-The search multiplies through the ring's tables (`ring.RingTables`, built
-once per ring): their degree-2 products give the bound's quadratic form,
+The search multiplies through the ring's table (`ring.RingTables`, built
+once per ring): its degree-2 products give the bound's quadratic form,
 and every class the walk touches is a tuple over a fixed basis.  One
 enumeration serves every bound:
 
@@ -36,14 +36,10 @@ enumeration serves every bound:
    inline: the residual key is one int subtraction, looked up in the table
    (meet in the middle with a sorted list, Horowitz-Sahni, JACM 1974);
 4. the Euler prefilter: when the bundles fill the real rank, the walk
-   carries the prefix product down, one fold per node, and the node above
-   the last prefix level compiles it, on its first probe with hits, into
-   the bilinear form (v_i, v_k) -> Euler tuple (`RingTables.bilinear`, one
-   pass over the ring's table of nonzero products by two degree-2
-   coordinates, built once per ring).  A probe with hits costs one
-   matrix-vector product, each hit one dot product, and a hit whose Euler
-   tuple is neither the target nor (when sign-flexible) its negation is
-   dropped before the matcher.
+   carries the prefix product down, one `RingTables.mul` per node.  A probe
+   with hits folds in its own vector once, and each hit one more: a hit
+   whose Euler tuple is neither the target nor (when sign-flexible) its
+   negation is dropped before the matcher.
 
 `visited` counts the box cells plus the probes of the walk without the cut,
 so it does not depend on how much of that work is skipped.
@@ -63,7 +59,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
 from .charclass import LineBundleSum, TargetClasses, TargetMatcher
@@ -219,20 +214,19 @@ def derive_bounds(spec: SearchSpec) -> DerivedBounds:
         raise BoundError(f"need {len(b4)} multipliers (one per degree-4 basis element), got {len(multipliers)}")
     if any(x < 0 for x in multipliers):
         raise BoundError("multipliers must be nonnegative")
-    products = tables.rows[1]
     index = {mono: i for i, mono in enumerate(b4)}
-
-    def combined(j: int, k: int) -> Fraction:
-        return sum((x * coeff for x, coeff in zip(multipliers, products[j][k])), Fraction(0))
-
+    # the multipliers' combination of the degree-4 products e_j * e_k
+    form = [[Fraction(0)] * r for _ in range(r)]
+    for j, k, t, z in tables.terms[1]:
+        form[j][k] += multipliers[t] * z
     for j in range(r):
         for k in range(j + 1, r):
-            cross = combined(j, k)
+            cross = form[j][k]
             if cross:
                 raise BoundError(
                     f"multipliers leave a cross term between coordinates {j} and {k}: {2 * cross}"
                 )
-    diagonal = tuple(combined(j, j) for j in range(r))
+    diagonal = tuple(form[j][j] for j in range(r))
     if any(d <= 0 for d in diagonal):
         shown = ", ".join(map(str, diagonal))
         raise BoundError(f"combined form is not positive on every coordinate: {shown}")
@@ -425,19 +419,16 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
                 return
             # the last prefix level: each step is one probe of the join
             end = min(cut, start + budget - visited)
-            form = None
             for i in range(start, end):
                 hits = table.get(residual - keys[i])
                 if hits is not None and hits[-1] >= i:
                     hits = hits[bisect.bisect_left(hits, i):]
                     vec = ball[i]
                     if saturated:
-                        if form is None:
-                            form = tables.bilinear(depth, product)
-                        row = [[sum(map(mul, vec, col)) for col in mat] for mat in form]
+                        head = tables.mul(depth, product, vec)
                         hits = [
                             k for k in hits
-                            if tuple([sum(map(mul, ball[k], r)) for r in row]) in euler_targets
+                            if tables.mul(depth + 1, head, ball[k]) in euler_targets
                         ]
                     if hits:
                         accept(tuple(ball[j] for j in prefix) + (vec,), hits)

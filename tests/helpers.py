@@ -8,8 +8,8 @@ against them term by term.
 The reference genus functions at the end compute chi_y, the direct signature
 and the Euler integral with their own loops and their own y-class product,
 independently of the package's shared integrator, as a differential oracle.
-`ref_rows`, `ref_table_mul` and `ref_bilinear` are the compiled ring
-tables' oracle: rows built with `ring_mul`, and the dense loops over them.
+`ref_rows` and `ref_table_mul` are the compiled ring tables' oracle: dense
+rows built with `ring_mul`, and the loop over every row entry.
 `ref_enumerate` is the search's differential oracle: the ordered-tuple walk
 over every coordinate at once, with no ball, no join and no symmetry
 reduction.  `ref_canonicalize_solution` is the canonicalizer's oracle: the
@@ -275,7 +275,11 @@ def sp2_oracle(vecs) -> bool:
 
 
 def ref_rows(ring: RingPresentation) -> list:
-    """`RingTables.rows` built with one `ring_mul` per entry."""
+    """The products of basis elements as dense tuples, one `ring_mul` per entry.
+
+    Entry [k][i][j] is `bases[k][i] * bases[1][j]` over `bases[k + 1]`:
+    `RingTables.terms` lists its nonzero coefficients.
+    """
     tables = ring.tables
     return [
         [
@@ -302,23 +306,6 @@ def ref_table_mul(bases, rows, k: int, a, b) -> tuple:
                     for t, z in enumerate(entry):
                         out[t] += xy * z
     return tuple(out)
-
-
-def ref_bilinear(bases, rows, k: int, a) -> tuple:
-    """`RingTables.bilinear` through r dense products a * e_x, then the rows."""
-    if k + 1 >= len(rows):
-        return ()
-    r = len(bases[1])
-    units = [tuple(int(x == y) for y in range(r)) for x in range(r)]
-    halves = [ref_table_mul(bases, rows, k, a, unit) for unit in units]
-    after = rows[k + 1]
-    return tuple(
-        tuple(
-            tuple(sum(h * row[y][t] for h, row in zip(half, after) if h) for y in range(r))
-            for half in halves
-        )
-        for t in range(len(bases[k + 2]))
-    )
 
 
 # -- reference genus integrals ------------------------------------------------

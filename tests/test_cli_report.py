@@ -281,6 +281,9 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         ("m20-eschenburg", ("obstruction", "manifold_dim"), "20"),
         ("m20-eschenburg", ("obstruction", "manifold_dim"), 7),
         ("m20-eschenburg", ("obstruction", "manifold_dim"), 0),
+        # (-1) ** quarter_dim is a float below 1, and a dimension 4m needs m >= 1
+        ("m20-eschenburg", ("genus", "congruence", "quarter_dim"), 0),
+        ("m20-eschenburg", ("genus", "congruence", "quarter_dim"), -1),
         ("hp1-presentation", ("obstruction", "factors", 0, "rank"), True),
         ("hp1-presentation", ("obstruction", "factors", 0, "family"), 5),
         ("hp1-presentation", ("obstruction", "factors", 0, "family"), ["A"]),

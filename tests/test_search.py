@@ -29,6 +29,7 @@ from helpers import (
     half_ring,
     ref_canonicalize_solution,
     ref_enumerate,
+    ref_rows,
     ring_for,
     rp_oracle,
     search_spec_for,
@@ -402,7 +403,7 @@ def test_non_integral_ring_matches_reference(m):
     the squares' denominators are cleared, so no hit is lost."""
     ring = half_ring()
     assert any(
-        Fraction(x).denominator != 1 for row in ring.tables.rows[1] for entry in row for x in entry
+        Fraction(x).denominator != 1 for row in ref_rows(ring)[1] for entry in row for x in entry
     )
     rng = random.Random(2024 + m)
     for trial in range(4):
@@ -504,19 +505,12 @@ def test_tables_match_ring_mul(name, par):
         square = ring_mul(ring, classes[0], classes[0])
         assert tables.mul(1, vecs[0], vecs[0]) == tuple(square.coefficient(mono) for mono in b4)
         euler = tuple(euler_class(LineBundleSum(ring, classes)).coefficient(mono) for mono in top)
-        assert tables.product(vecs) == euler
-        # the walk carries the prefix product down, folding one vector per level
-        product = tables.one
-        for k, vec in enumerate(vecs):
-            product = tables.mul(k, product, vec)
-            assert product == tables.product(vecs[: k + 1])
-        # the node before the last prefix level compiles its Euler form once
-        if m >= 2:
-            u, v = vecs[-2], vecs[-1]
-            form = tables.bilinear(m - 2, tables.product(vecs[:-2]))
-            assert tuple(
-                sum(u[x] * mat[x][y] * v[y] for x in range(r) for y in range(r)) for mat in form
-            ) == euler
+        # the walk and its Euler prefilter fold one vector per level into the product
+        product, prefix = tables.one, ring.one()
+        for k, (vec, c) in enumerate(zip(vecs, classes)):
+            product, prefix = tables.mul(k, product, vec), ring_mul(ring, prefix, c)
+            assert product == tables.vector(prefix, k + 1)
+        assert product == euler
 
 
 # -- TargetMatcher.match is the only acceptance -------------------------------------
