@@ -12,7 +12,8 @@ sign when the orientation is not pinned.
 
 `TargetMatcher` is the only statement of the acceptance rule: candidates,
 `matches_targets` and every search hit go through it.  It rejects a target
-no sum reaches, against which "no splitting" would be certified vacuously.
+no sum reaches, against which "no splitting" would be certified vacuously:
+one of the wrong degree, or one whose normal form is not integral.
 """
 
 from __future__ import annotations
@@ -105,10 +106,18 @@ class MatchReport:
     residuals: dict[str, GradedClass]
 
 
-def _normal_target(ring: RingPresentation, target: GradedClass, field: str, degree: int) -> GradedClass:
+def _normal_target(
+    ring: RingPresentation, target: GradedClass, field: str, degree: int | None = None
+) -> GradedClass:
+    """The target's normal form; of the given degree unless None, and integral.
+
+    The rules are integral, so every class built from integral c1's is too.
+    """
     nf = normal_form(ring, target)
-    if not nf.is_zero() and nf.homogeneous_degree() != degree:
+    if degree is not None and not nf.is_zero() and nf.homogeneous_degree() != degree:
         raise TargetError(f"{field}: expected zero or a class of degree {degree}, got degree(s) {nf.degrees()}")
+    if not nf.is_integral():
+        raise TargetError(f"{field}: normal form {ring.format_class(nf)} has a non-integer coefficient")
     return nf
 
 
@@ -133,7 +142,7 @@ class TargetMatcher:
         self.euler_neg = ring_scale(-1, self.euler)
         self.chern: GradedClass | None = None
         if targets.chern_target is not None:
-            self.chern = normal_form(ring, targets.chern_target)
+            self.chern = _normal_target(ring, targets.chern_target, "chern")
             if self.chern.component(0) != ring.one():
                 raise TargetError(f"chern: degree-0 part is {ring.format_class(self.chern.component(0))}, not 1")
 

@@ -11,11 +11,12 @@ so all of them go through one multiplicative-sequence integrator.
 The integrator packs each y-polynomial into one int by the substitution
 y -> 2^s (Kronecker substitution), so the running product is one int tuple
 per degree and each root is multiplied in through the ring's tables
-(`ring.RingTables`) once, whatever the y-degree.  The factor's rational
-series coefficients, the roots and the tables are scaled to ints by their
-common denominators, which are divided out of the integral at the end.  The
-digit width s comes from a proven bound on the coefficients, and decoding
-checks it: a remainder raises `ArithmeticError`, never a wrong polynomial.
+(`ring.RingTables`) once, whatever the y-degree.  The tables' entries are
+ints, as the ring's rules are integral; the factor's rational series
+coefficients and the roots are scaled to ints by their common denominators,
+which are divided out of the integral at the end.  The digit width s comes
+from a proven bound on the coefficients, and decoding checks it: a
+remainder raises `ArithmeticError`, never a wrong polynomial.
 Everything is exact and no floating point appears anywhere.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil, lcm
+from math import lcm
 from typing import Sequence
 
 from .ring import GradedClass, RingPresentation, normal_form
@@ -171,17 +172,17 @@ def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[lis
     R/2 in absolute value.  So the product is one int tuple per degree 2d,
     over the ring's degree-2d basis, and each root's normal form is
     multiplied in through the ring's tables once, whatever the y-degree.
-    Arithmetic stays on ints: the factor's coefficients are scaled by their
-    common denominator D, the roots by the lcm L of their coordinates'
-    denominators, and the tables' entries by their denominator E; only the
-    degree-n part survives integration, so the integral is divided by
-    D^m * (L * E)^n at the end, for m roots.
+    Arithmetic stays on ints: the tables' entries are ints, the factor's
+    coefficients are scaled by their common denominator D, and the roots by
+    the lcm L of their coordinates' denominators; only the degree-n part
+    survives integration, so the integral is divided by D^m * L^n at the
+    end, for m roots.
 
     The width s comes from a proven bound.  With tau the largest l1 norm of
     a product of basis elements, |a * b|_1 <= tau * |a|_1 * |b|_1, so every
     y-coefficient of the scaled integral is at most
-    prod_i sum_k |D c_k|_1 (tau |L x_i|_1)^k times E^n in absolute value,
-    and s = bit_length(2 * bound) + 1.  The fundamental coefficient is
+    prod_i sum_k |D c_k|_1 (tau |L x_i|_1)^k in absolute value, and
+    s = bit_length(2 * bound) + 1.  The fundamental coefficient is
     decoded into balanced base-R digits; a nonzero remainder means the
     bound failed and raises ArithmeticError.
     """
@@ -191,14 +192,13 @@ def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[lis
     coeffs = factor.coeffs
     last = len(coeffs) - 1
     vecs, roots_denom = data.integer_roots
-    rows_denom = tables.row_denominator
     tau = tables.mul_norm
     norms = [sum(map(abs, ck)) for ck in coeffs]
-    bound = rows_denom**n
+    bound = 1
     for vec in vecs:
         size = tau * sum(map(abs, vec))
         bound *= sum(norm * size**k for k, norm in enumerate(norms))
-    shift = (2 * ceil(bound)).bit_length() + 1
+    shift = (2 * bound).bit_length() + 1
     packed = [sum(c << shift * j for j, c in enumerate(ck)) for ck in coeffs]
     zero = [(0,) * len(tables.bases[d]) for d in range(n + 1)]
     product = [tables.one] + zero[1:]
@@ -214,10 +214,7 @@ def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[lis
                     for d in range(k, n + 1):
                         out[d] = tuple(x + c * t for x, t in zip(out[d], power[d]))
         product = out
-    top = product[n][tables.bases[n].index(ring.fundamental)] * rows_denom**n
-    if top.denominator != 1:
-        raise ArithmeticError("genus integral is not integral after clearing denominators")
-    top = top.numerator
+    top = product[n][tables.bases[n].index(ring.fundamental)]
     width = max(map(len, coeffs))
     mask, half = (1 << shift) - 1, 1 << (shift - 1)
     digits = []
@@ -229,7 +226,7 @@ def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[lis
         top = (top - digit) >> shift
     if top:
         raise ArithmeticError(f"packed genus integral overflows {shift}-bit digits")
-    denom = factor.denom ** len(vecs) * (roots_denom * rows_denom) ** n
+    denom = factor.denom ** len(vecs) * roots_denom**n
     return digits, denom
 
 

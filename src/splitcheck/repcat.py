@@ -6,9 +6,10 @@ weights are written in doubled e-coordinates, a = 2(lambda + rho), so every
 factor of the product is an integer, and one exact division by the same
 product over 2 rho gives the dimension.  Field types (real / complex /
 quaternionic) are computed from the Frobenius-Schur indicator: for the
-self-dual B_m and A_1 irreps the indicator is (-1)^<lambda, 2 rho-check>,
-which reduces to the familiar rules (exterior powers real; half-spin real
-iff 2m+1 = +-1 mod 8; SU(2) irreps real iff odd complex dimension).  Circle
+self-dual B_m irreps the indicator is (-1)^<lambda, 2 rho-check>, which
+reduces to the familiar rules (exterior powers real; half-spin real iff
+2m+1 = +-1 mod 8).  SU(2) is Spin(3), so A_1 takes the B_1 formulas: the
+weight w has dimension w + 1 and is real iff w is even.  Circle
 representations are the reconstructed catalog of 2-dimensional rotations
 plus the trivial representation; they carry a complex structure.
 """
@@ -92,8 +93,6 @@ def _b_weyl_product(a: Sequence[int]) -> int:
 def weyl_dim(rs: RootSystem, weight: Sequence[int]) -> int:
     """Complex dimension of the irrep with the given dominant weight."""
     weight = _check_weight(rs, weight)
-    if rs.family == "A":
-        return weight[0] + 1
     if rs.family == "T":
         return 1
     # 2 rho = (2m - 1, 2m - 3, ..., 1); both products carry the same number
@@ -113,8 +112,6 @@ def field_type(rs: RootSystem, weight: Sequence[int]) -> str:
     weight = _check_weight(rs, weight)
     if rs.family == "T":
         return REAL if weight[0] == 0 else COMPLEX
-    if rs.family == "A":
-        return REAL if weight[0] % 2 == 0 else QUATERNIONIC
     # <lambda, sum of positive coroots> = sum_i (m - i + 1) * (2 lambda_i)
     doubled = _b_doubled_coordinates(weight)
     pairing = sum((rs.rank - i) * d for i, d in enumerate(doubled))
@@ -188,7 +185,7 @@ class IrrepCatalog:
         return [e for e in self.entries if not e.is_trivial]
 
 
-def _enumerate_b_weights(rs: RootSystem, cdim_bound: int) -> Iterator[tuple[int, ...]]:
+def _enumerate_weights(rs: RootSystem, cdim_bound: int) -> Iterator[tuple[int, ...]]:
     """All dominant weights with complex dimension <= cdim_bound.
 
     The Weyl dimension is strictly increasing along each coordinate ray (each
@@ -230,23 +227,14 @@ def catalog_irreps(rs: RootSystem, dim_bound: int) -> IrrepCatalog:
     if dim_bound < 1:
         raise CatalogError("dim_bound must be >= 1")
     entries = []
-    if rs.family == "B":
-        for weight in _enumerate_b_weights(rs, dim_bound):
-            irrep = Irrep.build(rs, weight)
-            if irrep.real_dim <= dim_bound:
-                entries.append(irrep)
-    elif rs.family == "A":
-        k = 1
-        while True:
-            irrep = Irrep.build(rs, (k - 1,))
-            if irrep.complex_dim > dim_bound:
-                break
-            if irrep.real_dim <= dim_bound:
-                entries.append(irrep)
-            k += 1
-    else:
+    if rs.family == "T":
         for w in range(MAX_CIRCLE_WEIGHT + 1):
             irrep = Irrep.build(rs, (w,))
+            if irrep.real_dim <= dim_bound:
+                entries.append(irrep)
+    else:
+        for weight in _enumerate_weights(rs, dim_bound):
+            irrep = Irrep.build(rs, weight)
             if irrep.real_dim <= dim_bound:
                 entries.append(irrep)
     entries.sort(key=lambda e: (e.real_dim, e.highest_weight))

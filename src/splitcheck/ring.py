@@ -3,11 +3,13 @@
 All rings handled here are generated in degree 2 and truncated above an even
 top degree, so every element is a finite integer/rational combination of
 monomials in the generators.  Relations are an ordered list of rewrite rules
-``lhs -> rhs`` between classes of equal degree; normal forms are computed by
-repeatedly applying the first matching rule in document order.  Rules preserve
-degree, hence a reduction can only fail to terminate by cycling, which is
-detected and reported.  Confluence is not assumed: it is checked exhaustively
-on the finite set of monomials of degree <= top_degree.
+``lhs -> rhs`` between classes of equal degree, with integer coefficients,
+so the normal form of every monomial is integral.  Normal forms are
+computed by repeatedly applying the first matching rule in document order.
+Rules preserve degree, hence a reduction can only fail to terminate by
+cycling, which is detected and reported.  Confluence is not assumed: it
+is checked exhaustively on the finite set of monomials of degree <=
+top_degree.
 
 Class arithmetic states its rule once: `_add_into` adds c * terms into a
 dict accumulator and drops the monomials that cancel, and `_graded` turns
@@ -19,9 +21,10 @@ Each ring also compiles itself once, on first use, into `RingTables`: a
 class of degree 2k becomes its coefficient tuple over the degree-2k basis,
 and multiplication by a degree-2 class becomes one pass over the nonzero
 entries of a table, read off the memoized normal forms of monomial
-products.  That table is the only one: the search, its bound and the genus
-integrator all multiply through `RingTables.mul`; `ring_mul` on dicts
-stays the product the acceptance rule uses.
+products, so every entry is an int.  That table is the only one: the
+search, its bound and the genus integrator all multiply through
+`RingTables.mul`; `ring_mul` on dicts stays the product the acceptance rule
+uses.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from math import comb, lcm
+from math import comb
 from operator import add, le
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -191,12 +194,16 @@ class RewriteRule:
 
     def __post_init__(self) -> None:
         lhs_deg = monomial_degree(self.lhs)
-        for mono, _ in self.rhs.terms.items():
+        for mono, coeff in self.rhs.terms.items():
             if monomial_degree(mono) != lhs_deg:
                 raise PresentationError(
                     f"rule degree mismatch: lhs {self.lhs} has degree {lhs_deg}, "
                     f"rhs contains a monomial of degree {monomial_degree(mono)}"
                 )
+            # integral rules give integral products of basis monomials, and
+            # the tables, the search and the integrator rely on it
+            if coeff.denominator != 1:
+                raise PresentationError(f"rule for {self.lhs}: rhs coefficient {coeff} is not an integer")
         if self.lhs in self.rhs.terms:
             raise PresentationError(f"rule lhs {self.lhs} occurs in its own rhs")
 
@@ -427,10 +434,10 @@ class RingTables:
     the degree-4 basis always exists; above the top degree it is empty.
     `terms[k]` lists each (i, j, t, z) with z != 0 the coefficient of
     `bases[k + 1][t]` in `bases[k][i] * bases[1][j]`, read off the memoized
-    normal form of that monomial product.  A class of degree 2k is its
-    tuple over `bases[k]`, and every degree past the tables is the empty
-    tuple.  A product of normal forms is linear in both factors, so `mul`
-    equals `ring_mul` on tuples.
+    normal form of that monomial product; the rules are integral, so z
+    is an int.  A class of degree 2k is its tuple over `bases[k]`, and
+    every degree past the tables is the empty tuple.  A product of normal
+    forms is linear in both factors, so `mul` equals `ring_mul` on tuples.
     """
 
     def __init__(self, ring: RingPresentation):
@@ -438,7 +445,7 @@ class RingTables:
         self.bases = [
             basis(ring, 2 * k) if 2 * k <= ring.top_degree else [] for k in range(depth + 1)
         ]
-        self.terms: list[tuple[tuple[int, int, int, Coeff], ...]] = []
+        self.terms: list[tuple[tuple[int, int, int, int], ...]] = []
         for k in range(depth):
             index = {mono: t for t, mono in enumerate(self.bases[k + 1])}
             self.terms.append(tuple(
@@ -465,28 +472,18 @@ class RingTables:
         return tuple(out)
 
     @cached_property
-    def mul_norm(self) -> Coeff:
+    def mul_norm(self) -> int:
         """tau, the largest l1 norm of a product of basis elements, built on first use.
 
         `bases[k][i] * bases[1][j]` has l1 norm sum |z| over the (i, j, t, z)
         in `terms[k]`, and each output of `mul(k, a, b)` is sum_i,j a_i b_j
         times that product, so its l1 norm is at most tau * |a|_1 * |b|_1.
         """
-        norms: dict[tuple[int, int, int], Coeff] = {}
+        norms: dict[tuple[int, int, int], int] = {}
         for k, terms in enumerate(self.terms):
             for i, j, _, z in terms:
                 norms[k, i, j] = norms.get((k, i, j), 0) + abs(z)
         return max(norms.values(), default=0)
-
-    @cached_property
-    def row_denominator(self) -> int:
-        """The lcm of the denominators in `terms`, built on first use.
-
-        It is 1 unless a rule has a fractional coefficient.  k `mul` steps
-        from integral tuples give a tuple that is integral once multiplied
-        by its k-th power.
-        """
-        return lcm(*(z.denominator for terms in self.terms for *_, z in terms))
 
 
 def check_confluence(ring: RingPresentation) -> ConfluenceReport:
@@ -569,7 +566,9 @@ def parse_presentation(doc: Mapping) -> RingPresentation:
 
     Every error message names the offending field of the case document's
     ``ring`` section, e.g. ``ring.relations[0].lhs``.  Each is a
-    `PresentationError`, the readers' type errors included.
+    `PresentationError`, the readers' type errors included: a rule list
+    whose reduction cycles is a `DivergenceError`, and a monomial with two
+    normal forms a `ConfluenceError`.
     """
     try:
         ring = _read_presentation(doc)
@@ -584,9 +583,11 @@ def parse_presentation(doc: Mapping) -> RingPresentation:
         )
     report = check_confluence(ring)
     if not report.ok:
+        if report.witness_forms is None:
+            raise DivergenceError(report.witness, f"ring.relations: {report.message}")
         raise ConfluenceError(
-            report.witness if report.witness is not None else (),
-            report.witness_forms if report.witness_forms else (GradedClass.zero(), GradedClass.zero()),
+            report.witness,
+            report.witness_forms,
             f"ring.relations: presentation is not confluent: {report.message}",
         )
     if ring._first_rule(ring.fundamental) is not None:

@@ -22,11 +22,11 @@ enumeration serves every bound:
    target is sign-flexible, and the ball is stably sorted by norm;
 2. the join table: each ball vector's square c1^2, a tuple over the
    degree-4 basis, packed into one int key sum_t c_t R^t.  The p1 tuple and
-   the squares are first scaled by the lcm of their denominators, and
-   R = 2 span + 1 with span = max|p1_t| + m max|square_t|.  Packing is
-   linear, so equal tuples always get equal keys and no hit is lost; every
-   residual and square lies within span, where distinct tuples get
-   distinct keys;
+   the squares are integral, as the rules and the p1 target the matcher
+   admits are, and R = 2 span + 1 with span = max|p1_t| + m max|square_t|.
+   Packing is linear, so equal tuples always get equal keys and no hit is
+   lost; every residual and square lies within span, where distinct tuples
+   get distinct keys;
 3. the walk: nondecreasing index multisets of m - 1 ball vectors whose
    partial norm stays within C.  A solution's norms sum to exactly C and
    the norms are sorted, so with R vectors still to place the next has norm
@@ -361,12 +361,8 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
         kept.sort(key=lambda item: item[0])
         norms = [norm for norm, _ in kept]
         ball = [vec for _, vec in kept]
-        # clear denominators: a ring built through the API may have Fraction products
         p1 = tables.vector(matcher.p1, 2)
         squares = [tables.mul(1, vec, vec) for vec in ball]
-        denom = math.lcm(1, *(x.denominator for vec in [p1, *squares] for x in vec))
-        p1 = [int(x * denom) for x in p1]
-        squares = [[int(x * denom) for x in vec] for vec in squares]
         span = max(map(abs, p1), default=0) + spec.m * max(
             (abs(x) for vec in squares for x in vec), default=0
         )

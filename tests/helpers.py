@@ -43,7 +43,6 @@ from splitcheck.genus import ChernRootData, RootCountError, YPolynomial
 from splitcheck.repcat import QUATERNIONIC, REAL, RootSystem
 from splitcheck.ring import (
     GradedClass,
-    RewriteRule,
     RingPresentation,
     basis,
     integrate,
@@ -93,14 +92,6 @@ def search_spec_for(name: str, parameter: int | None = None, budget: int | None 
     doc = builtin_case(name, parameter)
     ring = ring_for(name, parameter)
     return _load_search_spec(ring, _load_targets(ring, doc["targets"]), doc["search"], budget)
-
-
-def half_ring() -> RingPresentation:
-    """x^2 = y^2 / 2 and xy = 0, top degree 4: a ring whose products are not
-    integral; a square's y^2 coefficient is a^2/2 + b^2."""
-    half_y2 = GradedClass.from_terms([((0, 2), Fraction(1, 2))])
-    rules = [RewriteRule((2, 0), half_y2), RewriteRule((1, 1), GradedClass.zero())]
-    return RingPresentation(["x", "y"], rules, 4, (0, 2))
 
 
 def all_monomials(ring: RingPresentation) -> list:

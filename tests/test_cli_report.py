@@ -334,6 +334,10 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         ("s2xs2", ("targets", "p1"), [[1, [1, 0]]]),
         ("cp2-connect-sum", ("targets", "euler"), [[4, [1, 0]]]),
         (("cpn-split", 3), ("targets", "chern"), [[4, [1]], [6, [2]], [4, [3]]]),
+        # every class built from integral c1's is integral
+        ("cp2-connect-sum", ("targets", "p1"), [["13/2", [2, 0]]]),
+        ("su3-t2", ("targets", "euler"), [["13/2", [2, 1]]]),
+        (("cpn-split", 3), ("targets", "chern"), [[1, [0]], [4, [1]], ["13/2", [2]], [4, [3]]]),
         # a float in a field no section reads is refused where the document is digested
         ("cp2-connect-sum", ("comment",), 1.5),
     ]:

@@ -78,6 +78,17 @@ def test_su2_dimensions_and_types():
     assert dims == [1, 2, 3, 4, 5, 6]
     types = [field_type(A1, (k,)) for k in range(6)]
     assert types == [REAL, QUATERNIONIC, REAL, QUATERNIONIC, REAL, QUATERNIONIC]
+
+
+def test_su2_is_spin3():
+    """A_1 and B_1 give the same irreps: dimension w + 1, real iff w is even."""
+    b1 = RootSystem("B", 1)
+    for w in range(21):
+        assert weyl_dim(A1, (w,)) == weyl_dim(b1, (w,)) == w + 1
+        assert field_type(A1, (w,)) == field_type(b1, (w,)) == (REAL if w % 2 == 0 else QUATERNIONIC)
+    for bound in (1, 2, 7, 20):
+        a_weights = [e.highest_weight for e in catalog_irreps(A1, bound).entries]
+        assert a_weights == [e.highest_weight for e in catalog_irreps(b1, bound).entries]
     real_dims = [Irrep.build(A1, (k,)).real_dim for k in range(6)]
     assert real_dims == [1, 4, 3, 8, 5, 12]
 

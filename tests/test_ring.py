@@ -18,7 +18,6 @@ from helpers import (
     RING_IDS,
     RING_REFS,
     all_monomials,
-    half_ring,
     random_class,
     ref_rows,
     ref_table_mul,
@@ -28,6 +27,7 @@ from splitcheck.cases import builtin_case, list_builtin_cases
 from splitcheck.ring import (
     ConfluenceError,
     DegreeError,
+    DivergenceError,
     GradedClass,
     PresentationError,
     RewriteRule,
@@ -149,6 +149,12 @@ def test_rule_lhs_in_rhs_rejected():
         RewriteRule(lhs=(2, 0), rhs=cls(((2, 0), 1), ((0, 2), 1)))
 
 
+def test_rule_with_a_fractional_coefficient_rejected():
+    """Rule coefficients are integers, so every product of basis monomials is."""
+    with pytest.raises(PresentationError, match="not an integer"):
+        RewriteRule((2, 0), cls(((0, 2), Fraction(1, 2))))
+
+
 def test_parse_rejects_missing_field():
     with pytest.raises(PresentationError, match="fundamental"):
         parse_presentation(
@@ -218,6 +224,24 @@ def test_divergent_rules_reported():
     assert not report.ok
     assert report.witness in {(2, 0), (0, 2)}
     assert "cycle" in report.message or "re-entered" in report.message
+
+
+def test_divergent_document_raises_on_parse():
+    """A rule list that cycles has no pair of normal forms to report: it is a
+    `DivergenceError` with its witness, not a `ConfluenceError`."""
+    doc = {
+        "generators": ["a", "b"],
+        "relations": [
+            {"lhs": [2, 0], "rhs": [[1, [0, 2]]]},
+            {"lhs": [0, 2], "rhs": [[1, [2, 0]], [1, [1, 1]]]},
+        ],
+        "top_degree": 4,
+        "fundamental": [1, 1],
+    }
+    with pytest.raises(DivergenceError, match=r"^ring\.relations: reduction of .* cycles") as info:
+        parse_presentation(doc)
+    assert not isinstance(info.value, ConfluenceError)
+    assert info.value.witness in {(2, 0), (0, 2)}
 
 
 @pytest.mark.parametrize(("name", "par"), RING_REFS, ids=RING_IDS)
@@ -409,16 +433,13 @@ def cancelling_ring() -> RingPresentation:
 
 @pytest.mark.parametrize(
     ("name", "par"),
-    TABLE_RINGS + [("half", None), ("cancel", None)],
-    ids=[name if par is None else f"{name}-{par}" for name, par in TABLE_RINGS]
-    + ["half", "cancel"],
+    TABLE_RINGS + [("cancel", None)],
+    ids=[name if par is None else f"{name}-{par}" for name, par in TABLE_RINGS] + ["cancel"],
 )
 def test_sparse_tables_match_dense_reference(name, par):
     """`terms` holds exactly the nonzero `ring_mul` entries, and `mul` equals
     the dense loop at every k, past the tables included."""
-    if name == "half":
-        ring = half_ring()
-    elif name == "cancel":
+    if name == "cancel":
         ring = cancelling_ring()
     else:
         ring = parse_presentation(builtin_case(name, par)["ring"])

@@ -26,10 +26,8 @@ from hypothesis import strategies as st
 from helpers import (
     accepts,
     cp2_oracle,
-    half_ring,
     ref_canonicalize_solution,
     ref_enumerate,
-    ref_rows,
     ring_for,
     rp_oracle,
     search_spec_for,
@@ -47,7 +45,7 @@ from splitcheck.charclass import (
 )
 from splitcheck.cli import run_case
 from splitcheck.report import canonical_bytes
-from splitcheck.ring import GradedClass, basis, ring_mul
+from splitcheck.ring import GradedClass, RingTables, basis, ring_mul
 from splitcheck.search import (
     BoundError,
     ExplicitBound,
@@ -397,31 +395,6 @@ def test_euler_degree_above_the_top_matches_reference():
     assert cert.solutions == ref_enumerate(spec)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_non_integral_ring_matches_reference(m):
-    """A ring whose products are not integral: the join keys are built after
-    the squares' denominators are cleared, so no hit is lost."""
-    ring = half_ring()
-    assert any(
-        Fraction(x).denominator != 1 for row in ref_rows(ring)[1] for entry in row for x in entry
-    )
-    rng = random.Random(2024 + m)
-    for trial in range(4):
-        vecs = [tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(m)]
-        lbsum = LineBundleSum(ring, tuple(ring.class_from_coeffs(v) for v in vecs))
-        targets = TargetClasses(
-            p1_target=first_pontryagin(lbsum),
-            euler_target=euler_class(lbsum),
-            euler_sign_flexible=True,
-            real_rank=2 * m,
-        )
-        spec = SearchSpec(ring=ring, targets=targets, m=m, bound=SumOfSquaresBound((Fraction(1),)))
-        cert = enumerate_splittings(spec)
-        assert cert.exhaustive, trial
-        assert canonicalize_solution(vecs) in cert.solutions, trial
-        assert cert.solutions == ref_enumerate(spec), trial
-
-
 PLANTED_CASES = [c for c in DIFFERENTIAL_CASES if c != ("cpn-split", 2)]
 
 
@@ -581,6 +554,38 @@ def test_chern_is_decided_by_the_matcher(monkeypatch):
     assert reports
     assert all(r.p1_ok and r.euler_ok and r.chern_ok is False for r in reports)
     assert cert.solutions == ref_enumerate(spec)
+
+
+PREFILTERED_CASES = [case for case in DIFFERENTIAL_CASES if case[0] != "cpn-split"] + [("r-p", 3)]
+
+
+@pytest.mark.parametrize(("name", "par"), PREFILTERED_CASES)
+def test_prefilter_hands_the_matcher_only_accepted_hits(monkeypatch, name, par):
+    """With no Chern target, a hit past the join and the Euler prefilter
+    already has the target p1 and Euler class: every `match` call accepts."""
+    spec = search_spec_for(name, par)
+    assert spec.targets.chern_target is None
+    _, _, reports = _matched_solutions(monkeypatch, spec)
+    assert all(report.matched for report in reports)
+
+
+def test_prefilter_drops_every_hit_of_a_case_with_no_splitting(monkeypatch):
+    """r-p at q = 2: the join finds 684 p1 hits and the Euler prefilter drops
+    them all, so the matcher is never called.  The prefilter spends one
+    table product at k = m - 1 on each hit, and nothing else does."""
+    spec = search_spec_for("r-p", 2)
+    products = []
+    mul = RingTables.mul
+
+    def counting(self, k, a, b):
+        products.append(k)
+        return mul(self, k, a, b)
+
+    monkeypatch.setattr(RingTables, "mul", counting)
+    cert, _, reports = _matched_solutions(monkeypatch, spec)
+    assert cert.exhaustive and cert.solutions == ()
+    assert products.count(spec.m - 1) == 684
+    assert reports == []
 
 
 # -- oracle equivalence ---------------------------------------------------------------

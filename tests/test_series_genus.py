@@ -21,7 +21,6 @@ import pytest
 from helpers import (
     RING_IDS,
     RING_REFS,
-    half_ring,
     random_degree2,
     ref_chi_y_scaled,
     ref_rows,
@@ -284,11 +283,11 @@ def test_integrator_matches_reference_on_wide_roots(name, par):
         assert top_chern_integral(data) == ref_top_chern_integral(data)
 
 
-@pytest.mark.parametrize(("name", "par"), RING_REFS + [("half", None)], ids=RING_IDS + ["half"])
+@pytest.mark.parametrize(("name", "par"), RING_REFS, ids=RING_IDS)
 def test_table_products_obey_the_row_norm_bound(name, par):
     """|mul(k, a, b)|_1 <= tau |a|_1 |b|_1: the inequality the integrator's
     digit width rests on."""
-    ring = half_ring() if name == "half" else ring_for(name, par)
+    ring = ring_for(name, par)
     tables = ring.tables
     tau = tables.mul_norm
     rng = random.Random(sum(map(ord, f"norm-{name}-{par}")))
@@ -302,17 +301,6 @@ def test_table_products_obey_the_row_norm_bound(name, par):
             assert norm <= tau * sum(map(abs, a)) * sum(map(abs, b))
     # tau is attained: some product of basis elements has norm tau
     assert any(sum(map(abs, entry)) == tau for table in rows for row in table for entry in row)
-
-
-def test_integrator_on_fractional_rules():
-    """Rule coefficients with a denominator put Fractions in the tables'
-    entries; each mul step then scales by their denominator."""
-    ring = half_ring()
-    assert ring.tables.row_denominator == 2
-    rng = random.Random(5)
-    for i in range(12):
-        data = random_data(rng, ring, extra=i % 3)
-        _assert_matches_reference(data, (-1, 2, F(1, 2))[i % 3])
 
 
 def test_integrator_overflow_raises():
