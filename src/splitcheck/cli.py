@@ -214,11 +214,9 @@ def _genus_section(ring: RingPresentation | None, raw, where: str = "genus") -> 
 
 
 def _trace_entry(trace) -> dict:
+    # each name resolves against the section's catalog, which holds its dims and type
     return {
-        "summands": [
-            {"name": p.name, "real_dim": p.real_dim, "field_type": p.field_type}
-            for p in trace.summands
-        ],
+        "summands": [[p.name, count] for p, count in trace.summands],
         "rejected_by": trace.rejected_by,
         "detail": trace.detail,
     }
@@ -420,14 +418,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print(text: str) -> None:
+    """Print text to stdout, which a reader may close early (`| head`)."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the rest of the output, and the flush at exit, go to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "list":
-            for name in list_builtin_cases():
-                suffix = f" (parameter: {PARAMETER_NAMES[name]})" if name in PARAMETER_NAMES else ""
-                print(f"{name}{suffix}")
+            _print("\n".join(
+                f"{name} (parameter: {PARAMETER_NAMES[name]})" if name in PARAMETER_NAMES else name
+                for name in list_builtin_cases()
+            ))
             return EXIT_OK
 
         doc = _load_case_document(args.case, args.q)
@@ -449,8 +460,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             title = _title(doc)
             report = _report(doc, title, {"reps": _reps_section(_load_obstruction(doc["obstruction"]))})
 
-        text = json.dumps(jsonable(report), sort_keys=True, indent=2)
-        print(text)
+        _print(json.dumps(jsonable(report), sort_keys=True, indent=2))
         if args.emit:
             emit_report(report, args.emit)
         if args.command == "verify" and args.expect:

@@ -283,7 +283,13 @@ class ObstructionCase:
 
 @dataclass
 class MultisetTrace:
-    summands: tuple[ProductIrrep, ...]
+    """One multiset and the filter that rejected it.
+
+    `summands` holds (catalog entry, multiplicity) pairs, with positive
+    counts, in catalog order.
+    """
+
+    summands: tuple[tuple[ProductIrrep, int], ...]
     rejected_by: str | None  # "F1", "F2", or None when the multiset survives
     detail: str
 
@@ -310,33 +316,45 @@ def product_catalog(case: ObstructionCase) -> list[ProductIrrep]:
 
 def _multisets_with_total(
     entries: list[ProductIrrep], total: int
-) -> Iterator[tuple[ProductIrrep, ...]]:
-    """Multisets (nondecreasing index sequences) with real dims summing to total."""
+) -> list[tuple[tuple[ProductIrrep, int], ...]]:
+    """Multisets of entries with real dims summing to total, as (entry, count) pairs.
 
-    def recurse(start: int, remaining: int, chosen: list[ProductIrrep]) -> Iterator[tuple[ProductIrrep, ...]]:
+    Each entry's count runs from the largest that fits down to 1, each time
+    followed by the walk over the later entries (count 0 is skipping the entry),
+    so only positive counts appear, in catalog order, and the multisets come in
+    the lexicographic order of their nondecreasing index sequences.
+    """
+    out: list[tuple[tuple[ProductIrrep, int], ...]] = []
+    chosen: list[tuple[ProductIrrep, int]] = []
+
+    def recurse(start: int, remaining: int) -> None:
         if remaining == 0:
-            yield tuple(chosen)
+            out.append(tuple(chosen))
             return
         for idx in range(start, len(entries)):
             entry = entries[idx]
             if entry.real_dim > remaining:
-                break  # entries are sorted by real dimension
-            chosen.append(entry)
-            yield from recurse(idx, remaining - entry.real_dim, chosen)
-            chosen.pop()
+                return  # entries are sorted by real dimension
+            for count in range(remaining // entry.real_dim, 0, -1):
+                chosen.append((entry, count))
+                recurse(idx + 1, remaining - count * entry.real_dim)
+                chosen.pop()
 
-    yield from recurse(0, total, [])
+    recurse(0, total)
+    return out
 
 
 def obstruct_tangent_rep(case: ObstructionCase) -> ObstructionResult:
     """Decide whether any isotropy representation could carry the tangent bundle.
 
     Every multiset of product irreps with total real dimension equal to the
-    manifold dimension is enumerated.  Filter F1 (a nonvanishing Euler class
-    forbids odd-dimensional summands) is applied first; survivors meet filter
-    F2 (a manifold with no almost complex structure cannot have a tangent
-    representation all of whose summands carry complex structures).  Exactly
-    one filter is cited per rejected multiset.
+    manifold dimension is enumerated, as (catalog entry, multiplicity) pairs.
+    Filter F1 (a nonvanishing Euler class forbids odd-dimensional summands) is
+    applied first and names the first odd-dimensional entry in catalog order;
+    survivors meet filter F2 (a manifold with no almost complex structure
+    cannot have a tangent representation all of whose summands carry complex
+    structures), which reads each distinct entry once.  Exactly one filter is
+    cited per rejected multiset.
     """
     entries = product_catalog(case)
     traces: list[MultisetTrace] = []
@@ -345,15 +363,15 @@ def obstruct_tangent_rep(case: ObstructionCase) -> ObstructionResult:
         rejected_by = None
         detail = ""
         if case.euler_nonzero:
-            odd = [p for p in multiset if p.real_dim % 2]
-            if odd:
+            odd = next((p for p, _ in multiset if p.real_dim % 2), None)
+            if odd is not None:
                 rejected_by = "F1"
                 detail = (
-                    f"odd-dimensional summand {odd[0].name} (real dim {odd[0].real_dim}) "
+                    f"odd-dimensional summand {odd.name} (real dim {odd.real_dim}) "
                     "forces a vanishing Euler class"
                 )
         if rejected_by is None and case.almost_complex_forbidden:
-            if all(p.field_type in (COMPLEX, QUATERNIONIC) for p in multiset):
+            if all(p.field_type in (COMPLEX, QUATERNIONIC) for p, _ in multiset):
                 rejected_by = "F2"
                 detail = (
                     "every summand carries a complex structure, contradicting the "

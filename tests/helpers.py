@@ -17,7 +17,10 @@ greatest of all m! * 2^m images under permutations and sign flips.
 
 `ref_weyl_dim` and `ref_field_type` are the representation catalogs'
 oracle: the Weyl product over the positive roots of B_m taken in `Fraction`
-e-coordinates, with the halves of lambda and rho kept.  `ref_jsonable` is
+e-coordinates, with the halves of lambda and rho kept.  `ref_multisets` and
+`ref_obstruct` are the obstruction walk's oracle: every multiset as a flat
+nondecreasing index sequence, one generator frame per summand, with the
+filters read off the flat sequence.  `ref_jsonable` is
 the serializer's oracle: the plain isinstance chain, with no dispatch on
 exact types.
 
@@ -40,7 +43,14 @@ from splitcheck.cases import builtin_case
 from splitcheck.charclass import LineBundleSum, TargetClasses, matches_targets
 from splitcheck.cli import _load_search_spec, _load_targets
 from splitcheck.genus import ChernRootData, RootCountError, YPolynomial
-from splitcheck.repcat import QUATERNIONIC, REAL, RootSystem
+from splitcheck.repcat import (
+    COMPLEX,
+    QUATERNIONIC,
+    REAL,
+    ObstructionCase,
+    RootSystem,
+    product_catalog,
+)
 from splitcheck.ring import (
     GradedClass,
     RingPresentation,
@@ -415,6 +425,52 @@ def ref_field_type(rs: RootSystem, weight) -> str:
     pairing = sum((rs.rank - i) * 2 * lam[i] for i in range(rs.rank))
     assert pairing.denominator == 1, (weight, pairing)
     return REAL if pairing % 2 == 0 else QUATERNIONIC
+
+
+# -- reference obstruction walk -------------------------------------------------
+
+
+def ref_multisets(entries, total: int):
+    """Multisets (nondecreasing index sequences) with real dims summing to total."""
+
+    def recurse(start: int, remaining: int, chosen: list):
+        if remaining == 0:
+            yield tuple(chosen)
+            return
+        for idx in range(start, len(entries)):
+            entry = entries[idx]
+            if entry.real_dim > remaining:
+                break  # entries are sorted by real dimension
+            chosen.append(entry)
+            yield from recurse(idx, remaining - entry.real_dim, chosen)
+            chosen.pop()
+
+    yield from recurse(0, total, [])
+
+
+def ref_obstruct(case: ObstructionCase) -> tuple:
+    """The verdict and one (summands, rejected_by, detail) per flat multiset."""
+    traces = []
+    for multiset in ref_multisets(product_catalog(case), case.manifold_dim):
+        rejected_by, detail = None, "no filter applies"
+        odd = [p for p in multiset if p.real_dim % 2]
+        if case.euler_nonzero and odd:
+            rejected_by = "F1"
+            detail = (
+                f"odd-dimensional summand {odd[0].name} (real dim {odd[0].real_dim}) "
+                "forces a vanishing Euler class"
+            )
+        elif case.almost_complex_forbidden and all(
+            p.field_type in (COMPLEX, QUATERNIONIC) for p in multiset
+        ):
+            rejected_by = "F2"
+            detail = (
+                "every summand carries a complex structure, contradicting the "
+                "almost-complex obstruction"
+            )
+        traces.append((multiset, rejected_by, detail))
+    survives = any(rejected_by is None for _, rejected_by, _ in traces)
+    return ("VALID-V-EXISTS" if survives else "NO-VALID-V"), traces
 
 
 # -- reference serializer -------------------------------------------------------

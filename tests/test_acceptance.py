@@ -283,18 +283,18 @@ def test_criterion_9_obstruction_verdicts(case_name, trace_count):
     )
     seen = set()
     for trace in result.traces:
-        assert sum(s.real_dim for s in trace.summands) == case.manifold_dim
-        key = tuple(sorted((s.name, s.real_dim) for s in trace.summands))
+        assert sum(count * s.real_dim for s, count in trace.summands) == case.manifold_dim
+        key = tuple(sorted((s.name, s.real_dim, count) for s, count in trace.summands))
         assert key not in seen
         seen.add(key)
         # exactly one filter is cited, and only when it actually applies
         assert trace.rejected_by in ("F1", "F2")
-        odd = [s for s in trace.summands if s.real_dim % 2]
+        odd = [s for s, _ in trace.summands if s.real_dim % 2]
         if trace.rejected_by == "F1":
             assert odd
         else:
             assert not odd
-            assert all(s.field_type in ("complex", "quaternionic") for s in trace.summands)
+            assert all(s.field_type in ("complex", "quaternionic") for s, _ in trace.summands)
 
 
 def test_criterion_10_infrastructure():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -170,6 +171,30 @@ def test_run_case_obstruction_sections():
     assert report["sections"]["genus"]["congruence"]["holds"] is False
 
 
+def test_obstruction_traces_are_catalog_multiplicities():
+    hp1 = json.loads(canonical_bytes(run_case(builtin_case("hp1-presentation"))))
+    assert [(t["summands"], t["rejected_by"]) for t in hp1["sections"]["obstruction"]["traces"]] == [
+        ([["W1x1", 4]], "F1"),
+        ([["W1x1", 1], ["W3x1", 1]], "F1"),
+        ([["W2x1", 1]], "F2"),
+    ]
+    # the canonical report alone is enough to check each m20 trace
+    blob = canonical_bytes(run_case(builtin_case("m20-eschenburg")))
+    assert len(blob) <= 30_000
+    section = json.loads(blob)["sections"]["obstruction"]
+    order = [entry["name"] for entry in section["catalog"]]
+    catalog = {entry["name"]: entry for entry in section["catalog"]}
+    for trace in section["traces"]:
+        names = [name for name, _ in trace["summands"]]
+        assert all(name in catalog for name in names)
+        positions = [order.index(name) for name in names]
+        assert positions == sorted(set(positions))  # catalog order, no repeats
+        assert all(isinstance(count, int) and count > 0 for _, count in trace["summands"])
+        assert sum(count * catalog[name]["real_dim"] for name, count in trace["summands"]) == 20
+        if trace["rejected_by"] == "F2":
+            assert all(catalog[name]["field_type"] in ("complex", "quaternionic") for name in names)
+
+
 def test_run_case_genus_roots():
     report = run_case(builtin_case("genus-cpn", 3))
     genus = report["sections"]["genus"]
@@ -192,8 +217,8 @@ REPORT_DIGESTS = {
     ("cp2-connect-sum", None): "59a4e383213af5a41ace4dd79c2e746cc65e982582896335ca49dd71d4d97a32",
     ("cpn-split", None): "310ea743687c81f4354128978548fd387c2b0bb70f8330cf6bfd8b4b832dae9e",
     ("genus-cpn", None): "2b398264396332fc47a001c5cea660460a819466ae51e3f426f2f807650aebfc",
-    ("hp1-presentation", None): "2e5bc1727a73d1b2b14b72994bb04d9b9a164e35aaa6960e4e31478a4c74e211",
-    ("m20-eschenburg", None): "a9d6d1d7aa52658f1591512a57eaf43408963d8cb7b37898f43497e4b2dcbf4b",
+    ("hp1-presentation", None): "4b486710591b14fc713bc979febdcb278e11d531e3b07bf70ad31b7c258b6092",
+    ("m20-eschenburg", None): "d5ce05ebb3247a772f2bfa8807cfede3a4d553191423791835904ec4cff46179",
     ("r-p", None): "0bb33082e633a3850ed20ca2279808899205f46ece14997f9c5c6f4b03deff72",
     ("r-p-u-variant", None): "0ce4192f31ee4ba2d99597f593dc11278ea904ce856d9dae9ad6223dced29cc7",
     ("s2xs2", None): "a462e9d1b455a631308fcd254b853f8a295d76e2bfe57ccc909e231e38148ab9",
@@ -590,6 +615,50 @@ def test_cli_rejects_invalid_json_file(tmp_path):
     proc = run_cli("verify", str(path))
     assert proc.returncode == 1
     assert "invalid JSON" in proc.stderr
+
+
+def test_main_survives_a_closed_stdout(monkeypatch, tmp_path):
+    sink = tmp_path / "stdout"
+    fd = os.open(sink, os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe:
+        """A stdout whose reader has gone: every write raises."""
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    out = tmp_path / "report.json"
+    try:
+        # --emit and --expect still run and set the exit code
+        assert main(["obstruct", "m20-eschenburg", "--emit", str(out)]) == 0
+        assert json.loads(out.read_bytes())["sections"]["obstruction"]["verdict"] == "NO-VALID-V"
+        assert main(["verify", "cp2-connect-sum", "--expect", "solutions"]) == 3
+        assert main(["verify", "cp2-connect-sum", "--expect", "no-solutions"]) == 0
+        assert main(["list"]) == 0
+        # the descriptor now points at the null device
+        os.write(fd, b"lost")
+        assert sink.read_bytes() == b""
+    finally:
+        os.close(fd)
+
+
+def test_cli_reader_closing_early_gets_no_traceback():
+    # the printed m20 report is larger than a pipe's buffer, so the write fails
+    with subprocess.Popen(
+        [sys.executable, "-m", "splitcheck", "obstruct", "m20-eschenburg"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
 
 
 def test_main_in_process_exit_codes(capsys):

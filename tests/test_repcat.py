@@ -15,8 +15,10 @@ from math import comb
 
 import pytest
 
-from helpers import ref_field_type, ref_weyl_dim
+from helpers import ref_field_type, ref_obstruct, ref_weyl_dim
 from splitcheck import repcat
+from splitcheck.cases import builtin_case
+from splitcheck.cli import _load_obstruction
 from splitcheck.repcat import (
     COMPLEX,
     QUATERNIONIC,
@@ -286,6 +288,11 @@ def test_obstruction_case_validation():
                         euler_nonzero=True, almost_complex_forbidden=False)
 
 
+def pairs(trace) -> tuple:
+    """A trace's summands as (name, multiplicity) pairs."""
+    return tuple((p.name, count) for p, count in trace.summands)
+
+
 def quaternionic_line_case(**flags) -> ObstructionCase:
     return ObstructionCase(
         factors=(A1, spin(7)),
@@ -304,10 +311,10 @@ def test_quaternionic_line_catalog_and_traces():
     result = obstruct_tangent_rep(case)
     assert result.verdict == "NO-VALID-V"
     assert len(result.traces) == 3
-    by_names = {tuple(s.name for s in t.summands): t for t in result.traces}
-    assert by_names[("W1x1",) * 4].rejected_by == "F1"
-    assert by_names[("W1x1", "W3x1")].rejected_by == "F1"
-    assert by_names[("W2x1",)].rejected_by == "F2"
+    by_pairs = {pairs(t): t for t in result.traces}
+    assert by_pairs[(("W1x1", 4),)].rejected_by == "F1"
+    assert by_pairs[(("W1x1", 1), ("W3x1", 1))].rejected_by == "F1"
+    assert by_pairs[(("W2x1", 1),)].rejected_by == "F2"
     for trace in result.traces:
         assert trace.rejected_by in ("F1", "F2")
         assert trace.detail
@@ -318,13 +325,13 @@ def test_filters_can_be_disabled_independently():
     result = obstruct_tangent_rep(quaternionic_line_case(almost_complex_forbidden=False))
     assert result.verdict == "VALID-V-EXISTS"
     survivors = [t for t in result.traces if t.rejected_by is None]
-    assert [tuple(s.name for s in t.summands) for t in survivors] == [("W2x1",)]
+    assert [pairs(t) for t in survivors] == [(("W2x1", 1),)]
     # without the euler filter the odd-dimensional summands survive
     result = obstruct_tangent_rep(quaternionic_line_case(euler_nonzero=False))
     assert result.verdict == "VALID-V-EXISTS"
-    names = {tuple(s.name for s in t.summands) for t in result.traces if t.rejected_by is None}
-    assert ("W1x1", "W3x1") in names
-    assert ("W1x1", "W1x1", "W1x1", "W1x1") in names
+    names = {pairs(t) for t in result.traces if t.rejected_by is None}
+    assert (("W1x1", 1), ("W3x1", 1)) in names
+    assert (("W1x1", 4),) in names
 
 
 def test_twenty_dimensional_case():
@@ -345,11 +352,43 @@ def test_twenty_dimensional_case():
     assert len(result.traces) == 174
     for trace in result.traces:
         assert trace.rejected_by in ("F1", "F2")
-        assert sum(s.real_dim for s in trace.summands) == 20
+        assert sum(count * s.real_dim for s, count in trace.summands) == 20
 
 
 def test_traces_cover_every_multiset_exactly_once():
     case = quaternionic_line_case()
     result = obstruct_tangent_rep(case)
-    seen = {tuple(sorted(s.name for s in t.summands)) for t in result.traces}
+    seen = {tuple(sorted(pairs(t))) for t in result.traces}
     assert len(seen) == len(result.traces)
+
+
+def _grid_cases(factors) -> list:
+    return [
+        ObstructionCase(factors=factors, manifold_dim=dim,
+                        euler_nonzero=euler, almost_complex_forbidden=forbidden)
+        for dim in range(2, 25, 2)
+        for euler, forbidden in itertools.product((True, False), repeat=2)
+    ]
+
+
+@pytest.mark.parametrize("cases", [
+    pytest.param([_load_obstruction(builtin_case(name)["obstruction"])
+                  for name in ("hp1-presentation", "m20-eschenburg")], id="builtins"),
+    pytest.param(_grid_cases((A1,)), id="A1"),
+    pytest.param(_grid_cases((A1, spin(7))), id="A1-B3"),
+    pytest.param(_grid_cases((A1, spin(11))), id="A1-B5"),
+    pytest.param(_grid_cases((A1, CIRCLE)), id="A1-T"),
+    pytest.param(_grid_cases((spin(5), CIRCLE)), id="B2-T"),
+])
+def test_multiplicity_walk_matches_flat_oracle(cases):
+    """Each trace is its oracle multiset run-length encoded: positive counts,
+    catalog order, the same order of multisets, the same filter and detail."""
+    for case in cases:
+        result = obstruct_tangent_rep(case)
+        verdict, expected = ref_obstruct(case)
+        assert result.verdict == verdict
+        assert len(result.traces) == len(expected)
+        for trace, (flat, rejected_by, detail) in zip(result.traces, expected):
+            runs = tuple((p, len(list(run))) for p, run in itertools.groupby(flat))
+            assert trace.summands == runs, case
+            assert (trace.rejected_by, trace.detail) == (rejected_by, detail), case
