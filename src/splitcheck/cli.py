@@ -92,8 +92,7 @@ def _load_search_spec(
     at = f"{where}.bound"
     kind = field(bound_raw, "type", at, string)
     if kind == "sum_of_squares":
-        multipliers = field(bound_raw, "multipliers", at, partial(array, item=fraction_from_json))
-        bound = SumOfSquaresBound(tuple(multipliers))
+        bound = SumOfSquaresBound(field(bound_raw, "multipliers", at, integers))
     elif kind == "explicit":
         bound = ExplicitBound(
             per_variable=field(bound_raw, "per_variable", at, integers),
@@ -338,7 +337,8 @@ def run_case(doc: Mapping, budget: int | None = None) -> dict:
 # -- command line ------------------------------------------------------------
 
 
-def _load_case_document(ref: str, parameter: int | None) -> dict:
+def _load_case_document(ref: str, parameter: int | None) -> Mapping:
+    """A built-in case, or the JSON object in the file `ref`."""
     if ref in list_builtin_cases():
         return builtin_case(ref, parameter)
     if not os.path.exists(ref):
@@ -346,14 +346,16 @@ def _load_case_document(ref: str, parameter: int | None) -> dict:
             f"{ref!r} is neither a built-in case nor an existing file; "
             f"built-ins: {', '.join(list_builtin_cases())}"
         )
-    with open(ref, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(ref, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise CaseError(f"{ref}: invalid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise CaseError(f"{ref}: invalid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or not UTF-8
+        raise CaseError(f"{ref}: cannot read the case file: {exc}") from exc
     if parameter is not None:
         raise CaseError("--q only applies to parameterized built-in cases")
-    return doc
+    return obj(doc, ref)
 
 
 def _check_expectation(report: dict, expect: str) -> str | None:

@@ -298,7 +298,6 @@ class MultisetTrace:
 class ObstructionResult:
     verdict: str  # "NO-VALID-V" or "VALID-V-EXISTS"
     traces: list[MultisetTrace]
-    case: ObstructionCase
     product_entries: list[ProductIrrep]
 
 
@@ -382,4 +381,4 @@ def obstruct_tangent_rep(case: ObstructionCase) -> ObstructionResult:
             detail = "no filter applies"
         traces.append(MultisetTrace(summands=multiset, rejected_by=rejected_by, detail=detail))
     verdict = "VALID-V-EXISTS" if any_valid else "NO-VALID-V"
-    return ObstructionResult(verdict=verdict, traces=traces, case=case, product_entries=entries)
+    return ObstructionResult(verdict=verdict, traces=traces, product_entries=entries)

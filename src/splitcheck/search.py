@@ -1,13 +1,14 @@
 """Certified exhaustive search for line-bundle splittings.
 
 The unknowns are the m x r integer coordinates of the first Chern classes in
-the degree-2 basis.  Bounds come from a nonnegative multiplier vector over
-the degree-4 component equations of the p1 match: when the combination is a
-positive diagonal quadratic form sum lam_j x_j^2 = C, any solution satisfies
-that equation *with equality*.  Each bundle's own share sum_j lam_j v_j^2 is
-nonnegative, so every bundle vector lies in the ellipsoid
-sum_j lam_j v_j^2 <= C, which certifies the per-variable box
-|x_j| <= floor(sqrt(C/lam_j)).
+the degree-2 basis.  Bounds come from a nonnegative integer multiplier
+vector over the degree-4 component equations of the p1 match: when the
+combination is a positive diagonal quadratic form sum lam_j x_j^2 = C, any
+solution satisfies that equation *with equality*.  Each bundle's own share
+sum_j lam_j v_j^2 is nonnegative, so every bundle vector lies in the
+ellipsoid sum_j lam_j v_j^2 <= C, which certifies the per-variable box
+|x_j| <= floor(sqrt(C/lam_j)).  Scaling the multipliers by k > 0 scales
+lam and C alike and keeps the ellipsoid, so integers lose no bound.
 
 The search multiplies through the ring's table (`ring.RingTables`, built
 once per ring): its degree-2 products give the bound's quadratic form,
@@ -75,7 +76,7 @@ class BoundError(ValueError):
 
 @dataclass(frozen=True)
 class SumOfSquaresBound:
-    multipliers: tuple[Fraction, ...]
+    multipliers: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,8 @@ class SearchSpec:
 class DerivedBounds:
     per_variable: tuple[int, ...]
     certified: bool
-    diagonal: tuple[Fraction, ...] | None = None
-    constant: Fraction | None = None
+    diagonal: tuple[int, ...] | None = None
+    constant: int | None = None
     note: str = ""
 
 
@@ -120,8 +121,8 @@ class SearchCertificate:
     solutions: tuple[tuple[tuple[int, ...], ...], ...]
     exhaustive: bool
     budget: int
-    diagonal: tuple[Fraction, ...] | None = None
-    constant: Fraction | None = None
+    diagonal: tuple[int, ...] | None = None
+    constant: int | None = None
     notes: list[str] = field(default_factory=list)
     wall_clock_s: float | None = None
 
@@ -192,6 +193,11 @@ def spec_digest(spec: SearchSpec) -> str:
 
 
 def derive_bounds(spec: SearchSpec) -> DerivedBounds:
+    """The per-variable box, and for multipliers the integer form lam, C behind it.
+
+    The multipliers' combination of the products e_j e_k must be diagonal
+    and positive, and of the p1 target nonnegative; else `BoundError`.
+    """
     tables = spec.ring.tables
     r = len(tables.bases[1])
     if isinstance(spec.bound, ExplicitBound):
@@ -216,7 +222,7 @@ def derive_bounds(spec: SearchSpec) -> DerivedBounds:
         raise BoundError("multipliers must be nonnegative")
     index = {mono: i for i, mono in enumerate(b4)}
     # the multipliers' combination of the degree-4 products e_j * e_k
-    form = [[Fraction(0)] * r for _ in range(r)]
+    form = [[0] * r for _ in range(r)]
     for j, k, t, z in tables.terms[1]:
         form[j][k] += multipliers[t] * z
     for j in range(r):
@@ -234,14 +240,11 @@ def derive_bounds(spec: SearchSpec) -> DerivedBounds:
     p1_nf = normal_form(ring, spec.targets.p1_target)
     if any(mono not in index for mono in p1_nf.terms):
         raise BoundError("p1 target is not supported on the degree-4 basis")
-    constant = sum(
-        (multipliers[index[mono]] * coeff for mono, coeff in p1_nf.terms.items()),
-        Fraction(0),
-    )
+    constant = sum(multipliers[index[mono]] * coeff for mono, coeff in p1_nf.terms.items())
     if constant < 0:
         raise BoundError(f"combined form equals the negative constant {constant}")
 
-    per_variable = tuple(math.isqrt(int(constant / d)) for d in diagonal)
+    per_variable = tuple(math.isqrt(constant // d) for d in diagonal)
     return DerivedBounds(
         per_variable=per_variable,
         certified=True,
@@ -273,14 +276,6 @@ def canonicalize_solution(
 
 class _BudgetExceeded(Exception):
     pass
-
-
-def _scaled_diagonal(diagonal: Sequence[Fraction], constant: Fraction) -> tuple[list[int], int | None]:
-    """Clear the form's denominators; a non-integral constant means no solutions."""
-    denom = math.lcm(*(d.denominator for d in diagonal))
-    scaled = [int(d * denom) for d in diagonal]
-    c = constant * denom
-    return scaled, int(c) if c.denominator == 1 else None
 
 
 def pack(vec: Sequence[int], span: int) -> int:
@@ -345,7 +340,7 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
     if bounds.diagonal is None:
         weights, limit = [0] * len(bounds.per_variable), 0
     else:
-        weights, limit = _scaled_diagonal(bounds.diagonal, bounds.constant)
+        weights, limit = bounds.diagonal, bounds.constant
     flips = spec.allows_sign_flips()
     budget = spec.budget
     visited = 0
@@ -443,14 +438,11 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
             accept((), hits)
 
     exhausted = False
-    if limit is None:
-        notes.append("certified form has a non-integral constant; the equation has no integer solutions")
-    else:
-        try:
-            search()
-        except _BudgetExceeded:
-            exhausted = True
-            notes.append(f"visit budget {spec.budget} exhausted; enumeration incomplete")
+    try:
+        search()
+    except _BudgetExceeded:
+        exhausted = True
+        notes.append(f"visit budget {spec.budget} exhausted; enumeration incomplete")
     if not bounds.certified:
         notes.append("explicit bound not acknowledged; certificate is not exhaustive")
     canonical = {canonicalize_solution(sol, allow_sign_flips=flips) for sol in raw}

@@ -342,9 +342,13 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         (("cpn-split", 2), ("ring",), _LINE_RING, ("search", "bound", "multipliers")),
         # a zero form is reported as numbers, not as a tuple of Fraction reprs
         ("cp2-connect-sum", ("search", "bound", "multipliers"), [0]),
-        # a multiplier is an integer or a "p/q" string with a nonzero q
+        # a multiplier is a JSON integer: scaling every multiplier by k > 0
+        # gives the same box, so a rational one adds nothing, and "p/q" is
+        # refused even with a zero or a unit denominator
         ("cp2-connect-sum", ("search", "bound", "multipliers", 0), 0.5),
         ("cp2-connect-sum", ("search", "bound", "multipliers", 0), "1/0"),
+        ("cp2-connect-sum", ("search", "bound", "multipliers", 0), "1/2"),
+        ("cp2-connect-sum", ("search", "bound", "multipliers", 0), "2/1"),
         # an optional field is absent or well typed: null is not absent
         (("cpn-split", 2), ("targets", "chern"), None),
         (("genus-cpn", 2), ("genus", "roots"), None),
@@ -384,8 +388,9 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
     (("search", "bound", "multipliers"), [" 1.0 "], "search.bound.multipliers[0]"),
 ], ids=["p1-exponent", "multiplier-padding"])
 def test_rational_strings_are_strict(tmp_path, capsys, path, value, named):
-    """A class coefficient or multiplier string is "p/q" or an integer:
-    an exponent or padding is an error naming the element, not a 6 or a 1."""
+    """A class coefficient string is "p/q" or an integer, and a multiplier
+    is a JSON integer: an exponent or a padded string is an error naming
+    the element, not a 6 or a 1."""
     bad = builtin_case("cp2-connect-sum")
     _set(bad, path, value)
     with pytest.raises(CaseError, match=re.escape(named)):
@@ -433,7 +438,7 @@ def _typed_fields() -> list:
                     out.append((name, here, "int"))
                 elif key == "generators":
                     leaves(name, here, "str", value)
-                elif key in ("per_variable", "lhs", "fundamental"):
+                elif key in ("per_variable", "multipliers", "lhs", "fundamental"):
                     leaves(name, here, "int", value)
                 elif key in ("p1", "euler", "chern", "rhs"):
                     for i, (_, exps) in enumerate(value):
@@ -615,6 +620,26 @@ def test_cli_rejects_invalid_json_file(tmp_path):
     proc = run_cli("verify", str(path))
     assert proc.returncode == 1
     assert "invalid JSON" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "genus", "obstruct", "reps"])
+def test_unreadable_or_non_object_case_files_name_the_path(tmp_path, capsys, command):
+    """A directory, a file that is not UTF-8, and a JSON value that is not
+    an object are errors naming the path, for every subcommand."""
+    folder = tmp_path / "cases"
+    folder.mkdir()
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"name": "caf\xe9"}')
+    paths = [folder, latin]
+    for i, body in enumerate(['"obstruction name"', "[1, 2]", "7", "null"]):
+        paths.append(tmp_path / f"value{i}.json")
+        paths[-1].write_text(body)
+    for path in paths:
+        capsys.readouterr()
+        assert main([command, str(path)]) == 1, path
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err, err
+        assert "Traceback" not in err
 
 
 def test_main_survives_a_closed_stdout(monkeypatch, tmp_path):

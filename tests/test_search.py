@@ -35,6 +35,7 @@ from helpers import (
     su3_oracle,
     targets_for,
 )
+from splitcheck.cases import builtin_case, list_builtin_cases
 from splitcheck.charclass import (
     LineBundleSum,
     TargetClasses,
@@ -93,19 +94,19 @@ def test_family_bounds_and_stage_cap():
     assert bounds.diagonal == (8, 1, 1)
     assert bounds.constant == 38
     assert bounds.per_variable == (2, 6, 6)
-    assert int(bounds.constant / bounds.diagonal[0]) == 4
+    assert bounds.constant // bounds.diagonal[0] == 4
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_family_stage_cap_is_constant_in_q(q):
     bounds = derive_bounds(search_spec_for("r-p", q))
     # (6 + 8q^2) / (2q^2) = 4 + 3/q^2 floors to 4 for every q >= 2
-    assert int(bounds.constant / bounds.diagonal[0]) == 4
+    assert bounds.constant // bounds.diagonal[0] == 4
 
 
 def test_multiplier_count_must_match_basis():
     spec = search_spec_for("su3-t2")
-    bad = replace(spec, bound=SumOfSquaresBound((Fraction(1),)))
+    bad = replace(spec, bound=SumOfSquaresBound((1,)))
     with pytest.raises(BoundError):
         derive_bounds(bad)
 
@@ -113,7 +114,7 @@ def test_multiplier_count_must_match_basis():
 def test_cross_terms_rejected():
     spec = search_spec_for("su3-t2")
     # weighting the x*y equation brings the 2ab - b^2 cross terms in
-    bad = replace(spec, bound=SumOfSquaresBound((Fraction(1), Fraction(0))))
+    bad = replace(spec, bound=SumOfSquaresBound((1, 0)))
     with pytest.raises(BoundError, match="cross"):
         derive_bounds(bad)
 
@@ -123,7 +124,7 @@ def test_indefinite_form_rejected():
     targets = targets_for("s2xs2")
     spec = SearchSpec(
         ring=ring, targets=targets, m=2,
-        bound=SumOfSquaresBound((Fraction(1),)),
+        bound=SumOfSquaresBound((1,)),
     )
     with pytest.raises(BoundError):
         derive_bounds(spec)
@@ -152,8 +153,44 @@ def test_zero_target_means_zero_box():
         euler_sign_flexible=True,
         real_rank=4,
     )
-    spec = SearchSpec(ring=ring, targets=targets, m=2, bound=SumOfSquaresBound((Fraction(1),)))
+    spec = SearchSpec(ring=ring, targets=targets, m=2, bound=SumOfSquaresBound((1,)))
     assert derive_bounds(spec).per_variable == (0, 0)
+
+
+SUM_OF_SQUARES_CASES = [
+    ("cp2-connect-sum", None),
+    ("su3-t2", None),
+    ("sp2-t2", None),
+    ("r-p", 2),
+    ("r-p", 3),
+    ("cpn-split", 2),
+    ("cpn-split", 3),
+    ("cpn-split", 4),
+]
+
+
+def test_scale_cases_cover_every_sum_of_squares_builtin():
+    names = {
+        name for name in list_builtin_cases()
+        if builtin_case(name).get("search", {}).get("bound", {}).get("type") == "sum_of_squares"
+    }
+    assert names == {name for name, _ in SUM_OF_SQUARES_CASES}
+
+
+@pytest.mark.parametrize(("name", "par"), SUM_OF_SQUARES_CASES)
+def test_scaled_multipliers_give_the_same_search(name, par):
+    """Multipliers k * lam scale the diagonal and the constant by k and
+    change nothing else, so integer multipliers lose no bound a rational
+    vector could give: clear its denominators."""
+    spec = search_spec_for(name, par)
+    base = enumerate_splittings(spec)
+    for k in (2, 3, 7):
+        scaled = tuple(k * x for x in spec.bound.multipliers)
+        cert = enumerate_splittings(replace(spec, bound=SumOfSquaresBound(scaled)))
+        assert cert.diagonal == tuple(k * d for d in base.diagonal), k
+        assert cert.constant == k * base.constant, k
+        for attr in ("per_variable_bounds", "enumerated", "visited", "solutions", "exhaustive"):
+            assert getattr(cert, attr) == getattr(base, attr), (k, attr)
 
 
 # -- canonicalization --------------------------------------------------------------
