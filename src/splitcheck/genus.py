@@ -11,11 +11,21 @@ so all of them go through one multiplicative-sequence integrator.
 The integrator packs each y-polynomial into one int by the substitution
 y -> 2^s (Kronecker substitution), so the running product is one int tuple
 per degree and each root is multiplied in through the ring's tables
-(`ring.RingTables`) once, whatever the y-degree.  The tables' entries are
-ints, as the ring's rules are integral; the factor's rational series
-coefficients and the roots are scaled to ints by their common denominators,
-which are divided out of the integral at the end.  The digit width s comes
-from a proven bound on the coefficients, and decoding checks it: a
+(`ring.RingTables`) once per power, whatever the y-degree.  The tables'
+entries are ints, as the ring's rules are integral; the factor's rational
+series coefficients and the roots are scaled to ints by their common
+denominators, which are divided out of the integral at the end.
+
+Only the top degree is ever read, so only work that reaches it is done.
+A zero root contributes its factor's constant term, so the zero roots
+become one scalar power.  The running product is kept only in the degrees
+from which the roots still to come can reach the top.  The last nonzero
+root is never multiplied in: the functionals v -> (fundamental coefficient
+of v * x^k), built from small ints by the tables' transpose, meet the
+product of the other roots in n + 1 dot products.  Packing is a ring map
+from Z[y] to Z, so the packed integral does not depend on the order in
+which these products are taken, and the digit width s, which comes from a
+proven bound on the coefficients, still holds.  Decoding checks it: a
 remainder raises `ArithmeticError`, never a wrong polynomial.
 Everything is exact and no floating point appears anywhere.
 """
@@ -26,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .ring import GradedClass, RingPresentation, normal_form
@@ -65,10 +76,6 @@ class YPolynomial:
 
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-    def divide_by_one_plus_y(self) -> "YPolynomial":
-        """Exact division by (1 + y); raises if there is a remainder."""
-        return YPolynomial.from_coeffs(_divide_by_one_plus_y(self.coefficients))
 
 
 def _divide_by_one_plus_y(coeffs: Sequence[Fraction | int]) -> list[Fraction | int]:
@@ -161,6 +168,30 @@ def _tanh_factor(order: int) -> _Factor:
 _EULER_FACTOR = _Factor.of([(0,), (1,)])
 
 
+@lru_cache
+def _windows(n: int, degrees: tuple[int, ...], heads: int) -> tuple[tuple[frozenset[int], ...], ...]:
+    """Where each head root's product is kept, and where its powers are formed.
+
+    `degrees` lists the k with c_k nonzero.  The `heads` roots are
+    multiplied in before the last one, which reads the product only in the
+    degrees n - k.  Walking back from there, the product before a root is
+    needed in degree d when d + k is needed after it, for some k in
+    `degrees`.  Entry j, for the (j + 1)-th head root, holds the degrees
+    its product is kept in, then, for k = 1 .. the last power, the degrees
+    in which product * root^k is formed: those d with d + k' - k kept for
+    some k' >= k in `degrees`.
+    """
+    keep = frozenset(n - k for k in degrees if k <= n)
+    out = []
+    for _ in range(heads):
+        out.append((keep,) + tuple(
+            frozenset(d - (k2 - k) for d in keep for k2 in degrees if k2 >= k)
+            for k in range(1, degrees[-1] + 1)
+        ))
+        keep = frozenset(d - k for d in keep for k in degrees if d >= k)
+    return tuple(reversed(out))
+
+
 def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[list[int], int]:
     """Integral of the product of f(x_i) over the roots, as a y-polynomial.
 
@@ -171,26 +202,41 @@ def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[lis
     from Z[y] that is injective on polynomials whose coefficients are below
     R/2 in absolute value.  So the product is one int tuple per degree 2d,
     over the ring's degree-2d basis, and each root's normal form is
-    multiplied in through the ring's tables once, whatever the y-degree.
-    Arithmetic stays on ints: the tables' entries are ints, the factor's
-    coefficients are scaled by their common denominator D, and the roots by
-    the lcm L of their coordinates' denominators; only the degree-n part
-    survives integration, so the integral is divided by D^m * L^n at the
-    end, for m roots.
+    multiplied in through the ring's tables once per power, whatever the
+    y-degree.  Arithmetic stays on ints: the tables' entries are ints, the
+    factor's coefficients are scaled by their common denominator D, and the
+    roots by the lcm L of their coordinates' denominators; only the
+    degree-n part survives integration, so the integral is divided by
+    D^m * L^n at the end, for m roots.
+
+    Only work that reaches the top degree is done:
+    - a zero root contributes exactly its factor's constant term c_0, so
+      the zero roots are one scalar c_0^z on the integral;
+    - the running product is a dict from degree to tuple, kept only in the
+      degrees from which the roots still to come can reach degree n
+      (`_windows`), and root^k is formed only in the degrees it is needed;
+      a factor without a constant term (the Euler class) costs one table
+      product per root;
+    - the last nonzero root x is never multiplied in.  With w_k the
+      functional v -> (fundamental coefficient of v * x^k) on the degree
+      n - k basis, built from the fundamental's indicator by k transposed
+      table products (`RingTables.dual_mul`) of small ints, the integral is
+      sum_k c_k <w_k, P[n - k]> over the product P of the other roots.
 
     The width s comes from a proven bound.  With tau the largest l1 norm of
     a product of basis elements, |a * b|_1 <= tau * |a|_1 * |b|_1, so every
     y-coefficient of the scaled integral is at most
     prod_i sum_k |D c_k|_1 (tau |L x_i|_1)^k in absolute value, and
-    s = bit_length(2 * bound) + 1.  The fundamental coefficient is
-    decoded into balanced base-R digits; a nonzero remainder means the
-    bound failed and raises ArithmeticError.
+    s = bit_length(2 * bound) + 1.  Packing is a ring map, so the packed
+    integral is the packed polynomial however its products are ordered or
+    grouped, and the bound on the polynomial still sizes its digits.  The
+    fundamental coefficient is decoded into balanced base-R digits; a
+    nonzero remainder means the bound failed and raises ArithmeticError.
     """
     ring = data.ring
     tables = ring.tables
     n = data.n
     coeffs = factor.coeffs
-    last = len(coeffs) - 1
     vecs, roots_denom = data.integer_roots
     tau = tables.mul_norm
     norms = [sum(map(abs, ck)) for ck in coeffs]
@@ -200,21 +246,38 @@ def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[lis
         bound *= sum(norm * size**k for k, norm in enumerate(norms))
     shift = (2 * bound).bit_length() + 1
     packed = [sum(c << shift * j for j, c in enumerate(ck)) for ck in coeffs]
-    zero = [(0,) * len(tables.bases[d]) for d in range(n + 1)]
-    product = [tables.one] + zero[1:]
-    for vec in vecs:
-        c = packed[0]
-        out = [tuple(c * x for x in part) for part in product]
-        if any(vec):
+    nonzero = [vec for vec in vecs if any(vec)]
+    if not nonzero:
+        top = int(n == 0)  # the empty product is 1, of degree 0
+    else:
+        *heads, last = nonzero
+        degrees = tuple(k for k, c in enumerate(packed) if c)
+        product = {0: tables.one}
+        for vec, (keep, *needs) in zip(heads, _windows(n, degrees, len(heads))):
+            out: dict[int, tuple[int, ...]] = {}
             power = product  # the product times root^k
-            for k in range(1, last + 1):
-                power = zero[:k] + [tables.mul(d, power[d], vec) for d in range(k - 1, n)]
-                c = packed[k]
+            for k, c in enumerate(packed):
+                if k:
+                    need = needs[k - 1]
+                    power = {d + 1: tables.mul(d, part, vec) for d, part in power.items() if d + 1 in need}
                 if c:
-                    for d in range(k, n + 1):
-                        out[d] = tuple(x + c * t for x, t in zip(out[d], power[d]))
-        product = out
-    top = product[n][tables.bases[n].index(ring.fundamental)]
+                    for d in keep.intersection(power):
+                        acc = out.get(d)
+                        out[d] = (
+                            tuple(c * x for x in power[d]) if acc is None
+                            else tuple(x + c * t for x, t in zip(acc, power[d]))
+                        )
+            product = out
+        # w_k over bases[n - k], needed down to the product's lowest degree
+        w = tuple(int(mono == ring.fundamental) for mono in tables.bases[n])
+        top = 0
+        for k, c in enumerate(packed[: n - min(product, default=n) + 1]):
+            if k:
+                w = tables.dual_mul(n - k, w, last)
+            part = product.get(n - k)
+            if c and part is not None:
+                top += c * sum(map(mul, w, part))
+    top *= packed[0] ** (len(vecs) - len(nonzero))
     width = max(map(len, coeffs))
     mask, half = (1 << shift) - 1, 1 << (shift - 1)
     digits = []

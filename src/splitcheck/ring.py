@@ -22,9 +22,10 @@ class of degree 2k becomes its coefficient tuple over the degree-2k basis,
 and multiplication by a degree-2 class becomes one pass over the nonzero
 entries of a table, read off the memoized normal forms of monomial
 products, so every entry is an int.  That table is the only one: the
-search, its bound and the genus integrator all multiply through
-`RingTables.mul`; `ring_mul` on dicts stays the product the acceptance rule
-uses.
+search and its bound multiply through `RingTables.mul`, and the genus
+integrator through `mul` and its transpose `RingTables.dual_mul`, which
+carries a functional on one degree back to the degree below; `ring_mul` on
+dicts stays the product the acceptance rule uses.
 """
 
 from __future__ import annotations
@@ -329,10 +330,6 @@ class RingPresentation:
 
     # -- conveniences -------------------------------------------------------
 
-    def generator_class(self, index: int) -> GradedClass:
-        mono = tuple(1 if i == index else 0 for i in range(len(self.generators)))
-        return GradedClass({mono: 1})
-
     def one(self) -> GradedClass:
         return GradedClass({(0,) * len(self.generators): 1})
 
@@ -469,6 +466,19 @@ class RingTables:
         out = [0] * len(self.bases[k + 1])
         for i, j, t, z in self.terms[k]:
             out[t] += a[i] * b[j] * z
+        return tuple(out)
+
+    def dual_mul(self, k: int, w: Vector, b: Vector) -> Vector:
+        """The functional v -> w(v * b) over `bases[k]`, for w over `bases[k + 1]`.
+
+        The transpose of `mul` through the same entries: the dot product
+        of the result with a equals that of w with `mul(k, a, b)`.
+        """
+        if k >= len(self.terms):
+            return ()
+        out = [0] * len(self.bases[k])
+        for i, j, t, z in self.terms[k]:
+            out[i] += w[t] * b[j] * z
         return tuple(out)
 
     @cached_property

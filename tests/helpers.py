@@ -8,6 +8,9 @@ against them term by term.
 The reference genus functions at the end compute chi_y, the direct signature
 and the Euler integral with their own loops and their own y-class product,
 independently of the package's shared integrator, as a differential oracle.
+`ref_integrate_packed` is the packed integrator's own oracle: the loop that
+multiplies every root into every degree of the running product.
+`generator_class` and `divide_by_one_plus_y` serve the tests only.
 `ref_rows` and `ref_table_mul` are the compiled ring tables' oracle: dense
 rows built with `ring_mul`, and the loop over every row entry.
 `ref_enumerate` is the search's differential oracle: the ordered-tuple walk
@@ -42,7 +45,7 @@ from itertools import combinations
 from splitcheck.cases import builtin_case
 from splitcheck.charclass import LineBundleSum, TargetClasses, matches_targets
 from splitcheck.cli import _load_search_spec, _load_targets
-from splitcheck.genus import ChernRootData, RootCountError, YPolynomial
+from splitcheck.genus import ChernRootData, RootCountError, YPolynomial, _Factor
 from splitcheck.repcat import (
     COMPLEX,
     QUATERNIONIC,
@@ -102,6 +105,11 @@ def search_spec_for(name: str, parameter: int | None = None, budget: int | None 
     doc = builtin_case(name, parameter)
     ring = ring_for(name, parameter)
     return _load_search_spec(ring, _load_targets(ring, doc["targets"]), doc["search"], budget)
+
+
+def generator_class(ring: RingPresentation, index: int) -> GradedClass:
+    """The class of the ring's generator number `index`, in document order."""
+    return GradedClass({tuple(int(i == index) for i in range(len(ring.generators))): 1})
 
 
 def all_monomials(ring: RingPresentation) -> list:
@@ -368,10 +376,25 @@ def ref_chi_y_scaled(data: ChernRootData, t: int) -> YPolynomial:
     raw = _ref_factor_product(data, coeffs)
     out = YPolynomial.from_coeffs([c * t ** (m - n) for c in raw])
     for _ in range(m - n):
-        out = out.divide_by_one_plus_y()
+        out = divide_by_one_plus_y(out)
     if out.degree() > n:
         raise RootCountError("chi_y degree exceeds the complex dimension")
     return YPolynomial(out.coefficients + (Fraction(0),) * (n - out.degree()))
+
+
+def divide_by_one_plus_y(poly: YPolynomial) -> YPolynomial:
+    """Exact quotient by (1 + y), from the constant term up; raises if there
+    is a remainder."""
+    coeffs = poly.coefficients
+    quotient = []
+    carry = Fraction(0)
+    # p = (1 + y) q gives q_0 = p_0, q_k = p_k - q_(k-1) and p_last = q_(last-1)
+    for c in coeffs[:-1]:
+        carry = c - carry
+        quotient.append(carry)
+    if coeffs[-1] != carry:
+        raise RootCountError("y-polynomial is not divisible by (1 + y)")
+    return YPolynomial.from_coeffs(quotient or [0])
 
 
 def ref_signature_direct(data: ChernRootData) -> Fraction:
@@ -385,6 +408,55 @@ def ref_top_chern_integral(data: ChernRootData) -> Fraction:
     for root in data.roots:
         out = ring_mul(ring, out, root)
     return integrate(ring, out)
+
+
+def ref_integrate_packed(data: ChernRootData, factor: _Factor) -> tuple[list[int], int]:
+    """`genus._integrate_multiplicative` as the loop over every root and
+    degree: each root, a zero one included, is multiplied into every degree
+    of the running product, and the last one too.  The bound, the shift and
+    the decoding are the integrator's, so the digits must agree exactly."""
+    ring = data.ring
+    tables = ring.tables
+    n = data.n
+    coeffs = factor.coeffs
+    last = len(coeffs) - 1
+    vecs, roots_denom = data.integer_roots
+    tau = tables.mul_norm
+    norms = [sum(map(abs, ck)) for ck in coeffs]
+    bound = 1
+    for vec in vecs:
+        size = tau * sum(map(abs, vec))
+        bound *= sum(norm * size**k for k, norm in enumerate(norms))
+    shift = (2 * bound).bit_length() + 1
+    packed = [sum(c << shift * j for j, c in enumerate(ck)) for ck in coeffs]
+    zero = [(0,) * len(tables.bases[d]) for d in range(n + 1)]
+    product = [tables.one] + zero[1:]
+    for vec in vecs:
+        c = packed[0]
+        out = [tuple(c * x for x in part) for part in product]
+        if any(vec):
+            power = product  # the product times root^k
+            for k in range(1, last + 1):
+                power = zero[:k] + [tables.mul(d, power[d], vec) for d in range(k - 1, n)]
+                c = packed[k]
+                if c:
+                    for d in range(k, n + 1):
+                        out[d] = tuple(x + c * t for x, t in zip(out[d], power[d]))
+        product = out
+    top = product[n][tables.bases[n].index(ring.fundamental)]
+    width = max(map(len, coeffs))
+    mask, half = (1 << shift) - 1, 1 << (shift - 1)
+    digits = []
+    for _ in range(len(vecs) * (width - 1) + 1):
+        digit = top & mask
+        if digit >= half:
+            digit -= mask + 1
+        digits.append(digit)
+        top = (top - digit) >> shift
+    if top:
+        raise ArithmeticError(f"packed genus integral overflows {shift}-bit digits")
+    denom = factor.denom ** len(vecs) * roots_denom**n
+    return digits, denom
 
 
 # -- reference representation dimensions and types ----------------------------

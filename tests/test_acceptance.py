@@ -26,6 +26,7 @@ from helpers import (
     RING_REFS,
     accepts,
     cp2_oracle,
+    generator_class,
     random_class,
     random_degree2,
     ring_for,
@@ -150,7 +151,7 @@ def test_criterion_6_genus_suite():
     # alternating coefficients on complex projective spaces
     for n in range(1, 5):
         ring = parse_presentation(builtin_case("genus-cpn", n)["ring"])
-        data = ChernRootData(ring=ring, roots=(ring.generator_class(0),) * (n + 1))
+        data = ChernRootData(ring=ring, roots=(generator_class(ring, 0),) * (n + 1))
         assert chi_y(data).coefficients == tuple(Fraction((-1) ** p) for p in range(n + 1))
 
     for (name, par), ident in zip(RING_REFS, RING_IDS):
@@ -322,7 +323,7 @@ def test_criterion_10_infrastructure():
     # substitution v1 = u1 + u2, v2 = u2, v3 = q*u1 + u3
     for q in (2, 5):
         ring = ring_for("r-p-u-variant", q)
-        u1, u2, u3 = (ring.generator_class(i) for i in range(3))
+        u1, u2, u3 = (generator_class(ring, i) for i in range(3))
         v1 = ring_add(u1, u2)
         v2 = u2
         v3 = ring_add(ring_scale(q, u1), u3)

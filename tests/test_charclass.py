@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_degree2, ring_for, search_spec_for, targets_for
+from helpers import generator_class, random_degree2, ring_for, search_spec_for, targets_for
 from splitcheck.charclass import (
     LineBundleSum,
     RankError,
@@ -60,7 +60,7 @@ def test_family_diagonal_pontryagin():
 
 def test_projective_space_total_chern():
     ring = ring_for("cpn-split", 2)
-    h = ring.generator_class(0)
+    h = generator_class(ring, 0)
     two_h = ring_scale(2, h)
     pair = LineBundleSum(ring, (h, two_h))
     assert total_chern(pair) == cls(((0,), 1), ((1,), 3), ((2,), 2))
@@ -133,7 +133,7 @@ def test_unsaturated_sum_with_zero_euler_target():
 
 def test_zero_summand_kills_euler():
     ring = ring_for("s2xs2")
-    pair = LineBundleSum(ring, (ring.generator_class(0), GradedClass.zero()))
+    pair = LineBundleSum(ring, (generator_class(ring, 0), GradedClass.zero()))
     assert euler_class(pair).is_zero()
 
 

@@ -18,6 +18,7 @@ from helpers import (
     RING_IDS,
     RING_REFS,
     all_monomials,
+    generator_class,
     random_class,
     ref_rows,
     ref_table_mul,
@@ -253,7 +254,7 @@ def test_builtin_presentations_confluent(name, par):
 
 
 def gen(ring: RingPresentation, index: int) -> GradedClass:
-    return ring.generator_class(index)
+    return generator_class(ring, index)
 
 
 def test_family_alternate_basis_rules_cover_all_cubics():

@@ -21,18 +21,27 @@ import pytest
 from helpers import (
     RING_IDS,
     RING_REFS,
+    divide_by_one_plus_y,
+    generator_class,
     random_degree2,
     ref_chi_y_scaled,
+    ref_integrate_packed,
     ref_rows,
     ref_signature_direct,
+    ref_table_mul,
     ref_top_chern_integral,
     ring_for,
 )
 from splitcheck.genus import (
+    _EULER_FACTOR,
     ChernRootData,
     RootCountError,
     TelescopeReport,
     YPolynomial,
+    _divide_by_one_plus_y,
+    _genus_factor,
+    _integrate_multiplicative,
+    _tanh_factor,
     chi_y,
     chi_y_scaled,
     duality_check,
@@ -45,7 +54,7 @@ from splitcheck.genus import (
     top_chern_integral,
 )
 from splitcheck.cases import builtin_case
-from splitcheck.ring import GradedClass, basis, normal_form, parse_presentation
+from splitcheck.ring import GradedClass, RingTables, basis, normal_form, parse_presentation
 from splitcheck.series import (
     TruncatedSeries,
     series_exp_neg,
@@ -114,7 +123,7 @@ def projective_data(n: int) -> ChernRootData:
             "fundamental": [n],
         }
     )
-    h = ring.generator_class(0)
+    h = generator_class(ring, 0)
     return ChernRootData(ring=ring, roots=(h,) * (n + 1))
 
 
@@ -135,7 +144,7 @@ def test_projective_line_and_plane_frozen():
 
 def test_root_count_must_cover_dimension():
     ring = ring_for("cpn-split", 3)
-    h = ring.generator_class(0)
+    h = generator_class(ring, 0)
     short = ChernRootData(ring=ring, roots=(h, h))
     with pytest.raises(RootCountError):
         chi_y(short)
@@ -256,6 +265,14 @@ def _assert_matches_reference(data: ChernRootData, t) -> None:
     honest = ChernRootData(ring=data.ring, roots=data.roots[: data.n])
     assert top_chern_integral(honest) == ref_top_chern_integral(honest)
     assert top_chern_integral(data) == ref_top_chern_integral(data)
+    _assert_packed_matches_oracle(data, t)
+
+
+def _assert_packed_matches_oracle(data: ChernRootData, t=1) -> None:
+    """The same digits and denominator as the loop over every root and
+    degree, for the chi_y, x/tanh x and Euler factors."""
+    for factor in (_genus_factor(data.n, t), _tanh_factor(data.n), _EULER_FACTOR):
+        assert _integrate_multiplicative(data, factor) == ref_integrate_packed(data, factor)
 
 
 def random_wide_data(rng: random.Random, ring, extra: int) -> ChernRootData:
@@ -281,6 +298,135 @@ def test_integrator_matches_reference_on_wide_roots(name, par):
         assert chi_y_scaled(data, t) == ref_chi_y_scaled(data, t)
         assert signature_direct(data) == ref_signature_direct(data)
         assert top_chern_integral(data) == ref_top_chern_integral(data)
+        _assert_packed_matches_oracle(data, t)
+
+
+def _nonzero_roots(rng: random.Random, ring, count: int) -> list[GradedClass]:
+    roots = []
+    while len(roots) < count:
+        root = random_degree2(rng, ring, span=2)
+        if not root.is_zero():
+            roots.append(root)
+    return roots
+
+
+@pytest.mark.parametrize(("name", "par"), RING_REFS, ids=RING_IDS)
+def test_integrator_places_zero_roots_anywhere(name, par):
+    """Zero roots first, in the middle and last are one scalar c_0^z on the
+    integral; all roots zero, and exactly one nonzero root, which is then
+    also the last root, met only through its functionals."""
+    ring = ring_for(name, par)
+    n = ring.top_degree // 2
+    rng = random.Random(sum(map(ord, f"zeros-{name}-{par}")))
+    zero = GradedClass.zero()
+    for _ in range(3):
+        r = _nonzero_roots(rng, ring, n)
+        root_sets = [
+            (zero, *r),
+            (*r[:1], zero, *r[1:], zero),
+            (zero, r[0], zero, *r[1:]),
+            (*r, zero, zero),
+            (zero,) * n,
+            (zero,) * (n + 2),
+            (r[0],) + (zero,) * (n - 1),
+            (zero, zero, r[0]) + (zero,) * (n - 1),
+        ]
+        for roots in root_sets:
+            data = ChernRootData(ring=ring, roots=roots)
+            for t in (1, -1, 2, F(1, 2)):
+                _assert_packed_matches_oracle(data, t)
+                assert chi_y_scaled(data, t) == ref_chi_y_scaled(data, t)
+            assert signature_direct(data) == ref_signature_direct(data)
+            assert top_chern_integral(data) == ref_top_chern_integral(data)
+
+
+def test_integrator_on_the_projective_line():
+    """genus-cpn at n = 1: the last root meets the product of one other root
+    through a single transposed table product."""
+    ring = parse_presentation(builtin_case("genus-cpn", 1)["ring"])
+    h = generator_class(ring, 0)
+    for roots in [(h, h), (h, GradedClass({(1,): -3})), (h,), (h, h, GradedClass.zero())]:
+        _assert_matches_reference(ChernRootData(ring=ring, roots=roots), 2)
+    assert chi_y(ChernRootData(ring=ring, roots=(h, h))).coefficients == (1, -1)
+
+
+def test_integrator_on_a_point():
+    """Top degree 0: every root is zero and the empty product, 1, is the
+    fundamental class itself."""
+    ring = parse_presentation(
+        {"generators": ["h"], "relations": [{"lhs": [1], "rhs": []}], "top_degree": 0, "fundamental": [0]}
+    )
+    h = generator_class(ring, 0)
+    for roots in [(), (h,), (h, GradedClass.zero(), h)]:
+        data = ChernRootData(ring=ring, roots=roots)
+        _assert_matches_reference(data, 3)
+        assert chi_y(data).coefficients == (1,)
+        assert signature_direct(data) == 1
+    assert top_chern_integral(ChernRootData(ring=ring, roots=())) == 1
+    assert top_chern_integral(ChernRootData(ring=ring, roots=(h,))) == 0
+
+
+@pytest.mark.parametrize(("name", "par"), RING_REFS, ids=RING_IDS)
+def test_dual_mul_is_the_transpose_of_mul(name, par):
+    """<dual_mul(k, w, b), a> = <w, mul(k, a, b)> in every degree, and both
+    are empty one degree past the tables."""
+    ring = ring_for(name, par)
+    tables = ring.tables
+    rows = ref_rows(ring)
+    rng = random.Random(sum(map(ord, f"dual-{name}-{par}")))
+    r = len(tables.bases[1])
+    for k in range(len(tables.terms) + 1):
+        size, image = (len(tables.bases[k]), len(tables.bases[k + 1])) if k < len(tables.terms) else (0, 0)
+        for _ in range(20):
+            a = tuple(rng.randint(-9, 9) for _ in range(size))
+            b = tuple(rng.randint(-9, 9) for _ in range(r))
+            w = tuple(rng.randint(-9, 9) for _ in range(image))
+            dual = tables.dual_mul(k, w, b)
+            assert len(dual) == size
+            product = ref_table_mul(tables.bases, rows, k, a, b)
+            assert tables.mul(k, a, b) == product
+            assert sum(x * y for x, y in zip(dual, a)) == sum(x * y for x, y in zip(w, product))
+    assert tables.dual_mul(len(tables.terms), (), (0,) * r) == ()
+
+
+@pytest.mark.parametrize(
+    ("name", "counts", "oracle_counts"),
+    [("su3-t2", (7, 0, 2), (15, 15, 9)), ("sp2-t2", (21, 16, 3), (40, 40, 16))],
+)
+def test_integrator_table_product_counts(monkeypatch, name, counts, oracle_counts):
+    """`RingTables.mul` calls of chi_y, signature_direct and
+    top_chern_integral on n nonzero roots: the first root costs one product
+    per power of x, only degrees that reach the top are formed, the last
+    root is never multiplied in, and zero roots cost nothing.  su3-t2 has
+    odd n = 3, where the even x/tanh x reaches no top degree at all."""
+    ring = ring_for(name)
+    products = []
+    mul = RingTables.mul
+
+    def counting(self, k, a, b):
+        products.append(k)
+        return mul(self, k, a, b)
+
+    monkeypatch.setattr(RingTables, "mul", counting)
+    rng = random.Random(sum(map(ord, f"counts-{name}")))
+    for _ in range(3):
+        roots = tuple(_nonzero_roots(rng, ring, ring.top_degree // 2))
+        for extra in (0, 2):
+            data = ChernRootData(ring=ring, roots=roots + (GradedClass.zero(),) * extra)
+            found, oracle = [], []
+            for factor, genus in [
+                (_genus_factor(data.n, 1), chi_y),
+                (_tanh_factor(data.n), signature_direct),
+                (_EULER_FACTOR, top_chern_integral),
+            ]:
+                products.clear()
+                genus(data)
+                found.append(len(products))
+                products.clear()
+                ref_integrate_packed(data, factor)
+                oracle.append(len(products))
+            assert tuple(found) == counts
+            assert tuple(oracle) == oracle_counts
 
 
 @pytest.mark.parametrize(("name", "par"), RING_REFS, ids=RING_IDS)
@@ -356,10 +502,13 @@ def test_duality_check_rejects_asymmetric():
 
 def test_divide_by_one_plus_y():
     # (1 + y)*(2 - y) = 2 + y - y^2
-    quotient = YPolynomial.from_coeffs([2, 1, -1]).divide_by_one_plus_y()
+    quotient = divide_by_one_plus_y(YPolynomial.from_coeffs([2, 1, -1]))
     assert quotient.coefficients == (F(2), F(-1))
+    assert _divide_by_one_plus_y([2, 1, -1]) == [2, -1]
     with pytest.raises(RootCountError):
-        YPolynomial.from_coeffs([1, 1, 1]).divide_by_one_plus_y()
+        divide_by_one_plus_y(YPolynomial.from_coeffs([1, 1, 1]))
+    with pytest.raises(RootCountError):
+        _divide_by_one_plus_y([1, 1, 1])
 
 
 # -- the mod-4 congruence ----------------------------------------------------------
