@@ -15,8 +15,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Mapping, Sequence
 from functools import partial
-from typing import Mapping, Sequence
 
 from . import __version__
 from .cases import PARAMETER_NAMES, builtin_case, list_builtin_cases

@@ -127,11 +127,12 @@ class _Factor:
 
     `coeffs[k]` lists the y-coefficients of denom * c_k, up to the last
     nonzero c_k (at least c_0), where denom is the lcm of the c_k's
-    denominators.
+    denominators, and `norms[k]` is the l1 norm of `coeffs[k]`.
     """
 
     coeffs: tuple[tuple[int, ...], ...]
     denom: int
+    norms: tuple[int, ...]
 
     @staticmethod
     def of(coeffs: Sequence[Sequence[Fraction | int]]) -> "_Factor":
@@ -139,7 +140,7 @@ class _Factor:
         scaled = [tuple((c * denom).numerator for c in ck) for ck in coeffs]
         while len(scaled) > 1 and not any(scaled[-1]):
             scaled.pop()
-        return _Factor(tuple(scaled), denom)
+        return _Factor(tuple(scaled), denom, tuple(sum(map(abs, ck)) for ck in scaled))
 
 
 @lru_cache
@@ -192,6 +193,24 @@ def _windows(n: int, degrees: tuple[int, ...], heads: int) -> tuple[tuple[frozen
     return tuple(reversed(out))
 
 
+def _coefficient_bound(factor: _Factor, vecs: Sequence[Sequence[int]], tau: int) -> int:
+    """prod_i sum_k |D c_k|_1 (tau |L x_i|_1)^k over the integer root vectors.
+
+    A zero root's share is |D c_0|_1, so the zero roots are one power of
+    it; each other root's share is evaluated by Horner's rule.
+    """
+    norms = factor.norms
+    nonzero = [vec for vec in vecs if any(vec)]
+    bound = norms[0] ** (len(vecs) - len(nonzero))
+    for vec in nonzero:
+        size = tau * sum(map(abs, vec))
+        share = 0
+        for norm in reversed(norms):
+            share = share * size + norm
+        bound *= share
+    return bound
+
+
 def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[list[int], int]:
     """Integral of the product of f(x_i) over the roots, as a y-polynomial.
 
@@ -226,10 +245,11 @@ def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[lis
     The width s comes from a proven bound.  With tau the largest l1 norm of
     a product of basis elements, |a * b|_1 <= tau * |a|_1 * |b|_1, so every
     y-coefficient of the scaled integral is at most
-    prod_i sum_k |D c_k|_1 (tau |L x_i|_1)^k in absolute value, and
-    s = bit_length(2 * bound) + 1.  Packing is a ring map, so the packed
-    integral is the packed polynomial however its products are ordered or
-    grouped, and the bound on the polynomial still sizes its digits.  The
+    prod_i sum_k |D c_k|_1 (tau |L x_i|_1)^k in absolute value
+    (`_coefficient_bound`), and s = bit_length(2 * bound) + 1.  Packing is
+    a ring map, so the packed integral is the packed polynomial however its
+    products are ordered or grouped, and the bound on the polynomial still
+    sizes its digits.  The
     fundamental coefficient is decoded into balanced base-R digits; a
     nonzero remainder means the bound failed and raises ArithmeticError.
     """
@@ -238,13 +258,7 @@ def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[lis
     n = data.n
     coeffs = factor.coeffs
     vecs, roots_denom = data.integer_roots
-    tau = tables.mul_norm
-    norms = [sum(map(abs, ck)) for ck in coeffs]
-    bound = 1
-    for vec in vecs:
-        size = tau * sum(map(abs, vec))
-        bound *= sum(norm * size**k for k, norm in enumerate(norms))
-    shift = (2 * bound).bit_length() + 1
+    shift = (2 * _coefficient_bound(factor, vecs, tables.mul_norm)).bit_length() + 1
     packed = [sum(c << shift * j for j, c in enumerate(ck)) for ck in coeffs]
     nonzero = [vec for vec in vecs if any(vec)]
     if not nonzero:

@@ -20,9 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Mapping
 
 
 # Types whose values pass through jsonable unchanged, matched by exact type.

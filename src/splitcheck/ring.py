@@ -7,9 +7,17 @@ monomials in the generators.  Relations are an ordered list of rewrite rules
 so the normal form of every monomial is integral.  Normal forms are
 computed by repeatedly applying the first matching rule in document order.
 Rules preserve degree, hence a reduction can only fail to terminate by
-cycling, which is detected and reported.  Confluence is not assumed: it
-is checked exhaustively on the finite set of monomials of degree <=
-top_degree.
+cycling, which is detected and reported.  Each ring indexes its rules
+once, on first use, by the monomials of degree <= top_degree they rewrite
+(`RingPresentation.rule_index`); reduction, `basis` and the confluence
+check look rules up there and never scan the rule list.
+
+Confluence is not assumed: it is checked exhaustively on the finite set of
+monomials of degree <= top_degree.  Each monomial some rule rewrites is
+reduced, so a cycle is found, and is stepped by every rule after the first
+that applies there; each step's normal form must equal the monomial's.
+The first rule's step needs no check, as it is the step the reduction
+takes, and a monomial no rule rewrites has no step to check.
 
 Class arithmetic states its rule once: `_add_into` adds c * terms into a
 dict accumulator and drops the monomials that cancel, and `_graded` turns
@@ -30,12 +38,12 @@ dicts stays the product the acceptance rule uses.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import comb
 from operator import add, le
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .report import CaseError, array, field, integer, integers, obj, string, terms
 
@@ -47,9 +55,9 @@ Coeff = Fraction | int
 # A homogeneous class as its coefficients over one degree's basis.
 Vector = tuple[Coeff, ...]
 
-# The confluence check walks and caches every monomial of degree <= top, of
-# which n generators have comb(n + top/2, n); the largest built-in ring, r-p,
-# has 20.
+# The rule index and the normal-form cache hold at most every monomial of
+# degree <= top, of which n generators have comb(n + top/2, n); the largest
+# built-in ring, r-p, has 20.
 MAX_MONOMIALS = 10**5
 
 
@@ -252,11 +260,26 @@ class RingPresentation:
 
     # -- monomial-level reduction ------------------------------------------
 
-    def _first_rule(self, mono: Monomial) -> RewriteRule | None:
+    @cached_property
+    def rule_index(self) -> dict[Monomial, tuple[RewriteRule, ...]]:
+        """The rules that apply at each monomial of degree <= top, built on first use.
+
+        Walks the multiples lhs * q of each rule's lhs, in document order,
+        up to the top degree, so each tuple keeps document order.  A monomial
+        no rule divides is absent.
+        """
+        index: dict[Monomial, list[RewriteRule]] = {}
+        n, top = len(self.generators), self.top_degree // 2
         for rule in self.rules:
-            if monomial_divides(rule.lhs, mono):
-                return rule
-        return None
+            for half in range(top - sum(rule.lhs) + 1):
+                for quotient in monomials_of_degree(n, half):
+                    index.setdefault(monomial_mul(rule.lhs, quotient), []).append(rule)
+        return {mono: tuple(rules) for mono, rules in index.items()}
+
+    def _first_rule(self, mono: Monomial) -> RewriteRule | None:
+        """The first rule in document order that applies at a monomial of degree <= top."""
+        rules = self.rule_index.get(mono)
+        return rules[0] if rules else None
 
     def reduce_monomial(self, mono: Monomial) -> GradedClass:
         """Normal form of a single monomial, memoized; cycles raise."""
@@ -419,7 +442,7 @@ def basis(ring: RingPresentation, degree: int) -> list[Monomial]:
         cached = ring._basis_cache[degree] = tuple(
             mono
             for mono in monomials_of_degree(len(ring.generators), degree // 2)
-            if ring._first_rule(mono) is None
+            if mono not in ring.rule_index
         )
     return list(cached)
 
@@ -503,26 +526,32 @@ def check_confluence(ring: RingPresentation) -> ConfluenceReport:
     form of the one-step rewrite must agree with the deterministic normal
     form of the monomial itself.  On the finite, degree-preserving system
     this pins down a unique normal form under any application order.
+
+    The walk visits the monomials of `ring.rule_index` in degree, then
+    ascending lex order, and reduces each one, so a cycling rule list is
+    still found.  Only the second and later applicable rules are stepped:
+    the first rule's step, reduced, is by construction what the reduction
+    computes, so it cannot disagree; and an irreducible monomial has no
+    rule to check.  Witnesses and messages are those of the walk over every
+    monomial and every rule.
     """
+    index = ring.rule_index
     try:
-        for half in range(ring.top_degree // 2 + 1):
-            for mono in monomials_of_degree(len(ring.generators), half):
-                reference = ring.reduce_monomial(mono)
-                for rule in ring.rules:
-                    if not monomial_divides(rule.lhs, mono):
-                        continue
-                    stepped = normal_form(ring, ring.one_step(mono, rule))
-                    if stepped != reference:
-                        return ConfluenceReport(
-                            ok=False,
-                            basis_sizes={},
-                            witness=mono,
-                            witness_forms=(reference, stepped),
-                            message=(
-                                f"monomial {ring.format_monomial(mono)} has normal forms "
-                                f"{ring.format_class(reference)} and {ring.format_class(stepped)}"
-                            ),
-                        )
+        for mono in sorted(index, key=lambda mono: (sum(mono), mono)):
+            reference = ring.reduce_monomial(mono)
+            for rule in index[mono][1:]:
+                stepped = normal_form(ring, ring.one_step(mono, rule))
+                if stepped != reference:
+                    return ConfluenceReport(
+                        ok=False,
+                        basis_sizes={},
+                        witness=mono,
+                        witness_forms=(reference, stepped),
+                        message=(
+                            f"monomial {ring.format_monomial(mono)} has normal forms "
+                            f"{ring.format_class(reference)} and {ring.format_class(stepped)}"
+                        ),
+                    )
     except DivergenceError as err:
         return ConfluenceReport(
             ok=False,
@@ -600,7 +629,7 @@ def parse_presentation(doc: Mapping) -> RingPresentation:
             report.witness_forms,
             f"ring.relations: presentation is not confluent: {report.message}",
         )
-    if ring._first_rule(ring.fundamental) is not None:
+    if ring.fundamental in ring.rule_index:
         raise PresentationError("ring.fundamental: monomial is reducible")
     top_basis = basis(ring, ring.top_degree)
     if top_basis != [ring.fundamental]:

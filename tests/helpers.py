@@ -9,10 +9,14 @@ The reference genus functions at the end compute chi_y, the direct signature
 and the Euler integral with their own loops and their own y-class product,
 independently of the package's shared integrator, as a differential oracle.
 `ref_integrate_packed` is the packed integrator's own oracle: the loop that
-multiplies every root into every degree of the running product.
+multiplies every root into every degree of the running product, with its
+digit width from `ref_coefficient_bound`, the bound's plain product formula.
 `generator_class` and `divide_by_one_plus_y` serve the tests only.
 `ref_rows` and `ref_table_mul` are the compiled ring tables' oracle: dense
 rows built with `ring_mul`, and the loop over every row entry.
+`ref_first_rule` and `ref_check_confluence` are the rule index's oracle:
+the scan of the rule list at each monomial, and the confluence check that
+steps every applicable rule at every monomial of degree <= top.
 `ref_enumerate` is the search's differential oracle: the ordered-tuple walk
 over every coordinate at once, with no ball, no join and no symmetry
 reduction.  `ref_canonicalize_solution` is the canonicalizer's oracle: the
@@ -55,11 +59,15 @@ from splitcheck.repcat import (
     product_catalog,
 )
 from splitcheck.ring import (
+    ConfluenceReport,
+    DivergenceError,
     GradedClass,
+    RewriteRule,
     RingPresentation,
     basis,
     integrate,
     monomial_degree,
+    monomial_divides,
     monomial_mul,
     monomials_of_degree,
     normal_form,
@@ -280,6 +288,73 @@ def sp2_oracle(vecs) -> bool:
     return abs(2 * mixed_sum(3) + mixed_sum(1)) == 8
 
 
+# -- reference rule lookup and confluence check --------------------------------
+
+
+def ref_first_rule(ring: RingPresentation, mono) -> RewriteRule | None:
+    """The first rule in document order whose lhs divides the monomial."""
+    for rule in ring.rules:
+        if monomial_divides(rule.lhs, mono):
+            return rule
+    return None
+
+
+def ref_check_confluence(ring: RingPresentation) -> ConfluenceReport:
+    """`check_confluence` as the walk over every monomial of degree <= top,
+    stepping every rule that applies there, the first one included."""
+    try:
+        for mono in all_monomials(ring):
+            reference = ring.reduce_monomial(mono)
+            for rule in ring.rules:
+                if not monomial_divides(rule.lhs, mono):
+                    continue
+                stepped = normal_form(ring, ring.one_step(mono, rule))
+                if stepped != reference:
+                    return ConfluenceReport(
+                        ok=False,
+                        basis_sizes={},
+                        witness=mono,
+                        witness_forms=(reference, stepped),
+                        message=(
+                            f"monomial {ring.format_monomial(mono)} has normal forms "
+                            f"{ring.format_class(reference)} and {ring.format_class(stepped)}"
+                        ),
+                    )
+    except DivergenceError as err:
+        return ConfluenceReport(
+            ok=False,
+            basis_sizes={},
+            witness=err.witness,
+            witness_forms=None,
+            message=str(err),
+        )
+    n = len(ring.generators)
+    sizes = {
+        d: sum(ref_first_rule(ring, mono) is None for mono in monomials_of_degree(n, d // 2))
+        for d in range(0, ring.top_degree + 1, 2)
+    }
+    return ConfluenceReport(ok=True, basis_sizes=sizes)
+
+
+def random_rules(rng: random.Random, n: int, top: int) -> list[RewriteRule]:
+    """One to five integral rules over n generators up to degree `top`.
+
+    An lhs repeats an earlier one a quarter of the time, which two
+    different rhs make non-confluent, and an rhs may hold another rule's
+    lhs, so some lists cycle.
+    """
+    rules: list[RewriteRule] = []
+    for _ in range(rng.randint(1, 5)):
+        if rules and rng.random() < 0.25:
+            lhs = rng.choice(rules).lhs
+        else:
+            lhs = rng.choice([m for half in range(1, top // 2 + 1) for m in monomials_of_degree(n, half)])
+        others = [m for m in monomials_of_degree(n, sum(lhs)) if m != lhs]
+        picks = rng.sample(others, rng.randint(0, min(3, len(others))))
+        rules.append(RewriteRule(lhs, GradedClass.from_terms((m, rng.choice((-2, -1, 1, 2))) for m in picks)))
+    return rules
+
+
 # -- reference ring tables ----------------------------------------------------
 
 
@@ -410,6 +485,17 @@ def ref_top_chern_integral(data: ChernRootData) -> Fraction:
     return integrate(ring, out)
 
 
+def ref_coefficient_bound(factor: _Factor, vecs, tau: int) -> int:
+    """The integrator's coefficient bound as the plain product over every
+    root, zero ones included, of sum_k norm_k * size^k."""
+    norms = [sum(map(abs, ck)) for ck in factor.coeffs]
+    bound = 1
+    for vec in vecs:
+        size = tau * sum(map(abs, vec))
+        bound *= sum(norm * size**k for k, norm in enumerate(norms))
+    return bound
+
+
 def ref_integrate_packed(data: ChernRootData, factor: _Factor) -> tuple[list[int], int]:
     """`genus._integrate_multiplicative` as the loop over every root and
     degree: each root, a zero one included, is multiplied into every degree
@@ -421,13 +507,7 @@ def ref_integrate_packed(data: ChernRootData, factor: _Factor) -> tuple[list[int
     coeffs = factor.coeffs
     last = len(coeffs) - 1
     vecs, roots_denom = data.integer_roots
-    tau = tables.mul_norm
-    norms = [sum(map(abs, ck)) for ck in coeffs]
-    bound = 1
-    for vec in vecs:
-        size = tau * sum(map(abs, vec))
-        bound *= sum(norm * size**k for k, norm in enumerate(norms))
-    shift = (2 * bound).bit_length() + 1
+    shift = (2 * ref_coefficient_bound(factor, vecs, tables.mul_norm)).bit_length() + 1
     packed = [sum(c << shift * j for j, c in enumerate(ck)) for ck in coeffs]
     zero = [(0,) * len(tables.bases[d]) for d in range(n + 1)]
     product = [tables.one] + zero[1:]

@@ -20,6 +20,9 @@ from helpers import (
     all_monomials,
     generator_class,
     random_class,
+    random_rules,
+    ref_check_confluence,
+    ref_first_rule,
     ref_rows,
     ref_table_mul,
     ring_for,
@@ -27,6 +30,7 @@ from helpers import (
 from splitcheck.cases import builtin_case, list_builtin_cases
 from splitcheck.ring import (
     ConfluenceError,
+    ConfluenceReport,
     DegreeError,
     DivergenceError,
     GradedClass,
@@ -248,6 +252,82 @@ def test_divergent_document_raises_on_parse():
 @pytest.mark.parametrize(("name", "par"), RING_REFS, ids=RING_IDS)
 def test_builtin_presentations_confluent(name, par):
     assert check_confluence(ring_for(name, par)).ok
+
+
+# -- the rule index against the scan of the rule list ----------------------------
+
+
+def _check_outcome(check, ring: RingPresentation):
+    """The report of a confluence check, or its exception with its witness."""
+    try:
+        return check(ring)
+    except Exception as exc:
+        return type(exc), getattr(exc, "witness", None), str(exc)
+
+
+def _assert_index_matches_scan(generators, rules, top: int, fundamental) -> str:
+    """Same first rule at every monomial of degree <= top and the same
+    confluence outcome as the scans, each check on a fresh ring; returns
+    which outcome it was."""
+    indexed, scanned = (RingPresentation(generators, rules, top, fundamental) for _ in range(2))
+    for mono in all_monomials(indexed):
+        assert indexed._first_rule(mono) is ref_first_rule(indexed, mono), mono
+    report = _check_outcome(check_confluence, indexed)
+    assert report == _check_outcome(ref_check_confluence, scanned)
+    if not isinstance(report, ConfluenceReport):
+        return "raised"
+    if report.ok:
+        return "confluent"
+    return "diverges" if report.witness_forms is None else "two normal forms"
+
+
+@pytest.mark.parametrize(("name", "par"), RING_REFS, ids=RING_IDS)
+def test_rule_index_matches_the_scan_on_builtin_rings(name, par):
+    ring = ring_for(name, par)
+    outcome = _assert_index_matches_scan(ring.generators, ring.rules, ring.top_degree, ring.fundamental)
+    assert outcome == "confluent"
+
+
+def test_rule_index_matches_the_scan_on_random_rules():
+    """240 seeded rule lists over 2-3 generators up to top degree 4-6, with
+    repeated lhs and cycling rules among them: every outcome occurs."""
+    outcomes = []
+    for seed in range(240):
+        rng = random.Random(seed)
+        n, top = rng.choice((2, 3)), rng.choice((4, 6))
+        fundamental = (top // 2,) + (0,) * (n - 1)
+        outcomes.append(_assert_index_matches_scan(
+            [f"g{i}" for i in range(n)], random_rules(rng, n, top), top, fundamental
+        ))
+    counts = {outcome: outcomes.count(outcome) for outcome in set(outcomes)}
+    assert set(counts) == {"confluent", "two normal forms", "diverges"}, counts
+    assert min(counts.values()) >= 20, counts
+
+
+@pytest.mark.parametrize(
+    ("name", "par", "steps"),
+    [
+        ("r-p-u-variant", 2, 9),
+        ("r-p", 2, 1),
+        ("su3-t2", None, 0),
+        ("sp2-t2", None, 0),
+        ("s2xs2", None, 0),
+        ("cp2-connect-sum", None, 0),
+    ],
+)
+def test_confluence_check_steps_only_later_rules(monkeypatch, name, par, steps):
+    """`check_confluence` steps a monomial only by the second and later rules
+    that apply there: the first rule's step is the reduction's own."""
+    calls = []
+    one_step = RingPresentation.one_step
+
+    def counting(self, mono, rule):
+        calls.append(mono)
+        return one_step(self, mono, rule)
+
+    monkeypatch.setattr(RingPresentation, "one_step", counting)
+    parse_presentation(builtin_case(name, par)["ring"])
+    assert len(calls) == steps
 
 
 # -- relation cross-checks for the two family presentations --------------------

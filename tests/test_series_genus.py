@@ -25,6 +25,7 @@ from helpers import (
     generator_class,
     random_degree2,
     ref_chi_y_scaled,
+    ref_coefficient_bound,
     ref_integrate_packed,
     ref_rows,
     ref_signature_direct,
@@ -38,6 +39,7 @@ from splitcheck.genus import (
     RootCountError,
     TelescopeReport,
     YPolynomial,
+    _coefficient_bound,
     _divide_by_one_plus_y,
     _genus_factor,
     _integrate_multiplicative,
@@ -269,9 +271,12 @@ def _assert_matches_reference(data: ChernRootData, t) -> None:
 
 
 def _assert_packed_matches_oracle(data: ChernRootData, t=1) -> None:
-    """The same digits and denominator as the loop over every root and
-    degree, for the chi_y, x/tanh x and Euler factors."""
+    """The same coefficient bound, so the same digit width, and the same
+    digits and denominator as the loop over every root and degree, for the
+    chi_y, x/tanh x and Euler factors."""
+    vecs, tau = data.integer_roots[0], data.ring.tables.mul_norm
     for factor in (_genus_factor(data.n, t), _tanh_factor(data.n), _EULER_FACTOR):
+        assert _coefficient_bound(factor, vecs, tau) == ref_coefficient_bound(factor, vecs, tau)
         assert _integrate_multiplicative(data, factor) == ref_integrate_packed(data, factor)
 
 
