@@ -9,6 +9,7 @@ of this script must produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
@@ -17,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from splitcheck.cases import builtin_case, list_builtin_cases
 from splitcheck.cli import run_case
-from splitcheck.report import emit_report, jsonable
+from splitcheck.report import canonical_bytes, emit_report
 
 
 def describe(report: dict) -> str:
@@ -37,7 +38,7 @@ def describe(report: dict) -> str:
         holds = sections["genus"]["congruence"]["holds"]
         bits.append(f"congruence: {'holds' if holds else 'fails'}")
     if "genus" in sections and "chi_y" in sections["genus"]:
-        bits.append(f"chi_y: {jsonable(sections['genus']['chi_y'])}")
+        bits.append(f"chi_y: {json.loads(canonical_bytes(sections['genus']['chi_y']))}")
     if "obstruction" in sections:
         bits.append(f"obstruction: {sections['obstruction']['verdict']}")
     return "; ".join(bits) or "ring checks only"

@@ -35,13 +35,14 @@ from .report import (
     CaseError,
     array,
     boolean,
+    check_exact,
     emit_report,
+    exact_json,
     field,
     fraction_from_json,
     input_digest,
     integer,
     integers,
-    jsonable,
     obj,
     string,
     terms,
@@ -266,7 +267,7 @@ def _title(doc: Mapping) -> tuple[str, str]:
 
 
 def _refused_at(value, where: str) -> str:
-    """The path of the innermost part of `value` that `jsonable` refuses."""
+    """The path of the innermost part of `value` that `check_exact` refuses."""
     if isinstance(value, Mapping):
         items = [(f"{where}.{key}" if where else str(key), item) for key, item in value.items()]
     elif isinstance(value, (list, tuple)):
@@ -275,7 +276,7 @@ def _refused_at(value, where: str) -> str:
         return where
     for path, item in items:
         try:
-            jsonable(item)
+            check_exact(item)
         except TypeError:
             return _refused_at(item, path)
     return where  # a key that is not a string
@@ -462,7 +463,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             title = _title(doc)
             report = _report(doc, title, {"reps": _reps_section(_load_obstruction(doc["obstruction"]))})
 
-        _print(json.dumps(jsonable(report), sort_keys=True, indent=2))
+        check_exact(report)
+        _print(json.dumps(report, sort_keys=True, indent=2, default=exact_json))
         if args.emit:
             emit_report(report, args.emit)
         if args.command == "verify" and args.expect:

@@ -16,6 +16,7 @@ plus the trivial representation; they carry a complex structure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -90,6 +91,12 @@ def _b_weyl_product(a: Sequence[int]) -> int:
     return product
 
 
+@functools.cache
+def _b_weyl_denominator(rank: int) -> int:
+    """The Weyl product at 2 rho, the same for every weight of B_rank."""
+    return _b_weyl_product(range(2 * rank - 1, 0, -2))
+
+
 def weyl_dim(rs: RootSystem, weight: Sequence[int]) -> int:
     """Complex dimension of the irrep with the given dominant weight."""
     weight = _check_weight(rs, weight)
@@ -100,7 +107,7 @@ def weyl_dim(rs: RootSystem, weight: Sequence[int]) -> int:
     two_rho = range(2 * rs.rank - 1, 0, -2)
     a = [lam + r for lam, r in zip(_b_doubled_coordinates(weight), two_rho)]
     num = _b_weyl_product(a)
-    den = _b_weyl_product(two_rho)
+    den = _b_weyl_denominator(rs.rank)
     dim, rest = divmod(num, den)
     if rest:
         raise ArithmeticError(f"Weyl dimension for {weight} came out non-integral: {num}/{den}")
@@ -151,9 +158,11 @@ class Irrep:
     name: str
 
     @staticmethod
-    def build(rs: RootSystem, weight: Sequence[int]) -> "Irrep":
+    def build(rs: RootSystem, weight: Sequence[int], cdim: int | None = None) -> "Irrep":
+        """The irrep of `weight`; `cdim` is its Weyl dimension when the caller has it."""
         weight = tuple(weight)
-        cdim = weyl_dim(rs, weight)
+        if cdim is None:
+            cdim = weyl_dim(rs, weight)
         ftype = field_type(rs, weight)
         if rs.family == "A":
             name = f"W{cdim}"
@@ -185,34 +194,38 @@ class IrrepCatalog:
         return [e for e in self.entries if not e.is_trivial]
 
 
-def _enumerate_weights(rs: RootSystem, cdim_bound: int) -> Iterator[tuple[int, ...]]:
-    """All dominant weights with complex dimension <= cdim_bound.
+def _enumerate_weights(rs: RootSystem, cdim_bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """All dominant weights with complex dimension <= cdim_bound, each with
+    that dimension.
 
     The Weyl dimension is strictly increasing along each coordinate ray (each
     numerator factor is positive and nondecreasing, at least one strictly),
     so depth-first search with a per-coordinate cutoff is exhaustive.  The
-    monotonicity is asserted along the way rather than assumed.
+    monotonicity is asserted along the way rather than assumed.  The last
+    coordinate's candidate is the whole weight, so its dimension is the one
+    handed out with the weight.
     """
     rank = rs.rank
 
-    def extend(prefix: list[int], index: int) -> Iterator[tuple[int, ...]]:
+    def extend(prefix: list[int], index: int, dim: int) -> Iterator[tuple[tuple[int, ...], int]]:
         if index == rank:
-            yield tuple(prefix)
+            yield tuple(prefix), dim
             return
+        tail = [0] * (rank - index - 1)
         value = 0
         previous = None
         while True:
-            candidate = prefix + [value] + [0] * (rank - index - 1)
-            dim = weyl_dim(rs, candidate)
+            # by module attribute, so a test can swap in the Fraction oracle
+            dim = weyl_dim(rs, prefix + [value] + tail)
             if previous is not None and dim < previous:
                 raise AssertionError("Weyl dimension decreased along a coordinate ray")
             previous = dim
             if dim > cdim_bound:
                 return
-            yield from extend(prefix + [value], index + 1)
+            yield from extend(prefix + [value], index + 1, dim)
             value += 1
 
-    yield from extend([], 0)
+    yield from extend([], 0, 0)
 
 
 def catalog_irreps(rs: RootSystem, dim_bound: int) -> IrrepCatalog:
@@ -226,17 +239,11 @@ def catalog_irreps(rs: RootSystem, dim_bound: int) -> IrrepCatalog:
     """
     if dim_bound < 1:
         raise CatalogError("dim_bound must be >= 1")
-    entries = []
     if rs.family == "T":
-        for w in range(MAX_CIRCLE_WEIGHT + 1):
-            irrep = Irrep.build(rs, (w,))
-            if irrep.real_dim <= dim_bound:
-                entries.append(irrep)
+        irreps = (Irrep.build(rs, (w,)) for w in range(MAX_CIRCLE_WEIGHT + 1))
     else:
-        for weight in _enumerate_weights(rs, dim_bound):
-            irrep = Irrep.build(rs, weight)
-            if irrep.real_dim <= dim_bound:
-                entries.append(irrep)
+        irreps = (Irrep.build(rs, weight, dim) for weight, dim in _enumerate_weights(rs, dim_bound))
+    entries = [irrep for irrep in irreps if irrep.real_dim <= dim_bound]
     entries.sort(key=lambda e: (e.real_dim, e.highest_weight))
     return IrrepCatalog(rs=rs, dim_bound=dim_bound, entries=tuple(entries))
 
@@ -313,72 +320,77 @@ def product_catalog(case: ObstructionCase) -> list[ProductIrrep]:
     return out
 
 
-def _multisets_with_total(
-    entries: list[ProductIrrep], total: int
-) -> list[tuple[tuple[ProductIrrep, int], ...]]:
-    """Multisets of entries with real dims summing to total, as (entry, count) pairs.
-
-    Each entry's count runs from the largest that fits down to 1, each time
-    followed by the walk over the later entries (count 0 is skipping the entry),
-    so only positive counts appear, in catalog order, and the multisets come in
-    the lexicographic order of their nondecreasing index sequences.
-    """
-    out: list[tuple[tuple[ProductIrrep, int], ...]] = []
-    chosen: list[tuple[ProductIrrep, int]] = []
-
-    def recurse(start: int, remaining: int) -> None:
-        if remaining == 0:
-            out.append(tuple(chosen))
-            return
-        for idx in range(start, len(entries)):
-            entry = entries[idx]
-            if entry.real_dim > remaining:
-                return  # entries are sorted by real dimension
-            for count in range(remaining // entry.real_dim, 0, -1):
-                chosen.append((entry, count))
-                recurse(idx + 1, remaining - count * entry.real_dim)
-                chosen.pop()
-
-    recurse(0, total)
-    return out
-
-
 def obstruct_tangent_rep(case: ObstructionCase) -> ObstructionResult:
     """Decide whether any isotropy representation could carry the tangent bundle.
 
     Every multiset of product irreps with total real dimension equal to the
-    manifold dimension is enumerated, as (catalog entry, multiplicity) pairs.
+    manifold dimension is enumerated, as (catalog entry, multiplicity) pairs,
+    by one walk over (catalog index, remaining dimension).  Each entry's count
+    runs from the largest that fits down to 1, each time followed by the walk
+    over the later entries, so only positive counts appear, in catalog order,
+    and the multisets come in the lexicographic order of their nondecreasing
+    index sequences.  The walk enters a branch only when `fits[i][r]` says
+    that r is a sum of the real dimensions of entries i and later, with
+    repetition, so every branch it enters closes in at least one multiset.
+
     Filter F1 (a nonvanishing Euler class forbids odd-dimensional summands) is
     applied first and names the first odd-dimensional entry in catalog order;
     survivors meet filter F2 (a manifold with no almost complex structure
     cannot have a tangent representation all of whose summands carry complex
-    structures), which reads each distinct entry once.  Exactly one filter is
-    cited per rejected multiset.
+    structures).  The walk carries both down: the F1 detail of the first odd
+    entry chosen, and whether every entry so far is complex or quaternionic.
+    Exactly one filter is cited per rejected multiset.
     """
     entries = product_catalog(case)
+    total = case.manifold_dim
+    dims = [p.real_dim for p in entries]
+    fits = [[False] * (total + 1) for _ in range(len(entries) + 1)]
+    fits[-1][0] = True
+    for i in range(len(entries) - 1, -1, -1):
+        row, later, dim = fits[i], fits[i + 1], dims[i]
+        for r in range(total + 1):
+            row[r] = later[r] or (r >= dim and row[r - dim])
+    # the F1 detail of each odd-dimensional entry, or None: built once per entry
+    odd_detail = [
+        f"odd-dimensional summand {p.name} (real dim {p.real_dim}) forces a vanishing Euler class"
+        if case.euler_nonzero and p.real_dim % 2 else None
+        for p in entries
+    ]
+    complex_like = [p.field_type in (COMPLEX, QUATERNIONIC) for p in entries]
+    f2 = case.almost_complex_forbidden
+    f2_detail = (
+        "every summand carries a complex structure, contradicting the almost-complex obstruction"
+    )
     traces: list[MultisetTrace] = []
-    any_valid = False
-    for multiset in _multisets_with_total(entries, case.manifold_dim):
-        rejected_by = None
-        detail = ""
-        if case.euler_nonzero:
-            odd = next((p for p, _ in multiset if p.real_dim % 2), None)
-            if odd is not None:
-                rejected_by = "F1"
-                detail = (
-                    f"odd-dimensional summand {odd.name} (real dim {odd.real_dim}) "
-                    "forces a vanishing Euler class"
-                )
-        if rejected_by is None and case.almost_complex_forbidden:
-            if all(p.field_type in (COMPLEX, QUATERNIONIC) for p, _ in multiset):
-                rejected_by = "F2"
-                detail = (
-                    "every summand carries a complex structure, contradicting the "
-                    "almost-complex obstruction"
-                )
-        if rejected_by is None:
-            any_valid = True
-            detail = "no filter applies"
-        traces.append(MultisetTrace(summands=multiset, rejected_by=rejected_by, detail=detail))
+    chosen: list[tuple[ProductIrrep, int]] = []
+
+    def walk(start: int, remaining: int, f1_detail: str | None, all_complex: bool) -> None:
+        if remaining == 0:
+            if f1_detail is not None:
+                trace = MultisetTrace(tuple(chosen), "F1", f1_detail)
+            elif f2 and all_complex:
+                trace = MultisetTrace(tuple(chosen), "F2", f2_detail)
+            else:
+                trace = MultisetTrace(tuple(chosen), None, "no filter applies")
+            traces.append(trace)
+            return
+        for idx in range(start, len(entries)):
+            if not fits[idx][remaining]:
+                return  # then fits[j][remaining] is false for every j > idx too
+            entry, dim, later = entries[idx], dims[idx], fits[idx + 1]
+            detail = f1_detail if f1_detail is not None else odd_detail[idx]
+            still_complex = all_complex and complex_like[idx]
+            for count in range(remaining // dim, 0, -1):
+                rest = remaining - count * dim
+                if later[rest]:
+                    chosen.append((entry, count))
+                    walk(idx + 1, rest, detail, still_complex)
+                    chosen.pop()
+
+    walk(0, total, None, True)
+    # walk's closure holds walk itself; without this the cycle would keep
+    # `traces` alive until the cyclic collector runs
+    del walk
+    any_valid = any(t.rejected_by is None for t in traces)
     verdict = "VALID-V-EXISTS" if any_valid else "NO-VALID-V"
     return ObstructionResult(verdict=verdict, traces=traces, product_entries=entries)

@@ -1,9 +1,14 @@
 """Canonical JSON in and out.
 
 Out: reports must be byte-identical across runs, so the serializer sorts
-keys, fixes separators, and refuses floats.  Exact rational values are kept
-lossless: a Fraction with denominator 1 becomes a plain JSON integer,
-anything else the string "p/q".
+keys, fixes separators, and refuses floats.  It works in two steps and
+copies nothing: `check_exact` reads the tree in place and raises TypeError
+at the first float, non-string key or unknown type, then one module-level
+`json.JSONEncoder` writes the tree as it is.  The json module's C encoder
+would write a float, so the check is the only thing that keeps one out of
+a report.  Exact rational values are kept lossless: the encoder's `default`
+hook, `exact_json`, makes a Fraction with denominator 1 a plain JSON
+integer and anything else the string "p/q".
 
 In: the readers below state once what each value of a case document must
 be.  A reader takes the raw value and its path (`search.bound.note`,
@@ -25,46 +30,62 @@ from fractions import Fraction
 from pathlib import Path
 
 
-# Types whose values pass through jsonable unchanged, matched by exact type.
+# Types whose values need no check, matched by exact type.
 _PLAIN = frozenset({str, int, bool, type(None)})
 
 
-def jsonable(value):
-    """Recursively convert to types json.dumps handles deterministically.
+def check_exact(value) -> None:
+    """Raise TypeError unless `value` is a tree the encoders write canonically.
 
-    Values of exact type str, int, bool or None pass through before any
-    isinstance test, and dict and list items of those types are copied
-    without a recursive call.  Dicts (string keys only) and lists and tuples
-    are rebuilt item by item; Fractions become an int or "p/q"; subclasses
-    of int and str pass through; floats and anything else are refused.
+    The tree is read in place, depth first, each dict key before its item.
+    Values of exact type str, int, bool or None are accepted before any
+    isinstance test, and dict and list items of those types without a
+    recursive call.  Dicts (string keys only), lists and tuples are walked;
+    Fractions and subclasses of int and str are accepted; floats and
+    anything else are refused.
     """
     if type(value) in _PLAIN:
-        return value
+        return
     if isinstance(value, dict):
-        out = {}
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
-            out[key] = item if type(item) in _PLAIN else jsonable(item)
-        return out
-    if isinstance(value, (list, tuple)):
-        return [item if type(item) in _PLAIN else jsonable(item) for item in value]
-    if isinstance(value, str):
-        return value
+            if type(item) not in _PLAIN:
+                check_exact(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            if type(item) not in _PLAIN:
+                check_exact(item)
+    elif isinstance(value, float):
+        raise TypeError(f"refusing to serialize float {value!r}; reports must be exact")
+    elif not isinstance(value, (str, int, Fraction)):
+        raise TypeError(f"cannot serialize {type(value).__name__} canonically")
+
+
+def exact_json(value):
+    """The encoders' `default` hook: a Fraction as an int or "p/q"."""
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        raise TypeError(f"refusing to serialize float {value!r}; reports must be exact")
     raise TypeError(f"cannot serialize {type(value).__name__} canonically")
 
 
+# check_exact has walked the tree first, and on a cycle it recurses without
+# end, so the encoder's own cycle markers could never fire: they are left off.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True,
+    separators=(",", ":"),
+    ensure_ascii=False,
+    check_circular=False,
+    default=exact_json,
+)
+
+
 def canonical_bytes(value) -> bytes:
-    text = json.dumps(jsonable(value), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return text.encode("utf-8") + b"\n"
+    """`value` as canonical JSON: checked by `check_exact`, then encoded."""
+    check_exact(value)
+    return _CANONICAL.encode(value).encode("utf-8") + b"\n"
 
 
 class CaseError(ValueError):

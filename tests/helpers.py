@@ -24,7 +24,9 @@ greatest of all m! * 2^m images under permutations and sign flips.
 
 `ref_weyl_dim` and `ref_field_type` are the representation catalogs'
 oracle: the Weyl product over the positive roots of B_m taken in `Fraction`
-e-coordinates, with the halves of lambda and rho kept.  `ref_multisets` and
+e-coordinates, with the halves of lambda and rho kept.  `ref_catalog_irreps`
+is the catalog's own oracle: the weight search that builds each irrep from
+its weight alone, so every dimension is computed again.  `ref_multisets` and
 `ref_obstruct` are the obstruction walk's oracle: every multiset as a flat
 nondecreasing index sequence, one generator frame per summand, with the
 filters read off the flat sequence.  `ref_jsonable` is
@@ -46,6 +48,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from splitcheck import repcat
 from splitcheck.cases import builtin_case
 from splitcheck.charclass import LineBundleSum, TargetClasses, matches_targets
 from splitcheck.cli import _load_search_spec, _load_targets
@@ -54,9 +57,13 @@ from splitcheck.repcat import (
     COMPLEX,
     QUATERNIONIC,
     REAL,
+    CatalogError,
+    Irrep,
+    IrrepCatalog,
     ObstructionCase,
     RootSystem,
     product_catalog,
+    weyl_dim,
 )
 from splitcheck.ring import (
     ConfluenceReport,
@@ -577,6 +584,50 @@ def ref_field_type(rs: RootSystem, weight) -> str:
     pairing = sum((rs.rank - i) * 2 * lam[i] for i in range(rs.rank))
     assert pairing.denominator == 1, (weight, pairing)
     return REAL if pairing % 2 == 0 else QUATERNIONIC
+
+
+def _ref_enumerate_weights(rs: RootSystem, cdim_bound: int):
+    """All dominant weights with complex dimension <= cdim_bound, by a
+    depth-first search that computes each candidate's dimension afresh."""
+    rank = rs.rank
+
+    def extend(prefix: list[int], index: int):
+        if index == rank:
+            yield tuple(prefix)
+            return
+        value = 0
+        previous = None
+        while True:
+            candidate = prefix + [value] + [0] * (rank - index - 1)
+            dim = weyl_dim(rs, candidate)
+            if previous is not None and dim < previous:
+                raise AssertionError("Weyl dimension decreased along a coordinate ray")
+            previous = dim
+            if dim > cdim_bound:
+                return
+            yield from extend(prefix + [value], index + 1)
+            value += 1
+
+    yield from extend([], 0)
+
+
+def ref_catalog_irreps(rs: RootSystem, dim_bound: int) -> IrrepCatalog:
+    """Every irrep with real dimension <= dim_bound, each built from its weight alone."""
+    if dim_bound < 1:
+        raise CatalogError("dim_bound must be >= 1")
+    entries = []
+    if rs.family == "T":
+        for w in range(repcat.MAX_CIRCLE_WEIGHT + 1):
+            irrep = Irrep.build(rs, (w,))
+            if irrep.real_dim <= dim_bound:
+                entries.append(irrep)
+    else:
+        for weight in _ref_enumerate_weights(rs, dim_bound):
+            irrep = Irrep.build(rs, weight)
+            if irrep.real_dim <= dim_bound:
+                entries.append(irrep)
+    entries.sort(key=lambda e: (e.real_dim, e.highest_weight))
+    return IrrepCatalog(rs=rs, dim_bound=dim_bound, entries=tuple(entries))
 
 
 # -- reference obstruction walk -------------------------------------------------

@@ -18,25 +18,38 @@ from hypothesis import strategies as st
 from helpers import ref_jsonable
 from splitcheck.cases import builtin_case, list_builtin_cases
 from splitcheck.cli import CaseError, main, run_case
-from splitcheck.report import canonical_bytes, fraction_from_json, input_digest, jsonable
+from splitcheck.report import (
+    canonical_bytes,
+    check_exact,
+    exact_json,
+    fraction_from_json,
+    input_digest,
+)
 
 # -- serialization ----------------------------------------------------------------
 
 
-def test_jsonable_rationals():
-    assert jsonable(Fraction(1, 12)) == "1/12"
-    assert jsonable(Fraction(4, 2)) == 2
-    assert jsonable(Fraction(-3, 4)) == "-3/4"
-    assert jsonable([Fraction(1, 2), 3, "x", None, True]) == ["1/2", 3, "x", None, True]
+def test_canonical_bytes_rationals():
+    assert canonical_bytes(Fraction(1, 12)) == b'"1/12"\n'
+    assert canonical_bytes(Fraction(4, 2)) == b"2\n"
+    assert canonical_bytes(Fraction(-3, 4)) == b'"-3/4"\n'
+    assert canonical_bytes([Fraction(1, 2), 3, "x", None, True]) == b'["1/2",3,"x",null,true]\n'
+    assert ref_jsonable(Fraction(4, 2)) == 2
+    assert ref_jsonable([Fraction(1, 2), 3, "x", None, True]) == ["1/2", 3, "x", None, True]
 
 
-def test_jsonable_refuses_floats_and_bad_keys():
+def test_canonical_bytes_refuses_floats_and_bad_keys():
     with pytest.raises(TypeError, match="float"):
-        jsonable({"a": 0.5})
+        canonical_bytes({"a": 0.5})
     with pytest.raises(TypeError, match="keys"):
-        jsonable({1: "a"})
+        canonical_bytes({1: "a"})
     with pytest.raises(TypeError):
-        jsonable({"a": object()})
+        canonical_bytes({"a": object()})
+    # the check recurses without end on a cycle, before the encoder runs
+    cycle = [1]
+    cycle.append({"a": cycle})
+    with pytest.raises(RecursionError):
+        canonical_bytes(cycle)
 
 
 class _Level(IntEnum):
@@ -44,6 +57,14 @@ class _Level(IntEnum):
 
 
 class _Name(str):
+    pass
+
+
+class _Items(list):
+    pass
+
+
+class _Record(dict):
     pass
 
 
@@ -63,7 +84,9 @@ _trees = st.recursive(
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4).map(_Items),
         st.dictionaries(st.text(max_size=3), children, max_size=4),
+        st.dictionaries(st.text(max_size=3), children, max_size=4).map(_Record),
         st.dictionaries(_keys, children, max_size=3),
     ),
     max_leaves=12,
@@ -73,10 +96,10 @@ _trees = st.recursive(
 def _typed(value):
     """The value with the exact type of every node, so True != 1 and a str
     subclass differs from str."""
-    if type(value) is dict:
-        return dict, [(_typed(k), _typed(v)) for k, v in value.items()]
-    if type(value) is list:
-        return list, [_typed(item) for item in value]
+    if isinstance(value, dict):
+        return type(value), [(_typed(k), _typed(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return type(value), [_typed(item) for item in value]
     return type(value), value
 
 
@@ -86,18 +109,32 @@ def _typed(value):
 @example({1: "a"})
 @example([None, 0.5])
 @example(object())
-def test_jsonable_matches_isinstance_oracle(value):
+@example(float("nan"))
+@example({"a": [1, float("inf")]})
+@example(_Items([1, _Items([Fraction(2, 4)]), -float("inf")]))
+@example(_Items(["a", _Record({"b": Fraction(3)})]))
+@example(_Record({"z": _Items([True]), "a": _Record({_Name("k"): None})}))
+@example(_Record({"a": 1, 2: "b"}))
+def test_canonical_bytes_matches_isinstance_oracle(value):
+    """The checked, uncopied tree encodes to the oracle's bytes, on the
+    canonical encoder and on the CLI's indented one, and is left as it was;
+    every refusal is a TypeError."""
     try:
         expected = ref_jsonable(value)
     except TypeError:
         with pytest.raises(TypeError):
-            jsonable(value)
+            canonical_bytes(value)
+        with pytest.raises(TypeError):
+            check_exact(value)
         return
-    got = jsonable(value)
-    assert _typed(got) == _typed(expected)
+    before = _typed(value)
     assert canonical_bytes(value) == (
         json.dumps(expected, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
     ).encode("utf-8")
+    assert _typed(value) == before
+    assert json.dumps(value, sort_keys=True, indent=2, default=exact_json) == json.dumps(
+        expected, sort_keys=True, indent=2
+    )
 
 
 def test_canonical_bytes_are_order_insensitive():
@@ -247,6 +284,15 @@ def test_report_digests_cover_every_builtin():
 def test_builtin_reports_are_byte_identical(name, par):
     report = canonical_bytes(run_case(builtin_case(name, par)))
     assert hashlib.sha256(report).hexdigest() == REPORT_DIGESTS[(name, par)]
+
+
+@pytest.mark.parametrize("name", list_builtin_cases())
+def test_cli_verify_prints_the_oracle_json(name, capsys):
+    """`splitcheck verify` prints the report, checked in place and indented,
+    exactly as json.dumps prints the isinstance oracle's copy of it."""
+    assert main(["verify", name]) == 0
+    expected = json.dumps(ref_jsonable(run_case(builtin_case(name))), sort_keys=True, indent=2)
+    assert capsys.readouterr().out == expected + "\n"
 
 
 # 8 generators, no relations, top degree 40: 3.1 million monomials to walk

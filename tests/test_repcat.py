@@ -15,7 +15,7 @@ from math import comb
 
 import pytest
 
-from helpers import ref_field_type, ref_obstruct, ref_weyl_dim
+from helpers import ref_catalog_irreps, ref_field_type, ref_obstruct, ref_weyl_dim
 from splitcheck import repcat
 from splitcheck.cases import builtin_case
 from splitcheck.cli import _load_obstruction
@@ -136,6 +136,15 @@ def test_b_catalogs_match_fraction_oracle(m, bound, monkeypatch):
     monkeypatch.setattr(repcat, "weyl_dim", ref_weyl_dim)
     monkeypatch.setattr(repcat, "field_type", ref_field_type)
     assert fast == catalog_irreps(rs, bound)
+
+
+@pytest.mark.parametrize("bound", [20, 36, 64])
+@pytest.mark.parametrize("rs", [A1, CIRCLE] + [RootSystem("B", m) for m in range(1, 7)],
+                         ids=["A1", "T"] + [f"B{m}" for m in range(1, 7)])
+def test_catalogs_match_dfs_oracle(rs, bound):
+    """The catalog that hands each weight's dimension to `Irrep.build` is the
+    one that builds every irrep from its weight alone."""
+    assert catalog_irreps(rs, bound) == ref_catalog_irreps(rs, bound)
 
 
 def test_vector_rep_frozen():
@@ -362,11 +371,11 @@ def test_traces_cover_every_multiset_exactly_once():
     assert len(seen) == len(result.traces)
 
 
-def _grid_cases(factors) -> list:
+def _grid_cases(factors, top: int = 24) -> list:
     return [
         ObstructionCase(factors=factors, manifold_dim=dim,
                         euler_nonzero=euler, almost_complex_forbidden=forbidden)
-        for dim in range(2, 25, 2)
+        for dim in range(2, top + 1, 2)
         for euler, forbidden in itertools.product((True, False), repeat=2)
     ]
 
@@ -374,9 +383,10 @@ def _grid_cases(factors) -> list:
 @pytest.mark.parametrize("cases", [
     pytest.param([_load_obstruction(builtin_case(name)["obstruction"])
                   for name in ("hp1-presentation", "m20-eschenburg")], id="builtins"),
-    pytest.param(_grid_cases((A1,)), id="A1"),
+    # to dimension 40: about 18,000 (A1) and 21,000 (A1-B5) multisets per flag pair
+    pytest.param(_grid_cases((A1,), top=40), id="A1"),
     pytest.param(_grid_cases((A1, spin(7))), id="A1-B3"),
-    pytest.param(_grid_cases((A1, spin(11))), id="A1-B5"),
+    pytest.param(_grid_cases((A1, spin(11)), top=40), id="A1-B5"),
     pytest.param(_grid_cases((A1, CIRCLE)), id="A1-T"),
     pytest.param(_grid_cases((spin(5), CIRCLE)), id="B2-T"),
 ])
