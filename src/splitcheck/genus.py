@@ -27,7 +27,11 @@ from Z[y] to Z, so the packed integral does not depend on the order in
 which these products are taken, and the digit width s, which comes from a
 proven bound on the coefficients, still holds.  Decoding checks it: a
 remainder raises `ArithmeticError`, never a wrong polynomial.
-Everything is exact and no floating point appears anywhere.
+
+Values stay on ints until they leave the layer: the integrator returns
+numerators over one denominator, evaluation and the duality check work on
+numerators and denominators, and a returned value is exact, an int when it
+is integral, else a `Fraction`.  No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -35,11 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .ring import GradedClass, RingPresentation, normal_form
+from .ring import GradedClass, RingPresentation, _tighten
 # Not called here: perfbench/tracing.py rebinds this name on this module.
 from .ring import ring_mul  # noqa: F401
 from .series import (
@@ -54,25 +58,47 @@ class RootCountError(ValueError):
     """Root data does not describe the ring's tangent dimension."""
 
 
+def _quotient(num: int, den: int) -> Fraction | int:
+    """num/den, for den > 0, as an int when it is integral, else as a Fraction."""
+    quotient, rest = divmod(num, den)
+    return Fraction(num, den) if rest else quotient
+
+
 @dataclass(frozen=True)
 class YPolynomial:
-    """Exact polynomial in the genus variable y."""
+    """Exact polynomial in the genus variable y.
 
-    coefficients: tuple[Fraction, ...]
+    Each coefficient is exact: an int when it is integral, else a
+    `Fraction`, the rule `ring.GradedClass` keeps for its coefficients.  An
+    int compares and hashes equal to the integral `Fraction`, and both
+    serialize as the same JSON integer.
+    """
+
+    coefficients: tuple[Fraction | int, ...]
 
     @staticmethod
     def from_coeffs(coeffs: Sequence[Fraction | int]) -> "YPolynomial":
-        trimmed = [Fraction(c) for c in coeffs]
+        trimmed = [_tighten(Fraction(c)) for c in coeffs]
         while len(trimmed) > 1 and not trimmed[-1]:
             trimmed.pop()
         return YPolynomial(tuple(trimmed))
 
-    def evaluate(self, y: Fraction | int) -> Fraction:
-        y = Fraction(y)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * y + c
-        return acc
+    def evaluate(self, y: Fraction | int) -> Fraction | int:
+        """The value at an exact y, as an int when it is integral.
+
+        With y = p/q and D the lcm of the coefficients' denominators, the
+        value is sum_k (D c_k) p^k q^(d - k) over D q^d, for d the degree:
+        Horner's rule runs on those ints, and at most one Fraction is built.
+        """
+        p, q = y.numerator, y.denominator
+        coeffs = self.coefficients
+        denom = lcm(*(c.denominator for c in coeffs))
+        acc, scale = 0, 1
+        for c in reversed(coeffs):
+            acc = acc * p + c.numerator * (denom // c.denominator) * scale
+            scale *= q
+        # scale is q^(d + 1) now, so this is acc over D q^d
+        return _quotient(acc * q, denom * scale)
 
     def degree(self) -> int:
         return len(self.coefficients) - 1
@@ -109,16 +135,32 @@ class ChernRootData:
         """The roots' normal forms over the degree-2 basis, scaled to ints,
         and the scale: the lcm of their coordinates' denominators.
 
-        Built on first use, so every genus of one root set normalizes the
-        roots once.
+        Each root is read straight into its tuple: every term's coefficient,
+        put over the lcm L of all the roots' coefficient denominators, is
+        added times the ring's memoized normal form of its monomial at each
+        basis index.  Terms that reduce to one basis element may cancel a
+        denominator, so L is divided at the end by the gcd it shares with
+        every coordinate.  Built on first use, so every genus of one root
+        set reads the roots once.
         """
-        tables = self.ring.tables
-        vecs = [tables.vector(normal_form(self.ring, root), 1) for root in self.roots]
-        denom = lcm(*(c.denominator for vec in vecs for c in vec))
-        # integral coefficients are already ints
-        if denom != 1:
-            vecs = [tuple(c.numerator * (denom // c.denominator) for c in vec) for vec in vecs]
-        return tuple(vecs), denom
+        ring = self.ring
+        size = len(ring.generators)
+        index = {mono: i for i, mono in enumerate(ring.tables.bases[1])}
+        scale = lcm(*[c.denominator for root in self.roots for c in root.terms.values()])
+        vecs = []
+        for root in self.roots:
+            vec = [0] * len(index)
+            for mono, c in root.terms.items():
+                if len(mono) != size:
+                    raise ValueError("class does not live over this ring's generators")
+                c = c.numerator * (scale // c.denominator)
+                for basis_mono, z in ring.reduce_monomial(mono).terms.items():
+                    vec[index[basis_mono]] += c * z
+            vecs.append(vec)
+        common = gcd(scale, *[x for vec in vecs for x in vec])
+        if common != 1:
+            vecs = [[x // common for x in vec] for vec in vecs]
+        return tuple(map(tuple, vecs)), scale // common
 
 
 @dataclass(frozen=True)
@@ -335,7 +377,6 @@ def chi_y_scaled(data: ChernRootData, t: Fraction | int) -> YPolynomial:
     n = data.n
     extra = len(data.roots) - n
     raw, denom = _integrate_multiplicative(data, _genus_factor(n, t))
-    t = Fraction(t)
     # the per-factor 1/t accounts for t^m; restore the t^(m-n) overshoot
     raw = [c * t.numerator**extra for c in raw]
     denom *= t.denominator**extra
@@ -345,51 +386,57 @@ def chi_y_scaled(data: ChernRootData, t: Fraction | int) -> YPolynomial:
         raise RootCountError("chi_y degree exceeds the complex dimension")
     # exactly chi^0 .. chi^n, so a zero chi^n is still listed
     raw = raw[: n + 1] + [0] * (n + 1 - len(raw))
-    return YPolynomial(tuple(Fraction(c, denom) for c in raw))
+    return YPolynomial(tuple(_quotient(c, denom) for c in raw))
 
 
-def euler_from_chi(chi: YPolynomial) -> Fraction:
+def euler_from_chi(chi: YPolynomial) -> Fraction | int:
     """Value at y = -1: the Euler characteristic."""
     return chi.evaluate(-1)
 
 
-def signature_from_chi(chi: YPolynomial) -> Fraction:
+def signature_from_chi(chi: YPolynomial) -> Fraction | int:
     """Value at y = +1: the signature."""
     return chi.evaluate(1)
 
 
-def todd_from_chi(chi: YPolynomial) -> Fraction:
+def todd_from_chi(chi: YPolynomial) -> Fraction | int:
     """Constant coefficient chi^0: the Todd genus."""
     return chi.coefficients[0]
 
 
-def signature_direct(data: ChernRootData) -> Fraction:
+def signature_direct(data: ChernRootData) -> Fraction | int:
     """Integral of the product of x_i/tanh(x_i): the signature via L-data.
 
     The factor is 1 at x = 0, so stabilizing trivial roots change nothing
     and no root-count correction is needed.
     """
     raw, denom = _integrate_multiplicative(data, _tanh_factor(data.n))
-    return Fraction(raw[0], denom)
+    return _quotient(raw[0], denom)
 
 
-def top_chern_integral(data: ChernRootData) -> Fraction:
+def top_chern_integral(data: ChernRootData) -> Fraction | int:
     """Integral of the product of the roots (the Euler class of the data).
 
     Fewer than n roots is a RootCountError, as for chi_y.
     """
     _check_root_count(data)
     raw, denom = _integrate_multiplicative(data, _EULER_FACTOR)
-    return Fraction(raw[0], denom)
+    return _quotient(raw[0], denom)
 
 
 def duality_check(chi: YPolynomial, n: int) -> bool:
-    """chi^p == (-1)^n chi^(n-p) for all p."""
-    coeffs = list(chi.coefficients) + [Fraction(0)] * (n + 1 - len(chi.coefficients))
+    """chi^p == (-1)^n chi^(n-p) for all p.
+
+    Exact values are in lowest terms, so two are equal exactly when their
+    (numerator, denominator) pairs are; the check compares those pairs, the
+    numerator times the sign, and the condition at p is the one at n - p.
+    """
+    coeffs = chi.coefficients
     if len(coeffs) > n + 1:
         return False
+    pairs = [(c.numerator, c.denominator) for c in coeffs] + [(0, 1)] * (n + 1 - len(coeffs))
     sign = (-1) ** n
-    return all(coeffs[p] == sign * coeffs[n - p] for p in range(n + 1))
+    return all(pairs[n - p] == (sign * num, den) for p, (num, den) in enumerate(pairs[: n // 2 + 1]))
 
 
 def hirzebruch_congruence(chi_val: int, sigma_val: int, m: int) -> bool:

@@ -97,32 +97,38 @@ def _b_weyl_denominator(rank: int) -> int:
     return _b_weyl_product(range(2 * rank - 1, 0, -2))
 
 
-def weyl_dim(rs: RootSystem, weight: Sequence[int]) -> int:
-    """Complex dimension of the irrep with the given dominant weight."""
+# A checked weight with its irrep's complex dimension and Frobenius-Schur type.
+WeylData = tuple[tuple[int, ...], int, str]
+
+
+def _weyl_data(rs: RootSystem, weight: Sequence[int]) -> WeylData:
+    """The checked weight, the complex dimension and the Frobenius-Schur type
+    of its irrep, from one check and one doubling of the weight."""
     weight = _check_weight(rs, weight)
     if rs.family == "T":
-        return 1
+        return weight, 1, REAL if weight[0] == 0 else COMPLEX
+    doubled = _b_doubled_coordinates(weight)
     # 2 rho = (2m - 1, 2m - 3, ..., 1); both products carry the same number
     # of factors, so doubling every coordinate leaves their quotient alone
     two_rho = range(2 * rs.rank - 1, 0, -2)
-    a = [lam + r for lam, r in zip(_b_doubled_coordinates(weight), two_rho)]
-    num = _b_weyl_product(a)
+    num = _b_weyl_product([lam + r for lam, r in zip(doubled, two_rho)])
     den = _b_weyl_denominator(rs.rank)
     dim, rest = divmod(num, den)
     if rest:
         raise ArithmeticError(f"Weyl dimension for {weight} came out non-integral: {num}/{den}")
-    return dim
+    # <lambda, sum of positive coroots> = sum_i (m - i + 1) * (2 lambda_i)
+    pairing = sum((rs.rank - i) * d for i, d in enumerate(doubled))
+    return weight, dim, REAL if pairing % 2 == 0 else QUATERNIONIC
+
+
+def weyl_dim(rs: RootSystem, weight: Sequence[int]) -> int:
+    """Complex dimension of the irrep with the given dominant weight."""
+    return _weyl_data(rs, weight)[1]
 
 
 def field_type(rs: RootSystem, weight: Sequence[int]) -> str:
     """Frobenius-Schur type of the irrep with the given dominant weight."""
-    weight = _check_weight(rs, weight)
-    if rs.family == "T":
-        return REAL if weight[0] == 0 else COMPLEX
-    # <lambda, sum of positive coroots> = sum_i (m - i + 1) * (2 lambda_i)
-    doubled = _b_doubled_coordinates(weight)
-    pairing = sum((rs.rank - i) * d for i, d in enumerate(doubled))
-    return REAL if pairing % 2 == 0 else QUATERNIONIC
+    return _weyl_data(rs, weight)[2]
 
 
 def fs_indicator(ftype: str) -> int:
@@ -158,12 +164,13 @@ class Irrep:
     name: str
 
     @staticmethod
-    def build(rs: RootSystem, weight: Sequence[int], cdim: int | None = None) -> "Irrep":
-        """The irrep of `weight`; `cdim` is its Weyl dimension when the caller has it."""
-        weight = tuple(weight)
-        if cdim is None:
-            cdim = weyl_dim(rs, weight)
-        ftype = field_type(rs, weight)
+    def build(rs: RootSystem, weight: Sequence[int]) -> "Irrep":
+        """The irrep of a dominant weight."""
+        return Irrep._of(rs, *_weyl_data(rs, weight))
+
+    @staticmethod
+    def _of(rs: RootSystem, weight: tuple[int, ...], cdim: int, ftype: str) -> "Irrep":
+        """The irrep of a checked weight, given its dimension and type."""
         if rs.family == "A":
             name = f"W{cdim}"
         elif rs.family == "T":
@@ -194,38 +201,42 @@ class IrrepCatalog:
         return [e for e in self.entries if not e.is_trivial]
 
 
-def _enumerate_weights(rs: RootSystem, cdim_bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
+def _enumerate_weights(rs: RootSystem, cdim_bound: int) -> Iterator[WeylData]:
     """All dominant weights with complex dimension <= cdim_bound, each with
-    that dimension.
+    that dimension and its irrep's type.
 
     The Weyl dimension is strictly increasing along each coordinate ray (each
     numerator factor is positive and nondecreasing, at least one strictly),
     so depth-first search with a per-coordinate cutoff is exhaustive.  The
-    monotonicity is asserted along the way rather than assumed.  The last
-    coordinate's candidate is the whole weight, so its dimension is the one
-    handed out with the weight.
+    monotonicity is asserted along the way rather than assumed.  Each
+    candidate is a whole weight, prefix + [value] + zeros, and `data` is
+    its `_weyl_data`; the first candidate of a level, value 0, is the one
+    that led there, so its data is handed down, and every weight is
+    evaluated once.
     """
     rank = rs.rank
 
-    def extend(prefix: list[int], index: int, dim: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    def extend(prefix: list[int], index: int, data: WeylData) -> Iterator[WeylData]:
         if index == rank:
-            yield tuple(prefix), dim
+            yield data
             return
         tail = [0] * (rank - index - 1)
         value = 0
         previous = None
         while True:
-            # by module attribute, so a test can swap in the Fraction oracle
-            dim = weyl_dim(rs, prefix + [value] + tail)
+            if value:
+                # by module attribute, so a test can swap in the Fraction oracle
+                data = _weyl_data(rs, prefix + [value] + tail)
+            dim = data[1]
             if previous is not None and dim < previous:
                 raise AssertionError("Weyl dimension decreased along a coordinate ray")
             previous = dim
             if dim > cdim_bound:
                 return
-            yield from extend(prefix + [value], index + 1, dim)
+            yield from extend(prefix + [value], index + 1, data)
             value += 1
 
-    yield from extend([], 0, 0)
+    yield from extend([], 0, _weyl_data(rs, [0] * rank))
 
 
 def catalog_irreps(rs: RootSystem, dim_bound: int) -> IrrepCatalog:
@@ -240,9 +251,10 @@ def catalog_irreps(rs: RootSystem, dim_bound: int) -> IrrepCatalog:
     if dim_bound < 1:
         raise CatalogError("dim_bound must be >= 1")
     if rs.family == "T":
-        irreps = (Irrep.build(rs, (w,)) for w in range(MAX_CIRCLE_WEIGHT + 1))
+        evaluated = (_weyl_data(rs, (w,)) for w in range(MAX_CIRCLE_WEIGHT + 1))
     else:
-        irreps = (Irrep.build(rs, weight, dim) for weight, dim in _enumerate_weights(rs, dim_bound))
+        evaluated = _enumerate_weights(rs, dim_bound)
+    irreps = (Irrep._of(rs, *data) for data in evaluated)
     entries = [irrep for irrep in irreps if irrep.real_dim <= dim_bound]
     entries.sort(key=lambda e: (e.real_dim, e.highest_weight))
     return IrrepCatalog(rs=rs, dim_bound=dim_bound, entries=tuple(entries))

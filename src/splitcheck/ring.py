@@ -283,6 +283,9 @@ class RingPresentation:
 
     def reduce_monomial(self, mono: Monomial) -> GradedClass:
         """Normal form of a single monomial, memoized; cycles raise."""
+        cached = self._nf_cache.get(mono)
+        if cached is not None:
+            return cached
         return self._reduce(mono, set())
 
     def _reduce(self, mono: Monomial, in_progress: set[Monomial]) -> GradedClass:

@@ -316,6 +316,9 @@ def _ellipsoid(
             fill(j + 1, partial + w * x * x, lead and not x)
 
     fill(0, 0, flips)
+    # fill's closure holds fill itself; without this the cycle would keep
+    # `vec` and the weights alive until the cyclic collector runs
+    del fill
     return out
 
 
@@ -428,14 +431,20 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
             skip(stop - end)
 
         prefix: list[int] = []
-        if last:
-            walk(0, 0, pack(p1, span), tables.one)
-        else:
-            skip(1)
-            hits = table.get(pack(p1, span), [])
-            if saturated:
-                hits = [k for k in hits if tables.mul(0, tables.one, ball[k]) in euler_targets]
-            accept((), hits)
+        try:
+            if last:
+                walk(0, 0, pack(p1, span), tables.one)
+            else:
+                skip(1)
+                hits = table.get(pack(p1, span), [])
+                if saturated:
+                    hits = [k for k in hits if tables.mul(0, tables.one, ball[k]) in euler_targets]
+                accept((), hits)
+        finally:
+            # walk and probes hold themselves in their closures; without this
+            # the cycles keep the ball and the join alive until the cyclic
+            # collector runs, a budget stop included
+            del walk, probes
 
     exhausted = False
     try:

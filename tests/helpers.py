@@ -11,6 +11,10 @@ independently of the package's shared integrator, as a differential oracle.
 `ref_integrate_packed` is the packed integrator's own oracle: the loop that
 multiplies every root into every degree of the running product, with its
 digit width from `ref_coefficient_bound`, the bound's plain product formula.
+`ref_integer_roots`, `ref_evaluate` and `ref_duality_check` are the genus
+layer's `Fraction` oracles: the root read through `normal_form` and
+`RingTables.vector`, Horner's rule in Fractions, and the comparison of each
+coefficient with its signed mirror.
 `generator_class` and `divide_by_one_plus_y` serve the tests only.
 `ref_rows` and `ref_table_mul` are the compiled ring tables' oracle: dense
 rows built with `ring_mul`, and the loop over every row entry.
@@ -544,6 +548,34 @@ def ref_integrate_packed(data: ChernRootData, factor: _Factor) -> tuple[list[int
         raise ArithmeticError(f"packed genus integral overflows {shift}-bit digits")
     denom = factor.denom ** len(vecs) * roots_denom**n
     return digits, denom
+
+
+def ref_integer_roots(data: ChernRootData) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """`ChernRootData.integer_roots` through each root's normal form as a
+    class, read over the degree-2 basis by `RingTables.vector` and scaled
+    by the lcm of the coordinates' denominators."""
+    tables = data.ring.tables
+    vecs = [tables.vector(normal_form(data.ring, root), 1) for root in data.roots]
+    denom = math.lcm(*(c.denominator for vec in vecs for c in vec))
+    return tuple(tuple(c.numerator * (denom // c.denominator) for c in vec) for vec in vecs), denom
+
+
+def ref_evaluate(poly: YPolynomial, y) -> Fraction:
+    """`YPolynomial.evaluate` as Horner's rule in Fractions."""
+    y = Fraction(y)
+    acc = Fraction(0)
+    for c in reversed(poly.coefficients):
+        acc = acc * y + c
+    return acc
+
+
+def ref_duality_check(chi: YPolynomial, n: int) -> bool:
+    """`duality_check` as Fraction comparisons of every coefficient with its mirror."""
+    coeffs = list(chi.coefficients) + [Fraction(0)] * (n + 1 - len(chi.coefficients))
+    if len(coeffs) > n + 1:
+        return False
+    sign = (-1) ** n
+    return all(coeffs[p] == sign * coeffs[n - p] for p in range(n + 1))
 
 
 # -- reference representation dimensions and types ----------------------------

@@ -133,9 +133,25 @@ def test_b_family_matches_fraction_oracle(m):
 def test_b_catalogs_match_fraction_oracle(m, bound, monkeypatch):
     rs = RootSystem("B", m)
     fast = catalog_irreps(rs, bound)
-    monkeypatch.setattr(repcat, "weyl_dim", ref_weyl_dim)
-    monkeypatch.setattr(repcat, "field_type", ref_field_type)
+    monkeypatch.setattr(
+        repcat, "_weyl_data", lambda rs, w: (tuple(w), ref_weyl_dim(rs, w), ref_field_type(rs, w))
+    )
     assert fast == catalog_irreps(rs, bound)
+
+
+@pytest.mark.parametrize("rs", [A1, CIRCLE] + [RootSystem("B", m) for m in range(1, 7)],
+                         ids=["A1", "T"] + [f"B{m}" for m in range(1, 7)])
+def test_catalog_checks_each_weight_once(rs, monkeypatch):
+    """A catalog validates and doubles each weight it looks at once: the
+    dimension and the type of a catalog entry come from the same check."""
+    checked, doubled = [], []
+    check, double = repcat._check_weight, repcat._b_doubled_coordinates
+    monkeypatch.setattr(repcat, "_check_weight", lambda rs, w: checked.append(tuple(w)) or check(rs, w))
+    monkeypatch.setattr(repcat, "_b_doubled_coordinates", lambda w: doubled.append(w) or double(w))
+    catalog = catalog_irreps(rs, 64)
+    assert len(checked) == len(set(checked))
+    assert {e.highest_weight for e in catalog.entries} <= set(checked)
+    assert doubled == ([] if rs.family == "T" else checked)
 
 
 @pytest.mark.parametrize("bound", [20, 36, 64])

@@ -12,6 +12,7 @@ accepted by `TargetMatcher.match`.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import random
@@ -371,6 +372,21 @@ BUDGET_CUT_DIGESTS = [
     ("planted", 1560, "b9e58501583cf7464daf83f262dec2679b77a452436208c96a709e656b93de9e"),
     ("planted", 3500, "fd588093c5e359ea0045ee57bffcd34a5e4fa7b35cec003a562ea550a9907b1a"),
 ]
+
+
+@pytest.mark.parametrize(("name", "par", "budget"), [("r-p", 3, None), ("su3-t2", None, None), ("r-p", 3, 5000)])
+def test_search_leaves_no_reference_cycle(name, par, budget):
+    """The recursive closures let go of the search state when the search
+    returns, a budget stop included, so none of it waits for the cyclic
+    collector."""
+    spec = search_spec_for(name, par, budget=budget)
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_splittings(spec)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(("case", "budget", "digest"), BUDGET_CUT_DIGESTS)

@@ -17,6 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     RING_IDS,
@@ -26,6 +28,9 @@ from helpers import (
     random_degree2,
     ref_chi_y_scaled,
     ref_coefficient_bound,
+    ref_duality_check,
+    ref_evaluate,
+    ref_integer_roots,
     ref_integrate_packed,
     ref_rows,
     ref_signature_direct,
@@ -56,7 +61,14 @@ from splitcheck.genus import (
     top_chern_integral,
 )
 from splitcheck.cases import builtin_case
-from splitcheck.ring import GradedClass, RingTables, basis, normal_form, parse_presentation
+from splitcheck.ring import (
+    GradedClass,
+    RingPresentation,
+    RingTables,
+    basis,
+    monomials_of_degree,
+    parse_presentation,
+)
 from splitcheck.series import (
     TruncatedSeries,
     series_exp_neg,
@@ -175,19 +187,104 @@ def test_chi_y_lists_a_zero_top_coefficient():
 
 def test_roots_are_normalized_once_per_root_set(monkeypatch):
     """chi_y, chi_y_scaled and signature_direct of one root set share its
-    integer root vectors."""
+    integer root vectors: each root term's monomial is reduced once."""
+    data = projective_data(3)
+    ring = data.ring
+    tables = ring.tables  # built first: the tables reduce monomials too
     calls = []
 
-    def counting(ring, c):
-        calls.append(c)
-        return normal_form(ring, c)
+    def counting(mono):
+        calls.append(mono)
+        return RingPresentation.reduce_monomial(ring, mono)
 
-    monkeypatch.setattr("splitcheck.genus.normal_form", counting)
-    data = projective_data(3)
+    monkeypatch.setattr(ring, "reduce_monomial", counting)
     chi = chi_y(data)
     assert chi_y_scaled(data, 2) == chi
     assert signature_direct(data) == signature_from_chi(chi)
-    assert len(calls) == len(data.roots)
+    assert ring.tables is tables
+    assert len(calls) == sum(len(root.terms) for root in data.roots)
+
+
+# -- exact values on ints against the Fraction oracles -----------------------------
+
+EXACT = st.one_of(
+    st.integers(-30, 30), st.fractions(min_value=-30, max_value=30, max_denominator=12)
+)
+Y_VALUES = [-1, 0, 1, 2, F(3, 2)]
+
+
+def _assert_exact(value, expected) -> None:
+    """Equal to the oracle, and an int exactly when it is integral."""
+    assert value == expected
+    assert type(value) is (int if expected.denominator == 1 else Fraction)
+
+
+@given(st.lists(EXACT, min_size=1, max_size=7), st.integers(0, 3), st.sampled_from(Y_VALUES))
+def test_evaluate_matches_fraction_oracle(coeffs, zeros, y):
+    poly = YPolynomial(tuple(coeffs) + (0,) * zeros)
+    _assert_exact(poly.evaluate(y), ref_evaluate(poly, y))
+    trimmed = YPolynomial.from_coeffs(coeffs)
+    _assert_exact(trimmed.evaluate(y), ref_evaluate(trimmed, y))
+
+
+@given(st.lists(EXACT, min_size=1, max_size=5), st.integers(0, 8), st.booleans(), st.integers(0, 2))
+def test_duality_check_matches_fraction_oracle(head, n, mirror, zeros):
+    """Random and mirrored coefficient lists, cut or padded around n + 1."""
+    coeffs = list(head)
+    if mirror:
+        coeffs = [0] * (n + 1)
+        for p in range(n // 2 + 1):
+            coeffs[p] = head[p % len(head)]
+            coeffs[n - p] = (-1) ** n * coeffs[p]
+    for chi in (YPolynomial(tuple(coeffs) + (0,) * zeros), YPolynomial.from_coeffs(coeffs)):
+        assert duality_check(chi, n) == ref_duality_check(chi, n)
+
+
+@pytest.mark.parametrize(("name", "par"), RING_REFS, ids=RING_IDS)
+def test_integer_roots_match_fraction_oracle(name, par):
+    """Roots over every degree-2 monomial, reducible ones included, with
+    p/q coefficients, read as the oracle reads their normal forms."""
+    ring = ring_for(name, par)
+    monomials = list(monomials_of_degree(len(ring.generators), 1))
+    rng = random.Random(sum(map(ord, f"integer-roots-{name}-{par}")))
+    for i in range(20):
+        roots = tuple(
+            GradedClass.from_terms(
+                (m, F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 6)))) for m in monomials
+                if rng.random() < 0.7
+            )
+            for _ in range(ring.top_degree // 2 + i % 3)
+        )
+        data = ChernRootData(ring=ring, roots=roots)
+        assert data.integer_roots == ref_integer_roots(data)
+
+
+def test_integer_roots_fold_reducible_monomials():
+    """Over a ring with the linear relation a = b, a root's terms fold into
+    one coordinate, where their denominators may cancel: the scale is the
+    lcm of the coordinates' denominators, not of the terms'."""
+    ring = parse_presentation(
+        {
+            "generators": ["a", "b"],
+            "relations": [
+                {"lhs": [1, 0], "rhs": [[1, [0, 1]]]},
+                {"lhs": [0, 2], "rhs": []},
+            ],
+            "top_degree": 2,
+            "fundamental": [0, 1],
+        }
+    )
+    a, b = generator_class(ring, 0), generator_class(ring, 1)
+    roots = (
+        GradedClass.from_terms([((1, 0), F(1, 2)), ((0, 1), F(1, 2))]),
+        GradedClass.from_terms([((1, 0), F(1, 3)), ((0, 1), F(-1, 3))]),
+    )
+    data = ChernRootData(ring=ring, roots=roots)
+    assert data.integer_roots == ref_integer_roots(data) == (((1,), (0,)), 1)
+    assert chi_y(data) == ref_chi_y_scaled(data, 1)
+    half = ChernRootData(ring=ring, roots=(GradedClass.from_terms([((1, 0), F(1, 2))]), b))
+    assert half.integer_roots == ref_integer_roots(half) == (((1,), (2,)), 2)
+    assert ChernRootData(ring=ring, roots=(a,)).integer_roots == (((1,),), 1)
 
 
 # -- structural properties on random root data ------------------------------------
