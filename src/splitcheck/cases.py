@@ -267,8 +267,6 @@ def hp1_presentation() -> dict:
                 {"family": "B", "rank": 3},
             ],
             "manifold_dim": 4,
-            "euler_nonzero": True,
-            "almost_complex_forbidden": True,
             "provenance": "chi = 2 forces a nonzero Euler class; Massey showed "
             "quaternionic projective spaces admit no almost complex structure",
         },
@@ -289,8 +287,6 @@ def m20_eschenburg() -> dict:
                 {"family": "B", "rank": 5},
             ],
             "manifold_dim": 20,
-            "euler_nonzero": True,
-            "almost_complex_forbidden": True,
             "provenance": "chi = 6 and sigma = 0 fail the mod-4 congruence, "
             "so no almost complex structure exists",
         },

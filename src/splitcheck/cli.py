@@ -122,22 +122,54 @@ def _load_root_system(raw, where: str) -> RootSystem:
         raise CaseError(f"{where}: {exc}") from exc
 
 
-def _load_obstruction(raw, where: str = "obstruction") -> ObstructionCase:
+def _load_congruence(raw, where: str) -> tuple[int, int, int]:
+    """The congruence object's chi, sigma and quarter_dim."""
     raw = obj(raw, where)
+    return (
+        field(raw, "chi", where, integer),
+        field(raw, "sigma", where, integer),
+        field(raw, "quarter_dim", where, partial(integer, low=1)),
+    )
+
+
+def _load_obstruction(doc: Mapping) -> ObstructionCase:
+    """The obstruction section, with chi and sigma read from genus.congruence.
+
+    The two filter switches are derived from chi and sigma; a document that
+    still gives one must give the derived value.
+    """
+    where = "obstruction"
+    raw = field(doc, where, "", obj)
     factors = field(raw, "factors", where, partial(array, item=_load_root_system))
     if not factors:
         raise CaseError(f"{where}.factors: expected a nonempty list")
-    fields = dict(
-        factors=tuple(factors),
-        manifold_dim=field(raw, "manifold_dim", where, integer),
-        euler_nonzero=field(raw, "euler_nonzero", where, boolean),
-        almost_complex_forbidden=field(raw, "almost_complex_forbidden", where, boolean),
-        provenance=field(raw, "provenance", where, string, ""),
-    )
+    manifold_dim = field(raw, "manifold_dim", where, integer)
+    provenance = field(raw, "provenance", where, string, "")
+    genus = field(doc, "genus", "", obj, {})
+    if "congruence" not in genus:
+        raise CaseError(f"genus.congruence: {where} reads chi and sigma from it, but it is missing")
+    chi, sigma, quarter = field(genus, "congruence", "genus", _load_congruence)
     try:
-        return ObstructionCase(**fields)
+        case = ObstructionCase(
+            factors=tuple(factors), manifold_dim=manifold_dim, chi=chi, sigma=sigma,
+            provenance=provenance,
+        )
     except ValueError as exc:  # an odd or nonpositive manifold_dim
         raise CaseError(f"{where}.{exc}") from exc
+    if 4 * quarter != manifold_dim:
+        raise CaseError(
+            f"genus.congruence.quarter_dim: expected {where}.manifold_dim / 4, "
+            f"got {quarter} for a manifold of dimension {manifold_dim}"
+        )
+    for key in ("euler_nonzero", "almost_complex_forbidden"):
+        given = field(raw, key, where, boolean, None)
+        derived = getattr(case, key)
+        if given is not None and given != derived:
+            raise CaseError(
+                f"{where}.{key}: given {json.dumps(given)}, but chi = {chi} and "
+                f"sigma = {sigma} make it {json.dumps(derived)}"
+            )
+    return case
 
 
 # -- sections ----------------------------------------------------------------
@@ -197,11 +229,7 @@ def _genus_section(ring: RingPresentation | None, raw, where: str = "genus") -> 
         out["todd"] = todd_from_chi(chi)
         out["duality"] = duality_check(chi, data.n)
     if "congruence" in raw:
-        at = f"{where}.congruence"
-        cong = field(raw, "congruence", where, obj)
-        chi_val = field(cong, "chi", at, integer)
-        sigma_val = field(cong, "sigma", at, integer)
-        quarter = field(cong, "quarter_dim", at, partial(integer, low=1))
+        chi_val, sigma_val, quarter = field(raw, "congruence", where, _load_congruence)
         out["congruence"] = {
             "chi": chi_val,
             "sigma": sigma_val,
@@ -329,7 +357,7 @@ def run_case(doc: Mapping, budget: int | None = None) -> dict:
     if "genus" in doc:
         sections["genus"] = _genus_section(ring, doc["genus"])
     if "obstruction" in doc:
-        sections["obstruction"] = _obstruction_section(_load_obstruction(doc["obstruction"]))
+        sections["obstruction"] = _obstruction_section(_load_obstruction(doc))
     if not sections:
         raise CaseError("case document has no actionable section")
     return _report(doc, title, sections)
@@ -452,16 +480,17 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise CaseError("case document has no genus section")
             slim = {k: doc[k] for k in ("name", "anchor", "ring", "genus") if k in doc}
             report = run_case(slim)
-        elif args.command == "obstruct":
-            if "obstruction" not in doc:
-                raise CaseError("case document has no obstruction section")
-            slim = {k: doc[k] for k in ("name", "anchor", "obstruction") if k in doc}
-            report = run_case(slim)
-        else:  # reps
+        else:  # obstruct or reps
             if "obstruction" not in doc:
                 raise CaseError("case document has no obstruction section")
             title = _title(doc)
-            report = _report(doc, title, {"reps": _reps_section(_load_obstruction(doc["obstruction"]))})
+            case = _load_obstruction(doc)
+            if args.command == "obstruct":
+                # the digest covers what the section reads: chi and sigma come from genus
+                slim = {k: doc[k] for k in ("name", "anchor", "genus", "obstruction") if k in doc}
+                report = _report(slim, title, {"obstruction": _obstruction_section(case)})
+            else:
+                report = _report(doc, title, {"reps": _reps_section(case)})
 
         check_exact(report)
         _print(json.dumps(report, sort_keys=True, indent=2, default=exact_json))

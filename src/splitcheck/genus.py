@@ -440,7 +440,13 @@ def duality_check(chi: YPolynomial, n: int) -> bool:
 
 
 def hirzebruch_congruence(chi_val: int, sigma_val: int, m: int) -> bool:
-    """chi == (-1)^m * sigma mod 4, the almost-complex gate in dimension 4m."""
+    """chi == (-1)^m * sigma mod 4, in dimension 4m, for one orientation.
+
+    An almost complex structure inducing the orientation whose signature is
+    sigma forces it.  Reversing the orientation negates sigma, so a failure
+    here alone does not rule out an almost complex structure: CP^2-bar
+    (chi = 3, sigma = -1) fails it, yet reversed it is CP^2.
+    """
     return (chi_val - (-1) ** m * sigma_val) % 4 == 0
 
 

@@ -21,6 +21,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .genus import hirzebruch_congruence
+
 REAL = "real"
 COMPLEX = "complex"
 QUATERNIONIC = "quaternionic"
@@ -289,15 +291,38 @@ class ProductIrrep:
 
 @dataclass
 class ObstructionCase:
+    """A manifold of dimension `manifold_dim` with Euler characteristic `chi`
+    and signature `sigma`; both filter switches are derived from these."""
+
     factors: tuple[RootSystem, ...]
     manifold_dim: int
-    euler_nonzero: bool
-    almost_complex_forbidden: bool
+    chi: int
+    sigma: int
     provenance: str = ""
 
     def __post_init__(self) -> None:
         if self.manifold_dim <= 0 or self.manifold_dim % 2:
             raise ValueError(f"manifold_dim: expected an even positive integer, got {self.manifold_dim}")
+
+    @property
+    def euler_nonzero(self) -> bool:
+        """F1's switch: the Euler class integrates to chi, so it is nonzero iff chi is."""
+        return self.chi != 0
+
+    @property
+    def almost_complex_forbidden(self) -> bool:
+        """F2's switch: no almost complex structure in either orientation.
+
+        F2 rejects a multiset whose summands all carry complex structures,
+        which would make TM complex for some orientation.  Reversing the
+        orientation negates sigma, so the congruence must fail for sigma and
+        for -sigma; in a dimension not divisible by 4 it says nothing.
+        """
+        if self.manifold_dim % 4:
+            return False
+        m = self.manifold_dim // 4
+        return not (hirzebruch_congruence(self.chi, self.sigma, m)
+                    or hirzebruch_congruence(self.chi, -self.sigma, m))
 
 
 @dataclass
@@ -347,10 +372,11 @@ def obstruct_tangent_rep(case: ObstructionCase) -> ObstructionResult:
 
     Filter F1 (a nonvanishing Euler class forbids odd-dimensional summands) is
     applied first and names the first odd-dimensional entry in catalog order;
-    survivors meet filter F2 (a manifold with no almost complex structure
-    cannot have a tangent representation all of whose summands carry complex
-    structures).  The walk carries both down: the F1 detail of the first odd
-    entry chosen, and whether every entry so far is complex or quaternionic.
+    survivors meet filter F2 (a manifold with no almost complex structure, in
+    either orientation, cannot have a tangent representation all of whose
+    summands carry complex structures).  The walk carries both down: the F1
+    detail of the first odd entry chosen, and whether every entry so far is
+    complex or quaternionic.
     Exactly one filter is cited per rejected multiset.
     """
     entries = product_catalog(case)
@@ -363,9 +389,10 @@ def obstruct_tangent_rep(case: ObstructionCase) -> ObstructionResult:
         for r in range(total + 1):
             row[r] = later[r] or (r >= dim and row[r - dim])
     # the F1 detail of each odd-dimensional entry, or None: built once per entry
+    f1 = case.euler_nonzero
     odd_detail = [
         f"odd-dimensional summand {p.name} (real dim {p.real_dim}) forces a vanishing Euler class"
-        if case.euler_nonzero and p.real_dim % 2 else None
+        if f1 and p.real_dim % 2 else None
         for p in entries
     ]
     complex_like = [p.field_type in (COMPLEX, QUATERNIONIC) for p in entries]

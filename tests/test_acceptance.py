@@ -267,11 +267,12 @@ def multiset_count(dims: list[int], total: int) -> int:
 def test_criterion_9_obstruction_verdicts(case_name, trace_count):
     doc = builtin_case(case_name)
     raw = doc["obstruction"]
+    congruence = doc["genus"]["congruence"]
     case = ObstructionCase(
         factors=tuple(RootSystem(f["family"], f["rank"]) for f in raw["factors"]),
         manifold_dim=raw["manifold_dim"],
-        euler_nonzero=raw["euler_nonzero"],
-        almost_complex_forbidden=raw["almost_complex_forbidden"],
+        chi=congruence["chi"],
+        sigma=congruence["sigma"],
     )
     result = obstruct_tangent_rep(case)
     assert result.verdict == "NO-VALID-V"

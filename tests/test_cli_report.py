@@ -254,8 +254,8 @@ REPORT_DIGESTS = {
     ("cp2-connect-sum", None): "59a4e383213af5a41ace4dd79c2e746cc65e982582896335ca49dd71d4d97a32",
     ("cpn-split", None): "310ea743687c81f4354128978548fd387c2b0bb70f8330cf6bfd8b4b832dae9e",
     ("genus-cpn", None): "2b398264396332fc47a001c5cea660460a819466ae51e3f426f2f807650aebfc",
-    ("hp1-presentation", None): "4b486710591b14fc713bc979febdcb278e11d531e3b07bf70ad31b7c258b6092",
-    ("m20-eschenburg", None): "d5ce05ebb3247a772f2bfa8807cfede3a4d553191423791835904ec4cff46179",
+    ("hp1-presentation", None): "350c0b3239685dd3ad833bc649ee9f7a4d0647f26a45c1f09f2c79a0390b52f4",
+    ("m20-eschenburg", None): "e300025cc6555e38c7a8268397da2e80c0b62aaee097f8edd7cec7afaaa59801",
     ("r-p", None): "0bb33082e633a3850ed20ca2279808899205f46ece14997f9c5c6f4b03deff72",
     ("r-p-u-variant", None): "0ce4192f31ee4ba2d99597f593dc11278ea904ce856d9dae9ad6223dced29cc7",
     ("s2xs2", None): "a462e9d1b455a631308fcd254b853f8a295d76e2bfe57ccc909e231e38148ab9",
@@ -334,6 +334,9 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         ("sp2-t2", ("targets", "euler_sign_flexible"), "false"),
         ("hp1-presentation", ("obstruction", "euler_nonzero"), 1),
         ("m20-eschenburg", ("obstruction", "almost_complex_forbidden"), None),
+        # a switch a case file still gives must equal the one chi and sigma give
+        ("hp1-presentation", ("obstruction", "almost_complex_forbidden"), False),
+        ("m20-eschenburg", ("obstruction", "euler_nonzero"), False),
         ("su3-t2", ("search", "m"), [1]),
         ("su3-t2", ("search", "m"), 2.7),
         ("su3-t2", ("search", "m"), "2"),
@@ -355,6 +358,8 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         # (-1) ** quarter_dim is a float below 1, and a dimension 4m needs m >= 1
         ("m20-eschenburg", ("genus", "congruence", "quarter_dim"), 0),
         ("m20-eschenburg", ("genus", "congruence", "quarter_dim"), -1),
+        # the obstruction's congruence is taken in its own dimension
+        ("hp1-presentation", ("genus", "congruence", "quarter_dim"), 2),
         ("hp1-presentation", ("obstruction", "factors", 0, "rank"), True),
         ("hp1-presentation", ("obstruction", "factors", 0, "family"), 5),
         ("hp1-presentation", ("obstruction", "factors", 0, "family"), ["A"]),
@@ -421,6 +426,11 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         with pytest.raises(CaseError, match=re.escape(_field_name(named[0] if named else path))) as info:
             run_case(bad)
         assert "Fraction(" not in str(info.value), (name, path)
+    # the obstruction's switches come from genus.congruence, so it is required
+    no_genus = builtin_case("hp1-presentation")
+    del no_genus["genus"]
+    with pytest.raises(CaseError, match=re.escape("genus.congruence")):
+        run_case(no_genus)
     doc = tmp_path / "comment.json"
     doc.write_text(json.dumps(bad))
     capsys.readouterr()
@@ -460,7 +470,9 @@ def _field_name(path) -> str:
 
 
 _INT_KEYS = ("m", "budget", "real_rank", "manifold_dim", "chi", "sigma", "quarter_dim", "top_degree")
-_BOOL_KEYS = ("euler_sign_flexible", "acknowledged", "euler_nonzero", "almost_complex_forbidden")
+_BOOL_KEYS = ("euler_sign_flexible", "acknowledged")
+# optional cross-checks of the derived switches, which no built-in gives
+_OBSTRUCTION_BOOL_KEYS = ("euler_nonzero", "almost_complex_forbidden")
 _STR_KEYS = ("name", "anchor", "note", "provenance", "family")
 
 
@@ -506,7 +518,10 @@ def _typed_fields() -> list:
                 visit(name, item, path + (i,))
 
     for name in list_builtin_cases():
-        visit(name, builtin_case(name), ())
+        doc = builtin_case(name)
+        visit(name, doc, ())
+        if "obstruction" in doc:
+            out.extend((name, ("obstruction", key), "bool") for key in _OBSTRUCTION_BOOL_KEYS)
     return out
 
 

@@ -309,8 +309,7 @@ def test_product_type_composition():
 
 def test_obstruction_case_validation():
     with pytest.raises(ValueError):
-        ObstructionCase(factors=(A1,), manifold_dim=5,
-                        euler_nonzero=True, almost_complex_forbidden=False)
+        ObstructionCase(factors=(A1,), manifold_dim=5, chi=2, sigma=0)
 
 
 def pairs(trace) -> tuple:
@@ -318,13 +317,9 @@ def pairs(trace) -> tuple:
     return tuple((p.name, count) for p, count in trace.summands)
 
 
-def quaternionic_line_case(**flags) -> ObstructionCase:
-    return ObstructionCase(
-        factors=(A1, spin(7)),
-        manifold_dim=4,
-        euler_nonzero=flags.get("euler_nonzero", True),
-        almost_complex_forbidden=flags.get("almost_complex_forbidden", True),
-    )
+def quaternionic_line_case(chi: int = 2, sigma: int = 0) -> ObstructionCase:
+    """SU(2) x Spin(7) on a 4-manifold; HP^1 = S^4 has chi = 2, sigma = 0."""
+    return ObstructionCase(factors=(A1, spin(7)), manifold_dim=4, chi=chi, sigma=sigma)
 
 
 def test_quaternionic_line_catalog_and_traces():
@@ -346,26 +341,51 @@ def test_quaternionic_line_catalog_and_traces():
 
 
 def test_filters_can_be_disabled_independently():
-    # without the almost-complex filter the quaternionic plane survives
-    result = obstruct_tangent_rep(quaternionic_line_case(almost_complex_forbidden=False))
+    # chi = 2 = sigma satisfies the congruence: the almost-complex filter is
+    # off, and the quaternionic plane survives
+    case = quaternionic_line_case(chi=2, sigma=2)
+    assert (case.euler_nonzero, case.almost_complex_forbidden) == (True, False)
+    result = obstruct_tangent_rep(case)
     assert result.verdict == "VALID-V-EXISTS"
     survivors = [t for t in result.traces if t.rejected_by is None]
     assert [pairs(t) for t in survivors] == [(("W2x1", 1),)]
-    # without the euler filter the odd-dimensional summands survive
-    result = obstruct_tangent_rep(quaternionic_line_case(euler_nonzero=False))
+    # chi = 0 turns the euler filter off: the odd-dimensional summands survive
+    case = quaternionic_line_case(chi=0, sigma=2)
+    assert (case.euler_nonzero, case.almost_complex_forbidden) == (False, True)
+    result = obstruct_tangent_rep(case)
     assert result.verdict == "VALID-V-EXISTS"
-    names = {pairs(t) for t in result.traces if t.rejected_by is None}
-    assert (("W1x1", 1), ("W3x1", 1)) in names
-    assert (("W1x1", 4),) in names
+    by_pairs = {pairs(t): t.rejected_by for t in result.traces}
+    assert by_pairs == {
+        (("W1x1", 4),): None, (("W1x1", 1), ("W3x1", 1)): None, (("W2x1", 1),): "F2",
+    }
+
+
+@pytest.mark.parametrize(("chi", "sigma", "forbidden"), [
+    # CP^2-bar fails the congruence, but reversed it is CP^2, which is complex
+    (3, -1, False),
+    (3, 1, False),
+    # CP^2 # CP^2 fails it in both orientations
+    (4, 2, True),
+])
+def test_almost_complex_filter_checks_both_orientations(chi, sigma, forbidden):
+    case = quaternionic_line_case(chi=chi, sigma=sigma)
+    assert case.euler_nonzero
+    assert case.almost_complex_forbidden is forbidden
+    result = obstruct_tangent_rep(case)
+    plane = next(t for t in result.traces if pairs(t) == (("W2x1", 1),))
+    assert plane.rejected_by == ("F2" if forbidden else None)
+    assert result.verdict == ("NO-VALID-V" if forbidden else "VALID-V-EXISTS")
+
+
+def test_almost_complex_filter_is_off_outside_dimensions_4m():
+    # chi = 2, sigma = 0 fails the congruence in both orientations in 4m
+    for dim in (2, 6, 10, 22):
+        case = ObstructionCase(factors=(A1,), manifold_dim=dim, chi=2, sigma=0)
+        assert (case.euler_nonzero, case.almost_complex_forbidden) == (True, False)
 
 
 def test_twenty_dimensional_case():
-    case = ObstructionCase(
-        factors=(A1, spin(11)),
-        manifold_dim=20,
-        euler_nonzero=True,
-        almost_complex_forbidden=True,
-    )
+    case = ObstructionCase(factors=(A1, spin(11)), manifold_dim=20, chi=6, sigma=0)
     entries = product_catalog(case)
     assert len(entries) == 16
     assert {p.name for p in entries} >= {"W1x1", "W1xL^1", "W2x1", "W3x1"}
@@ -387,17 +407,33 @@ def test_traces_cover_every_multiset_exactly_once():
     assert len(seen) == len(result.traces)
 
 
+# (chi, sigma) pairs that reach all four switch pairs in every dimension 4m,
+# and both Euler switches in every other dimension
+SWITCH_PAIRS = ((2, 0), (2, 2), (0, 2), (0, 0))
+
+
 def _grid_cases(factors, top: int = 24) -> list:
     return [
-        ObstructionCase(factors=factors, manifold_dim=dim,
-                        euler_nonzero=euler, almost_complex_forbidden=forbidden)
+        ObstructionCase(factors=factors, manifold_dim=dim, chi=chi, sigma=sigma)
         for dim in range(2, top + 1, 2)
-        for euler, forbidden in itertools.product((True, False), repeat=2)
+        for chi, sigma in SWITCH_PAIRS
     ]
 
 
+def test_grid_reaches_every_switch_pair():
+    for dim in range(2, 41, 2):
+        switches = {
+            (case.euler_nonzero, case.almost_complex_forbidden)
+            for case in _grid_cases((A1,), top=40) if case.manifold_dim == dim
+        }
+        if dim % 4:
+            assert switches == {(True, False), (False, False)}, dim
+        else:
+            assert switches == set(itertools.product((True, False), repeat=2)), dim
+
+
 @pytest.mark.parametrize("cases", [
-    pytest.param([_load_obstruction(builtin_case(name)["obstruction"])
+    pytest.param([_load_obstruction(builtin_case(name))
                   for name in ("hp1-presentation", "m20-eschenburg")], id="builtins"),
     # to dimension 40: about 18,000 (A1) and 21,000 (A1-B5) multisets per flag pair
     pytest.param(_grid_cases((A1,), top=40), id="A1"),
