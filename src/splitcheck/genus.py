@@ -16,16 +16,15 @@ entries are ints, as the ring's rules are integral; the factor's rational
 series coefficients and the roots are scaled to ints by their common
 denominators, which are divided out of the integral at the end.
 
-Only the top degree is ever read, so only work that reaches it is done.
-A zero root contributes its factor's constant term, so the zero roots
-become one scalar power.  The running product is kept only in the degrees
-from which the roots still to come can reach the top.  The last nonzero
-root is never multiplied in: the functionals v -> (fundamental coefficient
-of v * x^k), built from small ints by the tables' transpose, meet the
-product of the other roots in n + 1 dot products.  Packing is a ring map
-from Z[y] to Z, so the packed integral does not depend on the order in
-which these products are taken, and the digit width s, which comes from a
-proven bound on the coefficients, still holds.  Decoding checks it: a
+Only the top degree is ever read.  A zero root contributes its factor's
+constant term, so the zero roots become one scalar power.  The running
+product of the other roots is kept in the degrees up to the top.  The
+last nonzero root is never multiplied in: the functionals
+v -> (fundamental coefficient of v * x^k), built from small ints by the
+tables' transpose, meet that product in n + 1 dot products.  Packing is a
+ring map from Z[y] to Z, so the packed integral does not depend on the
+order in which these products are taken, and the digit width s, which
+comes from a proven bound on the coefficients, still holds.  Decoding checks it: a
 remainder raises `ArithmeticError`, never a wrong polynomial.
 
 Values stay on ints until they leave the layer: the integrator returns
@@ -211,30 +210,6 @@ def _tanh_factor(order: int) -> _Factor:
 _EULER_FACTOR = _Factor.of([(0,), (1,)])
 
 
-@lru_cache
-def _windows(n: int, degrees: tuple[int, ...], heads: int) -> tuple[tuple[frozenset[int], ...], ...]:
-    """Where each head root's product is kept, and where its powers are formed.
-
-    `degrees` lists the k with c_k nonzero.  The `heads` roots are
-    multiplied in before the last one, which reads the product only in the
-    degrees n - k.  Walking back from there, the product before a root is
-    needed in degree d when d + k is needed after it, for some k in
-    `degrees`.  Entry j, for the (j + 1)-th head root, holds the degrees
-    its product is kept in, then, for k = 1 .. the last power, the degrees
-    in which product * root^k is formed: those d with d + k' - k kept for
-    some k' >= k in `degrees`.
-    """
-    keep = frozenset(n - k for k in degrees if k <= n)
-    out = []
-    for _ in range(heads):
-        out.append((keep,) + tuple(
-            frozenset(d - (k2 - k) for d in keep for k2 in degrees if k2 >= k)
-            for k in range(1, degrees[-1] + 1)
-        ))
-        keep = frozenset(d - k for d in keep for k in degrees if d >= k)
-    return tuple(reversed(out))
-
-
 def _coefficient_bound(factor: _Factor, vecs: Sequence[Sequence[int]], tau: int) -> int:
     """prod_i sum_k |D c_k|_1 (tau |L x_i|_1)^k over the integer root vectors.
 
@@ -270,14 +245,13 @@ def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[lis
     degree-n part survives integration, so the integral is divided by
     D^m * L^n at the end, for m roots.
 
-    Only work that reaches the top degree is done:
+    Only the top degree is read:
     - a zero root contributes exactly its factor's constant term c_0, so
       the zero roots are one scalar c_0^z on the integral;
-    - the running product is a dict from degree to tuple, kept only in the
-      degrees from which the roots still to come can reach degree n
-      (`_windows`), and root^k is formed only in the degrees it is needed;
-      a factor without a constant term (the Euler class) costs one table
-      product per root;
+    - the running product of the head roots (the nonzero ones but the
+      last) is a dict from degree to tuple, kept up to degree n: each head
+      root's powers are formed on it, and each c_k-scaled power is added
+      in every degree it reaches;
     - the last nonzero root x is never multiplied in.  With w_k the
       functional v -> (fundamental coefficient of v * x^k) on the degree
       n - k basis, built from the fundamental's indicator by k transposed
@@ -291,9 +265,9 @@ def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[lis
     (`_coefficient_bound`), and s = bit_length(2 * bound) + 1.  Packing is
     a ring map, so the packed integral is the packed polynomial however its
     products are ordered or grouped, and the bound on the polynomial still
-    sizes its digits.  The
-    fundamental coefficient is decoded into balanced base-R digits; a
-    nonzero remainder means the bound failed and raises ArithmeticError.
+    sizes its digits.  The fundamental coefficient is decoded into balanced
+    base-R digits; a nonzero remainder means the bound failed and raises
+    ArithmeticError.
     """
     ring = data.ring
     tables = ring.tables
@@ -307,27 +281,25 @@ def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[lis
         top = int(n == 0)  # the empty product is 1, of degree 0
     else:
         *heads, last = nonzero
-        degrees = tuple(k for k, c in enumerate(packed) if c)
         product = {0: tables.one}
-        for vec, (keep, *needs) in zip(heads, _windows(n, degrees, len(heads))):
+        for vec in heads:
             out: dict[int, tuple[int, ...]] = {}
             power = product  # the product times root^k
             for k, c in enumerate(packed):
                 if k:
-                    need = needs[k - 1]
-                    power = {d + 1: tables.mul(d, part, vec) for d, part in power.items() if d + 1 in need}
+                    power = {d + 1: tables.mul(d, part, vec) for d, part in power.items() if d < n}
                 if c:
-                    for d in keep.intersection(power):
+                    for d, part in power.items():
                         acc = out.get(d)
                         out[d] = (
-                            tuple(c * x for x in power[d]) if acc is None
-                            else tuple(x + c * t for x, t in zip(acc, power[d]))
+                            tuple(c * x for x in part) if acc is None
+                            else tuple(x + c * t for x, t in zip(acc, part))
                         )
             product = out
-        # w_k over bases[n - k], needed down to the product's lowest degree
+        # w_k over bases[n - k]
         w = tuple(int(mono == ring.fundamental) for mono in tables.bases[n])
         top = 0
-        for k, c in enumerate(packed[: n - min(product, default=n) + 1]):
+        for k, c in enumerate(packed):
             if k:
                 w = tables.dual_mul(n - k, w, last)
             part = product.get(n - k)

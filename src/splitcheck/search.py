@@ -57,7 +57,6 @@ import bisect
 import hashlib
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -68,6 +67,9 @@ from .charclass import euler_class, first_pontryagin, total_chern  # noqa: F401
 from .ring import GradedClass, RingPresentation, Vector, normal_form
 
 DEFAULT_BUDGET = 10**9
+# The walk recurses once per bundle, so m is capped well below Python's
+# recursion limit; the largest built-in m is 4.
+MAX_M = 256
 
 
 class BoundError(ValueError):
@@ -97,6 +99,8 @@ class SearchSpec:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"m: need at least one line bundle, got {self.m}")
+        if self.m > MAX_M:
+            raise ValueError(f"m: {self.m} line bundles is more than the {MAX_M} the search walks")
 
     def allows_sign_flips(self) -> bool:
         return self.targets.euler_sign_flexible and self.targets.chern_target is None
@@ -124,7 +128,6 @@ class SearchCertificate:
     diagonal: tuple[int, ...] | None = None
     constant: int | None = None
     notes: list[str] = field(default_factory=list)
-    wall_clock_s: float | None = None
 
     @property
     def solution_count(self) -> int:
@@ -151,7 +154,7 @@ class SearchCertificate:
             "solution_count": self.solution_count,
             "exhaustive": self.exhaustive,
             "notes": list(self.notes),
-            "wall_clock_s": None,  # excluded from canonical output for byte stability
+            "wall_clock_s": None,  # not timed; the key keeps reports byte-stable
         }
 
 
@@ -331,7 +334,6 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
     take it past `spec.budget` stops with `visited == budget + 1`, and the
     step past the budget does no work.
     """
-    started = time.perf_counter()
     matcher = TargetMatcher(spec.ring, spec.targets, spec.m)
     bounds = derive_bounds(spec)
     ring = spec.ring
@@ -467,5 +469,4 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
         diagonal=bounds.diagonal,
         constant=bounds.constant,
         notes=notes,
-        wall_clock_s=time.perf_counter() - started,
     )

@@ -25,6 +25,7 @@ from splitcheck.report import (
     fraction_from_json,
     input_digest,
 )
+from splitcheck.search import MAX_M
 
 # -- serialization ----------------------------------------------------------------
 
@@ -607,6 +608,26 @@ def test_cli_unknown_case_is_an_error():
     proc = run_cli("verify", "no-such-case")
     assert proc.returncode == 1
     assert "neither a built-in case nor an existing file" in proc.stderr
+
+
+def test_cli_refuses_a_search_deeper_than_max_m(tmp_path):
+    """The walk recurses once per bundle, so a search.m past MAX_M is an
+    error naming the field and the limit, not a RecursionError traceback;
+    MAX_M itself still runs."""
+    doc = builtin_case("cp2-connect-sum")
+    doc["targets"]["euler"] = []
+    doc["targets"]["real_rank"] = 1980
+    doc["search"]["m"] = 990
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["verify", "cpn-split", "--q", "1000"], ["verify", str(path)]):
+        proc = run_cli(*argv)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: search.m: ")
+        assert f"the {MAX_M} the search walks" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    doc["search"]["m"] = MAX_M
+    assert run_case(doc)["sections"]["search"]["exhaustive"] is True
 
 
 def test_cli_parameter_flag():
