@@ -274,6 +274,10 @@ def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[lis
     n = data.n
     coeffs = factor.coeffs
     vecs, roots_denom = data.integer_roots
+    denom = factor.denom ** len(vecs) * roots_denom**n
+    if n % 2 and not any(map(any, coeffs[1::2])):
+        # an even factor (x/tanh x) has no odd-degree part: no odd top
+        return [0] * (len(vecs) * (max(map(len, coeffs)) - 1) + 1), denom
     shift = (2 * _coefficient_bound(factor, vecs, tables.mul_norm)).bit_length() + 1
     packed = [sum(c << shift * j for j, c in enumerate(ck)) for ck in coeffs]
     nonzero = [vec for vec in vecs if any(vec)]
@@ -317,7 +321,6 @@ def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[lis
         top = (top - digit) >> shift
     if top:
         raise ArithmeticError(f"packed genus integral overflows {shift}-bit digits")
-    denom = factor.denom ** len(vecs) * roots_denom**n
     return digits, denom
 
 

@@ -28,22 +28,21 @@ enumeration serves every bound:
    Packing is linear, so equal tuples always get equal keys and no hit is
    lost; every residual and square lies within span, where distinct tuples
    get distinct keys;
-3. the walk: nondecreasing index multisets of m - 1 ball vectors whose
-   partial norm stays within C.  A solution's norms sum to exactly C and
-   the norms are sorted, so with R vectors still to place the next has norm
-   at most (C - partial) // R: each level walks up to that cut, and the
-   probes and subtrees between it and the first vector past C, which hold
-   no solution, are counted without being made.  The last level probes
-   inline: the residual key is one int subtraction, looked up in the table
-   (meet in the middle with a sorted list, Horowitz-Sahni, JACM 1974);
+3. the count, then the walk: the probes are the nondecreasing index
+   multisets of m - 1 ball vectors whose norms sum to at most C, counted
+   once, up front (`count_probes`), so `visited` is the box cells plus
+   that count and a search over budget is refused before it walks.  The
+   walk counts nothing: a solution's norms sum to exactly C and are
+   sorted, so with R vectors still to place the next has norm at most
+   (C - partial) // R, and each level walks only up to that cut.  The
+   last level probes inline: the residual key is one int subtraction,
+   looked up in the table (meet in the middle with a sorted list,
+   Horowitz-Sahni, JACM 1974);
 4. the Euler prefilter: when the bundles fill the real rank, the walk
    carries the prefix product down, one `RingTables.mul` per node.  A probe
    with hits folds in its own vector once, and each hit one more: a hit
    whose Euler tuple is neither the target nor (when sign-flexible) its
    negation is dropped before the matcher.
-
-`visited` counts the box cells plus the probes of the walk without the cut,
-so it does not depend on how much of that work is skipped.
 
 The lookup and the prefilter only reject: every candidate they let through
 is accepted or rejected by `charclass.TargetMatcher`, the one acceptance
@@ -59,6 +58,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .charclass import LineBundleSum, TargetClasses, TargetMatcher
@@ -277,10 +277,6 @@ def canonicalize_solution(
 # -- enumeration -------------------------------------------------------------
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def pack(vec: Sequence[int], span: int) -> int:
     """The join key of an integer tuple: sum_t vec[t] * R**t with R = 2*span + 1.
 
@@ -325,19 +321,113 @@ def _ellipsoid(
     return out
 
 
-def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
-    """Walk the ball in norm order, join the last bundle on p1, accept through charclass.
+def count_probes(norms: Sequence[int], m: int, limit: int) -> int:
+    """The join probes of the walk for m bundles, the norm-sum cut aside: the
+    nondecreasing index multisets of m - 1 entries of the sorted `norms`
+    whose values sum to at most `limit` (one for m = 1), memoized on
+    (entries left, start, room)."""
 
-    `visited` counts each cell of the per-bundle box (only the ball inside
-    it is built) plus each probe of the join within the norm bound (those
-    past the norm-sum cut are counted without being made).  A run that would
-    take it past `spec.budget` stops with `visited == budget + 1`, and the
-    step past the budget does no work.
+    @cache
+    def probes(left: int, start: int, room: int) -> int:
+        if left == 1:
+            return bisect.bisect_right(norms, room, start) - start
+        count = 0
+        for i in range(start, bisect.bisect_right(norms, room, start)):
+            rest = room - norms[i]
+            # the last entry is one bisection, not a cached call
+            count += probes(left - 1, i, rest) if left > 2 else bisect.bisect_right(norms, rest, i) - i
+        return count
+
+    count = probes(m - 1, 0, limit) if m > 1 else 1
+    # probes holds itself, and so its cache, in its closure
+    del probes
+    return count
+
+
+def _walk(
+    spec: SearchSpec, matcher: TargetMatcher, ball: list[tuple[int, ...]], norms: list[int], limit: int
+) -> list[tuple[tuple[int, ...], ...]]:
+    """The bundle tuples the matcher accepts: each nondecreasing index
+    multiset of m - 1 ball vectors within the norm-sum cut, joined on p1 to
+    a last vector and passed through the Euler prefilter."""
+    ring = spec.ring
+    tables = ring.tables
+    p1 = tables.vector(matcher.p1, 2)
+    squares = [tables.mul(1, vec, vec) for vec in ball]
+    span = max(map(abs, p1), default=0) + spec.m * max(
+        (abs(x) for vec in squares for x in vec), default=0
+    )
+    keys = [pack(vec, span) for vec in squares]
+    table: dict[int, list[int]] = {}
+    for i, key in enumerate(keys):
+        table.setdefault(key, []).append(i)
+    m, last = spec.m, spec.m - 1
+    saturated = matcher.saturated
+    euler_targets = {tables.vector(matcher.euler, m)}
+    if matcher.sign_flexible:
+        euler_targets.add(tables.vector(matcher.euler_neg, m))
+    raw: list[tuple[tuple[int, ...], ...]] = []
+
+    def accept(head: tuple[tuple[int, ...], ...], hits: list[int]) -> None:
+        for k in hits:
+            vectors = head + (ball[k],)
+            classes = tuple(ring.class_from_coeffs(vec) for vec in vectors)
+            if matcher.match(LineBundleSum(ring, classes)).matched:
+                raw.append(vectors)
+
+    def walk(start: int, norm: int, residual: int, product: Vector | None) -> None:
+        depth = len(prefix)
+        # a solution's norms sum to exactly limit and never decrease along the
+        # multiset, so each of the m - depth vectors still to place is within the cut
+        cut = bisect.bisect_right(norms, (limit - norm) // (m - depth), start)
+        if depth < last - 1:
+            for i in range(start, cut):
+                prefix.append(i)
+                walk(i, norm + norms[i], residual - keys[i],
+                     tables.mul(depth, product, ball[i]) if saturated else None)
+                prefix.pop()
+            return
+        # the last prefix level: each step is one probe of the join
+        for i in range(start, cut):
+            hits = table.get(residual - keys[i])
+            if hits is not None and hits[-1] >= i:
+                hits = hits[bisect.bisect_left(hits, i):]
+                vec = ball[i]
+                if saturated:
+                    head = tables.mul(depth, product, vec)
+                    hits = [
+                        k for k in hits
+                        if tables.mul(depth + 1, head, ball[k]) in euler_targets
+                    ]
+                if hits:
+                    accept(tuple(ball[j] for j in prefix) + (vec,), hits)
+
+    prefix: list[int] = []
+    if last:
+        walk(0, 0, pack(p1, span), tables.one)
+    else:
+        hits = table.get(pack(p1, span), [])
+        if saturated:
+            hits = [k for k in hits if tables.mul(0, tables.one, ball[k]) in euler_targets]
+        accept((), hits)
+    # walk holds itself in its closure; without this the cycle keeps the
+    # ball and the join alive until the cyclic collector runs
+    del walk
+    return raw
+
+
+def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
+    """Count the visits, then walk the ball, join on p1 and accept through charclass.
+
+    `visited` is the cells of the per-bundle box (only the ball inside it
+    is built) plus the probes of the join within the norm bound, counted
+    up front, so it does not depend on the cut.  A search that needs more
+    than `spec.budget` visits is refused without walking (and without the
+    ball when the box alone is over): `visited == budget + 1`, no
+    solutions, not exhaustive, and a note.
     """
     matcher = TargetMatcher(spec.ring, spec.targets, spec.m)
     bounds = derive_bounds(spec)
-    ring = spec.ring
-    tables = ring.tables
     cells = math.prod(2 * b + 1 for b in bounds.per_variable)
     notes: list[str] = []
     if bounds.note:
@@ -348,112 +438,18 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
         weights, limit = bounds.diagonal, bounds.constant
     flips = spec.allows_sign_flips()
     budget = spec.budget
-    visited = 0
     raw: list[tuple[tuple[int, ...], ...]] = []
-
-    def search() -> None:
-        nonlocal visited
-        if cells > budget:
-            visited = budget + 1
-            raise _BudgetExceeded
-        visited = cells
+    visited = cells
+    if cells <= budget:
         kept = _ellipsoid(bounds.per_variable, weights, limit, flips)
         kept.sort(key=lambda item: item[0])
         norms = [norm for norm, _ in kept]
-        ball = [vec for _, vec in kept]
-        p1 = tables.vector(matcher.p1, 2)
-        squares = [tables.mul(1, vec, vec) for vec in ball]
-        span = max(map(abs, p1), default=0) + spec.m * max(
-            (abs(x) for vec in squares for x in vec), default=0
-        )
-        keys = [pack(vec, span) for vec in squares]
-        table: dict[int, list[int]] = {}
-        for i, key in enumerate(keys):
-            table.setdefault(key, []).append(i)
-        m, last = spec.m, spec.m - 1
-        saturated = matcher.saturated
-        euler_targets = {tables.vector(matcher.euler, m)}
-        if matcher.sign_flexible:
-            euler_targets.add(tables.vector(matcher.euler_neg, m))
-
-        def accept(head: tuple[tuple[int, ...], ...], hits: list[int]) -> None:
-            for k in hits:
-                vectors = head + (ball[k],)
-                classes = tuple(ring.class_from_coeffs(vec) for vec in vectors)
-                if matcher.match(LineBundleSum(ring, classes)).matched:
-                    raw.append(vectors)
-
-        def skip(count: int) -> None:
-            nonlocal visited
-            visited += count
-            if visited > budget:
-                visited = budget + 1
-                raise _BudgetExceeded
-
-        def probes(depth: int, start: int, room: int) -> int:
-            """The probes the walk below a node makes, the norm-sum cut aside."""
-            stop = bisect.bisect_right(norms, room, start)
-            if depth == last - 1:
-                return stop - start
-            return sum(probes(depth + 1, i, room - norms[i]) for i in range(start, stop))
-
-        def walk(start: int, norm: int, residual: int, product: Vector | None) -> None:
-            nonlocal visited
-            depth = len(prefix)
-            room = limit - norm
-            stop = bisect.bisect_right(norms, room, start)
-            # a solution's norms sum to exactly limit and never decrease along the
-            # multiset, so each of the m - depth vectors still to place is within the cut
-            cut = bisect.bisect_right(norms, room // (m - depth), start, stop)
-            if depth < last - 1:
-                for i in range(start, cut):
-                    prefix.append(i)
-                    walk(i, norm + norms[i], residual - keys[i],
-                         tables.mul(depth, product, ball[i]) if saturated else None)
-                    prefix.pop()
-                skip(sum(probes(depth + 1, i, room - norms[i]) for i in range(cut, stop)))
-                return
-            # the last prefix level: each step is one probe of the join
-            end = min(cut, start + budget - visited)
-            for i in range(start, end):
-                hits = table.get(residual - keys[i])
-                if hits is not None and hits[-1] >= i:
-                    hits = hits[bisect.bisect_left(hits, i):]
-                    vec = ball[i]
-                    if saturated:
-                        head = tables.mul(depth, product, vec)
-                        hits = [
-                            k for k in hits
-                            if tables.mul(depth + 1, head, ball[k]) in euler_targets
-                        ]
-                    if hits:
-                        accept(tuple(ball[j] for j in prefix) + (vec,), hits)
-            visited += end - start
-            # a loop the budget cut short leaves visited == budget, so this raises
-            skip(stop - end)
-
-        prefix: list[int] = []
-        try:
-            if last:
-                walk(0, 0, pack(p1, span), tables.one)
-            else:
-                skip(1)
-                hits = table.get(pack(p1, span), [])
-                if saturated:
-                    hits = [k for k in hits if tables.mul(0, tables.one, ball[k]) in euler_targets]
-                accept((), hits)
-        finally:
-            # walk and probes hold themselves in their closures; without this
-            # the cycles keep the ball and the join alive until the cyclic
-            # collector runs, a budget stop included
-            del walk, probes
-
-    exhausted = False
-    try:
-        search()
-    except _BudgetExceeded:
-        exhausted = True
-        notes.append(f"visit budget {spec.budget} exhausted; enumeration incomplete")
+        visited += count_probes(norms, spec.m, limit)
+        if visited <= budget:
+            raw = _walk(spec, matcher, [vec for _, vec in kept], norms, limit)
+    if visited > budget:
+        visited = budget + 1
+        notes.append(f"visit budget {budget} exhausted; enumeration incomplete")
     if not bounds.certified:
         notes.append("explicit bound not acknowledged; certificate is not exhaustive")
     canonical = {canonicalize_solution(sol, allow_sign_flips=flips) for sol in raw}
@@ -464,7 +460,7 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
         enumerated=cells**spec.m,
         visited=visited,
         solutions=tuple(sorted(canonical)),
-        exhaustive=bounds.certified and not exhausted,
+        exhaustive=bounds.certified and visited <= budget,
         budget=spec.budget,
         diagonal=bounds.diagonal,
         constant=bounds.constant,

@@ -25,6 +25,8 @@ steps every applicable rule at every monomial of degree <= top.
 over every coordinate at once, with no ball, no join and no symmetry
 reduction.  `ref_canonicalize_solution` is the canonicalizer's oracle: the
 greatest of all m! * 2^m images under permutations and sign flips.
+`ref_probe_count` is the visit count's oracle: the recount the walk once ran
+over every subtree the norm-sum cut skips, recursing with no memo.
 
 `ref_weyl_dim` and `ref_field_type` are the representation catalogs'
 oracle: the Weyl product over the positive roots of B_m taken in `Fraction`
@@ -46,6 +48,7 @@ vector (x0, x1, x2) is x0*v3 + x1*v2 + x2*v1.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -215,6 +218,23 @@ def ref_enumerate(spec) -> tuple:
             weights = [int(d * denom) for d in bounds.diagonal] * spec.m
             _shell(weights, int(constant), [], on_leaf)
     return tuple(sorted(found))
+
+
+def ref_probe_count(norms, m: int, limit: int) -> int:
+    """The join probes of the walk for m bundles without the norm-sum cut:
+    below a node at `depth` whose vectors start at index `start` with
+    `room` left of the norm bound, each vector within the room opens a
+    subtree, and the last prefix level counts its vectors.  `norms` is
+    sorted; one probe for m = 1."""
+    last = m - 1
+
+    def probes(depth: int, start: int, room: int) -> int:
+        stop = bisect.bisect_right(norms, room, start)
+        if depth == last - 1:
+            return stop - start
+        return sum(probes(depth + 1, i, room - norms[i]) for i in range(start, stop))
+
+    return probes(0, 0, limit) if last else 1
 
 
 def ref_canonicalize_solution(solution, allow_sign_flips: bool = True) -> tuple:

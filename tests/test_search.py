@@ -15,6 +15,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import itertools
+import math
 import random
 import time
 from dataclasses import replace
@@ -29,6 +30,7 @@ from helpers import (
     cp2_oracle,
     ref_canonicalize_solution,
     ref_enumerate,
+    ref_probe_count,
     ring_for,
     rp_oracle,
     search_spec_for,
@@ -54,6 +56,7 @@ from splitcheck.search import (
     SearchSpec,
     SumOfSquaresBound,
     canonicalize_solution,
+    count_probes,
     derive_bounds,
     enumerate_splittings,
     pack,
@@ -359,18 +362,15 @@ def _planted_rp2():
 
 
 # sha256 of the canonical certificate, taken from the walk that made every
-# probe, at budgets that run out inside a range of probes (r-p 1600, sp2 45,
-# planted 700 and 1560) or a subtree (r-p 16000, sp2 96, planted 3500) that
-# the norm-sum cut skips; the planted target's two solutions are found
-# between 700 and 1560
+# probe, at budgets that ran out inside a range of probes (r-p 1600, sp2 45,
+# planted 700) or a subtree (r-p 16000, sp2 96) that the norm-sum cut skips;
+# refused before it walks, the search keeps these bytes
 BUDGET_CUT_DIGESTS = [
     (("r-p", 3), 1600, "635069461b0bcedbed191d0fdbcf38892ab0d02d8de1b06fbb0ad179f6db37d6"),
     (("r-p", 3), 16000, "8bfbe3236ddd9a26f220f7e016036bcc3b25f8e56ead65d8fdbdf81fd6eb3587"),
     (("sp2-t2", None), 45, "2ecef442c4d639c665d32cd949cb2e19a67a6fc7cff302e4d674f433e1422f8e"),
     (("sp2-t2", None), 96, "2e45c4983ce717067659001bf77f3b1f13a8299da44ca1bee570169366848a79"),
     ("planted", 700, "2b4526163bfdf6f316602c349f8d0d3637922eec4470cd4e638ba2ffd7c48dbc"),
-    ("planted", 1560, "b9e58501583cf7464daf83f262dec2679b77a452436208c96a709e656b93de9e"),
-    ("planted", 3500, "fd588093c5e359ea0045ee57bffcd34a5e4fa7b35cec003a562ea550a9907b1a"),
 ]
 
 
@@ -395,6 +395,28 @@ def test_budget_inside_a_cut_keeps_the_certificate(case, budget, digest):
     cert = enumerate_splittings(replace(spec, budget=budget))
     assert cert.visited == budget + 1
     assert hashlib.sha256(canonical_bytes(cert.as_jsonable())).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", ["planted", ("sp2-t2", None), ("s2xs2", None)])
+def test_budget_below_the_count_refuses_the_search(case):
+    """Every budget from the box's cells up to one short of the count refuses
+    the search: visited is budget + 1, with no solutions, not exhaustive and
+    a note, whatever the walk would have met first.  A budget of at least
+    the count gives the full certificate."""
+    spec = _planted_rp2() if case == "planted" else search_spec_for(*case)
+    full = enumerate_splittings(spec)
+    # the planted target and s2xs2 have solutions, which a refusal drops
+    assert full.exhaustive and (full.solutions or case == ("sp2-t2", None))
+    cells = math.prod(2 * b + 1 for b in full.per_variable_bounds)
+    rng = random.Random(sum(map(ord, f"refuse-{case}")))
+    budgets = {cells, full.visited - 1} | {rng.randrange(cells, full.visited) for _ in range(10)}
+    for budget in sorted(budgets):
+        cert = enumerate_splittings(replace(spec, budget=budget))
+        assert (cert.visited, cert.solutions, cert.exhaustive) == (budget + 1, (), False), budget
+        assert f"visit budget {budget} exhausted; enumeration incomplete" in cert.notes, budget
+    for budget in (full.visited, full.visited + 1, 10 * full.visited):
+        cert = enumerate_splittings(replace(spec, budget=budget))
+        assert replace(cert, spec_digest=full.spec_digest, budget=full.budget) == full, budget
 
 
 def test_budget_exhaustion_on_explicit_box():
@@ -499,6 +521,62 @@ def test_planted_equal_norms_meet_the_cut(name, par, vecs):
     cert = enumerate_splittings(spec)
     assert canonicalize_solution(vecs, spec.allows_sign_flips()) in cert.solutions
     assert cert.solutions == ref_enumerate(spec)
+
+
+# -- the visit count against the recount over every skipped subtree -----------------
+
+
+def _ball_norms(spec) -> list[int]:
+    """The ball's norms, sorted, read off the whole box: each box vector
+    within the ellipsoid (the whole box for an explicit bound), only the
+    larger of v and -v when sign flips are allowed."""
+    bounds = derive_bounds(spec)
+    weights = bounds.diagonal or (0,) * len(bounds.per_variable)
+    limit = bounds.constant or 0
+    flips = spec.allows_sign_flips()
+    norms = []
+    for vec in itertools.product(*(range(-b, b + 1) for b in bounds.per_variable)):
+        norm = sum(w * x * x for w, x in zip(weights, vec))
+        if norm <= limit and not (flips and vec < tuple(-x for x in vec)):
+            norms.append(norm)
+    return sorted(norms)
+
+
+COUNT_CASES = [
+    (name, None) for name in list_builtin_cases()
+    if "search" in builtin_case(name) and name not in ("r-p", "cpn-split")
+] + [("r-p", q) for q in (1, 2, 3, 4)] + [("cpn-split", n) for n in (2, 3, 4, 8, 20)]
+
+
+@pytest.mark.parametrize(("name", "par"), COUNT_CASES)
+def test_visited_is_the_box_plus_the_recount(name, par):
+    spec = search_spec_for(name, par)
+    bounds = derive_bounds(spec)
+    cells = math.prod(2 * b + 1 for b in bounds.per_variable)
+    probes = ref_probe_count(_ball_norms(spec), spec.m, bounds.constant or 0)
+    assert enumerate_splittings(spec).visited == cells + probes
+
+
+@given(data=st.data())
+def test_count_probes_matches_the_recount(data):
+    """Against the recount, and both against the multisets counted one by one."""
+    norms = sorted(data.draw(st.lists(st.integers(0, 12), min_size=1, max_size=9)))
+    m = data.draw(st.integers(1, 5))
+    limit = data.draw(st.integers(0, 30))
+    brute = sum(
+        1 for multiset in itertools.combinations_with_replacement(range(len(norms)), m - 1)
+        if sum(norms[i] for i in multiset) <= limit
+    )
+    assert count_probes(norms, m, limit) == ref_probe_count(norms, m, limit) == brute
+
+
+@pytest.mark.parametrize(("n", "visited"), [(40, 37369), (50, 121551)])
+def test_wide_projective_spaces_count_in_time(n, visited):
+    """A count that blows up shows as a slow test, a wrong one as a failure."""
+    started = time.perf_counter()
+    cert = enumerate_splittings(search_spec_for("cpn-split", n))
+    assert time.perf_counter() - started < 2
+    assert (cert.visited, cert.solutions, cert.exhaustive) == (visited, (), True)
 
 
 # -- packed join keys ---------------------------------------------------------------

@@ -503,15 +503,15 @@ def test_dual_mul_is_the_transpose_of_mul(name, par):
 
 @pytest.mark.parametrize(
     ("name", "counts", "oracle_counts"),
-    [("su3-t2", (7, 5, 2), (15, 15, 9)), ("sp2-t2", (23, 16, 3), (40, 40, 16))],
+    [("su3-t2", (7, 0, 2), (15, 15, 9)), ("sp2-t2", (23, 16, 3), (40, 40, 16))],
 )
 def test_integrator_table_product_counts(monkeypatch, name, counts, oracle_counts):
     """`RingTables.mul` calls of chi_y, signature_direct and
     top_chern_integral on n nonzero roots: each head root costs one product
     per power of x and degree of the running product below the top, the
-    last root is never multiplied in, and zero roots cost nothing.  Degrees
-    that cannot reach the top are formed too: su3-t2 has odd n = 3, where
-    the even x/tanh x reaches no top degree, yet costs 5 products."""
+    last root is never multiplied in, and zero roots cost nothing.  At odd n
+    (su3-t2, n = 3) the even x/tanh x reaches no top degree, so
+    signature_direct forms no product."""
     ring = ring_for(name)
     products = []
     mul = RingTables.mul
