@@ -32,6 +32,7 @@ from .genus import (
 )
 from .repcat import ObstructionCase, RootSystem, catalog_irreps, obstruct_tangent_rep
 from .report import (
+    CanonicalError,
     CaseError,
     array,
     boolean,
@@ -294,27 +295,11 @@ def _title(doc: Mapping) -> tuple[str, str]:
     return field(doc, "name", "", string, "unnamed"), field(doc, "anchor", "", string, "")
 
 
-def _refused_at(value, where: str) -> str:
-    """The path of the innermost part of `value` that `check_exact` refuses."""
-    if isinstance(value, Mapping):
-        items = [(f"{where}.{key}" if where else str(key), item) for key, item in value.items()]
-    elif isinstance(value, (list, tuple)):
-        items = [(f"{where}[{i}]", item) for i, item in enumerate(value)]
-    else:
-        return where
-    for path, item in items:
-        try:
-            check_exact(item)
-        except TypeError:
-            return _refused_at(item, path)
-    return where  # a key that is not a string
-
-
 def _report(doc: Mapping, title: tuple[str, str], sections: dict) -> dict:
     try:
         digest = input_digest(dict(doc))
-    except TypeError as exc:  # a float in a field no section reads, say
-        raise CaseError(f"{_refused_at(doc, '') or 'case document'}: {exc}") from exc
+    except CanonicalError as exc:  # a float in a field no section reads, say
+        raise CaseError(f"{exc.where or 'case document'}: {exc}") from exc
     return {
         "case": title[0],
         "anchor": title[1],

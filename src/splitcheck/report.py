@@ -2,13 +2,16 @@
 
 Out: reports must be byte-identical across runs, so the serializer sorts
 keys, fixes separators, and refuses floats.  It works in two steps and
-copies nothing: `check_exact` reads the tree in place and raises TypeError
-at the first float, non-string key or unknown type, then one module-level
-`json.JSONEncoder` writes the tree as it is.  The json module's C encoder
-would write a float, so the check is the only thing that keeps one out of
-a report.  Exact rational values are kept lossless: the encoder's `default`
-hook, `exact_json`, makes a Fraction with denominator 1 a plain JSON
-integer and anything else the string "p/q".
+copies nothing: `check_exact` reads the tree in place and raises
+`CanonicalError`, a TypeError, at the first float, non-string key or
+unknown type, naming the path of the value it refuses in the readers'
+form below (a non-string key names the dict that holds it); then one
+module-level `json.JSONEncoder` writes the tree as it is.  The json
+module's C encoder would write a float, so the check is the only thing
+that keeps one out of a report.  Exact rational values are kept
+lossless: the encoder's `default` hook, `exact_json`, makes a Fraction
+with denominator 1 a plain JSON integer and anything else the string
+"p/q".
 
 In: the readers below state once what each value of a case document must
 be.  A reader takes the raw value and its path (`search.bound.note`,
@@ -34,32 +37,65 @@ from pathlib import Path
 _PLAIN = frozenset({str, int, bool, type(None)})
 
 
+class CanonicalError(TypeError):
+    """A value canonical JSON cannot hold; `path` holds the keys and list
+    indices that lead to it from the checked tree, outermost first."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.path: tuple[str | int, ...] = ()
+
+    @property
+    def where(self) -> str:
+        """`path` as the readers name it: `key`, then `.key` and `[i]`."""
+        where = ""
+        for step in self.path:
+            if isinstance(step, int):
+                where = f"{where}[{step}]"
+            else:
+                where = f"{where}.{step}" if where else step
+        return where
+
+
 def check_exact(value) -> None:
-    """Raise TypeError unless `value` is a tree the encoders write canonically.
+    """Raise `CanonicalError` unless `value` is a tree the encoders write canonically.
 
     The tree is read in place, depth first, each dict key before its item.
     Values of exact type str, int, bool or None are accepted before any
     isinstance test, and dict and list items of those types without a
     recursive call.  Dicts (string keys only), lists and tuples are walked;
     Fractions and subclasses of int and str are accepted; floats and
-    anything else are refused.
+    anything else are refused.  The error's path is filled in while the
+    recursion unwinds, so the walk of an accepted tree pays nothing for it.
     """
     if type(value) in _PLAIN:
         return
     if isinstance(value, dict):
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {key!r}")
-            if type(item) not in _PLAIN:
-                check_exact(item)
+        try:
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise CanonicalError(f"report keys must be strings, got {key!r}")
+                if type(item) not in _PLAIN:
+                    check_exact(item)
+        except CanonicalError as exc:
+            if isinstance(key, str):  # a bad key is the dict's own fault
+                exc.path = (key, *exc.path)
+            raise
     elif isinstance(value, (list, tuple)):
-        for item in value:
-            if type(item) not in _PLAIN:
-                check_exact(item)
+        try:
+            for item in value:
+                if type(item) not in _PLAIN:
+                    check_exact(item)
+        except CanonicalError as exc:
+            # the first item of its identity, as the walk stops at the first
+            # refusal; a generator here would make `value` and `item` closure
+            # cells, paid on every call
+            exc.path = (list(map(id, value)).index(id(item)), *exc.path)
+            raise
     elif isinstance(value, float):
-        raise TypeError(f"refusing to serialize float {value!r}; reports must be exact")
+        raise CanonicalError(f"refusing to serialize float {value!r}; reports must be exact")
     elif not isinstance(value, (str, int, Fraction)):
-        raise TypeError(f"cannot serialize {type(value).__name__} canonically")
+        raise CanonicalError(f"cannot serialize {type(value).__name__} canonically")
 
 
 def exact_json(value):

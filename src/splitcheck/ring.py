@@ -17,7 +17,10 @@ monomials of degree <= top_degree.  Each monomial some rule rewrites is
 reduced, so a cycle is found, and is stepped by every rule after the first
 that applies there; each step's normal form must equal the monomial's.
 The first rule's step needs no check, as it is the step the reduction
-takes, and a monomial no rule rewrites has no step to check.
+takes, and a monomial no rule rewrites has no step to check.  The check
+raises its fault where it finds it, naming `ring.relations` and the
+witness monomial: the reduction raises `DivergenceError` at the monomial
+it re-enters, and the walk raises `ConfluenceError` with both normal forms.
 
 Class arithmetic states its rule once: `_add_into` adds c * terms into a
 dict accumulator and drops the monomials that cancel, and `_graded` turns
@@ -217,15 +220,6 @@ class RewriteRule:
             raise PresentationError(f"rule lhs {self.lhs} occurs in its own rhs")
 
 
-@dataclass
-class ConfluenceReport:
-    ok: bool
-    basis_sizes: dict[int, int]
-    witness: Monomial | None = None
-    witness_forms: tuple[GradedClass, GradedClass] | None = None
-    message: str = ""
-
-
 class RingPresentation:
     """Graded ring presented by degree-2 generators and rewrite rules."""
 
@@ -297,7 +291,8 @@ class RingPresentation:
         if mono in in_progress:
             raise DivergenceError(
                 mono,
-                f"reduction of {self.format_monomial(mono)} cycles; the rule list does not terminate",
+                f"ring.relations: reduction of {self.format_monomial(mono)} cycles; "
+                "the rule list does not terminate",
             )
         rule = self._first_rule(mono)
         if rule is None:
@@ -522,7 +517,7 @@ class RingTables:
         return max(norms.values(), default=0)
 
 
-def check_confluence(ring: RingPresentation) -> ConfluenceReport:
+def check_confluence(ring: RingPresentation) -> None:
     """Exhaustively verify one normal form per monomial of degree <= top.
 
     For every monomial and every applicable rule, the deterministic normal
@@ -531,40 +526,28 @@ def check_confluence(ring: RingPresentation) -> ConfluenceReport:
     this pins down a unique normal form under any application order.
 
     The walk visits the monomials of `ring.rule_index` in degree, then
-    ascending lex order, and reduces each one, so a cycling rule list is
-    still found.  Only the second and later applicable rules are stepped:
-    the first rule's step, reduced, is by construction what the reduction
-    computes, so it cannot disagree; and an irreducible monomial has no
-    rule to check.  Witnesses and messages are those of the walk over every
-    monomial and every rule.
+    ascending lex order, and reduces each one, so a cycling rule list
+    raises the reduction's `DivergenceError` at the monomial it re-enters.
+    Only the second and later applicable rules are stepped: the first
+    rule's step, reduced, is by construction what the reduction computes,
+    so it cannot disagree; and an irreducible monomial has no rule to
+    check.  A step with another normal form raises `ConfluenceError` with
+    the monomial and both forms.  Witnesses and messages are those of the
+    walk over every monomial and every rule.
     """
     index = ring.rule_index
-    try:
-        for mono in sorted(index, key=lambda mono: (sum(mono), mono)):
-            reference = ring.reduce_monomial(mono)
-            for rule in index[mono][1:]:
-                stepped = normal_form(ring, ring.one_step(mono, rule))
-                if stepped != reference:
-                    return ConfluenceReport(
-                        ok=False,
-                        basis_sizes={},
-                        witness=mono,
-                        witness_forms=(reference, stepped),
-                        message=(
-                            f"monomial {ring.format_monomial(mono)} has normal forms "
-                            f"{ring.format_class(reference)} and {ring.format_class(stepped)}"
-                        ),
-                    )
-    except DivergenceError as err:
-        return ConfluenceReport(
-            ok=False,
-            basis_sizes={},
-            witness=err.witness,
-            witness_forms=None,
-            message=str(err),
-        )
-    sizes = {d: len(basis(ring, d)) for d in range(0, ring.top_degree + 1, 2)}
-    return ConfluenceReport(ok=True, basis_sizes=sizes)
+    for mono in sorted(index, key=lambda mono: (sum(mono), mono)):
+        reference = ring.reduce_monomial(mono)
+        for rule in index[mono][1:]:
+            stepped = normal_form(ring, ring.one_step(mono, rule))
+            if stepped != reference:
+                raise ConfluenceError(
+                    mono,
+                    (reference, stepped),
+                    f"ring.relations: presentation is not confluent: monomial "
+                    f"{ring.format_monomial(mono)} has normal forms "
+                    f"{ring.format_class(reference)} and {ring.format_class(stepped)}",
+                )
 
 
 def _read_presentation(doc) -> RingPresentation:
@@ -608,9 +591,10 @@ def parse_presentation(doc: Mapping) -> RingPresentation:
 
     Every error message names the offending field of the case document's
     ``ring`` section, e.g. ``ring.relations[0].lhs``.  Each is a
-    `PresentationError`, the readers' type errors included: a rule list
-    whose reduction cycles is a `DivergenceError`, and a monomial with two
-    normal forms a `ConfluenceError`.
+    `PresentationError`, the readers' type errors included.  The rewriting
+    is checked by `check_confluence`, whose errors pass through as raised:
+    a rule list whose reduction cycles is a `DivergenceError`, and a
+    monomial with two normal forms a `ConfluenceError`.
     """
     try:
         ring = _read_presentation(doc)
@@ -623,15 +607,7 @@ def parse_presentation(doc: Mapping) -> RingPresentation:
             f"ring.top_degree: {top_degree} over {n} generators gives {monomials} monomials "
             f"of degree <= top, more than the {MAX_MONOMIALS} the confluence check walks"
         )
-    report = check_confluence(ring)
-    if not report.ok:
-        if report.witness_forms is None:
-            raise DivergenceError(report.witness, f"ring.relations: {report.message}")
-        raise ConfluenceError(
-            report.witness,
-            report.witness_forms,
-            f"ring.relations: presentation is not confluent: {report.message}",
-        )
+    check_confluence(ring)
     if ring.fundamental in ring.rule_index:
         raise PresentationError("ring.fundamental: monomial is reducible")
     top_basis = basis(ring, ring.top_degree)

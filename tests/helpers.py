@@ -18,9 +18,10 @@ coefficient with its signed mirror.
 `generator_class` and `divide_by_one_plus_y` serve the tests only.
 `ref_rows` and `ref_table_mul` are the compiled ring tables' oracle: dense
 rows built with `ring_mul`, and the loop over every row entry.
-`ref_first_rule` and `ref_check_confluence` are the rule index's oracle:
-the scan of the rule list at each monomial, and the confluence check that
-steps every applicable rule at every monomial of degree <= top.
+`ref_first_rule`, `ref_check_confluence` and `ref_basis_sizes` are the
+rule index's oracle: the scan of the rule list at each monomial, the
+confluence check that steps every applicable rule at every monomial of
+degree <= top, and the count of the monomials no rule rewrites.
 `ref_enumerate` is the search's differential oracle: the ordered-tuple walk
 over every coordinate at once, with no ball, no join and no symmetry
 reduction.  `ref_canonicalize_solution` is the canonicalizer's oracle: the
@@ -37,7 +38,8 @@ its weight alone, so every dimension is computed again.  `ref_multisets` and
 nondecreasing index sequence, one generator frame per summand, with the
 filters read off the flat sequence.  `ref_jsonable` is
 the serializer's oracle: the plain isinstance chain, with no dispatch on
-exact types.
+exact types.  `ref_refused_at` is the oracle of the path `check_exact`
+names: a second walk from the top that asks the check of each part in turn.
 
 Coordinate convention used throughout: a degree-2 vector lists coefficients
 in the ascending basis order of the ring, which for generators written in
@@ -72,9 +74,9 @@ from splitcheck.repcat import (
     product_catalog,
     weyl_dim,
 )
+from splitcheck.report import check_exact
 from splitcheck.ring import (
-    ConfluenceReport,
-    DivergenceError,
+    ConfluenceError,
     GradedClass,
     RewriteRule,
     RingPresentation,
@@ -330,41 +332,34 @@ def ref_first_rule(ring: RingPresentation, mono) -> RewriteRule | None:
     return None
 
 
-def ref_check_confluence(ring: RingPresentation) -> ConfluenceReport:
+def ref_check_confluence(ring: RingPresentation) -> None:
     """`check_confluence` as the walk over every monomial of degree <= top,
-    stepping every rule that applies there, the first one included."""
-    try:
-        for mono in all_monomials(ring):
-            reference = ring.reduce_monomial(mono)
-            for rule in ring.rules:
-                if not monomial_divides(rule.lhs, mono):
-                    continue
-                stepped = normal_form(ring, ring.one_step(mono, rule))
-                if stepped != reference:
-                    return ConfluenceReport(
-                        ok=False,
-                        basis_sizes={},
-                        witness=mono,
-                        witness_forms=(reference, stepped),
-                        message=(
-                            f"monomial {ring.format_monomial(mono)} has normal forms "
-                            f"{ring.format_class(reference)} and {ring.format_class(stepped)}"
-                        ),
-                    )
-    except DivergenceError as err:
-        return ConfluenceReport(
-            ok=False,
-            basis_sizes={},
-            witness=err.witness,
-            witness_forms=None,
-            message=str(err),
-        )
+    stepping every rule that applies there, the first one included; a
+    cycle raises from the reduction, as in the check."""
+    for mono in all_monomials(ring):
+        reference = ring.reduce_monomial(mono)
+        for rule in ring.rules:
+            if not monomial_divides(rule.lhs, mono):
+                continue
+            stepped = normal_form(ring, ring.one_step(mono, rule))
+            if stepped != reference:
+                raise ConfluenceError(
+                    mono,
+                    (reference, stepped),
+                    f"ring.relations: presentation is not confluent: monomial "
+                    f"{ring.format_monomial(mono)} has normal forms "
+                    f"{ring.format_class(reference)} and {ring.format_class(stepped)}",
+                )
+
+
+def ref_basis_sizes(ring: RingPresentation) -> dict[int, int]:
+    """The number of monomials of each even degree <= top no rule rewrites,
+    by the scan of the rule list."""
     n = len(ring.generators)
-    sizes = {
+    return {
         d: sum(ref_first_rule(ring, mono) is None for mono in monomials_of_degree(n, d // 2))
         for d in range(0, ring.top_degree + 1, 2)
     }
-    return ConfluenceReport(ok=True, basis_sizes=sizes)
 
 
 def random_rules(rng: random.Random, n: int, top: int) -> list[RewriteRule]:
@@ -753,3 +748,26 @@ def ref_jsonable(value):
     if isinstance(value, (list, tuple)):
         return [ref_jsonable(item) for item in value]
     raise TypeError(f"cannot serialize {type(value).__name__} canonically")
+
+
+def ref_refused_at(value, where: str) -> str:
+    """The path of the innermost part of `value` that `check_exact` refuses,
+    found by checking each part in the check's order, from the top down."""
+    if isinstance(value, dict):
+        # a key that is not a string is the dict's own fault: no path
+        items = [
+            ((f"{where}.{key}" if where else str(key)) if isinstance(key, str) else None, item)
+            for key, item in value.items()
+        ]
+    elif isinstance(value, (list, tuple)):
+        items = [(f"{where}[{i}]", item) for i, item in enumerate(value)]
+    else:
+        return where
+    for path, item in items:
+        if path is None:
+            return where
+        try:
+            check_exact(item)
+        except TypeError:
+            return ref_refused_at(item, path)
+    return where

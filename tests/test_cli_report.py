@@ -10,15 +10,17 @@ import subprocess
 import sys
 from enum import IntEnum
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import ref_jsonable
+from helpers import ref_jsonable, ref_refused_at
 from splitcheck.cases import builtin_case, list_builtin_cases
 from splitcheck.cli import CaseError, main, run_case
 from splitcheck.report import (
+    CanonicalError,
     canonical_bytes,
     check_exact,
     exact_json,
@@ -89,6 +91,7 @@ _trees = st.recursive(
         st.dictionaries(st.text(max_size=3), children, max_size=4),
         st.dictionaries(st.text(max_size=3), children, max_size=4).map(_Record),
         st.dictionaries(_keys, children, max_size=3),
+        st.dictionaries(st.text(max_size=3), children, max_size=3).map(MappingProxyType),
     ),
     max_leaves=12,
 )
@@ -116,17 +119,25 @@ def _typed(value):
 @example(_Items(["a", _Record({"b": Fraction(3)})]))
 @example(_Record({"z": _Items([True]), "a": _Record({_Name("k"): None})}))
 @example(_Record({"a": 1, 2: "b"}))
+@example({"b": 0.5, 1: "a"})
+@example({1: "a", "b": 0.5})
+@example({"": {"a": [0.5]}, "b": 1})
+@example({"x": [{"y": 1}, ({"": 0.5},)]})
+@example([Fraction(1, 2), 0.5])
+@example({"extra": MappingProxyType({"z": [0.5]})})
 def test_canonical_bytes_matches_isinstance_oracle(value):
     """The checked, uncopied tree encodes to the oracle's bytes, on the
     canonical encoder and on the CLI's indented one, and is left as it was;
-    every refusal is a TypeError."""
+    every refusal is a `CanonicalError` naming the path the top-down walk
+    of `ref_refused_at` finds."""
     try:
         expected = ref_jsonable(value)
     except TypeError:
-        with pytest.raises(TypeError):
+        with pytest.raises(CanonicalError):
             canonical_bytes(value)
-        with pytest.raises(TypeError):
+        with pytest.raises(CanonicalError) as info:
             check_exact(value)
+        assert info.value.where == ref_refused_at(value, "")
         return
     before = _typed(value)
     assert canonical_bytes(value) == (
@@ -136,6 +147,16 @@ def test_canonical_bytes_matches_isinstance_oracle(value):
     assert json.dumps(value, sort_keys=True, indent=2, default=exact_json) == json.dumps(
         expected, sort_keys=True, indent=2
     )
+
+
+def test_a_mapping_that_is_not_a_dict_is_refused_by_its_own_path():
+    """check_exact refuses a non-dict mapping as a whole, so the error names
+    the mapping, not a value inside it."""
+    doc = builtin_case("cp2-connect-sum")
+    doc["extra"] = MappingProxyType({"z": [0.5]})
+    with pytest.raises(CaseError) as info:
+        run_case(doc)
+    assert str(info.value) == "extra: cannot serialize mappingproxy canonically"
 
 
 def test_canonical_bytes_are_order_insensitive():

@@ -21,6 +21,7 @@ from helpers import (
     generator_class,
     random_class,
     random_rules,
+    ref_basis_sizes,
     ref_check_confluence,
     ref_first_rule,
     ref_rows,
@@ -30,7 +31,6 @@ from helpers import (
 from splitcheck.cases import builtin_case, list_builtin_cases
 from splitcheck.ring import (
     ConfluenceError,
-    ConfluenceReport,
     DegreeError,
     DivergenceError,
     GradedClass,
@@ -92,18 +92,17 @@ def test_integrate_zero_class():
     assert integrate(ring, cls(((1, 1), 5))) == 0
 
 
+def _basis_sizes(ring: RingPresentation) -> dict[int, int]:
+    return {d: len(basis(ring, d)) for d in range(0, ring.top_degree + 1, 2)}
+
+
 def test_connect_sum_basis_sizes():
-    ring = ring_for("cp2-connect-sum")
-    report = check_confluence(ring)
-    assert report.ok
-    assert report.basis_sizes == {0: 1, 2: 2, 4: 1}
+    assert _basis_sizes(ring_for("cp2-connect-sum")) == {0: 1, 2: 2, 4: 1}
 
 
 def test_family_basis_sizes_both_presentations():
     for name in ("r-p", "r-p-u-variant"):
-        report = check_confluence(ring_for(name, 2))
-        assert report.ok
-        assert report.basis_sizes == {0: 1, 2: 3, 4: 3, 6: 1}
+        assert _basis_sizes(ring_for(name, 2)) == {0: 1, 2: 3, 4: 3, 6: 1}
 
 
 def test_su3_degree4_basis():
@@ -197,11 +196,13 @@ def test_nonconfluent_pair_detected():
         RewriteRule((1, 1), cls(((0, 2), 1))),
     )
     ring = RingPresentation(("a", "b"), rules, top_degree=4, fundamental=(2, 0))
-    report = check_confluence(ring)
-    assert not report.ok
-    assert report.witness == (1, 1)
-    assert report.witness_forms[0] != report.witness_forms[1]
-    assert "normal forms" in report.message
+    with pytest.raises(ConfluenceError) as info:
+        check_confluence(ring)
+    assert info.value.witness == (1, 1)
+    assert info.value.forms == (cls(((2, 0), 1)), cls(((0, 2), 1)))
+    assert str(info.value) == (
+        "ring.relations: presentation is not confluent: monomial a*b has normal forms a^2 and b^2"
+    )
 
 
 def test_nonconfluent_document_raises_on_parse():
@@ -225,10 +226,9 @@ def test_divergent_rules_reported():
         RewriteRule((0, 2), cls(((2, 0), 1), ((1, 1), 1))),
     )
     ring = RingPresentation(("a", "b"), rules, top_degree=4, fundamental=(1, 1))
-    report = check_confluence(ring)
-    assert not report.ok
-    assert report.witness in {(2, 0), (0, 2)}
-    assert "cycle" in report.message or "re-entered" in report.message
+    with pytest.raises(DivergenceError, match=r"^ring\.relations: reduction of .* cycles") as info:
+        check_confluence(ring)
+    assert info.value.witness in {(2, 0), (0, 2)}
 
 
 def test_divergent_document_raises_on_parse():
@@ -251,34 +251,36 @@ def test_divergent_document_raises_on_parse():
 
 @pytest.mark.parametrize(("name", "par"), RING_REFS, ids=RING_IDS)
 def test_builtin_presentations_confluent(name, par):
-    assert check_confluence(ring_for(name, par)).ok
+    assert check_confluence(ring_for(name, par)) is None
 
 
 # -- the rule index against the scan of the rule list ----------------------------
 
 
+_OUTCOMES = {type(None): "confluent", DivergenceError: "diverges", ConfluenceError: "two normal forms"}
+
+
 def _check_outcome(check, ring: RingPresentation):
-    """The report of a confluence check, or its exception with its witness."""
+    """A confluence check's (type, witness, message, forms): its exception's,
+    or None's when it returns None."""
     try:
-        return check(ring)
+        return type(check(ring)), None, "", None
     except Exception as exc:
-        return type(exc), getattr(exc, "witness", None), str(exc)
+        return type(exc), getattr(exc, "witness", None), str(exc), getattr(exc, "forms", None)
 
 
 def _assert_index_matches_scan(generators, rules, top: int, fundamental) -> str:
-    """Same first rule at every monomial of degree <= top and the same
-    confluence outcome as the scans, each check on a fresh ring; returns
-    which outcome it was."""
+    """Same first rule at every monomial of degree <= top, the same
+    confluence outcome as the scans, each check on a fresh ring, and on a
+    confluent ring the same basis sizes; returns which outcome it was."""
     indexed, scanned = (RingPresentation(generators, rules, top, fundamental) for _ in range(2))
     for mono in all_monomials(indexed):
         assert indexed._first_rule(mono) is ref_first_rule(indexed, mono), mono
-    report = _check_outcome(check_confluence, indexed)
-    assert report == _check_outcome(ref_check_confluence, scanned)
-    if not isinstance(report, ConfluenceReport):
-        return "raised"
-    if report.ok:
-        return "confluent"
-    return "diverges" if report.witness_forms is None else "two normal forms"
+    outcome = _check_outcome(check_confluence, indexed)
+    assert outcome == _check_outcome(ref_check_confluence, scanned)
+    if outcome[0] is type(None):
+        assert _basis_sizes(indexed) == ref_basis_sizes(scanned)
+    return _OUTCOMES.get(outcome[0], "raised")
 
 
 @pytest.mark.parametrize(("name", "par"), RING_REFS, ids=RING_IDS)
