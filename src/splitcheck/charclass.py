@@ -18,8 +18,7 @@ one of the wrong degree, or one whose normal form is not integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .record import Frozen
 from .ring import (
     GradedClass,
     RingPresentation,
@@ -39,27 +38,26 @@ class TargetError(ValueError):
     """No sum of line bundles reaches the target named first in the message."""
 
 
-@dataclass(frozen=True)
-class LineBundleSum:
-    ring: RingPresentation
-    first_chern_classes: tuple[GradedClass, ...]
+class LineBundleSum(Frozen):
+    __slots__ = ("ring", "first_chern_classes")
 
-    def __post_init__(self) -> None:
-        if not self.first_chern_classes:
+    def __init__(self, ring: RingPresentation, first_chern_classes: tuple[GradedClass, ...]):
+        if not first_chern_classes:
             raise ValueError("a line bundle sum needs at least one summand")
-        for i, c in enumerate(self.first_chern_classes):
+        for i, c in enumerate(first_chern_classes):
             if not c.is_zero() and c.homogeneous_degree() != 2:
                 raise ValueError(f"c1 #{i} is not homogeneous of degree 2")
             if not c.is_integral():
                 raise ValueError(f"c1 #{i} has non-integer coefficients")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "first_chern_classes", first_chern_classes)
 
     @property
     def m(self) -> int:
         return len(self.first_chern_classes)
 
 
-@dataclass(frozen=True)
-class TargetClasses:
+class TargetClasses(Frozen):
     """Tangent-bundle values a candidate splitting must reproduce.
 
     euler_sign_flexible records that the Euler class is only known up to
@@ -68,11 +66,21 @@ class TargetClasses:
     bundles; sign-rigid by nature).
     """
 
-    p1_target: GradedClass
-    euler_target: GradedClass
-    euler_sign_flexible: bool
-    real_rank: int
-    chern_target: GradedClass | None = None
+    __slots__ = ("p1_target", "euler_target", "euler_sign_flexible", "real_rank", "chern_target")
+
+    def __init__(
+        self,
+        p1_target: GradedClass,
+        euler_target: GradedClass,
+        euler_sign_flexible: bool,
+        real_rank: int,
+        chern_target: GradedClass | None = None,
+    ):
+        object.__setattr__(self, "p1_target", p1_target)
+        object.__setattr__(self, "euler_target", euler_target)
+        object.__setattr__(self, "euler_sign_flexible", euler_sign_flexible)
+        object.__setattr__(self, "real_rank", real_rank)
+        object.__setattr__(self, "chern_target", chern_target)
 
 
 def first_pontryagin(lbsum: LineBundleSum) -> GradedClass:
@@ -96,14 +104,24 @@ def total_chern(lbsum: LineBundleSum) -> GradedClass:
     return out
 
 
-@dataclass
 class MatchReport:
-    matched: bool
-    p1_ok: bool
-    euler_ok: bool
-    euler_sign: int | None
-    chern_ok: bool | None
-    residuals: dict[str, GradedClass]
+    __slots__ = ("matched", "p1_ok", "euler_ok", "euler_sign", "chern_ok", "residuals")
+
+    def __init__(
+        self,
+        matched: bool,
+        p1_ok: bool,
+        euler_ok: bool,
+        euler_sign: int | None,
+        chern_ok: bool | None,
+        residuals: dict[str, GradedClass],
+    ):
+        self.matched = matched
+        self.p1_ok = p1_ok
+        self.euler_ok = euler_ok
+        self.euler_sign = euler_sign
+        self.chern_ok = chern_ok
+        self.residuals = residuals
 
 
 def _normal_target(

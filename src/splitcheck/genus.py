@@ -35,13 +35,13 @@ is integral, else a `Fraction`.  No floating point appears anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
+from .record import Frozen
 from .ring import GradedClass, RingPresentation, _tighten
 # Not called here: perfbench/tracing.py rebinds this name on this module.
 from .ring import ring_mul  # noqa: F401
@@ -63,8 +63,7 @@ def _quotient(num: int, den: int) -> Fraction | int:
     return Fraction(num, den) if rest else quotient
 
 
-@dataclass(frozen=True)
-class YPolynomial:
+class YPolynomial(Frozen):
     """Exact polynomial in the genus variable y.
 
     Each coefficient is exact: an int when it is integral, else a
@@ -73,7 +72,15 @@ class YPolynomial:
     serialize as the same JSON integer.
     """
 
-    coefficients: tuple[Fraction | int, ...]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[Fraction | int, ...]):
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not YPolynomial:
+            return NotImplemented
+        return self.coefficients == other.coefficients
 
     @staticmethod
     def from_coeffs(coeffs: Sequence[Fraction | int]) -> "YPolynomial":
@@ -115,15 +122,16 @@ def _divide_by_one_plus_y(coeffs: Sequence[Fraction | int]) -> list[Fraction | i
     return quotient
 
 
-@dataclass(frozen=True)
-class ChernRootData:
-    ring: RingPresentation
-    roots: tuple[GradedClass, ...]
+class ChernRootData(Frozen):
+    # the __dict__ holds what `integer_roots` caches
+    __slots__ = ("ring", "roots", "__dict__")
 
-    def __post_init__(self) -> None:
-        for i, r in enumerate(self.roots):
+    def __init__(self, ring: RingPresentation, roots: tuple[GradedClass, ...]):
+        for i, r in enumerate(roots):
             if not r.is_zero() and r.homogeneous_degree() != 2:
                 raise ValueError(f"root #{i} is not homogeneous of degree 2")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "roots", roots)
 
     @property
     def n(self) -> int:
@@ -162,8 +170,7 @@ class ChernRootData:
         return tuple(map(tuple, vecs)), scale // common
 
 
-@dataclass(frozen=True)
-class _Factor:
+class _Factor(Frozen):
     """A multiplicative-sequence factor f(x) = sum_k c_k(y) x^k over ints.
 
     `coeffs[k]` lists the y-coefficients of denom * c_k, up to the last
@@ -171,9 +178,12 @@ class _Factor:
     denominators, and `norms[k]` is the l1 norm of `coeffs[k]`.
     """
 
-    coeffs: tuple[tuple[int, ...], ...]
-    denom: int
-    norms: tuple[int, ...]
+    __slots__ = ("coeffs", "denom", "norms")
+
+    def __init__(self, coeffs: tuple[tuple[int, ...], ...], denom: int, norms: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "denom", denom)
+        object.__setattr__(self, "norms", norms)
 
     @staticmethod
     def of(coeffs: Sequence[Sequence[Fraction | int]]) -> "_Factor":
@@ -425,14 +435,16 @@ def hirzebruch_congruence(chi_val: int, sigma_val: int, m: int) -> bool:
     return (chi_val - (-1) ** m * sigma_val) % 4 == 0
 
 
-@dataclass
 class TelescopeReport:
-    n: int
-    chi: int
-    sigma: int
-    correction: int
-    identity_holds: bool
-    congruent: bool
+    __slots__ = ("n", "chi", "sigma", "correction", "identity_holds", "congruent")
+
+    def __init__(self, n: int, chi: int, sigma: int, correction: int, identity_holds: bool, congruent: bool):
+        self.n = n
+        self.chi = chi
+        self.sigma = sigma
+        self.correction = correction
+        self.identity_holds = identity_holds
+        self.congruent = congruent
 
 
 def telescoped_congruence(coefficients: Sequence[int]) -> TelescopeReport:

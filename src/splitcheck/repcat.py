@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .genus import hirzebruch_congruence
+from .record import Frozen
 
 REAL = "real"
 COMPLEX = "complex"
@@ -35,20 +35,20 @@ class CatalogError(ValueError):
     """A catalog cannot certify completeness for the requested bound."""
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Frozen):
     """Type B_m (Spin(2m+1)), A_1 (SU(2)), or T (circle, reconstructed)."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self) -> None:
-        if self.family not in ("A", "B", "T"):
-            raise ValueError(f"unsupported family {self.family!r}")
-        if self.family in ("A", "T") and self.rank != 1:
-            raise ValueError(f"family {self.family} requires rank 1")
-        if self.family == "B" and self.rank < 1:
+    def __init__(self, family: str, rank: int):
+        if family not in ("A", "B", "T"):
+            raise ValueError(f"unsupported family {family!r}")
+        if family in ("A", "T") and rank != 1:
+            raise ValueError(f"family {family} requires rank 1")
+        if family == "B" and rank < 1:
             raise ValueError("B_m requires rank >= 1")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
 
     @property
     def group_name(self) -> str:
@@ -156,14 +156,31 @@ def _b_weight_name(rank: int, weight: tuple[int, ...]) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class Irrep:
-    rs: RootSystem
-    highest_weight: tuple[int, ...]
-    complex_dim: int
-    field_type: str
-    real_dim: int
-    name: str
+class Irrep(Frozen):
+    __slots__ = ("rs", "highest_weight", "complex_dim", "field_type", "real_dim", "name")
+
+    def __init__(
+        self,
+        rs: RootSystem,
+        highest_weight: tuple[int, ...],
+        complex_dim: int,
+        field_type: str,
+        real_dim: int,
+        name: str,
+    ):
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "highest_weight", highest_weight)
+        object.__setattr__(self, "complex_dim", complex_dim)
+        object.__setattr__(self, "field_type", field_type)
+        object.__setattr__(self, "real_dim", real_dim)
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Irrep:
+            return NotImplemented
+        return (self.rs, self.highest_weight, self.complex_dim, self.field_type, self.real_dim, self.name) == (
+            other.rs, other.highest_weight, other.complex_dim, other.field_type, other.real_dim, other.name
+        )
 
     @staticmethod
     def build(rs: RootSystem, weight: Sequence[int]) -> "Irrep":
@@ -193,11 +210,18 @@ class Irrep:
         return all(w == 0 for w in self.highest_weight)
 
 
-@dataclass(frozen=True)
-class IrrepCatalog:
-    rs: RootSystem
-    dim_bound: int
-    entries: tuple[Irrep, ...]
+class IrrepCatalog(Frozen):
+    __slots__ = ("rs", "dim_bound", "entries")
+
+    def __init__(self, rs: RootSystem, dim_bound: int, entries: tuple[Irrep, ...]):
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "dim_bound", dim_bound)
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not IrrepCatalog:
+            return NotImplemented
+        return (self.rs, self.dim_bound, self.entries) == (other.rs, other.dim_bound, other.entries)
 
     def nontrivial(self) -> list[Irrep]:
         return [e for e in self.entries if not e.is_trivial]
@@ -262,15 +286,24 @@ def catalog_irreps(rs: RootSystem, dim_bound: int) -> IrrepCatalog:
     return IrrepCatalog(rs=rs, dim_bound=dim_bound, entries=tuple(entries))
 
 
-@dataclass(frozen=True)
-class ProductIrrep:
+class ProductIrrep(Frozen):
     """External tensor product of one irrep per factor group."""
 
-    components: tuple[Irrep, ...]
-    complex_dim: int
-    field_type: str
-    real_dim: int
-    name: str
+    __slots__ = ("components", "complex_dim", "field_type", "real_dim", "name")
+
+    def __init__(self, components: tuple[Irrep, ...], complex_dim: int, field_type: str, real_dim: int, name: str):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "complex_dim", complex_dim)
+        object.__setattr__(self, "field_type", field_type)
+        object.__setattr__(self, "real_dim", real_dim)
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ProductIrrep:
+            return NotImplemented
+        return (self.components, self.complex_dim, self.field_type, self.real_dim, self.name) == (
+            other.components, other.complex_dim, other.field_type, other.real_dim, other.name
+        )
 
     @staticmethod
     def build(components: Sequence[Irrep]) -> "ProductIrrep":
@@ -289,20 +322,20 @@ class ProductIrrep:
         )
 
 
-@dataclass
 class ObstructionCase:
     """A manifold of dimension `manifold_dim` with Euler characteristic `chi`
     and signature `sigma`; both filter switches are derived from these."""
 
-    factors: tuple[RootSystem, ...]
-    manifold_dim: int
-    chi: int
-    sigma: int
-    provenance: str = ""
+    __slots__ = ("factors", "manifold_dim", "chi", "sigma", "provenance")
 
-    def __post_init__(self) -> None:
-        if self.manifold_dim <= 0 or self.manifold_dim % 2:
-            raise ValueError(f"manifold_dim: expected an even positive integer, got {self.manifold_dim}")
+    def __init__(self, factors: tuple[RootSystem, ...], manifold_dim: int, chi: int, sigma: int, provenance: str = ""):
+        if manifold_dim <= 0 or manifold_dim % 2:
+            raise ValueError(f"manifold_dim: expected an even positive integer, got {manifold_dim}")
+        self.factors = factors
+        self.manifold_dim = manifold_dim
+        self.chi = chi
+        self.sigma = sigma
+        self.provenance = provenance
 
     @property
     def euler_nonzero(self) -> bool:
@@ -325,7 +358,6 @@ class ObstructionCase:
                     or hirzebruch_congruence(self.chi, -self.sigma, m))
 
 
-@dataclass
 class MultisetTrace:
     """One multiset and the filter that rejected it.
 
@@ -333,16 +365,21 @@ class MultisetTrace:
     counts, in catalog order.
     """
 
-    summands: tuple[tuple[ProductIrrep, int], ...]
-    rejected_by: str | None  # "F1", "F2", or None when the multiset survives
-    detail: str
+    __slots__ = ("summands", "rejected_by", "detail")
+
+    def __init__(self, summands: tuple[tuple[ProductIrrep, int], ...], rejected_by: str | None, detail: str):
+        self.summands = summands
+        self.rejected_by = rejected_by  # "F1", "F2", or None when the multiset survives
+        self.detail = detail
 
 
-@dataclass
 class ObstructionResult:
-    verdict: str  # "NO-VALID-V" or "VALID-V-EXISTS"
-    traces: list[MultisetTrace]
-    product_entries: list[ProductIrrep]
+    __slots__ = ("verdict", "traces", "product_entries")
+
+    def __init__(self, verdict: str, traces: list[MultisetTrace], product_entries: list[ProductIrrep]):
+        self.verdict = verdict  # "NO-VALID-V" or "VALID-V-EXISTS"
+        self.traces = traces
+        self.product_entries = product_entries
 
 
 def product_catalog(case: ObstructionCase) -> list[ProductIrrep]:

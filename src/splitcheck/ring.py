@@ -42,12 +42,12 @@ dicts stays the product the acceptance rule uses.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import comb
 from operator import add, le
 
+from .record import Frozen
 from .report import CaseError, array, field, integer, integers, obj, string, terms
 
 Monomial = tuple[int, ...]
@@ -153,15 +153,18 @@ def monomials_of_degree(n_gens: int, total: int) -> Iterator[Monomial]:
             yield (head,) + tail
 
 
-@dataclass(frozen=True)
-class GradedClass:
+class GradedClass(Frozen):
     """A finite rational combination of monomials.
 
     ``terms`` never stores zero coefficients.  Instances are immutable and
     ring-agnostic; the ring is supplied to the operations that need rules.
+    Two classes are equal when their terms are, and hash alike then.
     """
 
-    terms: Mapping[Monomial, Coeff]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping[Monomial, Coeff]):
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple[Monomial, Coeff]]) -> "GradedClass":
@@ -195,29 +198,39 @@ class GradedClass:
     def coefficient(self, mono: Monomial) -> Coeff:
         return self.terms.get(mono, 0)
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not GradedClass:
+            return NotImplemented
+        return self.terms == other.terms
+
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    lhs: Monomial
-    rhs: GradedClass
+class RewriteRule(Frozen):
+    """The rule lhs -> rhs, between classes of one positive degree."""
 
-    def __post_init__(self) -> None:
-        lhs_deg = monomial_degree(self.lhs)
-        for mono, coeff in self.rhs.terms.items():
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Monomial, rhs: GradedClass):
+        lhs_deg = monomial_degree(lhs)
+        # a rule for 1 would set 1 equal to its rhs, which can only be 0
+        if not lhs_deg:
+            raise PresentationError(f"rule lhs {lhs} is the constant monomial 1, which no rule may rewrite")
+        for mono, coeff in rhs.terms.items():
             if monomial_degree(mono) != lhs_deg:
                 raise PresentationError(
-                    f"rule degree mismatch: lhs {self.lhs} has degree {lhs_deg}, "
+                    f"rule degree mismatch: lhs {lhs} has degree {lhs_deg}, "
                     f"rhs contains a monomial of degree {monomial_degree(mono)}"
                 )
             # integral rules give integral products of basis monomials, and
             # the tables, the search and the integrator rely on it
             if coeff.denominator != 1:
-                raise PresentationError(f"rule for {self.lhs}: rhs coefficient {coeff} is not an integer")
-        if self.lhs in self.rhs.terms:
-            raise PresentationError(f"rule lhs {self.lhs} occurs in its own rhs")
+                raise PresentationError(f"rule for {lhs}: rhs coefficient {coeff} is not an integer")
+        if lhs in rhs.terms:
+            raise PresentationError(f"rule lhs {lhs} occurs in its own rhs")
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
 class RingPresentation:

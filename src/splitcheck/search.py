@@ -56,7 +56,6 @@ import bisect
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import Sequence
@@ -64,6 +63,7 @@ from typing import Sequence
 from .charclass import LineBundleSum, TargetClasses, TargetMatcher
 # Not called here: perfbench/tracing.py rebinds these names on this module.
 from .charclass import euler_class, first_pontryagin, total_chern  # noqa: F401
+from .record import Frozen
 from .ring import GradedClass, RingPresentation, Vector, normal_form
 
 DEFAULT_BUDGET = 10**9
@@ -76,58 +76,101 @@ class BoundError(ValueError):
     """The requested multipliers do not certify a finite search box."""
 
 
-@dataclass(frozen=True)
-class SumOfSquaresBound:
-    multipliers: tuple[int, ...]
+class SumOfSquaresBound(Frozen):
+    __slots__ = ("multipliers",)
+
+    def __init__(self, multipliers: tuple[int, ...]):
+        object.__setattr__(self, "multipliers", multipliers)
 
 
-@dataclass(frozen=True)
-class ExplicitBound:
-    per_variable: tuple[int, ...]
-    acknowledged: bool = False
-    note: str = ""
+class ExplicitBound(Frozen):
+    __slots__ = ("per_variable", "acknowledged", "note")
+
+    def __init__(self, per_variable: tuple[int, ...], acknowledged: bool = False, note: str = ""):
+        object.__setattr__(self, "per_variable", per_variable)
+        object.__setattr__(self, "acknowledged", acknowledged)
+        object.__setattr__(self, "note", note)
 
 
-@dataclass
 class SearchSpec:
-    ring: RingPresentation
-    targets: TargetClasses
-    m: int
-    bound: SumOfSquaresBound | ExplicitBound
-    budget: int = DEFAULT_BUDGET
+    __slots__ = ("ring", "targets", "m", "bound", "budget")
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"m: need at least one line bundle, got {self.m}")
-        if self.m > MAX_M:
-            raise ValueError(f"m: {self.m} line bundles is more than the {MAX_M} the search walks")
+    def __init__(
+        self,
+        ring: RingPresentation,
+        targets: TargetClasses,
+        m: int,
+        bound: SumOfSquaresBound | ExplicitBound,
+        budget: int = DEFAULT_BUDGET,
+    ):
+        if m < 1:
+            raise ValueError(f"m: need at least one line bundle, got {m}")
+        if m > MAX_M:
+            raise ValueError(f"m: {m} line bundles is more than the {MAX_M} the search walks")
+        self.ring = ring
+        self.targets = targets
+        self.m = m
+        self.bound = bound
+        self.budget = budget
 
     def allows_sign_flips(self) -> bool:
         return self.targets.euler_sign_flexible and self.targets.chern_target is None
 
 
-@dataclass
 class DerivedBounds:
-    per_variable: tuple[int, ...]
-    certified: bool
-    diagonal: tuple[int, ...] | None = None
-    constant: int | None = None
-    note: str = ""
+    __slots__ = ("per_variable", "certified", "diagonal", "constant", "note")
+
+    def __init__(
+        self,
+        per_variable: tuple[int, ...],
+        certified: bool,
+        diagonal: tuple[int, ...] | None = None,
+        constant: int | None = None,
+        note: str = "",
+    ):
+        self.per_variable = per_variable
+        self.certified = certified
+        self.diagonal = diagonal
+        self.constant = constant
+        self.note = note
 
 
-@dataclass
 class SearchCertificate:
-    spec_digest: str
-    bound_type: str
-    per_variable_bounds: tuple[int, ...]
-    enumerated: int
-    visited: int
-    solutions: tuple[tuple[tuple[int, ...], ...], ...]
-    exhaustive: bool
-    budget: int
-    diagonal: tuple[int, ...] | None = None
-    constant: int | None = None
-    notes: list[str] = field(default_factory=list)
+    __slots__ = (
+        "spec_digest", "bound_type", "per_variable_bounds", "enumerated", "visited",
+        "solutions", "exhaustive", "budget", "diagonal", "constant", "notes",
+    )
+
+    def __init__(
+        self,
+        spec_digest: str,
+        bound_type: str,
+        per_variable_bounds: tuple[int, ...],
+        enumerated: int,
+        visited: int,
+        solutions: tuple[tuple[tuple[int, ...], ...], ...],
+        exhaustive: bool,
+        budget: int,
+        diagonal: tuple[int, ...] | None = None,
+        constant: int | None = None,
+        notes: list[str] | None = None,
+    ):
+        self.spec_digest = spec_digest
+        self.bound_type = bound_type
+        self.per_variable_bounds = per_variable_bounds
+        self.enumerated = enumerated
+        self.visited = visited
+        self.solutions = solutions
+        self.exhaustive = exhaustive
+        self.budget = budget
+        self.diagonal = diagonal
+        self.constant = constant
+        self.notes = [] if notes is None else notes
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SearchCertificate:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def solution_count(self) -> int:

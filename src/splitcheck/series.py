@@ -8,15 +8,23 @@ factor x/tanh(x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
+from .record import Frozen
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    coefficients: tuple[Fraction, ...]
+
+class TruncatedSeries(Frozen):
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[Fraction, ...]):
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not TruncatedSeries:
+            return NotImplemented
+        return self.coefficients == other.coefficients
 
     @staticmethod
     def from_coeffs(coeffs: Sequence[Fraction | int], order: int) -> "TruncatedSeries":

@@ -15,7 +15,7 @@ digit width from `ref_coefficient_bound`, the bound's plain product formula.
 layer's `Fraction` oracles: the root read through `normal_form` and
 `RingTables.vector`, Horner's rule in Fractions, and the comparison of each
 coefficient with its signed mirror.
-`generator_class` and `divide_by_one_plus_y` serve the tests only.
+`generator_class`, `divide_by_one_plus_y` and `replaced` serve the tests only.
 `ref_rows` and `ref_table_mul` are the compiled ring tables' oracle: dense
 rows built with `ring_mul`, and the loop over every row entry.
 `ref_first_rule`, `ref_check_confluence` and `ref_basis_sizes` are the
@@ -129,6 +129,13 @@ def search_spec_for(name: str, parameter: int | None = None, budget: int | None 
     doc = builtin_case(name, parameter)
     ring = ring_for(name, parameter)
     return _load_search_spec(ring, _load_targets(ring, doc["targets"]), doc["search"], budget)
+
+
+def replaced(record, **changes):
+    """A copy of a record with the given fields changed, built through its
+    constructor, so the record's own checks run on the new values."""
+    fields = {name: getattr(record, name) for name in type(record).__slots__ if name != "__dict__"}
+    return type(record)(**{**fields, **changes})
 
 
 def generator_class(ring: RingPresentation, index: int) -> GradedClass:

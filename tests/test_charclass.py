@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import generator_class, random_degree2, ring_for, search_spec_for, targets_for
+from helpers import generator_class, random_degree2, replaced, ring_for, search_spec_for, targets_for
 from splitcheck.charclass import (
     LineBundleSum,
     RankError,
@@ -112,7 +111,7 @@ def test_rank_validation():
     spec = search_spec_for("cp2-connect-sum")
     for m, expected in [(3, too_many), (1, unsaturated)]:
         with pytest.raises(RankError) as raised:
-            enumerate_splittings(replace(spec, m=m))
+            enumerate_splittings(replaced(spec, m=m))
         assert str(raised.value) == str(expected.value)
 
 

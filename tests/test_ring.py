@@ -159,6 +159,25 @@ def test_rule_with_a_fractional_coefficient_rejected():
         RewriteRule((2, 0), cls(((0, 2), Fraction(1, 2))))
 
 
+def _with_constant_rule(doc: dict, at: int) -> dict:
+    doc["relations"].insert(at, {"lhs": [0] * len(doc["generators"]), "rhs": []})
+    return doc
+
+
+@pytest.mark.parametrize("doc, where", [
+    (_with_constant_rule(builtin_case("cp2-connect-sum")["ring"], 1), "ring.relations[1]"),
+    (_with_constant_rule({"generators": ["h"], "relations": [], "top_degree": 2, "fundamental": [1]}, 0),
+     "ring.relations[0]"),
+], ids=["two-generators", "one-generator"])
+def test_parse_rejects_a_rule_for_the_constant_monomial(doc, where):
+    """A rule 1 -> 0 is refused by the rule itself, named by its index, not
+    reported later as a reducible fundamental monomial."""
+    with pytest.raises(PresentationError) as info:
+        parse_presentation(doc)
+    assert str(info.value).startswith(f"{where}: rule lhs ("), str(info.value)
+    assert "is the constant monomial 1" in str(info.value)
+
+
 def test_parse_rejects_missing_field():
     with pytest.raises(PresentationError, match="fundamental"):
         parse_presentation(

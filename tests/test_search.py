@@ -18,7 +18,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,6 +30,7 @@ from helpers import (
     ref_canonicalize_solution,
     ref_enumerate,
     ref_probe_count,
+    replaced,
     ring_for,
     rp_oracle,
     search_spec_for,
@@ -110,7 +110,7 @@ def test_family_stage_cap_is_constant_in_q(q):
 
 def test_multiplier_count_must_match_basis():
     spec = search_spec_for("su3-t2")
-    bad = replace(spec, bound=SumOfSquaresBound((1,)))
+    bad = replaced(spec, bound=SumOfSquaresBound((1,)))
     with pytest.raises(BoundError):
         derive_bounds(bad)
 
@@ -118,7 +118,7 @@ def test_multiplier_count_must_match_basis():
 def test_cross_terms_rejected():
     spec = search_spec_for("su3-t2")
     # weighting the x*y equation brings the 2ab - b^2 cross terms in
-    bad = replace(spec, bound=SumOfSquaresBound((1, 0)))
+    bad = replaced(spec, bound=SumOfSquaresBound((1, 0)))
     with pytest.raises(BoundError, match="cross"):
         derive_bounds(bad)
 
@@ -137,11 +137,11 @@ def test_indefinite_form_rejected():
 def test_explicit_bound_validation():
     spec = search_spec_for("s2xs2")
     with pytest.raises(BoundError):
-        derive_bounds(replace(spec, bound=ExplicitBound(per_variable=(3,), acknowledged=True)))
+        derive_bounds(replaced(spec, bound=ExplicitBound(per_variable=(3,), acknowledged=True)))
     with pytest.raises(BoundError):
-        derive_bounds(replace(spec, bound=ExplicitBound(per_variable=(3, -1), acknowledged=True)))
+        derive_bounds(replaced(spec, bound=ExplicitBound(per_variable=(3, -1), acknowledged=True)))
     # an unacknowledged box still enumerates, but cannot certify
-    unack = replace(spec, bound=ExplicitBound(per_variable=(3, 3), acknowledged=False))
+    unack = replaced(spec, bound=ExplicitBound(per_variable=(3, 3), acknowledged=False))
     assert not derive_bounds(unack).certified
     cert = enumerate_splittings(unack)
     assert not cert.exhaustive
@@ -190,7 +190,7 @@ def test_scaled_multipliers_give_the_same_search(name, par):
     base = enumerate_splittings(spec)
     for k in (2, 3, 7):
         scaled = tuple(k * x for x in spec.bound.multipliers)
-        cert = enumerate_splittings(replace(spec, bound=SumOfSquaresBound(scaled)))
+        cert = enumerate_splittings(replaced(spec, bound=SumOfSquaresBound(scaled)))
         assert cert.diagonal == tuple(k * d for d in base.diagonal), k
         assert cert.constant == k * base.constant, k
         for attr in ("per_variable_bounds", "enumerated", "visited", "solutions", "exhaustive"):
@@ -316,7 +316,7 @@ def test_digest_distinguishes_specs():
     b = search_spec_for("cp2-connect-sum")
     assert spec_digest(a) == spec_digest(b)
     assert spec_digest(a) == enumerate_splittings(a).spec_digest
-    c = replace(a, budget=123456)
+    c = replaced(a, budget=123456)
     assert spec_digest(c) != spec_digest(a)
 
 
@@ -325,7 +325,7 @@ def test_digest_distinguishes_specs():
 
 def test_budget_exhaustion_on_shell():
     for name, budget in [("su3-t2", 50), ("sp2-t2", 100)]:
-        spec = replace(search_spec_for(name), budget=budget)
+        spec = replaced(search_spec_for(name), budget=budget)
         cert = enumerate_splittings(spec)
         assert not cert.exhaustive, name
         assert cert.visited <= spec.budget + 1, name
@@ -334,7 +334,7 @@ def test_budget_exhaustion_on_shell():
 
 
 def test_budget_exhaustion_on_staged():
-    spec = replace(search_spec_for("r-p", 2), budget=1000)
+    spec = replaced(search_spec_for("r-p", 2), budget=1000)
     cert = enumerate_splittings(spec)
     assert not cert.exhaustive
     assert cert.visited <= spec.budget + 1
@@ -343,7 +343,7 @@ def test_budget_exhaustion_on_staged():
     base = search_spec_for("r-p", 3)
     assert enumerate_splittings(base).visited == 1445 + 17766
     for budget in (200, 405 + 9000):
-        spec = replace(base, budget=budget)
+        spec = replaced(base, budget=budget)
         cert = enumerate_splittings(spec)
         assert not cert.exhaustive, budget
         assert cert.visited == budget + 1, budget
@@ -357,8 +357,8 @@ def _planted_rp2():
     ring = base.ring
     vecs = ((1, 2, 0), (0, 1, -2), (1, 0, 3))
     lbsum = LineBundleSum(ring, tuple(ring.class_from_coeffs(v) for v in vecs))
-    targets = replace(base.targets, p1_target=first_pontryagin(lbsum), euler_target=euler_class(lbsum))
-    return replace(base, targets=targets)
+    targets = replaced(base.targets, p1_target=first_pontryagin(lbsum), euler_target=euler_class(lbsum))
+    return replaced(base, targets=targets)
 
 
 # sha256 of the canonical certificate, taken from the walk that made every
@@ -392,7 +392,7 @@ def test_search_leaves_no_reference_cycle(name, par, budget):
 @pytest.mark.parametrize(("case", "budget", "digest"), BUDGET_CUT_DIGESTS)
 def test_budget_inside_a_cut_keeps_the_certificate(case, budget, digest):
     spec = _planted_rp2() if case == "planted" else search_spec_for(*case)
-    cert = enumerate_splittings(replace(spec, budget=budget))
+    cert = enumerate_splittings(replaced(spec, budget=budget))
     assert cert.visited == budget + 1
     assert hashlib.sha256(canonical_bytes(cert.as_jsonable())).hexdigest() == digest
 
@@ -411,24 +411,24 @@ def test_budget_below_the_count_refuses_the_search(case):
     rng = random.Random(sum(map(ord, f"refuse-{case}")))
     budgets = {cells, full.visited - 1} | {rng.randrange(cells, full.visited) for _ in range(10)}
     for budget in sorted(budgets):
-        cert = enumerate_splittings(replace(spec, budget=budget))
+        cert = enumerate_splittings(replaced(spec, budget=budget))
         assert (cert.visited, cert.solutions, cert.exhaustive) == (budget + 1, (), False), budget
         assert f"visit budget {budget} exhausted; enumeration incomplete" in cert.notes, budget
     for budget in (full.visited, full.visited + 1, 10 * full.visited):
-        cert = enumerate_splittings(replace(spec, budget=budget))
-        assert replace(cert, spec_digest=full.spec_digest, budget=full.budget) == full, budget
+        cert = enumerate_splittings(replaced(spec, budget=budget))
+        assert replaced(cert, spec_digest=full.spec_digest, budget=full.budget) == full, budget
 
 
 def test_budget_exhaustion_on_explicit_box():
     # the 49-vector box fits the budget; the budget runs out among the probes
-    spec = replace(search_spec_for("s2xs2"), budget=50)
+    spec = replaced(search_spec_for("s2xs2"), budget=50)
     cert = enumerate_splittings(spec)
     assert not cert.exhaustive
     assert cert.visited <= spec.budget + 1
     assert cert.enumerated == 7**4
     assert any("budget" in note for note in cert.notes)
     # a budget smaller than the box stops while the ball is built
-    small = replace(spec, budget=20)
+    small = replaced(spec, budget=20)
     cert = enumerate_splittings(small)
     assert not cert.exhaustive
     assert cert.visited == small.budget + 1
@@ -462,8 +462,8 @@ def test_euler_degree_above_the_top_matches_reference():
     """Three bundles on a ring of top degree 4: the Euler class would sit in
     degree 6, past the ring's tables, so its target and every product is zero."""
     base = search_spec_for("cp2-connect-sum")
-    targets = replace(base.targets, euler_target=GradedClass.zero(), real_rank=6)
-    spec = replace(base, targets=targets, m=3)
+    targets = replaced(base.targets, euler_target=GradedClass.zero(), real_rank=6)
+    spec = replaced(base, targets=targets, m=3)
     cert = enumerate_splittings(spec)
     assert cert.exhaustive
     assert len(cert.solutions) == 22
@@ -491,7 +491,7 @@ def test_planted_solutions_match_reference(name, par):
             real_rank=base.targets.real_rank,
             chern_target=total_chern(lbsum) if with_chern else None,
         )
-        spec = replace(base, targets=targets)
+        spec = replaced(base, targets=targets)
         cert = enumerate_splittings(spec)
         expected = ref_enumerate(spec)
         assert canonicalize_solution(vecs, spec.allows_sign_flips()) in expected, (name, trial)
@@ -513,8 +513,8 @@ def test_planted_equal_norms_meet_the_cut(name, par, vecs):
     base = search_spec_for(name, par)
     ring = base.ring
     lbsum = LineBundleSum(ring, tuple(ring.class_from_coeffs(v) for v in vecs))
-    targets = replace(base.targets, p1_target=first_pontryagin(lbsum), euler_target=euler_class(lbsum))
-    spec = replace(base, targets=targets)
+    targets = replaced(base.targets, p1_target=first_pontryagin(lbsum), euler_target=euler_class(lbsum))
+    spec = replaced(base, targets=targets)
     bounds = derive_bounds(spec)
     norms = {sum(d * x * x for d, x in zip(bounds.diagonal, v)) for v in vecs}
     assert norms == {bounds.constant / spec.m}
@@ -654,8 +654,8 @@ def test_planted_solutions_were_matched(monkeypatch):
     for trial in range(4):
         vecs = [tuple(rng.randint(-1, 1) for _ in range(2)) for _ in range(base.m)]
         lbsum = LineBundleSum(ring, tuple(ring.class_from_coeffs(v) for v in vecs))
-        targets = replace(base.targets, p1_target=first_pontryagin(lbsum), euler_target=euler_class(lbsum))
-        spec = replace(base, targets=targets)
+        targets = replaced(base.targets, p1_target=first_pontryagin(lbsum), euler_target=euler_class(lbsum))
+        spec = replaced(base, targets=targets)
         cert, accepted, _ = _matched_solutions(monkeypatch, spec)
         assert canonicalize_solution(vecs) in cert.solutions, trial
         assert set(cert.solutions) == accepted, trial
@@ -671,13 +671,13 @@ def test_chern_is_decided_by_the_matcher(monkeypatch):
     chern = GradedClass.from_terms(
         list(total_chern(lbsum).terms.items()) + list(ring_mul(ring, h2, h2).terms.items())
     )
-    targets = replace(
+    targets = replaced(
         base.targets,
         p1_target=first_pontryagin(lbsum),
         euler_target=euler_class(lbsum),
         chern_target=chern,
     )
-    spec = replace(base, targets=targets)
+    spec = replaced(base, targets=targets)
     cert, accepted, reports = _matched_solutions(monkeypatch, spec)
     assert cert.exhaustive
     assert cert.solutions == ()
