@@ -231,6 +231,11 @@ def _genus_section(ring: RingPresentation | None, raw, where: str = "genus") -> 
         out["duality"] = duality_check(chi, data.n)
     if "congruence" in raw:
         chi_val, sigma_val, quarter = field(raw, "congruence", where, _load_congruence)
+        if ring is not None and 4 * quarter != ring.top_degree:
+            raise CaseError(
+                f"{where}.congruence.quarter_dim: expected ring.top_degree / 4, "
+                f"got {quarter} for a ring of top degree {ring.top_degree}"
+            )
         out["congruence"] = {
             "chi": chi_val,
             "sigma": sigma_val,
@@ -480,7 +485,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         check_exact(report)
         _print(json.dumps(report, sort_keys=True, indent=2, default=exact_json))
         if args.emit:
-            emit_report(report, args.emit)
+            try:
+                emit_report(report, args.emit)
+            except OSError as exc:  # a missing directory, say, or a directory
+                raise CaseError(f"--emit {args.emit}: cannot write the report: {exc}") from exc
         if args.command == "verify" and args.expect:
             mismatch = _check_expectation(report, args.expect)
             if mismatch:

@@ -50,6 +50,14 @@ class RootSystem(Frozen):
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "rank", rank)
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not RootSystem:
+            return NotImplemented
+        return (self.family, self.rank) == (other.family, other.rank)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.rank))
+
     @property
     def group_name(self) -> str:
         if self.family == "A":

@@ -62,6 +62,10 @@ Vector = tuple[Coeff, ...]
 # degree <= top, of which n generators have comb(n + top/2, n); the largest
 # built-in ring, r-p, has 20.
 MAX_MONOMIALS = 10**5
+# `monomials_of_degree` and the search's ellipsoid recurse once per
+# generator, so the generator count is capped well below Python's
+# recursion limit; the largest built-in ring has 3.
+MAX_GENERATORS = 256
 
 
 def _tighten(value: Coeff) -> Coeff:
@@ -247,6 +251,11 @@ class RingPresentation:
             raise PresentationError("generators: duplicate names")
         if not generators:
             raise PresentationError("generators: at least one required")
+        if len(generators) > MAX_GENERATORS:
+            raise PresentationError(
+                f"generators: {len(generators)} generators is more than the "
+                f"{MAX_GENERATORS} the ring's walks recurse through"
+            )
         if top_degree < 0 or top_degree % 2:
             raise PresentationError(f"top_degree: must be even and nonnegative, got {top_degree}")
         self.generators = tuple(generators)
@@ -293,34 +302,54 @@ class RingPresentation:
         cached = self._nf_cache.get(mono)
         if cached is not None:
             return cached
-        return self._reduce(mono, set())
+        return self._reduce(mono)
 
-    def _reduce(self, mono: Monomial, in_progress: set[Monomial]) -> GradedClass:
-        if monomial_degree(mono) > self.top_degree:
-            return GradedClass.zero()
-        cached = self._nf_cache.get(mono)
-        if cached is not None:
-            return cached
-        if mono in in_progress:
-            raise DivergenceError(
-                mono,
-                f"ring.relations: reduction of {self.format_monomial(mono)} cycles; "
-                "the rule list does not terminate",
-            )
-        rule = self._first_rule(mono)
-        if rule is None:
-            result = GradedClass({mono: 1})
-        else:
-            in_progress.add(mono)
-            quotient = monomial_quotient(mono, rule.lhs)
-            acc: dict[Monomial, Coeff] = {}
-            for rmono, rcoeff in rule.rhs.terms.items():
-                reduced = self._reduce(monomial_mul(rmono, quotient), in_progress)
-                _add_into(acc, reduced.terms.items(), rcoeff)
-            in_progress.discard(mono)
-            result = _graded(acc)
-        self._nf_cache[mono] = result
-        return result
+    def _reduce(self, mono: Monomial) -> GradedClass:
+        """Rewrite on an explicit stack, so a long chain of rules is no deep recursion.
+
+        A frame is a monomial its first rule rewrites: the quotient by the
+        rule's lhs, the rhs terms still to reduce, the accumulator and the
+        coefficient of the term being reduced.  The rhs terms are taken in
+        order, so each normal form, the cache and the monomial a cycle
+        re-enters (the `DivergenceError` witness) are those of reducing
+        each term in turn by recursion.
+        """
+        cache = self._nf_cache
+        in_progress: set[Monomial] = set()
+        frames: list[list] = []
+        while True:
+            # resolve `mono`, or open a frame for it and leave result None
+            if monomial_degree(mono) > self.top_degree:
+                result = GradedClass.zero()
+            elif (result := cache.get(mono)) is None:
+                if mono in in_progress:
+                    raise DivergenceError(
+                        mono,
+                        f"ring.relations: reduction of {self.format_monomial(mono)} cycles; "
+                        "the rule list does not terminate",
+                    )
+                rule = self._first_rule(mono)
+                if rule is None:
+                    result = cache[mono] = GradedClass({mono: 1})
+                else:
+                    in_progress.add(mono)
+                    quotient = monomial_quotient(mono, rule.lhs)
+                    frames.append([mono, quotient, iter(rule.rhs.terms.items()), {}, 0])
+            # add the result into the open frame, closing each frame whose rhs is done
+            while frames:
+                frame = frames[-1]
+                if result is not None:
+                    _add_into(frame[3], result.terms.items(), frame[4])
+                step = next(frame[2], None)
+                if step is not None:
+                    rmono, frame[4] = step
+                    mono = monomial_mul(rmono, frame[1])
+                    break
+                frames.pop()
+                in_progress.discard(frame[0])
+                result = cache[frame[0]] = _graded(frame[3])
+            else:
+                return result
 
     def one_step(self, mono: Monomial, rule: RewriteRule) -> GradedClass:
         """Apply a single rule once at the given monomial (no recursion)."""

@@ -27,6 +27,7 @@ from splitcheck.report import (
     fraction_from_json,
     input_digest,
 )
+from splitcheck.ring import MAX_GENERATORS, monomials_of_degree
 from splitcheck.search import MAX_M
 
 # -- serialization ----------------------------------------------------------------
@@ -283,6 +284,7 @@ REPORT_DIGESTS = {
     ("s2xs2", None): "a462e9d1b455a631308fcd254b853f8a295d76e2bfe57ccc909e231e38148ab9",
     ("sp2-t2", None): "dc794aba5a924e885fa4a760616fd25cfb5ff169fff7206c6c92c79304e7d239",
     ("su3-t2", None): "9fb950bc1a78ff6fac652a77dbb8d2ee3b85a56fd2eeddad0da334e524c27976",
+    ("r-p", 1): "aa5d25633f1b163a383e658fe6a86ac565da2bf4d03ed345e90172b0021a2706",
     ("r-p", 2): "0bb33082e633a3850ed20ca2279808899205f46ece14997f9c5c6f4b03deff72",
     ("r-p", 3): "36ca623301563d423993db696ec3ac7b1e94c6a6ca6b2508a31702a029713a75",
     ("r-p", 4): "cf0f9280f47b0edfeb43731cd55e367776bce70b4fb9d2200e5b4de8e726afb1",
@@ -306,6 +308,19 @@ def test_report_digests_cover_every_builtin():
 def test_builtin_reports_are_byte_identical(name, par):
     report = canonical_bytes(run_case(builtin_case(name, par)))
     assert hashlib.sha256(report).hexdigest() == REPORT_DIGESTS[(name, par)]
+
+
+# sha256 of what `splitcheck reps NAME` prints
+REPS_DIGESTS = {
+    "hp1-presentation": "747b346a9621f80875fbac1ee194ab650aeda0c48c12308daa82f77a357dae97",
+    "m20-eschenburg": "4918784298e21f2db38a97eb01525e4dc21671978abf7d9c2ad7ea09bf99e203",
+}
+
+
+@pytest.mark.parametrize("name", list(REPS_DIGESTS))
+def test_cli_reps_output_is_byte_identical(name, capsys):
+    assert main(["reps", name]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == REPS_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", list_builtin_cases())
@@ -441,6 +456,8 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         ("su3-t2", ("targets", "euler"), [["13/2", [2, 1]]]),
         (("cpn-split", 3), ("targets", "chern"), [[1, [0]], [4, [1]], ["13/2", [2]], [4, [3]]]),
         # a float in a field no section reads is refused where the document is digested
+        ("cp2-connect-sum", ("extra",), {"x": [1, 0.5]}, ("extra", "x", 1)),
+        ("cp2-connect-sum", ("extra",), {"a": [[0, 1, {"b": 0.5}]]}, ("extra", "a", 0, 2, "b")),
         ("cp2-connect-sum", ("comment",), 1.5),
     ]:
         bad = builtin_case(name) if isinstance(name, str) else builtin_case(*name)
@@ -620,9 +637,19 @@ def test_cli_verify_expectation_exit_codes():
     assert positive.returncode == 0
 
 
-def test_cli_verify_congruence_expectation():
+def test_cli_verify_congruence_expectation(tmp_path, capsys):
     proc = run_cli("verify", "m20-eschenburg", "--expect", "congruence-fails")
     assert proc.returncode == 0
+    # chi = 3, sigma = 1 holds in dimension 4, the ring's; taken in
+    # dimension 8 it would fail, and --expect would certify that
+    doc = builtin_case("cp2-connect-sum")
+    doc["genus"]["congruence"] = {"chi": 3, "sigma": 1, "quarter_dim": 2}
+    path = tmp_path / "quarter.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path), "--expect", "congruence-fails"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: genus.congruence.quarter_dim: expected ring.top_degree / 4, got 2"), err
 
 
 def test_cli_unknown_case_is_an_error():
@@ -649,6 +676,44 @@ def test_cli_refuses_a_search_deeper_than_max_m(tmp_path):
         assert "Traceback" not in proc.stderr
     doc["search"]["m"] = MAX_M
     assert run_case(doc)["sections"]["search"]["exhaustive"] is True
+
+
+def _ring_document(tmp_path, generators, relations, top_degree, fundamental):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"name": "ring", "ring": {
+        "generators": generators, "relations": relations,
+        "top_degree": top_degree, "fundamental": fundamental,
+    }}))
+    return str(path)
+
+
+def test_cli_refuses_more_generators_than_the_walks_recurse_through(tmp_path, capsys):
+    """`monomials_of_degree` and the ellipsoid recurse once per generator, so
+    a ring past MAX_GENERATORS is an error naming the field, not a
+    RecursionError traceback; MAX_GENERATORS itself still runs."""
+    for n, status in ((1500, 1), (MAX_GENERATORS + 1, 1), (MAX_GENERATORS, 0)):
+        # x_i -> x_0 for each i > 0, so that x_0 alone spans the top degree
+        unit = [[int(i == j) for j in range(n)] for i in range(n)]
+        relations = [{"lhs": unit[i], "rhs": [[1, unit[0]]]} for i in range(1, n)]
+        path = _ring_document(tmp_path, [f"x{i}" for i in range(n)], relations, 2, unit[0])
+        capsys.readouterr()
+        assert main(["verify", path]) == status, n
+        err = capsys.readouterr().err
+        if status:
+            assert err.startswith(f"error: ring.generators: {n} generators is more than the {MAX_GENERATORS}")
+        assert "Traceback" not in err
+
+
+def test_cli_verifies_a_rule_chain_longer_than_the_recursion_limit(tmp_path, capsys):
+    """1,890 rules carry each degree-120 monomial of three generators to the
+    next, so reducing the first one takes 1,890 rewrites in a row."""
+    monomials = list(monomials_of_degree(3, 60))
+    relations = [{"lhs": list(a), "rhs": [[1, list(b)]]} for a, b in zip(monomials, monomials[1:])]
+    assert len(relations) == 1890
+    path = _ring_document(tmp_path, ["a", "b", "c"], relations, 120, list(monomials[-1]))
+    capsys.readouterr()
+    assert main(["verify", path]) == 0
+    assert json.loads(capsys.readouterr().out)["sections"]["ring"]["basis_sizes"]["120"] == 1
 
 
 def test_cli_parameter_flag():
@@ -694,7 +759,7 @@ def test_cli_obstruct_only_runs_that_section():
     assert missing.returncode == 1
 
 
-def test_cli_emit_writes_canonical_file(tmp_path):
+def test_cli_emit_writes_canonical_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     first = run_cli("verify", "cp2-connect-sum", "--emit", str(out))
     assert first.returncode == 0
@@ -705,6 +770,13 @@ def test_cli_emit_writes_canonical_file(tmp_path):
     assert again.read_bytes() == blob
     parsed = json.loads(blob)
     assert parsed["sections"]["search"]["visited_fraction"] == "36/625"
+    # a path in a missing directory, or a directory, is an error naming it
+    for path in (tmp_path / "missing" / "report.json", tmp_path):
+        capsys.readouterr()
+        assert main(["verify", "s2xs2", "--emit", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --emit {path}: cannot write the report: "), err
+        assert "Traceback" not in err
 
 
 def test_cli_file_case_roundtrip(tmp_path):

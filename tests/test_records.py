@@ -22,7 +22,7 @@ import pytest
 from helpers import ring_for
 from splitcheck.charclass import LineBundleSum, TargetClasses
 from splitcheck.genus import ChernRootData, YPolynomial, _Factor
-from splitcheck.repcat import Irrep, IrrepCatalog, ObstructionCase, ProductIrrep, RootSystem
+from splitcheck.repcat import Irrep, IrrepCatalog, ObstructionCase, ProductIrrep, RootSystem, catalog_irreps
 from splitcheck.ring import GradedClass, PresentationError, RewriteRule
 from splitcheck.search import MAX_M, ExplicitBound, SearchSpec, SumOfSquaresBound
 from splitcheck.series import TruncatedSeries
@@ -158,3 +158,14 @@ def test_equal_classes_hash_equal():
     assert len({a, b, c}) == 1
     assert a != cls(((2, 0), 1))
     assert a != {(2, 0): 1, (1, 1): Fraction(1, 2)}
+
+
+def test_root_systems_built_apart_are_equal():
+    """Irreps, catalogs and product irreps compare their root systems by value."""
+    first, second = RootSystem("B", 5), RootSystem("B", 5)
+    assert first == second and hash(first) == hash(second)
+    assert first != RootSystem("B", 4)
+    weight = (1, 0, 0, 0, 0)
+    assert Irrep.build(first, weight) == Irrep.build(second, weight)
+    assert catalog_irreps(first, 20) == catalog_irreps(second, 20)
+    assert ProductIrrep.build((Irrep.build(first, weight),)) == ProductIrrep.build((Irrep.build(second, weight),))

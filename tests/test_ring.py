@@ -234,7 +234,7 @@ def test_nonconfluent_document_raises_on_parse():
         "top_degree": 4,
         "fundamental": [2, 0],
     }
-    with pytest.raises(ConfluenceError):
+    with pytest.raises(ConfluenceError, match=r"^ring\.relations: presentation is not confluent: "):
         parse_presentation(doc)
 
 
