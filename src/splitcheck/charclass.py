@@ -18,7 +18,7 @@ one of the wrong degree, or one whose normal form is not integral.
 
 from __future__ import annotations
 
-from .record import Frozen
+from .record import Frozen, Record
 from .ring import (
     GradedClass,
     RingPresentation,
@@ -104,7 +104,7 @@ def total_chern(lbsum: LineBundleSum) -> GradedClass:
     return out
 
 
-class MatchReport:
+class MatchReport(Record):
     __slots__ = ("matched", "p1_ok", "euler_ok", "euler_sign", "chern_ok", "residuals")
 
     def __init__(

@@ -120,7 +120,7 @@ def _load_root_system(raw, where: str) -> RootSystem:
     try:
         return RootSystem(family=family, rank=rank)
     except ValueError as exc:
-        raise CaseError(f"{where}: {exc}") from exc
+        raise CaseError(f"{where}.{exc}") from exc
 
 
 def _load_congruence(raw, where: str) -> tuple[int, int, int]:
@@ -483,12 +483,13 @@ def main(argv: Sequence[str] | None = None) -> int:
                 report = _report(doc, title, {"reps": _reps_section(case)})
 
         check_exact(report)
-        _print(json.dumps(report, sort_keys=True, indent=2, default=exact_json))
+        # written first, so a failed write prints no report before its error
         if args.emit:
             try:
                 emit_report(report, args.emit)
             except OSError as exc:  # a missing directory, say, or a directory
                 raise CaseError(f"--emit {args.emit}: cannot write the report: {exc}") from exc
+        _print(json.dumps(report, sort_keys=True, indent=2, default=exact_json))
         if args.command == "verify" and args.expect:
             mismatch = _check_expectation(report, args.expect)
             if mismatch:

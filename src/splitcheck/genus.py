@@ -41,7 +41,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .record import Frozen
+from .record import Frozen, Record
 from .ring import GradedClass, RingPresentation, _tighten
 # Not called here: perfbench/tracing.py rebinds this name on this module.
 from .ring import ring_mul  # noqa: F401
@@ -76,11 +76,6 @@ class YPolynomial(Frozen):
 
     def __init__(self, coefficients: tuple[Fraction | int, ...]):
         object.__setattr__(self, "coefficients", coefficients)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not YPolynomial:
-            return NotImplemented
-        return self.coefficients == other.coefficients
 
     @staticmethod
     def from_coeffs(coeffs: Sequence[Fraction | int]) -> "YPolynomial":
@@ -435,7 +430,7 @@ def hirzebruch_congruence(chi_val: int, sigma_val: int, m: int) -> bool:
     return (chi_val - (-1) ** m * sigma_val) % 4 == 0
 
 
-class TelescopeReport:
+class TelescopeReport(Record):
     __slots__ = ("n", "chi", "sigma", "correction", "identity_holds", "congruent")
 
     def __init__(self, n: int, chi: int, sigma: int, correction: int, identity_holds: bool, congruent: bool):

@@ -21,7 +21,7 @@ import itertools
 from typing import Iterator, Sequence
 
 from .genus import hirzebruch_congruence
-from .record import Frozen
+from .record import Frozen, Record
 
 REAL = "real"
 COMPLEX = "complex"
@@ -29,6 +29,10 @@ QUATERNIONIC = "quaternionic"
 
 # Circle catalogs list the rotation weights 0 .. MAX_CIRCLE_WEIGHT only.
 MAX_CIRCLE_WEIGHT = 1
+# Each Weyl dimension of B_m is a product over its m^2 positive roots, so a
+# catalog's cost grows about as m^4: with CPython 3.11 on a 2-core host,
+# B_32's builds in 7 ms and B_100's in 1 s.  The largest built-in rank is 5.
+MAX_RANK = 32
 
 
 class CatalogError(ValueError):
@@ -42,21 +46,15 @@ class RootSystem(Frozen):
 
     def __init__(self, family: str, rank: int):
         if family not in ("A", "B", "T"):
-            raise ValueError(f"unsupported family {family!r}")
+            raise ValueError(f"family: unsupported family {family!r}")
         if family in ("A", "T") and rank != 1:
-            raise ValueError(f"family {family} requires rank 1")
+            raise ValueError(f"rank: family {family} requires rank 1")
         if family == "B" and rank < 1:
-            raise ValueError("B_m requires rank >= 1")
+            raise ValueError("rank: B_m requires rank >= 1")
+        if rank > MAX_RANK:
+            raise ValueError(f"rank: {rank} is more than the {MAX_RANK} the catalog walks")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "rank", rank)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not RootSystem:
-            return NotImplemented
-        return (self.family, self.rank) == (other.family, other.rank)
-
-    def __hash__(self) -> int:
-        return hash((self.family, self.rank))
 
     @property
     def group_name(self) -> str:
@@ -183,13 +181,6 @@ class Irrep(Frozen):
         object.__setattr__(self, "real_dim", real_dim)
         object.__setattr__(self, "name", name)
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not Irrep:
-            return NotImplemented
-        return (self.rs, self.highest_weight, self.complex_dim, self.field_type, self.real_dim, self.name) == (
-            other.rs, other.highest_weight, other.complex_dim, other.field_type, other.real_dim, other.name
-        )
-
     @staticmethod
     def build(rs: RootSystem, weight: Sequence[int]) -> "Irrep":
         """The irrep of a dominant weight."""
@@ -225,11 +216,6 @@ class IrrepCatalog(Frozen):
         object.__setattr__(self, "rs", rs)
         object.__setattr__(self, "dim_bound", dim_bound)
         object.__setattr__(self, "entries", entries)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not IrrepCatalog:
-            return NotImplemented
-        return (self.rs, self.dim_bound, self.entries) == (other.rs, other.dim_bound, other.entries)
 
     def nontrivial(self) -> list[Irrep]:
         return [e for e in self.entries if not e.is_trivial]
@@ -306,13 +292,6 @@ class ProductIrrep(Frozen):
         object.__setattr__(self, "real_dim", real_dim)
         object.__setattr__(self, "name", name)
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not ProductIrrep:
-            return NotImplemented
-        return (self.components, self.complex_dim, self.field_type, self.real_dim, self.name) == (
-            other.components, other.complex_dim, other.field_type, other.real_dim, other.name
-        )
-
     @staticmethod
     def build(components: Sequence[Irrep]) -> "ProductIrrep":
         cdim = 1
@@ -330,7 +309,7 @@ class ProductIrrep(Frozen):
         )
 
 
-class ObstructionCase:
+class ObstructionCase(Record):
     """A manifold of dimension `manifold_dim` with Euler characteristic `chi`
     and signature `sigma`; both filter switches are derived from these."""
 
@@ -366,7 +345,7 @@ class ObstructionCase:
                     or hirzebruch_congruence(self.chi, -self.sigma, m))
 
 
-class MultisetTrace:
+class MultisetTrace(Record):
     """One multiset and the filter that rejected it.
 
     `summands` holds (catalog entry, multiplicity) pairs, with positive
@@ -381,7 +360,7 @@ class MultisetTrace:
         self.detail = detail
 
 
-class ObstructionResult:
+class ObstructionResult(Record):
     __slots__ = ("verdict", "traces", "product_entries")
 
     def __init__(self, verdict: str, traces: list[MultisetTrace], product_entries: list[ProductIrrep]):

@@ -202,12 +202,8 @@ class GradedClass(Frozen):
     def coefficient(self, mono: Monomial) -> Coeff:
         return self.terms.get(mono, 0)
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not GradedClass:
-            return NotImplemented
-        return self.terms == other.terms
-
     def __hash__(self) -> int:
+        # the one field is a dict, which does not hash
         return hash(frozenset(self.terms.items()))
 
 

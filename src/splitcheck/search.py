@@ -63,7 +63,7 @@ from typing import Sequence
 from .charclass import LineBundleSum, TargetClasses, TargetMatcher
 # Not called here: perfbench/tracing.py rebinds these names on this module.
 from .charclass import euler_class, first_pontryagin, total_chern  # noqa: F401
-from .record import Frozen
+from .record import Frozen, Record
 from .ring import GradedClass, RingPresentation, Vector, normal_form
 
 DEFAULT_BUDGET = 10**9
@@ -92,7 +92,7 @@ class ExplicitBound(Frozen):
         object.__setattr__(self, "note", note)
 
 
-class SearchSpec:
+class SearchSpec(Record):
     __slots__ = ("ring", "targets", "m", "bound", "budget")
 
     def __init__(
@@ -117,7 +117,7 @@ class SearchSpec:
         return self.targets.euler_sign_flexible and self.targets.chern_target is None
 
 
-class DerivedBounds:
+class DerivedBounds(Record):
     __slots__ = ("per_variable", "certified", "diagonal", "constant", "note")
 
     def __init__(
@@ -135,7 +135,7 @@ class DerivedBounds:
         self.note = note
 
 
-class SearchCertificate:
+class SearchCertificate(Record):
     __slots__ = (
         "spec_digest", "bound_type", "per_variable_bounds", "enumerated", "visited",
         "solutions", "exhaustive", "budget", "diagonal", "constant", "notes",
@@ -166,11 +166,6 @@ class SearchCertificate:
         self.diagonal = diagonal
         self.constant = constant
         self.notes = [] if notes is None else notes
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not SearchCertificate:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def solution_count(self) -> int:

@@ -21,11 +21,6 @@ class TruncatedSeries(Frozen):
     def __init__(self, coefficients: tuple[Fraction, ...]):
         object.__setattr__(self, "coefficients", coefficients)
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not TruncatedSeries:
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
     @staticmethod
     def from_coeffs(coeffs: Sequence[Fraction | int], order: int) -> "TruncatedSeries":
         padded = [Fraction(c) for c in coeffs[: order + 1]]

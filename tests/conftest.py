@@ -1,16 +1,25 @@
-"""Session configuration: hypothesis profile and the acceptance summary.
+"""Session configuration: hypothesis profile, hang guard and the acceptance summary.
 
 Exact-arithmetic examples have wildly varying runtimes, so the deadline is
-off.  Tests named test_criterion_<n> feed a one-line-per-criterion verdict
-into the terminal summary, pass or fail, so the tail of a full run always
-shows the acceptance status in one block.
+off.  Instead, a test whose call runs past LIMIT seconds ends the run with
+every thread's traceback on stderr, so a loop that never ends fails the
+suite rather than hanging it.  Tests named test_criterion_<n> feed a
+one-line-per-criterion verdict into the terminal summary, pass or fail, so
+the tail of a full run always shows the acceptance status in one block.
 """
 
 from __future__ import annotations
 
+import faulthandler
+import os
 import re
+import sys
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+# far above the slowest test (about 5 s) and the acceptance bounds (30 s)
+LIMIT = 300
 
 settings.register_profile(
     "exact",
@@ -18,6 +27,28 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("exact")
+
+_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # a copy of the real stderr: while a test runs, fd 2 is captured, and
+    # what is written there is lost when the guard ends the process
+    config.stash[_STDERR] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR])
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    faulthandler.dump_traceback_later(LIMIT, exit=True, file=item.config.stash[_STDERR])
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 _verdicts: dict[int, str] = {}

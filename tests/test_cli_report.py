@@ -27,6 +27,7 @@ from splitcheck.report import (
     fraction_from_json,
     input_digest,
 )
+from splitcheck.repcat import MAX_RANK
 from splitcheck.ring import MAX_GENERATORS, monomials_of_degree
 from splitcheck.search import MAX_M
 
@@ -400,6 +401,10 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         ("hp1-presentation", ("obstruction", "factors", 0, "rank"), True),
         ("hp1-presentation", ("obstruction", "factors", 0, "family"), 5),
         ("hp1-presentation", ("obstruction", "factors", 0, "family"), ["A"]),
+        ("hp1-presentation", ("obstruction", "factors", 0, "family"), "C"),
+        # a catalog's cost grows about as rank^4, and 10^12 would exhaust memory
+        ("hp1-presentation", ("obstruction", "factors", 1, "rank"), MAX_RANK + 1),
+        ("hp1-presentation", ("obstruction", "factors", 1, "rank"), 10**12),
         ("hp1-presentation", ("genus", "congruence", "chi"), [1]),
         ("hp1-presentation", ("genus", "congruence", "chi"), True),
         ("hp1-presentation", ("genus", "congruence", "sigma"), 0.0),
@@ -465,6 +470,10 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         with pytest.raises(CaseError, match=re.escape(_field_name(named[0] if named else path))) as info:
             run_case(bad)
         assert "Fraction(" not in str(info.value), (name, path)
+    # MAX_RANK itself still runs
+    at_cap = builtin_case("hp1-presentation")
+    at_cap["obstruction"]["factors"][1]["rank"] = MAX_RANK
+    assert run_case(at_cap)["sections"]["obstruction"]["verdict"] == "NO-VALID-V"
     # the obstruction's switches come from genus.congruence, so it is required
     no_genus = builtin_case("hp1-presentation")
     del no_genus["genus"]
@@ -774,7 +783,8 @@ def test_cli_emit_writes_canonical_file(tmp_path, capsys):
     for path in (tmp_path / "missing" / "report.json", tmp_path):
         capsys.readouterr()
         assert main(["verify", "s2xs2", "--emit", str(path)]) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith(f"error: --emit {path}: cannot write the report: "), err
         assert "Traceback" not in err
 

@@ -11,6 +11,8 @@ hash alike.
 from __future__ import annotations
 
 import ast
+import importlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -19,12 +21,30 @@ from pathlib import Path
 
 import pytest
 
-from helpers import ring_for
-from splitcheck.charclass import LineBundleSum, TargetClasses
-from splitcheck.genus import ChernRootData, YPolynomial, _Factor
-from splitcheck.repcat import Irrep, IrrepCatalog, ObstructionCase, ProductIrrep, RootSystem, catalog_irreps
+import splitcheck
+from helpers import replaced, ring_for
+from splitcheck.charclass import LineBundleSum, MatchReport, TargetClasses
+from splitcheck.genus import ChernRootData, TelescopeReport, YPolynomial, _Factor
+from splitcheck.record import Frozen, Record
+from splitcheck.repcat import (
+    Irrep,
+    IrrepCatalog,
+    MultisetTrace,
+    ObstructionCase,
+    ObstructionResult,
+    ProductIrrep,
+    RootSystem,
+    catalog_irreps,
+)
 from splitcheck.ring import GradedClass, PresentationError, RewriteRule
-from splitcheck.search import MAX_M, ExplicitBound, SearchSpec, SumOfSquaresBound
+from splitcheck.search import (
+    MAX_M,
+    DerivedBounds,
+    ExplicitBound,
+    SearchCertificate,
+    SearchSpec,
+    SumOfSquaresBound,
+)
 from splitcheck.series import TruncatedSeries
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "splitcheck"
@@ -86,9 +106,9 @@ CHECKS = [
                  "rule lhs (0, 0) is the constant monomial 1, which no rule may rewrite", id="RewriteRule-constant"),
     pytest.param(lambda: ChernRootData(ring_for("cp2-connect-sum"), (cls(((0, 1), 1)), cls(((1, 1), 1)))),
                  ValueError, "root #1 is not homogeneous of degree 2", id="ChernRootData-degree"),
-    pytest.param(lambda: RootSystem("C", 2), ValueError, "unsupported family 'C'", id="RootSystem-family"),
-    pytest.param(lambda: RootSystem("T", 2), ValueError, "family T requires rank 1", id="RootSystem-rank-1"),
-    pytest.param(lambda: RootSystem("B", 0), ValueError, "B_m requires rank >= 1", id="RootSystem-B-rank"),
+    pytest.param(lambda: RootSystem("C", 2), ValueError, "family: unsupported family 'C'", id="RootSystem-family"),
+    pytest.param(lambda: RootSystem("T", 2), ValueError, "rank: family T requires rank 1", id="RootSystem-rank-1"),
+    pytest.param(lambda: RootSystem("B", 0), ValueError, "rank: B_m requires rank >= 1", id="RootSystem-B-rank"),
     pytest.param(lambda: ObstructionCase((RootSystem("A", 1),), 5, 0, 0), ValueError,
                  "manifold_dim: expected an even positive integer, got 5", id="ObstructionCase-dim"),
     pytest.param(lambda: _spec(0), ValueError, "m: need at least one line bundle, got 0", id="SearchSpec-m-low"),
@@ -103,36 +123,84 @@ def test_constructor_checks_keep_their_messages(build, error, message):
         build()
 
 
-# -- immutability and hashing ------------------------------------------------------
+# -- immutability, equality and hashing ----------------------------------------------
 
 
 def _irrep() -> Irrep:
     return Irrep.build(RootSystem("A", 1), (1,))
 
 
+def _trace() -> MultisetTrace:
+    return MultisetTrace(((ProductIrrep.build((_irrep(),)), 2),), "F1", "odd real dimension")
+
+
+# Each row builds a fresh record from equal fields, and names a field and a
+# value that differs from the one built.
 FROZEN = [
-    pytest.param(lambda: cls(((1, 0), 1)), "terms", id="GradedClass"),
-    pytest.param(lambda: RewriteRule((2, 0), cls(((0, 2), 1))), "lhs", id="RewriteRule"),
+    pytest.param(lambda: cls(((1, 0), 1)), "terms", {(0, 1): 1}, id="GradedClass"),
+    pytest.param(lambda: RewriteRule((2, 0), cls(((0, 2), 1))), "lhs", (1, 1), id="RewriteRule"),
     pytest.param(lambda: LineBundleSum(ring_for("cp2-connect-sum"), (cls(((1, 0), 1)),)), "ring",
-                 id="LineBundleSum"),
-    pytest.param(lambda: TargetClasses(GradedClass.zero(), GradedClass.zero(), True, 4), "real_rank",
+                 ring_for("s2xs2"), id="LineBundleSum"),
+    pytest.param(lambda: TargetClasses(GradedClass.zero(), GradedClass.zero(), True, 4), "real_rank", 6,
                  id="TargetClasses"),
-    pytest.param(lambda: YPolynomial.from_coeffs([1, 2]), "coefficients", id="YPolynomial"),
+    pytest.param(lambda: YPolynomial.from_coeffs([1, 2]), "coefficients", (1, 3), id="YPolynomial"),
     pytest.param(lambda: ChernRootData(ring_for("cp2-connect-sum"), (cls(((1, 0), 1)),)), "roots",
-                 id="ChernRootData"),
-    pytest.param(lambda: _Factor.of([(1,), (0, 1)]), "denom", id="_Factor"),
-    pytest.param(lambda: TruncatedSeries.from_coeffs([1, 1], 2), "coefficients", id="TruncatedSeries"),
-    pytest.param(lambda: RootSystem("B", 2), "rank", id="RootSystem"),
-    pytest.param(_irrep, "real_dim", id="Irrep"),
-    pytest.param(lambda: IrrepCatalog(RootSystem("A", 1), 4, (_irrep(),)), "entries", id="IrrepCatalog"),
-    pytest.param(lambda: ProductIrrep.build((_irrep(), _irrep())), "name", id="ProductIrrep"),
-    pytest.param(lambda: SumOfSquaresBound((1, 1)), "multipliers", id="SumOfSquaresBound"),
-    pytest.param(lambda: ExplicitBound((3, 3)), "acknowledged", id="ExplicitBound"),
+                 (cls(((0, 1), 1)),), id="ChernRootData"),
+    pytest.param(lambda: _Factor.of([(1,), (0, 1)]), "denom", 2, id="_Factor"),
+    pytest.param(lambda: TruncatedSeries.from_coeffs([1, 1], 2), "coefficients", (1, 2, 0),
+                 id="TruncatedSeries"),
+    pytest.param(lambda: RootSystem("B", 2), "rank", 3, id="RootSystem"),
+    pytest.param(_irrep, "real_dim", 8, id="Irrep"),
+    pytest.param(lambda: IrrepCatalog(RootSystem("A", 1), 4, (_irrep(),)), "entries", (), id="IrrepCatalog"),
+    pytest.param(lambda: ProductIrrep.build((_irrep(), _irrep())), "name", "W2", id="ProductIrrep"),
+    pytest.param(lambda: SumOfSquaresBound((1, 1)), "multipliers", (1, 2), id="SumOfSquaresBound"),
+    pytest.param(lambda: ExplicitBound((3, 3)), "acknowledged", True, id="ExplicitBound"),
+]
+
+MUTABLE = [
+    pytest.param(lambda: MatchReport(True, True, True, 1, None, {}), "euler_sign", -1, id="MatchReport"),
+    pytest.param(lambda: _spec(1), "m", 2, id="SearchSpec"),
+    pytest.param(lambda: DerivedBounds((3, 3), True), "certified", False, id="DerivedBounds"),
+    pytest.param(lambda: SearchCertificate("digest", "explicit", (3, 3), 49, 49, (), True, 10), "visited", 48,
+                 id="SearchCertificate"),
+    pytest.param(lambda: TelescopeReport(4, 3, 1, 0, True, True), "congruent", False, id="TelescopeReport"),
+    pytest.param(lambda: ObstructionCase((RootSystem("A", 1),), 4, 2, 0), "chi", 3, id="ObstructionCase"),
+    pytest.param(_trace, "rejected_by", None, id="MultisetTrace"),
+    pytest.param(lambda: ObstructionResult("NO-VALID-V", [_trace()], [ProductIrrep.build((_irrep(),))]),
+                 "verdict", "VALID-V-EXISTS", id="ObstructionResult"),
 ]
 
 
-@pytest.mark.parametrize("build, name", FROZEN)
-def test_immutable_records_refuse_assignment(build, name):
+@pytest.mark.parametrize("build, name, value", FROZEN + MUTABLE)
+def test_records_compare_by_their_fields(build, name, value):
+    first, second = build(), build()
+    assert first is not second
+    assert first == second and not first != second
+    if isinstance(first, Frozen):
+        assert hash(first) == hash(second)
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(first)
+    assert replaced(first, **{name: value}) != first
+    assert first.__eq__(object()) is NotImplemented
+
+
+def test_every_record_is_listed():
+    """A slotted class in the package is a record, and each record is a row
+    above, so none falls back to comparing by identity."""
+    slotted = set()
+    for info in pkgutil.iter_modules(splitcheck.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"splitcheck.{info.name}")
+        slotted |= {value for value in vars(module).values()
+                    if isinstance(value, type) and value.__module__ == module.__name__ and "__slots__" in vars(value)}
+    assert all(issubclass(kind, Record) for kind in slotted)
+    assert slotted - {Record, Frozen} == {type(row.values[0]()) for row in FROZEN + MUTABLE}
+
+
+@pytest.mark.parametrize("build, name, value", FROZEN)
+def test_immutable_records_refuse_assignment(build, name, value):
     record = build()
     before = getattr(record, name)
     with pytest.raises(AttributeError):
