@@ -13,7 +13,9 @@ sign when the orientation is not pinned.
 `TargetMatcher` is the only statement of the acceptance rule: candidates,
 `matches_targets` and every search hit go through it.  It rejects a target
 no sum reaches, against which "no splitting" would be certified vacuously:
-one of the wrong degree, or one whose normal form is not integral.
+one of the wrong degree, or one whose normal form is not integral.  Those
+checks need no line-bundle count, so `normal_targets` also runs them where
+a case document's targets are read, whether or not any section uses them.
 """
 
 from __future__ import annotations
@@ -139,6 +141,25 @@ def _normal_target(
     return nf
 
 
+def normal_targets(
+    ring: RingPresentation, targets: TargetClasses
+) -> tuple[GradedClass, GradedClass, GradedClass | None]:
+    """The normal forms of the p1, Euler and Chern targets, once each is reachable.
+
+    These are the target checks that do not depend on the number of line
+    bundles: p1 of degree 4, the Euler class of the real rank, each integral,
+    and a total Chern class whose degree-0 part is 1.
+    """
+    p1 = _normal_target(ring, targets.p1_target, "p1", 4)
+    euler = _normal_target(ring, targets.euler_target, "euler", targets.real_rank)
+    chern = None
+    if targets.chern_target is not None:
+        chern = _normal_target(ring, targets.chern_target, "chern")
+        if chern.component(0) != ring.one():
+            raise TargetError(f"chern: degree-0 part is {ring.format_class(chern.component(0))}, not 1")
+    return p1, euler, chern
+
+
 class TargetMatcher:
     """The acceptance rule for sums of m line bundles, compiled once.
 
@@ -153,16 +174,10 @@ class TargetMatcher:
         # a sum padded with trivial summands has vanishing top Chern class
         self.saturated = 2 * m == targets.real_rank
         self.sign_flexible = targets.euler_sign_flexible
-        self.p1 = _normal_target(ring, targets.p1_target, "p1", 4)
-        self.euler = _normal_target(ring, targets.euler_target, "euler", targets.real_rank)
+        self.p1, self.euler, self.chern = normal_targets(ring, targets)
         if not self.saturated and not self.euler.is_zero():
             raise RankError("trivial summands are only allowed when the Euler target vanishes")
         self.euler_neg = ring_scale(-1, self.euler)
-        self.chern: GradedClass | None = None
-        if targets.chern_target is not None:
-            self.chern = _normal_target(ring, targets.chern_target, "chern")
-            if self.chern.component(0) != ring.one():
-                raise TargetError(f"chern: degree-0 part is {ring.format_class(self.chern.component(0))}, not 1")
 
     def match(self, lbsum: LineBundleSum) -> MatchReport:
         """Compare a sum of the m line bundles the matcher was built for."""

@@ -20,7 +20,14 @@ from functools import partial
 
 from . import __version__
 from .cases import PARAMETER_NAMES, builtin_case, list_builtin_cases
-from .charclass import LineBundleSum, RankError, TargetClasses, TargetError, matches_targets
+from .charclass import (
+    LineBundleSum,
+    RankError,
+    TargetClasses,
+    TargetError,
+    matches_targets,
+    normal_targets,
+)
 from .genus import (
     ChernRootData,
     chi_y,
@@ -73,13 +80,19 @@ def _class_reader(ring: RingPresentation):
 def _load_targets(ring: RingPresentation, raw, where: str = "targets") -> TargetClasses:
     raw = obj(raw, where)
     read_class = _class_reader(ring)
-    return TargetClasses(
+    targets = TargetClasses(
         p1_target=field(raw, "p1", where, read_class),
         euler_target=field(raw, "euler", where, read_class),
         euler_sign_flexible=field(raw, "euler_sign_flexible", where, boolean),
         real_rank=field(raw, "real_rank", where, partial(integer, low=0)),
         chern_target=field(raw, "chern", where, read_class, None),
     )
+    # checked here, so targets that no section uses cannot pass unreachable
+    try:
+        normal_targets(ring, targets)
+    except TargetError as exc:
+        raise CaseError(f"{where}.{exc}") from exc
+    return targets
 
 
 def _load_search_spec(
@@ -194,8 +207,6 @@ def _matching_section(ring: RingPresentation, targets: TargetClasses, raw, where
         classes = [ring.class_from_coeffs(vec) for vec in cand]
         try:
             rep = matches_targets(LineBundleSum(ring, tuple(classes)), targets)
-        except TargetError as exc:
-            raise CaseError(f"targets.{exc}") from exc
         except ValueError as exc:  # a rank error or an empty candidate
             raise CaseError(f"{where}[{i}]: {exc}") from exc
         out.append(
@@ -257,7 +268,10 @@ def _trace_entry(trace) -> dict:
 
 
 def _obstruction_section(case: ObstructionCase) -> dict:
-    result = obstruct_tangent_rep(case)
+    try:
+        result = obstruct_tangent_rep(case)
+    except ValueError as exc:  # more products or multisets than the caps allow
+        raise CaseError(f"obstruction.{exc}") from exc
     return {
         "factors": [rs.group_name for rs in case.factors],
         "manifold_dim": case.manifold_dim,
@@ -337,8 +351,6 @@ def run_case(doc: Mapping, budget: int | None = None) -> dict:
         spec = _load_search_spec(ring, targets, doc["search"], budget)
         try:
             sections["search"] = enumerate_splittings(spec).as_jsonable()
-        except TargetError as exc:
-            raise CaseError(f"targets.{exc}") from exc
         except RankError as exc:
             raise CaseError(f"search.m: {exc}") from exc
         except BoundError as exc:

@@ -53,6 +53,14 @@ from .series import (
 )
 
 
+# The integrator's cost grows steeply with the number of roots: on CP^2,
+# 253 extra copies of h take 0.6 s and 1,000 about 40 s (CPython 3.11, one
+# core of a shared x86-64 host).  A root set is capped at the bound
+# search.MAX_M puts on a splitting's line bundles; every built-in root set
+# has at most n + 2 roots.
+MAX_ROOTS = 256
+
+
 class RootCountError(ValueError):
     """Root data does not describe the ring's tangent dimension."""
 
@@ -122,6 +130,8 @@ class ChernRootData(Frozen):
     __slots__ = ("ring", "roots", "__dict__")
 
     def __init__(self, ring: RingPresentation, roots: tuple[GradedClass, ...]):
+        if len(roots) > MAX_ROOTS:
+            raise ValueError(f"{len(roots)} roots is more than the {MAX_ROOTS} the genus integrates")
         for i, r in enumerate(roots):
             if not r.is_zero() and r.homogeneous_degree() != 2:
                 raise ValueError(f"root #{i} is not homogeneous of degree 2")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Iterator, Sequence
 
 from .genus import hirzebruch_congruence
@@ -33,6 +34,13 @@ MAX_CIRCLE_WEIGHT = 1
 # catalog's cost grows about as m^4: with CPython 3.11 on a 2-core host,
 # B_32's builds in 7 ms and B_100's in 1 s.  The largest built-in rank is 5.
 MAX_RANK = 32
+# The obstruction builds every product of one irrep per factor, then walks
+# every multiset of the kept products; both are counted first and capped.
+# The built-ins build at most 30 products and walk at most 174 multisets;
+# five SU(2) factors in dimension 20 would build 759,375 products, and
+# SU(2) x Spin(11) in dimension 60 has 105,159 multisets (an 18.6 MB report).
+MAX_PRODUCTS = 10_000
+MAX_MULTISETS = 10_000
 
 
 class CatalogError(ValueError):
@@ -370,8 +378,18 @@ class ObstructionResult(Record):
 
 
 def product_catalog(case: ObstructionCase) -> list[ProductIrrep]:
-    """All external tensor products with real dimension <= manifold_dim."""
+    """All external tensor products with real dimension <= manifold_dim.
+
+    Raises `ValueError` naming `factors` when the catalogs would give more
+    than MAX_PRODUCTS products to build.
+    """
     per_factor = [catalog_irreps(rs, case.manifold_dim) for rs in case.factors]
+    products = math.prod(len(c.entries) for c in per_factor)
+    if products > MAX_PRODUCTS:
+        raise ValueError(
+            f"factors: the catalogs give {products} products, "
+            f"more than the {MAX_PRODUCTS} the obstruction builds"
+        )
     out = []
     for combo in itertools.product(*(c.entries for c in per_factor)):
         prod = ProductIrrep.build(combo)
@@ -393,6 +411,8 @@ def obstruct_tangent_rep(case: ObstructionCase) -> ObstructionResult:
     index sequences.  The walk enters a branch only when `fits[i][r]` says
     that r is a sum of the real dimensions of entries i and later, with
     repetition, so every branch it enters closes in at least one multiset.
+    The multisets, one trace each, are counted before the walk: more than
+    MAX_MULTISETS raises `ValueError` naming `manifold_dim`.
 
     Filter F1 (a nonvanishing Euler class forbids odd-dimensional summands) is
     applied first and names the first odd-dimensional entry in catalog order;
@@ -406,6 +426,17 @@ def obstruct_tangent_rep(case: ObstructionCase) -> ObstructionResult:
     entries = product_catalog(case)
     total = case.manifold_dim
     dims = [p.real_dim for p in entries]
+    # count first, in one row that only grows with each entry, so that a
+    # large dimension is refused before the (entries x dimension) table
+    ways = [1] + [0] * total
+    for dim in dims:
+        for r in range(dim, total + 1):
+            ways[r] += ways[r - dim]
+        if ways[total] > MAX_MULTISETS:
+            raise ValueError(
+                f"manifold_dim: more than {MAX_MULTISETS} multisets of dimension {total}, "
+                f"the most the obstruction walks"
+            )
     fits = [[False] * (total + 1) for _ in range(len(entries) + 1)]
     fits[-1][0] = True
     for i in range(len(entries) - 1, -1, -1):

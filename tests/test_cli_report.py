@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from helpers import ref_jsonable, ref_refused_at
 from splitcheck.cases import builtin_case, list_builtin_cases
 from splitcheck.cli import CaseError, main, run_case
+from splitcheck.genus import MAX_ROOTS
 from splitcheck.report import (
     CanonicalError,
     canonical_bytes,
@@ -405,6 +406,8 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         # a catalog's cost grows about as rank^4, and 10^12 would exhaust memory
         ("hp1-presentation", ("obstruction", "factors", 1, "rank"), MAX_RANK + 1),
         ("hp1-presentation", ("obstruction", "factors", 1, "rank"), 10**12),
+        # the products are counted before they are built: 15^5 of them here
+        ("m20-eschenburg", ("obstruction", "factors"), [{"family": "A", "rank": 1}] * 5),
         ("hp1-presentation", ("genus", "congruence", "chi"), [1]),
         ("hp1-presentation", ("genus", "congruence", "chi"), True),
         ("hp1-presentation", ("genus", "congruence", "sigma"), 0.0),
@@ -412,6 +415,8 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         # root-data errors carry the field, not just "root #0" or a count
         ("genus-cpn", ("genus", "roots"), [[[1, [1]]]]),
         ("genus-cpn", ("genus", "roots"), [[[1, [2]]]] * 3),
+        # the integrator's cost grows steeply with the root count: 3 roots of h, then zeros
+        (("genus-cpn", 2), ("genus", "roots"), [[[1, [1]]]] * 3 + [[]] * (MAX_ROOTS - 2)),
         # a coordinate or an exponent of true is not the integer 1
         ("cp2-connect-sum", ("candidates", 0, 0), [True, 2]),
         ("cp2-connect-sum", ("targets", "p1", 0, 1), [True, 1]),
@@ -456,10 +461,13 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         ("s2xs2", ("targets", "p1"), [[1, [1, 0]]]),
         ("cp2-connect-sum", ("targets", "euler"), [[4, [1, 0]]]),
         (("cpn-split", 3), ("targets", "chern"), [[4, [1]], [6, [2]], [4, [3]]]),
+        # targets are checked where they are read, whether or not a section uses them
+        (("r-p-u-variant", 2), ("targets", "p1"), [[1, [1, 1, 1]]]),
         # every class built from integral c1's is integral
         ("cp2-connect-sum", ("targets", "p1"), [["13/2", [2, 0]]]),
         ("su3-t2", ("targets", "euler"), [["13/2", [2, 1]]]),
         (("cpn-split", 3), ("targets", "chern"), [[1, [0]], [4, [1]], ["13/2", [2]], [4, [3]]]),
+        (("r-p-u-variant", 2), ("targets", "euler"), [["1/2", [1, 1, 1]]]),
         # a float in a field no section reads is refused where the document is digested
         ("cp2-connect-sum", ("extra",), {"x": [1, 0.5]}, ("extra", "x", 1)),
         ("cp2-connect-sum", ("extra",), {"a": [[0, 1, {"b": 0.5}]]}, ("extra", "a", 0, 2, "b")),
@@ -467,24 +475,24 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
     ]:
         bad = builtin_case(name) if isinstance(name, str) else builtin_case(*name)
         _set(bad, path, value)
-        with pytest.raises(CaseError, match=re.escape(_field_name(named[0] if named else path))) as info:
-            run_case(bad)
-        assert "Fraction(" not in str(info.value), (name, path)
+        _refused(bad, _field_name(named[0] if named else path), tmp_path, capsys)
     # MAX_RANK itself still runs
     at_cap = builtin_case("hp1-presentation")
     at_cap["obstruction"]["factors"][1]["rank"] = MAX_RANK
     assert run_case(at_cap)["sections"]["obstruction"]["verdict"] == "NO-VALID-V"
+    # and so do MAX_ROOTS roots
+    at_cap = builtin_case("genus-cpn", 2)
+    at_cap["genus"]["roots"] += [[]] * (MAX_ROOTS - 3)
+    assert run_case(at_cap)["sections"]["genus"]["chi_y"] == [1, -1, 1]
+    # the multisets are counted before they are walked: 105,159 of them here
+    big = builtin_case("m20-eschenburg")
+    big["obstruction"]["manifold_dim"] = 60
+    big["genus"]["congruence"]["quarter_dim"] = 15
+    _refused(big, "obstruction.manifold_dim", tmp_path, capsys)
     # the obstruction's switches come from genus.congruence, so it is required
     no_genus = builtin_case("hp1-presentation")
     del no_genus["genus"]
-    with pytest.raises(CaseError, match=re.escape("genus.congruence")):
-        run_case(no_genus)
-    doc = tmp_path / "comment.json"
-    doc.write_text(json.dumps(bad))
-    capsys.readouterr()
-    assert main(["verify", str(doc)]) == 1
-    err = capsys.readouterr().err
-    assert "comment" in err and "Traceback" not in err
+    _refused(no_genus, "genus.congruence", tmp_path, capsys)
 
 
 @pytest.mark.parametrize(("path", "value", "named"), [
@@ -497,14 +505,21 @@ def test_rational_strings_are_strict(tmp_path, capsys, path, value, named):
     the element, not a 6 or a 1."""
     bad = builtin_case("cp2-connect-sum")
     _set(bad, path, value)
-    with pytest.raises(CaseError, match=re.escape(named)):
-        run_case(bad)
-    doc = tmp_path / "bad.json"
-    doc.write_text(json.dumps(bad))
+    _refused(bad, named, tmp_path, capsys)
+
+
+def _refused(doc, named: str, tmp_path, capsys) -> None:
+    """`run_case` raises a `CaseError` naming the field, and `splitcheck
+    verify` exits 1 with that message, no traceback and nothing on stdout."""
+    with pytest.raises(CaseError, match=re.escape(named)) as info:
+        run_case(doc)
+    assert "Fraction(" not in str(info.value), named
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["verify", str(doc)]) == 1
-    err = capsys.readouterr().err
-    assert named in err and "Traceback" not in err
+    assert main(["verify", str(path)]) == 1, named
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {info.value}\n", named
 
 
 def _set(doc, path, value) -> None:

@@ -2,10 +2,11 @@
 
 Importing the package must not load `dataclasses` (nor `inspect`, which it
 pulls in): a fresh interpreter checks what `import splitcheck.cli` loads,
-and an AST scan checks that no module imports it.  The contract block
-checks what the records keep: each constructor check raises its message,
-an immutable record refuses assignment and deletion, and equal classes
-hash alike.
+and an AST scan checks that no module imports it.  The package root
+re-exports nothing, so importing one module loads only what it imports.
+The contract block checks what the records keep: each constructor check
+raises its message, an immutable record refuses assignment and deletion,
+and equal classes hash alike.
 """
 
 from __future__ import annotations
@@ -62,6 +63,21 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("report", []),
+    ("ring", ["record", "report"]),
+    ("cli", ["cases", "charclass", "genus", "record", "repcat", "report", "ring", "search", "series"]),
+])
+def test_import_loads_only_what_the_module_imports(module, loaded):
+    script = (
+        f"import sys, splitcheck.{module}; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('splitcheck.'))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == sorted(f"splitcheck.{name}" for name in [module, *loaded])
 
 
 def test_no_module_imports_dataclasses():

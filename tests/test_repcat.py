@@ -400,6 +400,21 @@ def test_twenty_dimensional_case():
         assert sum(count * s.real_dim for s, count in trace.summands) == 20
 
 
+def test_caps_count_products_and_multisets_exactly(monkeypatch):
+    """The twenty-dimensional case builds 2 x 15 = 30 products and walks 174
+    multisets: each cap lets exactly that many through and refuses one fewer."""
+    case = ObstructionCase(factors=(A1, spin(11)), manifold_dim=20, chi=6, sigma=0)
+    monkeypatch.setattr(repcat, "MAX_PRODUCTS", 30)
+    monkeypatch.setattr(repcat, "MAX_MULTISETS", 174)
+    assert len(obstruct_tangent_rep(case).traces) == 174
+    monkeypatch.setattr(repcat, "MAX_MULTISETS", 173)
+    with pytest.raises(ValueError, match="^manifold_dim: more than 173 multisets of dimension 20,"):
+        obstruct_tangent_rep(case)
+    monkeypatch.setattr(repcat, "MAX_PRODUCTS", 29)
+    with pytest.raises(ValueError, match="^factors: the catalogs give 30 products, more than the 29 "):
+        obstruct_tangent_rep(case)
+
+
 def test_traces_cover_every_multiset_exactly_once():
     case = quaternionic_line_case()
     result = obstruct_tangent_rep(case)
