@@ -118,7 +118,7 @@ def _load_search_spec(
         raise CaseError(f"{at}.type: unknown bound type {kind!r}")
     if budget is None:
         budget = field(raw, "budget", where, integer, DEFAULT_BUDGET)
-    budget = integer(budget, f"{where}.budget", low=0)  # a --budget override too
+    budget = integer(budget, f"{where}.budget", low=0)  # a run_case override too
     m = field(raw, "m", where, integer)
     try:
         return SearchSpec(ring=ring, targets=targets, m=m, bound=bound, budget=budget)
@@ -196,7 +196,6 @@ def _ring_section(ring: RingPresentation) -> dict:
         "top_degree": ring.top_degree,
         "fundamental": ring.format_monomial(ring.fundamental),
         "basis_sizes": sizes,
-        "confluent": True,  # parse_presentation rejects non-confluent input
     }
 
 
@@ -295,7 +294,10 @@ def _obstruction_section(case: ObstructionCase) -> dict:
 def _reps_section(case: ObstructionCase) -> dict:
     out = {}
     for rs in case.factors:
-        catalog = catalog_irreps(rs, case.manifold_dim)
+        try:
+            catalog = catalog_irreps(rs, case.manifold_dim)
+        except ValueError as exc:  # more irreps than the product cap allows
+            raise CaseError(f"obstruction.{exc}") from exc
         out[rs.group_name] = [
             {
                 "name": e.name,
@@ -476,6 +478,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         doc = _load_case_document(args.case, args.q)
         if args.command == "verify":
+            if args.budget is not None:
+                integer(args.budget, "--budget", low=0)
+                if "search" not in doc:
+                    raise CaseError("--budget: the case has no search section to bound")
             report = run_case(doc, budget=args.budget)
         elif args.command == "genus":
             if "genus" not in doc:

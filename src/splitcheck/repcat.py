@@ -275,6 +275,11 @@ def catalog_irreps(rs: RootSystem, dim_bound: int) -> IrrepCatalog:
     principle (all rotation weights share real dimension 2); only weights up
     to MAX_CIRCLE_WEIGHT are listed and the catalog is flagged reconstructed
     by its root system family.
+
+    Every catalog holds the trivial irrep, so one with more than
+    MAX_PRODUCTS entries gives more products than the obstruction builds,
+    whatever the other factors: the walk stops at the first entry past the
+    cap and raises `CatalogError` naming `factors`.
     """
     if dim_bound < 1:
         raise CatalogError("dim_bound must be >= 1")
@@ -283,7 +288,13 @@ def catalog_irreps(rs: RootSystem, dim_bound: int) -> IrrepCatalog:
     else:
         evaluated = _enumerate_weights(rs, dim_bound)
     irreps = (Irrep._of(rs, *data) for data in evaluated)
-    entries = [irrep for irrep in irreps if irrep.real_dim <= dim_bound]
+    kept = (irrep for irrep in irreps if irrep.real_dim <= dim_bound)
+    entries = list(itertools.islice(kept, MAX_PRODUCTS + 1))
+    if len(entries) > MAX_PRODUCTS:
+        raise CatalogError(
+            f"factors: the {rs.group_name} catalog alone gives more than {MAX_PRODUCTS} "
+            f"products, the most the obstruction builds"
+        )
     entries.sort(key=lambda e: (e.real_dim, e.highest_weight))
     return IrrepCatalog(rs=rs, dim_bound=dim_bound, entries=tuple(entries))
 
@@ -412,7 +423,8 @@ def obstruct_tangent_rep(case: ObstructionCase) -> ObstructionResult:
     that r is a sum of the real dimensions of entries i and later, with
     repetition, so every branch it enters closes in at least one multiset.
     The multisets, one trace each, are counted before the walk: more than
-    MAX_MULTISETS raises `ValueError` naming `manifold_dim`.
+    MAX_MULTISETS raises `ValueError` naming `manifold_dim`, at once when
+    the first two entries alone give that many.
 
     Filter F1 (a nonvanishing Euler class forbids odd-dimensional summands) is
     applied first and names the first odd-dimensional entry in catalog order;
@@ -426,6 +438,14 @@ def obstruct_tangent_rep(case: ObstructionCase) -> ObstructionResult:
     entries = product_catalog(case)
     total = case.manifold_dim
     dims = [p.real_dim for p in entries]
+    too_many = (
+        f"manifold_dim: more than {MAX_MULTISETS} multisets of dimension {total}, "
+        f"the most the obstruction walks"
+    )
+    # the trivial product (real dimension 1) and the next entry mix in any
+    # proportion, so a large dimension is refused before the count row is built
+    if len(dims) > 1 and total // dims[1] + 1 > MAX_MULTISETS:
+        raise ValueError(too_many)
     # count first, in one row that only grows with each entry, so that a
     # large dimension is refused before the (entries x dimension) table
     ways = [1] + [0] * total
@@ -433,10 +453,7 @@ def obstruct_tangent_rep(case: ObstructionCase) -> ObstructionResult:
         for r in range(dim, total + 1):
             ways[r] += ways[r - dim]
         if ways[total] > MAX_MULTISETS:
-            raise ValueError(
-                f"manifold_dim: more than {MAX_MULTISETS} multisets of dimension {total}, "
-                f"the most the obstruction walks"
-            )
+            raise ValueError(too_many)
     fits = [[False] * (total + 1) for _ in range(len(entries) + 1)]
     fits[-1][0] = True
     for i in range(len(entries) - 1, -1, -1):

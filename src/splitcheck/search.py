@@ -53,10 +53,7 @@ equations.
 from __future__ import annotations
 
 import bisect
-import hashlib
-import json
 import math
-from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
@@ -64,7 +61,7 @@ from .charclass import LineBundleSum, TargetClasses, TargetMatcher
 # Not called here: perfbench/tracing.py rebinds these names on this module.
 from .charclass import euler_class, first_pontryagin, total_chern  # noqa: F401
 from .record import Frozen, Record
-from .ring import GradedClass, RingPresentation, Vector, normal_form
+from .ring import RingPresentation, Vector, normal_form
 
 DEFAULT_BUDGET = 10**9
 # The walk recurses once per bundle, so m is capped well below Python's
@@ -137,16 +134,14 @@ class DerivedBounds(Record):
 
 class SearchCertificate(Record):
     __slots__ = (
-        "spec_digest", "bound_type", "per_variable_bounds", "enumerated", "visited",
-        "solutions", "exhaustive", "budget", "diagonal", "constant", "notes",
+        "bound_type", "per_variable_bounds", "visited", "solutions", "exhaustive",
+        "budget", "diagonal", "constant", "notes",
     )
 
     def __init__(
         self,
-        spec_digest: str,
         bound_type: str,
         per_variable_bounds: tuple[int, ...],
-        enumerated: int,
         visited: int,
         solutions: tuple[tuple[tuple[int, ...], ...], ...],
         exhaustive: bool,
@@ -155,10 +150,8 @@ class SearchCertificate(Record):
         constant: int | None = None,
         notes: list[str] | None = None,
     ):
-        self.spec_digest = spec_digest
         self.bound_type = bound_type
         self.per_variable_bounds = per_variable_bounds
-        self.enumerated = enumerated
         self.visited = visited
         self.solutions = solutions
         self.exhaustive = exhaustive
@@ -171,63 +164,19 @@ class SearchCertificate(Record):
     def solution_count(self) -> int:
         return len(self.solutions)
 
-    @property
-    def visited_fraction(self) -> Fraction:
-        if not self.enumerated:
-            return Fraction(0)
-        return Fraction(self.visited, self.enumerated)
-
     def as_jsonable(self) -> dict:
         return {
-            "spec_digest": self.spec_digest,
             "bound_type": self.bound_type,
             "per_variable_bounds": list(self.per_variable_bounds),
             "diagonal": list(self.diagonal) if self.diagonal is not None else None,
             "constant": self.constant,
-            "enumerated": self.enumerated,
             "visited": self.visited,
-            "visited_fraction": self.visited_fraction,
             "budget": self.budget,
             "solutions": [[list(vec) for vec in sol] for sol in self.solutions],
             "solution_count": self.solution_count,
             "exhaustive": self.exhaustive,
             "notes": list(self.notes),
-            "wall_clock_s": None,  # not timed; the key keeps reports byte-stable
         }
-
-
-def spec_digest(spec: SearchSpec) -> str:
-    """Stable digest of everything that determines the search."""
-    ring = spec.ring
-    targets = spec.targets
-
-    def terms(cls: GradedClass) -> list:
-        return sorted((str(c), list(m)) for m, c in cls.terms.items())
-
-    payload = {
-        "generators": list(ring.generators),
-        "rules": [{"lhs": list(r.lhs), "rhs": terms(r.rhs)} for r in ring.rules],
-        "top_degree": ring.top_degree,
-        "fundamental": list(ring.fundamental),
-        "p1_target": terms(targets.p1_target),
-        "euler_target": terms(targets.euler_target),
-        "euler_sign_flexible": targets.euler_sign_flexible,
-        "real_rank": targets.real_rank,
-        "chern_target": terms(targets.chern_target) if targets.chern_target is not None else None,
-        "m": spec.m,
-        "bound": (
-            {"type": "sum_of_squares", "multipliers": [str(x) for x in spec.bound.multipliers]}
-            if isinstance(spec.bound, SumOfSquaresBound)
-            else {
-                "type": "explicit",
-                "per_variable": list(spec.bound.per_variable),
-                "acknowledged": spec.bound.acknowledged,
-            }
-        ),
-        "budget": spec.budget,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
 
 
 # -- bound derivation --------------------------------------------------------
@@ -492,10 +441,8 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
         notes.append("explicit bound not acknowledged; certificate is not exhaustive")
     canonical = {canonicalize_solution(sol, allow_sign_flips=flips) for sol in raw}
     return SearchCertificate(
-        spec_digest=spec_digest(spec),
         bound_type="explicit" if isinstance(spec.bound, ExplicitBound) else "sum_of_squares",
         per_variable_bounds=bounds.per_variable,
-        enumerated=cells**spec.m,
         visited=visited,
         solutions=tuple(sorted(canonical)),
         exhaustive=bounds.certified and visited <= budget,

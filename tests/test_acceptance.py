@@ -89,7 +89,7 @@ def test_criterion_1_connect_sum_search():
     cert = enumerate_splittings(search_spec_for("cp2-connect-sum"))
     assert cert.per_variable_bounds == (2, 2)
     assert cert.constant == 6
-    assert cert.enumerated == 5**4
+    assert cert.visited == 36
     assert cert.exhaustive
     assert cert.solution_count == 0
     assert elapsed() < 1.0

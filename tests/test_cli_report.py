@@ -201,19 +201,17 @@ def test_run_case_connect_sum_sections():
     report = run_case(builtin_case("cp2-connect-sum"))
     assert report["case"] == "cp2-connect-sum"
     sections = report["sections"]
-    assert sections["ring"]["confluent"]
     assert sections["ring"]["basis_sizes"] == {"0": 1, "2": 2, "4": 1}
+    assert set(sections["ring"]) == {"generators", "top_degree", "fundamental", "basis_sizes"}
     match = sections["matching"][0]
     assert match["candidate"] == [[1, 2], [0, 1]]
     assert match["p1_ok"] and not match["euler_ok"] and not match["matched"]
     assert match["residuals"]["euler"] == "-2*u^2"
     search = sections["search"]
-    assert search["enumerated"] == 625
+    assert search["per_variable_bounds"] == [2, 2]
     assert search["visited"] == 36
     assert search["solution_count"] == 0
     assert search["exhaustive"] is True
-    assert search["visited_fraction"] == Fraction(36, 625)
-    assert search["wall_clock_s"] is None
     genus = sections["genus"]["congruence"]
     assert genus["holds"] is False
     # the report itself serializes canonically
@@ -276,28 +274,28 @@ def test_run_case_genus_roots():
 # every report byte-identical; a deliberate report change updates these
 # digests and says so in CHANGES.md.
 REPORT_DIGESTS = {
-    ("cp2-connect-sum", None): "59a4e383213af5a41ace4dd79c2e746cc65e982582896335ca49dd71d4d97a32",
-    ("cpn-split", None): "310ea743687c81f4354128978548fd387c2b0bb70f8330cf6bfd8b4b832dae9e",
-    ("genus-cpn", None): "2b398264396332fc47a001c5cea660460a819466ae51e3f426f2f807650aebfc",
+    ("cp2-connect-sum", None): "4918a2fa39caf07b24620f873164928fa43a0dde96ae33fe20f0325fb745701d",
+    ("cpn-split", None): "fcce36f7a70fd1a43e61de04785b6f6a6dafd7508354a0f67a988d119c10d586",
+    ("genus-cpn", None): "1759615324814d10f21467f4e7fb3e81d4e639b9a11f961088047bc1215609fe",
     ("hp1-presentation", None): "350c0b3239685dd3ad833bc649ee9f7a4d0647f26a45c1f09f2c79a0390b52f4",
     ("m20-eschenburg", None): "e300025cc6555e38c7a8268397da2e80c0b62aaee097f8edd7cec7afaaa59801",
-    ("r-p", None): "0bb33082e633a3850ed20ca2279808899205f46ece14997f9c5c6f4b03deff72",
-    ("r-p-u-variant", None): "0ce4192f31ee4ba2d99597f593dc11278ea904ce856d9dae9ad6223dced29cc7",
-    ("s2xs2", None): "a462e9d1b455a631308fcd254b853f8a295d76e2bfe57ccc909e231e38148ab9",
-    ("sp2-t2", None): "dc794aba5a924e885fa4a760616fd25cfb5ff169fff7206c6c92c79304e7d239",
-    ("su3-t2", None): "9fb950bc1a78ff6fac652a77dbb8d2ee3b85a56fd2eeddad0da334e524c27976",
-    ("r-p", 1): "aa5d25633f1b163a383e658fe6a86ac565da2bf4d03ed345e90172b0021a2706",
-    ("r-p", 2): "0bb33082e633a3850ed20ca2279808899205f46ece14997f9c5c6f4b03deff72",
-    ("r-p", 3): "36ca623301563d423993db696ec3ac7b1e94c6a6ca6b2508a31702a029713a75",
-    ("r-p", 4): "cf0f9280f47b0edfeb43731cd55e367776bce70b4fb9d2200e5b4de8e726afb1",
-    ("r-p", 5): "0a93faf9bfa80d039cc85db174dc208a9f67346e79f24b8cc29d05db3d53502d",
-    ("cpn-split", 2): "310ea743687c81f4354128978548fd387c2b0bb70f8330cf6bfd8b4b832dae9e",
-    ("cpn-split", 3): "9c8e3157460a09e7c5c7f46e989a4db82c15e05e4c738ee028f3b15a25cecf7e",
-    ("cpn-split", 4): "9075c88952ab7f031729282654fd9170f0a20b80b7b52f2ff4ebf56c8d53bedf",
-    ("genus-cpn", 1): "845cedd30a2bb5bfa5934f7ab71ee6d31bdcd61bb2e3b6aa09d7baf0e5b418ed",
-    ("genus-cpn", 2): "2b398264396332fc47a001c5cea660460a819466ae51e3f426f2f807650aebfc",
-    ("genus-cpn", 3): "4316655eac6f5d52fdc228c3ba8bffcf1898ee2fc1a5f2ecc3175a1cb3734a9d",
-    ("genus-cpn", 4): "117b7f094996803dbc9e7c4c0c29227e144106eb62d94fdd3a4286aac1715adf",
+    ("r-p", None): "c6fc32c7acde390cfa11fa8477729be2852d96cf3d21edcbf1528df76c24aa7b",
+    ("r-p-u-variant", None): "a1ce88c31e2f39594b2d74ae87ecd7f5ac8ae8cbdb4159d71954206ac185bd38",
+    ("s2xs2", None): "f13fa5a3a2c15ae061b4c7ceceb52997540856a7107c5ab702bb95f655a1cddf",
+    ("sp2-t2", None): "79d623e5081f07961511fe098483223140e9bffde16b565db085be40bdd5f990",
+    ("su3-t2", None): "e9f8e299446f1f96afbdf12caa1ea3da91e5b692c0446c155995ab6b62b0e814",
+    ("r-p", 1): "c72bc4dab21d57b5cf498e29ba5699dd15b003c3ebb638147e46289cb702bcfc",
+    ("r-p", 2): "c6fc32c7acde390cfa11fa8477729be2852d96cf3d21edcbf1528df76c24aa7b",
+    ("r-p", 3): "5f997986802e870f6c9a1272f0176f959b01f626e3fbb66b59457cda9abfe2d6",
+    ("r-p", 4): "758ead8d1183b9f511d22e8ecf6fd5ca8f9e3dfeeb38e27ad0ef365f7d13851d",
+    ("r-p", 5): "1969ea73ccdd870e6ca29193912fac64ebee7bd65219ca0516faad55afa01ab3",
+    ("cpn-split", 2): "fcce36f7a70fd1a43e61de04785b6f6a6dafd7508354a0f67a988d119c10d586",
+    ("cpn-split", 3): "60d9e9e3bdec044669938384adefc0bc198bb0aad52a3c4c35c33699eca82149",
+    ("cpn-split", 4): "4558d7f304408a58d98c620c2342dd2293c9108dc03d25743fa8ad5885c18adc",
+    ("genus-cpn", 1): "13f4d7cb31fe6af29d8d7af014c73aeb338063d03c962784256db934281c3b1d",
+    ("genus-cpn", 2): "1759615324814d10f21467f4e7fb3e81d4e639b9a11f961088047bc1215609fe",
+    ("genus-cpn", 3): "257b7e89021d30db62601c04511b396d170a0f5e0cf66ad236706ce6ef5deebf",
+    ("genus-cpn", 4): "3ba19c97e5fe699c97266677c6fbe3d6ab601fe459519d65a72856f573b3a5ec",
 }
 
 
@@ -489,6 +487,24 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
     big["obstruction"]["manifold_dim"] = 60
     big["genus"]["congruence"]["quarter_dim"] = 15
     _refused(big, "obstruction.manifold_dim", tmp_path, capsys)
+    # refused before the work grows with the dimension: SU(2)'s catalog stops
+    # at its 10,001st irrep, and the circle's 1 and rot1 alone fill these
+    # dimensions in more than 10,000 ways
+    for factors, dim, named in [
+        ([{"family": "A", "rank": 1}], 40_000, "obstruction.factors"),
+        ([{"family": "T", "rank": 1}], 10**6, "obstruction.manifold_dim"),
+        ([{"family": "T", "rank": 1}], 10**12, "obstruction.manifold_dim"),
+    ]:
+        lone = builtin_case("hp1-presentation")
+        lone["obstruction"].update(factors=factors, manifold_dim=dim)
+        lone["genus"]["congruence"]["quarter_dim"] = dim // 4
+        _refused(lone, named, tmp_path, capsys)
+    # `reps` lists each catalog, so it refuses the one past the cap too
+    lone["obstruction"]["factors"] = [{"family": "A", "rank": 1}]  # in dimension 10^12
+    (tmp_path / "case.json").write_text(json.dumps(lone))
+    assert main(["reps", str(tmp_path / "case.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: obstruction.factors: the SU(2) catalog alone "), err
     # the obstruction's switches come from genus.congruence, so it is required
     no_genus = builtin_case("hp1-presentation")
     del no_genus["genus"]
@@ -756,12 +772,20 @@ def test_builtin_parameters_are_integers_not_bools():
         builtin_case("genus-cpn", False)
 
 
-def test_cli_budget_override():
+def test_cli_budget_override(capsys):
     proc = run_cli("verify", "su3-t2", "--budget", "50")
     assert proc.returncode == 0
     search = json.loads(proc.stdout)["sections"]["search"]
     assert search["exhaustive"] is False
     assert search["budget"] == 50
+    # an override bounds a search, with a budget of at least 0
+    for argv, message in [
+        (["genus-cpn", "--budget", "5"], "--budget: the case has no search section to bound"),
+        (["su3-t2", "--budget", "-1"], "--budget: expected an integer >= 0, got -1"),
+    ]:
+        capsys.readouterr()
+        assert main(["verify", *argv]) == 1, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
 
 
 def test_cli_reps_dumps_catalogs():
@@ -792,8 +816,16 @@ def test_cli_emit_writes_canonical_file(tmp_path, capsys):
     again = tmp_path / "again.json"
     run_cli("verify", "cp2-connect-sum", "--emit", str(again))
     assert again.read_bytes() == blob
-    parsed = json.loads(blob)
-    assert parsed["sections"]["search"]["visited_fraction"] == "36/625"
+    # a non-integral rational is emitted as a "p/q" string: roots h/2 on CP^2
+    doc = builtin_case("genus-cpn", 2)
+    doc["genus"]["roots"] = [[["1/2", [1]]]] * 3
+    case = tmp_path / "half.json"
+    case.write_text(json.dumps(doc))
+    halves = tmp_path / "half-report.json"
+    assert run_cli("verify", str(case), "--emit", str(halves)).returncode == 0
+    blob = halves.read_bytes()
+    assert b'"chi_y":["1/4","-1/4","1/4"]' in blob and b'"euler":"3/4"' in blob
+    assert blob == canonical_bytes(run_case(doc))
     # a path in a missing directory, or a directory, is an error naming it
     for path in (tmp_path / "missing" / "report.json", tmp_path):
         capsys.readouterr()

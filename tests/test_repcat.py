@@ -11,6 +11,7 @@ dimension 32.  The tests assert the claimed values and are expected to fail.
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from math import comb
 
 import pytest
@@ -413,6 +414,30 @@ def test_caps_count_products_and_multisets_exactly(monkeypatch):
     monkeypatch.setattr(repcat, "MAX_PRODUCTS", 29)
     with pytest.raises(ValueError, match="^factors: the catalogs give 30 products, more than the 29 "):
         obstruct_tangent_rep(case)
+
+
+def test_refusals_come_before_the_work_grows(monkeypatch):
+    """A catalog stops at its first entry past the product cap, and a
+    dimension that the trivial entry and the next one alone fill more than
+    MAX_MULTISETS ways is refused before the count row is built."""
+    calls = []
+    data = repcat._weyl_data
+    monkeypatch.setattr(repcat, "_weyl_data", lambda rs, w: calls.append(w) or data(rs, w))
+    # SU(2) below real dimension 40,000 has 30,000 irreps
+    lone = ObstructionCase(factors=(A1,), manifold_dim=40_000, chi=2, sigma=0)
+    with pytest.raises(CatalogError, match=r"^factors: the SU\(2\) catalog alone gives more than 10000 "):
+        obstruct_tangent_rep(lone)
+    assert len(calls) == repcat.MAX_PRODUCTS + 1
+    # a circle catalog is 1 and rot1: 500,001 multisets, and a 10^6-entry row
+    circle = ObstructionCase(factors=(CIRCLE,), manifold_dim=10**6, chi=0, sigma=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^manifold_dim: more than 10000 multisets "):
+            obstruct_tangent_rep(circle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
 
 
 def test_traces_cover_every_multiset_exactly_once():
