@@ -29,7 +29,6 @@ def cp2_connect_sum() -> dict:
                 {"lhs": [0, 2], "rhs": [[1, [2, 0]]]},
             ],
             "top_degree": 4,
-            "fundamental": [2, 0],
         },
         "targets": {
             "p1": [[6, [2, 0]]],
@@ -62,7 +61,6 @@ def su3_t2() -> dict:
                 {"lhs": [3, 0], "rhs": []},
             ],
             "top_degree": 6,
-            "fundamental": [2, 1],
         },
         "targets": {
             "p1": [[8, [2, 0]]],
@@ -88,7 +86,6 @@ def r_p(q: int = 2) -> dict:
     return {
         "name": "r-p",
         "anchor": f"circle-bundle family member with q = {q}",
-        "q": q,
         "ring": {
             "generators": ["v1", "v2", "v3"],
             "relations": [
@@ -98,7 +95,6 @@ def r_p(q: int = 2) -> dict:
                 {"lhs": [3, 0, 0], "rhs": []},
             ],
             "top_degree": 6,
-            "fundamental": [2, 0, 1],
         },
         "targets": {
             "p1": [[6 + 8 * q * q, [2, 0, 0]]],
@@ -127,7 +123,6 @@ def r_p_u_variant(q: int = 2) -> dict:
     return {
         "name": "r-p-u-variant",
         "anchor": f"alternate generator basis for the q = {q} family member",
-        "q": q,
         "ring": {
             "generators": ["u1", "u2", "u3"],
             "relations": [
@@ -145,7 +140,6 @@ def r_p_u_variant(q: int = 2) -> dict:
                 {"lhs": [0, 0, 2], "rhs": [[-p, [1, 0, 1]]]},
             ],
             "top_degree": 6,
-            "fundamental": [1, 1, 1],
         },
         "targets": {
             "p1": [[-(6 + 8 * q * q), [1, 1, 0]]],
@@ -168,7 +162,6 @@ def sp2_t2() -> dict:
                 {"lhs": [0, 4], "rhs": []},
             ],
             "top_degree": 8,
-            "fundamental": [1, 3],
         },
         "targets": {
             "p1": [[12, [0, 2]]],
@@ -188,7 +181,6 @@ def _cpn_ring(n: int) -> dict:
         "generators": ["h"],
         "relations": [{"lhs": [n + 1], "rhs": []}],
         "top_degree": 2 * n,
-        "fundamental": [n],
     }
 
 
@@ -204,7 +196,6 @@ def cpn_split(n: int = 2) -> dict:
     return {
         "name": "cpn-split",
         "anchor": f"complex projective {n}-space, tangent bundle as a sum of lines",
-        "n": n,
         "ring": _cpn_ring(n),
         "targets": {
             "p1": [[n + 1, [2]]],
@@ -236,7 +227,6 @@ def s2xs2() -> dict:
                 {"lhs": [0, 2], "rhs": []},
             ],
             "top_degree": 4,
-            "fundamental": [1, 1],
         },
         "targets": {
             "p1": [],
@@ -302,7 +292,6 @@ def genus_cpn(n: int = 2) -> dict:
     return {
         "name": "genus-cpn",
         "anchor": f"genus polynomial of complex projective {n}-space",
-        "n": n,
         "ring": _cpn_ring(n),
         "genus": {
             "roots": [[[1, [1]]] for _ in range(n + 1)],

@@ -118,7 +118,7 @@ def _load_search_spec(
         raise CaseError(f"{at}.type: unknown bound type {kind!r}")
     if budget is None:
         budget = field(raw, "budget", where, integer, DEFAULT_BUDGET)
-    budget = integer(budget, f"{where}.budget", low=0)  # a run_case override too
+    budget = integer(budget, f"{where}.budget")  # a run_case override too
     m = field(raw, "m", where, integer)
     try:
         return SearchSpec(ring=ring, targets=targets, m=m, bound=bound, budget=budget)

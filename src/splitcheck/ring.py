@@ -241,7 +241,6 @@ class RingPresentation:
         generators: Sequence[str],
         rules: Sequence[RewriteRule],
         top_degree: int,
-        fundamental: Monomial,
     ):
         if len(set(generators)) != len(generators):
             raise PresentationError("generators: duplicate names")
@@ -257,18 +256,20 @@ class RingPresentation:
         self.generators = tuple(generators)
         self.rules = tuple(rules)
         self.top_degree = top_degree
-        self.fundamental = tuple(fundamental)
         for rule in self.rules:
             if len(rule.lhs) != len(self.generators):
                 raise PresentationError("relations: rule exponent vector length does not match generators")
-        if len(self.fundamental) != len(self.generators):
-            raise PresentationError("fundamental: exponent vector length does not match generators")
-        if monomial_degree(self.fundamental) != top_degree:
-            raise PresentationError(
-                f"fundamental: degree {monomial_degree(self.fundamental)} != top_degree {top_degree}"
-            )
         self._nf_cache: dict[Monomial, GradedClass] = {}
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
+
+    @cached_property
+    def fundamental(self) -> Monomial:
+        """The top degree's one basis monomial, which integrates to 1: the relations fix it."""
+        top_basis = basis(self, self.top_degree)
+        if len(top_basis) != 1:
+            names = [self.format_monomial(m) for m in top_basis]
+            raise PresentationError(f"ring.relations: top-degree basis {names} is not a single monomial")
+        return top_basis[0]
 
     # -- monomial-level reduction ------------------------------------------
 
@@ -599,20 +600,18 @@ def _read_presentation(doc) -> RingPresentation:
     if not generators:
         raise CaseError("ring.generators: expected at least one name")
     n = len(generators)
-    monomial = partial(integers, length=n, low=0)
     rules = []
     for i, rel in enumerate(field(doc, "relations", "ring", partial(array, item=obj))):
         where = f"ring.relations[{i}]"
-        lhs = field(rel, "lhs", where, monomial)
+        lhs = field(rel, "lhs", where, partial(integers, length=n, low=0))
         rhs = field(rel, "rhs", where, partial(terms, n=n, coefficient=integer))
         try:
             rules.append(RewriteRule(lhs=lhs, rhs=GradedClass.from_terms(rhs)))
         except PresentationError as exc:
             raise CaseError(f"{where}: {exc}") from exc
     top_degree = field(doc, "top_degree", "ring", integer)
-    fundamental = field(doc, "fundamental", "ring", monomial)
     try:
-        return RingPresentation(generators, rules, top_degree, fundamental)
+        return RingPresentation(generators, rules, top_degree)
     except PresentationError as exc:
         raise CaseError(f"ring.{exc}") from exc
 
@@ -624,15 +623,15 @@ def parse_presentation(doc: Mapping) -> RingPresentation:
 
         {"generators": ["u", "v"],
          "relations": [{"lhs": [2, 0], "rhs": [[1, [0, 2]]]}, ...],
-         "top_degree": 4,
-         "fundamental": [2, 0]}
+         "top_degree": 4}
 
     Every error message names the offending field of the case document's
     ``ring`` section, e.g. ``ring.relations[0].lhs``.  Each is a
     `PresentationError`, the readers' type errors included.  The rewriting
     is checked by `check_confluence`, whose errors pass through as raised:
     a rule list whose reduction cycles is a `DivergenceError`, and a
-    monomial with two normal forms a `ConfluenceError`.
+    monomial with two normal forms a `ConfluenceError`.  The fundamental
+    monomial is derived, never read: `RingPresentation.fundamental`.
     """
     try:
         ring = _read_presentation(doc)
@@ -646,12 +645,5 @@ def parse_presentation(doc: Mapping) -> RingPresentation:
             f"of degree <= top, more than the {MAX_MONOMIALS} the confluence check walks"
         )
     check_confluence(ring)
-    if ring.fundamental in ring.rule_index:
-        raise PresentationError("ring.fundamental: monomial is reducible")
-    top_basis = basis(ring, ring.top_degree)
-    if top_basis != [ring.fundamental]:
-        names = [ring.format_monomial(m) for m in top_basis]
-        raise PresentationError(
-            f"ring.relations: top-degree basis {names} is not the fundamental monomial alone"
-        )
+    ring.fundamental  # derived here, so a parsed ring has one
     return ring

@@ -67,6 +67,9 @@ DEFAULT_BUDGET = 10**9
 # The walk recurses once per bundle, so m is capped well below Python's
 # recursion limit; the largest built-in m is 4.
 MAX_M = 256
+# The budget bounds visits, not memory, and the ball and its join take about
+# 470 bytes per vector; r-p at q = 20 (5.6 s) keeps 12,635.
+MAX_BALL = 10**6
 
 
 class BoundError(ValueError):
@@ -104,6 +107,8 @@ class SearchSpec(Record):
             raise ValueError(f"m: need at least one line bundle, got {m}")
         if m > MAX_M:
             raise ValueError(f"m: {m} line bundles is more than the {MAX_M} the search walks")
+        if budget < 0:
+            raise ValueError(f"budget: expected an integer >= 0, got {budget}")
         self.ring = ring
         self.targets = targets
         self.m = m
@@ -280,32 +285,42 @@ def pack(vec: Sequence[int], span: int) -> int:
 
 def _ellipsoid(
     per_variable: Sequence[int], weights: Sequence[int], limit: int, flips: bool
-) -> list[tuple[int, tuple[int, ...]]]:
-    """(norm, vector) for the box vectors with sum_j w_j v_j^2 <= limit, in the box's lex order.
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The norms and the box vectors with norm sum_j w_j v_j^2 <= limit, in the box's lex order.
 
     Each coordinate runs over the range the norm left by the coordinates
     before it allows, |v_j| <= isqrt((limit - partial) // w_j); a zero
     weight keeps the box's range.  With flips only the larger of v and -v
-    is kept: the first nonzero coordinate is positive.
+    is kept: the first nonzero coordinate is positive.  The last
+    coordinate is filled a row at a time, and the walk stops at its
+    `MAX_BALL + 1`st vector, so a ball past the cap is never built whole.
     """
-    out: list[tuple[int, tuple[int, ...]]] = []
-    vec = [0] * len(per_variable)
+    if not per_variable:  # no degree-2 coordinates: the ball is the zero vector
+        return [0], [()]
+    norms: list[int] = []
+    ball: list[tuple[int, ...]] = []
+    last = len(per_variable) - 1
 
-    def fill(j: int, partial: int, lead: bool) -> None:
-        if j == len(vec):
-            out.append((partial, tuple(vec)))
-            return
+    def fill(head: tuple[int, ...], partial: int, lead: bool) -> None:
+        j = len(head)
         w = weights[j]
         b = math.isqrt((limit - partial) // w) if w else per_variable[j]
-        for x in range(0 if lead else -b, b + 1):
-            vec[j] = x
-            fill(j + 1, partial + w * x * x, lead and not x)
+        low = 0 if lead else -b
+        if j == last:
+            row = range(low, min(b + 1, low + MAX_BALL + 1 - len(ball)))
+            norms.extend([partial + w * x * x for x in row])
+            ball.extend([head + (x,) for x in row])
+            return
+        for x in range(low, b + 1):
+            if len(ball) > MAX_BALL:
+                return
+            fill(head + (x,), partial + w * x * x, lead and not x)
 
-    fill(0, 0, flips)
+    fill((), 0, flips)
     # fill's closure holds fill itself; without this the cycle would keep
-    # `vec` and the weights alive until the cyclic collector runs
+    # the ball and the weights alive until the cyclic collector runs
     del fill
-    return out
+    return norms, ball
 
 
 def count_probes(norms: Sequence[int], m: int, limit: int) -> int:
@@ -411,7 +426,8 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
     up front, so it does not depend on the cut.  A search that needs more
     than `spec.budget` visits is refused without walking (and without the
     ball when the box alone is over): `visited == budget + 1`, no
-    solutions, not exhaustive, and a note.
+    solutions, not exhaustive, and a note.  A ball of more than `MAX_BALL`
+    vectors raises `BoundError`, as the budget bounds visits, not memory.
     """
     matcher = TargetMatcher(spec.ring, spec.targets, spec.m)
     bounds = derive_bounds(spec)
@@ -428,12 +444,14 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
     raw: list[tuple[tuple[int, ...], ...]] = []
     visited = cells
     if cells <= budget:
-        kept = _ellipsoid(bounds.per_variable, weights, limit, flips)
-        kept.sort(key=lambda item: item[0])
-        norms = [norm for norm, _ in kept]
+        norms, ball = _ellipsoid(bounds.per_variable, weights, limit, flips)
+        if len(ball) > MAX_BALL:
+            raise BoundError(f"the ball of the {cells}-cell box holds more than {MAX_BALL} vectors")
+        order = sorted(range(len(ball)), key=norms.__getitem__)
+        norms = [norms[i] for i in order]
         visited += count_probes(norms, spec.m, limit)
         if visited <= budget:
-            raw = _walk(spec, matcher, [vec for _, vec in kept], norms, limit)
+            raw = _walk(spec, matcher, [ball[i] for i in order], norms, limit)
     if visited > budget:
         visited = budget + 1
         notes.append(f"visit budget {budget} exhausted; enumeration incomplete")

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from enum import IntEnum
 from fractions import Fraction
 from types import MappingProxyType
@@ -30,7 +31,7 @@ from splitcheck.report import (
 )
 from splitcheck.repcat import MAX_RANK
 from splitcheck.ring import MAX_GENERATORS, monomials_of_degree
-from splitcheck.search import MAX_M
+from splitcheck.search import MAX_BALL, MAX_M
 
 # -- serialization ----------------------------------------------------------------
 
@@ -255,6 +256,24 @@ def test_obstruction_traces_are_catalog_multiplicities():
             assert all(catalog[name]["field_type"] in ("complex", "quaternionic") for name in names)
 
 
+def test_a_stale_fundamental_runs_on_the_derived_one(tmp_path, capsys):
+    """`ring.fundamental` is derived from the relations and never read, so a
+    document that still gives one, with any value, runs and reports the
+    derived monomial; only its input digest differs."""
+    plain = run_case(builtin_case("cp2-connect-sum"))
+    for stale in ([0, 2], [2, 0], [True, 1]):
+        doc = builtin_case("cp2-connect-sum")
+        doc["ring"]["fundamental"] = stale
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 0, stale
+        report = json.loads(capsys.readouterr().out)
+        assert report["sections"]["ring"]["fundamental"] == "u^2", stale
+        assert report["input_digest"] != plain["input_digest"], stale
+        assert {**report, "input_digest": None} == {**plain, "input_digest": None}, stale
+
+
 def test_run_case_genus_roots():
     report = run_case(builtin_case("genus-cpn", 3))
     genus = report["sections"]["genus"]
@@ -274,28 +293,28 @@ def test_run_case_genus_roots():
 # every report byte-identical; a deliberate report change updates these
 # digests and says so in CHANGES.md.
 REPORT_DIGESTS = {
-    ("cp2-connect-sum", None): "4918a2fa39caf07b24620f873164928fa43a0dde96ae33fe20f0325fb745701d",
-    ("cpn-split", None): "fcce36f7a70fd1a43e61de04785b6f6a6dafd7508354a0f67a988d119c10d586",
-    ("genus-cpn", None): "1759615324814d10f21467f4e7fb3e81d4e639b9a11f961088047bc1215609fe",
+    ("cp2-connect-sum", None): "f2b322689753498a4fa8222a052684799277aaf870e66d4df847338134837877",
+    ("cpn-split", None): "87e0aa29457023748444fce09f8198f2d74ad2d92f90951b633bc7b939b23ede",
+    ("genus-cpn", None): "023d63150f7b31adcc32b934fcb00ef8d21039b7e2518214c6b650565dbd1443",
     ("hp1-presentation", None): "350c0b3239685dd3ad833bc649ee9f7a4d0647f26a45c1f09f2c79a0390b52f4",
     ("m20-eschenburg", None): "e300025cc6555e38c7a8268397da2e80c0b62aaee097f8edd7cec7afaaa59801",
-    ("r-p", None): "c6fc32c7acde390cfa11fa8477729be2852d96cf3d21edcbf1528df76c24aa7b",
-    ("r-p-u-variant", None): "a1ce88c31e2f39594b2d74ae87ecd7f5ac8ae8cbdb4159d71954206ac185bd38",
-    ("s2xs2", None): "f13fa5a3a2c15ae061b4c7ceceb52997540856a7107c5ab702bb95f655a1cddf",
-    ("sp2-t2", None): "79d623e5081f07961511fe098483223140e9bffde16b565db085be40bdd5f990",
-    ("su3-t2", None): "e9f8e299446f1f96afbdf12caa1ea3da91e5b692c0446c155995ab6b62b0e814",
-    ("r-p", 1): "c72bc4dab21d57b5cf498e29ba5699dd15b003c3ebb638147e46289cb702bcfc",
-    ("r-p", 2): "c6fc32c7acde390cfa11fa8477729be2852d96cf3d21edcbf1528df76c24aa7b",
-    ("r-p", 3): "5f997986802e870f6c9a1272f0176f959b01f626e3fbb66b59457cda9abfe2d6",
-    ("r-p", 4): "758ead8d1183b9f511d22e8ecf6fd5ca8f9e3dfeeb38e27ad0ef365f7d13851d",
-    ("r-p", 5): "1969ea73ccdd870e6ca29193912fac64ebee7bd65219ca0516faad55afa01ab3",
-    ("cpn-split", 2): "fcce36f7a70fd1a43e61de04785b6f6a6dafd7508354a0f67a988d119c10d586",
-    ("cpn-split", 3): "60d9e9e3bdec044669938384adefc0bc198bb0aad52a3c4c35c33699eca82149",
-    ("cpn-split", 4): "4558d7f304408a58d98c620c2342dd2293c9108dc03d25743fa8ad5885c18adc",
-    ("genus-cpn", 1): "13f4d7cb31fe6af29d8d7af014c73aeb338063d03c962784256db934281c3b1d",
-    ("genus-cpn", 2): "1759615324814d10f21467f4e7fb3e81d4e639b9a11f961088047bc1215609fe",
-    ("genus-cpn", 3): "257b7e89021d30db62601c04511b396d170a0f5e0cf66ad236706ce6ef5deebf",
-    ("genus-cpn", 4): "3ba19c97e5fe699c97266677c6fbe3d6ab601fe459519d65a72856f573b3a5ec",
+    ("r-p", None): "5cce0210c9a8f94ab2c74e2442f9528a3355ad48c91ec821670ae7aa740e2a4e",
+    ("r-p-u-variant", None): "ea13cbf5d9a70c09670f5b03ed83876d166f5747cc7c22e92a4e6add4d37af00",
+    ("s2xs2", None): "470a05b0c40ebc3c7f54713fc9d53ed7e0918d6cf27d7ced82fd087d2667953b",
+    ("sp2-t2", None): "9a250810f834e3bfcf63ca749c8a1308d68560b150e843096db7aebf1c10f308",
+    ("su3-t2", None): "c94806cbefb914edbd00d7c5c2a026d8dfa37e2507e682f224b5d5ac4cd22bd5",
+    ("r-p", 1): "42b9b374e8c2f6bce0f2a2803b2e8fd439414c441979d1517acfe68e084990ec",
+    ("r-p", 2): "5cce0210c9a8f94ab2c74e2442f9528a3355ad48c91ec821670ae7aa740e2a4e",
+    ("r-p", 3): "8f7b08c81bfa72126ad1f18e4678ac89a406bf68a091943599667c0550503e21",
+    ("r-p", 4): "8399f1f35270b0cdfc6175d30ef71890fba5f87cd5fa823affc699269cc7d809",
+    ("r-p", 5): "de51674bd5693c3d6dea46a2df05caf5548053b0fbb957f4117aa0c5cefee0af",
+    ("cpn-split", 2): "87e0aa29457023748444fce09f8198f2d74ad2d92f90951b633bc7b939b23ede",
+    ("cpn-split", 3): "e3b1a244ccee01584d3f63aeb40c7b0384e51bfbdc14143de8eb8a8794eb4fe9",
+    ("cpn-split", 4): "f90aea168877a5b6250750d0228e25999dad3135c3b19a3f8bc43aef1b48ce19",
+    ("genus-cpn", 1): "8bd0d53beed1aff6c95b46a5e4f70c02ca8b9fe9cd98b2daa7efd02a118e8e35",
+    ("genus-cpn", 2): "023d63150f7b31adcc32b934fcb00ef8d21039b7e2518214c6b650565dbd1443",
+    ("genus-cpn", 3): "a34268a0b86594900887dcd39f61ded77f44f3cc522303192ef9c221fe1b13b3",
+    ("genus-cpn", 4): "ec30455ff0e0e4714b71eb7f0096e2915580db6a46145a48b6a8453d1d454cd3",
 }
 
 
@@ -308,6 +327,42 @@ def test_report_digests_cover_every_builtin():
 def test_builtin_reports_are_byte_identical(name, par):
     report = canonical_bytes(run_case(builtin_case(name, par)))
     assert hashlib.sha256(report).hexdigest() == REPORT_DIGESTS[(name, par)]
+
+
+class _ReadRecorder(dict):
+    """A dict that records the path of each key read through `[]`; the
+    digest's copy and its encoder read the items without it."""
+
+    def __init__(self, items, path: tuple, reads: set):
+        super().__init__(items)
+        self.path, self.reads = path, reads
+
+    def __getitem__(self, key):
+        self.reads.add(self.path + (key,))
+        return super().__getitem__(key)
+
+
+def _recorded(node, path: tuple, reads: set, keys: set):
+    """`node` with every dict wrapped in a `_ReadRecorder`; `keys` gets every key path."""
+    if isinstance(node, dict):
+        keys.update(path + (key,) for key in node)
+        return _ReadRecorder(
+            {key: _recorded(value, path + (key,), reads, keys) for key, value in node.items()},
+            path, reads,
+        )
+    if isinstance(node, list):
+        return [_recorded(item, path + (i,), reads, keys) for i, item in enumerate(node)]
+    return node
+
+
+@pytest.mark.parametrize(("name", "par"), list(REPORT_DIGESTS),
+                         ids=[n if p is None else f"{n}-{p}" for n, p in REPORT_DIGESTS])
+def test_builtin_documents_carry_only_keys_a_section_reads(name, par):
+    reads: set = set()
+    keys: set = set()
+    plain = run_case(builtin_case(name, par))
+    assert run_case(_recorded(builtin_case(name, par), (), reads, keys)) == plain
+    assert keys - reads == set()
 
 
 # sha256 of what `splitcheck reps NAME` prints
@@ -337,7 +392,6 @@ _BIG_RING = {
     "generators": [f"x{i}" for i in range(8)],
     "relations": [],
     "top_degree": 40,
-    "fundamental": [20] + [0] * 7,
 }
 
 
@@ -346,7 +400,6 @@ _LINE_RING = {
     "generators": ["h"],
     "relations": [{"lhs": [2], "rhs": []}],
     "top_degree": 2,
-    "fundamental": [1],
 }
 
 
@@ -425,7 +478,6 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         ("cp2-connect-sum", ("ring", "relations", 0, "lhs"), [True, True]),
         ("cp2-connect-sum", ("ring", "relations", 1, "rhs", 0), [True, [2, 0]]),
         ("cp2-connect-sum", ("ring", "relations", 1, "rhs", 0, 1), [True, 1]),
-        ("cp2-connect-sum", ("ring", "fundamental"), [True, 1]),
         ("cp2-connect-sum", ("ring", "top_degree"), True),
         # no generators is the generators' error, not the first exponent vector's
         ("cp2-connect-sum", ("ring", "generators"), []),
@@ -575,7 +627,7 @@ def _typed_fields() -> list:
                     out.append((name, here, "int"))
                 elif key == "generators":
                     leaves(name, here, "str", value)
-                elif key in ("per_variable", "multipliers", "lhs", "fundamental"):
+                elif key in ("per_variable", "multipliers", "lhs"):
                     leaves(name, here, "int", value)
                 elif key in ("p1", "euler", "chern", "rhs"):
                     for i, (_, exps) in enumerate(value):
@@ -718,11 +770,31 @@ def test_cli_refuses_a_search_deeper_than_max_m(tmp_path):
     assert run_case(doc)["sections"]["search"]["exhaustive"] is True
 
 
-def _ring_document(tmp_path, generators, relations, top_degree, fundamental):
+def test_cli_refuses_a_ball_past_the_cap(tmp_path, capsys):
+    """The budget bounds visits, not memory: p1 = 10^12 h^2 on CP^2 gives a
+    box and a ball of 2,000,001 vectors, far inside the budget.  The
+    ellipsoid stops at its MAX_BALL + 1st vector, and the search is refused
+    naming the multipliers."""
+    doc = builtin_case("cpn-split", 2)
+    doc["targets"]["p1"] = [[10**12, [2]]]
+    path = tmp_path / "ball.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    started = time.perf_counter()
+    assert main(["verify", str(path)]) == 1
+    elapsed = time.perf_counter() - started
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(
+        f"error: search.bound.multipliers: the ball of the 2000001-cell box holds more than {MAX_BALL} vectors"
+    ), err
+    assert elapsed < 1.0
+
+
+def _ring_document(tmp_path, generators, relations, top_degree):
     path = tmp_path / "ring.json"
     path.write_text(json.dumps({"name": "ring", "ring": {
-        "generators": generators, "relations": relations,
-        "top_degree": top_degree, "fundamental": fundamental,
+        "generators": generators, "relations": relations, "top_degree": top_degree,
     }}))
     return str(path)
 
@@ -735,7 +807,7 @@ def test_cli_refuses_more_generators_than_the_walks_recurse_through(tmp_path, ca
         # x_i -> x_0 for each i > 0, so that x_0 alone spans the top degree
         unit = [[int(i == j) for j in range(n)] for i in range(n)]
         relations = [{"lhs": unit[i], "rhs": [[1, unit[0]]]} for i in range(1, n)]
-        path = _ring_document(tmp_path, [f"x{i}" for i in range(n)], relations, 2, unit[0])
+        path = _ring_document(tmp_path, [f"x{i}" for i in range(n)], relations, 2)
         capsys.readouterr()
         assert main(["verify", path]) == status, n
         err = capsys.readouterr().err
@@ -750,7 +822,7 @@ def test_cli_verifies_a_rule_chain_longer_than_the_recursion_limit(tmp_path, cap
     monomials = list(monomials_of_degree(3, 60))
     relations = [{"lhs": list(a), "rhs": [[1, list(b)]]} for a, b in zip(monomials, monomials[1:])]
     assert len(relations) == 1890
-    path = _ring_document(tmp_path, ["a", "b", "c"], relations, 120, list(monomials[-1]))
+    path = _ring_document(tmp_path, ["a", "b", "c"], relations, 120)
     capsys.readouterr()
     assert main(["verify", path]) == 0
     assert json.loads(capsys.readouterr().out)["sections"]["ring"]["basis_sizes"]["120"] == 1

@@ -127,9 +127,22 @@ def test_basis_rejects_bad_degree():
         basis(ring, 6)
 
 
+# frozen: each built-in's fundamental monomial, which fixes its orientation
+FUNDAMENTALS = {
+    ("cp2-connect-sum", None): (2, 0),  # u^2
+    ("su3-t2", None): (2, 1),  # x^2*y
+    ("r-p", 2): (2, 0, 1),  # v1^2*v3
+    ("r-p-u-variant", 2): (1, 1, 1),  # u1*u2*u3
+    ("sp2-t2", None): (1, 3),  # u*z^3
+    ("cpn-split", 3): (3,),  # h^n
+    ("s2xs2", None): (1, 1),  # u*v
+}
+
+
 @pytest.mark.parametrize(("name", "par"), RING_REFS, ids=RING_IDS)
 def test_top_basis_is_fundamental_alone(name, par):
     ring = ring_for(name, par)
+    assert ring.fundamental == FUNDAMENTALS[(name, par)]
     assert basis(ring, ring.top_degree) == [ring.fundamental]
 
 
@@ -166,12 +179,12 @@ def _with_constant_rule(doc: dict, at: int) -> dict:
 
 @pytest.mark.parametrize("doc, where", [
     (_with_constant_rule(builtin_case("cp2-connect-sum")["ring"], 1), "ring.relations[1]"),
-    (_with_constant_rule({"generators": ["h"], "relations": [], "top_degree": 2, "fundamental": [1]}, 0),
+    (_with_constant_rule({"generators": ["h"], "relations": [], "top_degree": 2}, 0),
      "ring.relations[0]"),
 ], ids=["two-generators", "one-generator"])
 def test_parse_rejects_a_rule_for_the_constant_monomial(doc, where):
     """A rule 1 -> 0 is refused by the rule itself, named by its index, not
-    reported later as a reducible fundamental monomial."""
+    reported later as a top degree with no fundamental monomial."""
     with pytest.raises(PresentationError) as info:
         parse_presentation(doc)
     assert str(info.value).startswith(f"{where}: rule lhs ("), str(info.value)
@@ -179,33 +192,26 @@ def test_parse_rejects_a_rule_for_the_constant_monomial(doc, where):
 
 
 def test_parse_rejects_missing_field():
-    with pytest.raises(PresentationError, match="fundamental"):
-        parse_presentation(
-            {"generators": ["u"], "relations": [], "top_degree": 2}
-        )
-
-
-def test_parse_rejects_reducible_fundamental():
-    doc = {
-        "generators": ["u", "v"],
-        "relations": [{"lhs": [2, 0], "rhs": []}],
-        "top_degree": 4,
-        "fundamental": [2, 0],
-    }
-    with pytest.raises(PresentationError, match="reducible"):
-        parse_presentation(doc)
+    with pytest.raises(PresentationError, match=r"^ring is missing field 'top_degree'$"):
+        parse_presentation({"generators": ["u"], "relations": []})
 
 
 def test_parse_rejects_fat_top_degree():
-    # u^2 and v^2 both survive in degree 4, so no single fundamental exists
-    doc = {
-        "generators": ["u", "v"],
-        "relations": [{"lhs": [1, 1], "rhs": []}],
-        "top_degree": 4,
-        "fundamental": [2, 0],
-    }
-    with pytest.raises(PresentationError, match="top-degree basis"):
-        parse_presentation(doc)
+    """The fundamental monomial is the top degree's one basis monomial, so
+    a top degree with two or none has no fundamental class."""
+    for relations, names in [
+        # u^2 and v^2 both survive in degree 4
+        ([{"lhs": [1, 1], "rhs": []}], "['v^2', 'u^2']"),
+        # u^2 is reducible, and u*v and v^2 survive
+        ([{"lhs": [2, 0], "rhs": []}], "['v^2', 'u*v']"),
+        # u^2 = 0 leaves nothing in degree 4
+        ([{"lhs": [2], "rhs": []}], "[]"),
+    ]:
+        generators = ["u", "v"][:len(relations[0]["lhs"])]
+        doc = {"generators": generators, "relations": relations, "top_degree": 4}
+        with pytest.raises(PresentationError) as info:
+            parse_presentation(doc)
+        assert str(info.value) == f"ring.relations: top-degree basis {names} is not a single monomial"
 
 
 def test_nonconfluent_pair_detected():
@@ -214,7 +220,7 @@ def test_nonconfluent_pair_detected():
         RewriteRule((1, 1), cls(((2, 0), 1))),
         RewriteRule((1, 1), cls(((0, 2), 1))),
     )
-    ring = RingPresentation(("a", "b"), rules, top_degree=4, fundamental=(2, 0))
+    ring = RingPresentation(("a", "b"), rules, top_degree=4)
     with pytest.raises(ConfluenceError) as info:
         check_confluence(ring)
     assert info.value.witness == (1, 1)
@@ -232,7 +238,6 @@ def test_nonconfluent_document_raises_on_parse():
             {"lhs": [1, 1], "rhs": [[1, [0, 2]]]},
         ],
         "top_degree": 4,
-        "fundamental": [2, 0],
     }
     with pytest.raises(ConfluenceError, match=r"^ring\.relations: presentation is not confluent: "):
         parse_presentation(doc)
@@ -244,7 +249,7 @@ def test_divergent_rules_reported():
         RewriteRule((2, 0), cls(((0, 2), 1))),
         RewriteRule((0, 2), cls(((2, 0), 1), ((1, 1), 1))),
     )
-    ring = RingPresentation(("a", "b"), rules, top_degree=4, fundamental=(1, 1))
+    ring = RingPresentation(("a", "b"), rules, top_degree=4)
     with pytest.raises(DivergenceError, match=r"^ring\.relations: reduction of .* cycles") as info:
         check_confluence(ring)
     assert info.value.witness in {(2, 0), (0, 2)}
@@ -260,7 +265,6 @@ def test_divergent_document_raises_on_parse():
             {"lhs": [0, 2], "rhs": [[1, [2, 0]], [1, [1, 1]]]},
         ],
         "top_degree": 4,
-        "fundamental": [1, 1],
     }
     with pytest.raises(DivergenceError, match=r"^ring\.relations: reduction of .* cycles") as info:
         parse_presentation(doc)
@@ -288,11 +292,11 @@ def _check_outcome(check, ring: RingPresentation):
         return type(exc), getattr(exc, "witness", None), str(exc), getattr(exc, "forms", None)
 
 
-def _assert_index_matches_scan(generators, rules, top: int, fundamental) -> str:
+def _assert_index_matches_scan(generators, rules, top: int) -> str:
     """Same first rule at every monomial of degree <= top, the same
     confluence outcome as the scans, each check on a fresh ring, and on a
     confluent ring the same basis sizes; returns which outcome it was."""
-    indexed, scanned = (RingPresentation(generators, rules, top, fundamental) for _ in range(2))
+    indexed, scanned = (RingPresentation(generators, rules, top) for _ in range(2))
     for mono in all_monomials(indexed):
         assert indexed._first_rule(mono) is ref_first_rule(indexed, mono), mono
     outcome = _check_outcome(check_confluence, indexed)
@@ -305,7 +309,7 @@ def _assert_index_matches_scan(generators, rules, top: int, fundamental) -> str:
 @pytest.mark.parametrize(("name", "par"), RING_REFS, ids=RING_IDS)
 def test_rule_index_matches_the_scan_on_builtin_rings(name, par):
     ring = ring_for(name, par)
-    outcome = _assert_index_matches_scan(ring.generators, ring.rules, ring.top_degree, ring.fundamental)
+    outcome = _assert_index_matches_scan(ring.generators, ring.rules, ring.top_degree)
     assert outcome == "confluent"
 
 
@@ -316,9 +320,8 @@ def test_rule_index_matches_the_scan_on_random_rules():
     for seed in range(240):
         rng = random.Random(seed)
         n, top = rng.choice((2, 3)), rng.choice((4, 6))
-        fundamental = (top // 2,) + (0,) * (n - 1)
         outcomes.append(_assert_index_matches_scan(
-            [f"g{i}" for i in range(n)], random_rules(rng, n, top), top, fundamental
+            [f"g{i}" for i in range(n)], random_rules(rng, n, top), top
         ))
     counts = {outcome: outcomes.count(outcome) for outcome in set(outcomes)}
     assert set(counts) == {"confluent", "two normal forms", "diverges"}, counts
@@ -530,7 +533,7 @@ def cancelling_ring() -> RingPresentation:
     """x^2 = xy - y^2, top degree 6: x^3 = -y^3, the two xy^2 terms of x^2 * x
     cancelling, so two `mul` steps from nonzero entries give a zero one."""
     rule = RewriteRule((2, 0), cls(((1, 1), 1), ((0, 2), -1)))
-    return RingPresentation(["x", "y"], [rule], 6, (0, 3))
+    return RingPresentation(["x", "y"], [rule], 6)
 
 
 @pytest.mark.parametrize(

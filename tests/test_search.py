@@ -37,6 +37,7 @@ from helpers import (
     su3_oracle,
     targets_for,
 )
+from splitcheck import search
 from splitcheck.cases import builtin_case, list_builtin_cases
 from splitcheck.charclass import (
     LineBundleSum,
@@ -47,7 +48,7 @@ from splitcheck.charclass import (
     total_chern,
 )
 from splitcheck.cli import run_case
-from splitcheck.report import canonical_bytes
+from splitcheck.report import CaseError, canonical_bytes
 from splitcheck.ring import GradedClass, RingTables, basis, ring_mul
 from splitcheck.search import (
     DEFAULT_BUDGET,
@@ -236,7 +237,6 @@ def test_eight_line_bundles_canonicalize_in_linear_time():
             "generators": ["h"],
             "relations": [{"lhs": [9], "rhs": []}],
             "top_degree": 16,
-            "fundamental": [8],
         },
         "targets": {
             "p1": [[8, [2]]],
@@ -409,6 +409,68 @@ def test_budget_below_the_count_refuses_the_search(case):
     for budget in (full.visited, full.visited + 1, 10 * full.visited):
         cert = enumerate_splittings(replaced(spec, budget=budget))
         assert replaced(cert, budget=full.budget) == full, budget
+
+
+def test_search_spec_refuses_a_negative_budget():
+    """The record checks its budget as it checks m, so no caller gets a
+    certificate from a budget below zero; zero itself is a budget."""
+    spec = search_spec_for("su3-t2")
+    with pytest.raises(ValueError, match=r"^budget: expected an integer >= 0, got -1$"):
+        replaced(spec, budget=-1)
+    assert enumerate_splittings(replaced(spec, budget=0)).visited == 1
+
+
+def test_ball_past_the_cap_is_refused(monkeypatch):
+    """The budget bounds visits, not memory: a ball of more than MAX_BALL
+    vectors is a `BoundError`, and the ellipsoid stops at its MAX_BALL + 1st
+    vector instead of building the whole ball."""
+    kept = []
+    ellipsoid = search._ellipsoid
+
+    def recorded(*args):
+        ball = ellipsoid(*args)
+        kept.append(len(ball[1]))
+        return ball
+
+    monkeypatch.setattr(search, "_ellipsoid", recorded)
+    monkeypatch.setattr(search, "MAX_BALL", 100)
+    doc = builtin_case("cpn-split", 2)
+    doc["targets"]["p1"] = [[10**6, [2]]]  # a box and a ball of 2,001 vectors
+    with pytest.raises(CaseError, match=(
+        r"^search\.bound\.multipliers: the ball of the 2001-cell box holds more than 100 vectors"
+    )):
+        run_case(doc)
+    assert kept == [101]
+    # a ball of MAX_BALL vectors still runs: cpn-split n=2 keeps -h, 0 and h
+    monkeypatch.setattr(search, "MAX_BALL", 3)
+    assert enumerate_splittings(search_spec_for("cpn-split", 2)).exhaustive
+    assert kept == [101, 3]
+
+
+def test_ellipsoid_is_the_box_filtered_by_norm(monkeypatch):
+    """The ball, its last coordinate filled a row at a time, is the box in
+    lex order filtered by the norm (and, with flips, by a positive first
+    nonzero coordinate); a cap keeps the first MAX_BALL + 1 vectors."""
+    rng = random.Random(34)
+    for _ in range(300):
+        r = rng.randint(0, 3)
+        per_variable = [rng.randint(0, 3) for _ in range(r)]
+        weights = [rng.choice((0, 1, 2, 5)) for _ in range(r)]
+        limit, flips = rng.randint(0, 20), rng.random() < 0.5
+        ranges = [range(-b, b + 1) if not w else range(-math.isqrt(limit // w), math.isqrt(limit // w) + 1)
+                  for b, w in zip(per_variable, weights)]
+        norms, ball = [], []
+        for vec in itertools.product(*ranges):
+            norm = sum(w * x * x for w, x in zip(weights, vec))
+            if norm <= limit and not (flips and next((x for x in vec if x), 0) < 0):
+                norms.append(norm)
+                ball.append(vec)
+        args = (per_variable, weights, limit, flips)
+        assert search._ellipsoid(*args) == (norms, ball), args
+        for cap in {0, len(ball) // 2, len(ball) - 1}:
+            monkeypatch.setattr(search, "MAX_BALL", cap)
+            assert search._ellipsoid(*args) == (norms[:cap + 1], ball[:cap + 1]), (args, cap)
+        monkeypatch.undo()
 
 
 def test_budget_exhaustion_on_explicit_box():

@@ -131,7 +131,6 @@ def projective_data(n: int) -> ChernRootData:
             "generators": ["h"],
             "relations": [{"lhs": [n + 1], "rhs": []}],
             "top_degree": 2 * n,
-            "fundamental": [n],
         }
     )
     h = generator_class(ring, 0)
@@ -268,7 +267,6 @@ def test_integer_roots_fold_reducible_monomials():
                 {"lhs": [0, 2], "rhs": []},
             ],
             "top_degree": 2,
-            "fundamental": [0, 1],
         }
     )
     a, b = generator_class(ring, 0), generator_class(ring, 1)
@@ -464,7 +462,7 @@ def test_integrator_on_a_point():
     """Top degree 0: every root is zero and the empty product, 1, is the
     fundamental class itself."""
     ring = parse_presentation(
-        {"generators": ["h"], "relations": [{"lhs": [1], "rhs": []}], "top_degree": 0, "fundamental": [0]}
+        {"generators": ["h"], "relations": [{"lhs": [1], "rhs": []}], "top_degree": 0}
     )
     h = generator_class(ring, 0)
     for roots in [(), (h,), (h, GradedClass.zero(), h)]:
@@ -580,7 +578,6 @@ def test_integrator_reduces_roots_first():
                 {"lhs": [3, 0], "rhs": []},
             ],
             "top_degree": 4,
-            "fundamental": [2, 0],
         }
     )
     k = GradedClass({(0, 1): 1})
