@@ -196,14 +196,25 @@ def test_parse_rejects_missing_field():
         parse_presentation({"generators": ["u"], "relations": []})
 
 
+def test_parse_rejects_reducible_fundamental():
+    """u^2 reduces to 0, so it cannot be the fundamental monomial; u*v and
+    v^2 survive in its place and neither is alone."""
+    doc = {
+        "generators": ["u", "v"],
+        "relations": [{"lhs": [2, 0], "rhs": []}],
+        "top_degree": 4,
+    }
+    with pytest.raises(PresentationError) as info:
+        parse_presentation(doc)
+    assert str(info.value) == "ring.relations: top-degree basis ['v^2', 'u*v'] is not a single monomial"
+
+
 def test_parse_rejects_fat_top_degree():
     """The fundamental monomial is the top degree's one basis monomial, so
     a top degree with two or none has no fundamental class."""
     for relations, names in [
         # u^2 and v^2 both survive in degree 4
         ([{"lhs": [1, 1], "rhs": []}], "['v^2', 'u^2']"),
-        # u^2 is reducible, and u*v and v^2 survive
-        ([{"lhs": [2, 0], "rhs": []}], "['v^2', 'u*v']"),
         # u^2 = 0 leaves nothing in degree 4
         ([{"lhs": [2], "rhs": []}], "[]"),
     ]:
