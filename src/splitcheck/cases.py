@@ -34,13 +34,11 @@ def cp2_connect_sum() -> dict:
             "p1": [[6, [2, 0]]],
             "euler": [[4, [2, 0]]],
             "euler_sign_flexible": True,
-            "real_rank": 4,
         },
         "candidates": [
             [[1, 2], [0, 1]],
         ],
         "search": {
-            "m": 2,
             "bound": {"type": "sum_of_squares", "multipliers": [1]},
         },
         "genus": {
@@ -66,10 +64,8 @@ def su3_t2() -> dict:
             "p1": [[8, [2, 0]]],
             "euler": [[6, [2, 1]]],
             "euler_sign_flexible": True,
-            "real_rank": 6,
         },
         "search": {
-            "m": 3,
             "bound": {"type": "sum_of_squares", "multipliers": [0, 1]},
         },
     }
@@ -100,10 +96,8 @@ def r_p(q: int = 2) -> dict:
             "p1": [[6 + 8 * q * q, [2, 0, 0]]],
             "euler": [[8, [2, 0, 1]]],
             "euler_sign_flexible": True,
-            "real_rank": 6,
         },
         "search": {
-            "m": 3,
             "bound": {"type": "sum_of_squares", "multipliers": [0, 0, 1]},
         },
     }
@@ -145,7 +139,6 @@ def r_p_u_variant(q: int = 2) -> dict:
             "p1": [[-(6 + 8 * q * q), [1, 1, 0]]],
             "euler": [[8, [1, 1, 1]]],
             "euler_sign_flexible": True,
-            "real_rank": 6,
         },
     }
 
@@ -167,10 +160,8 @@ def sp2_t2() -> dict:
             "p1": [[12, [0, 2]]],
             "euler": [[8, [1, 3]]],
             "euler_sign_flexible": True,
-            "real_rank": 8,
         },
         "search": {
-            "m": 4,
             "bound": {"type": "sum_of_squares", "multipliers": [1, 0]},
         },
     }
@@ -201,11 +192,9 @@ def cpn_split(n: int = 2) -> dict:
             "p1": [[n + 1, [2]]],
             "euler": [[n + 1, [n]]],
             "euler_sign_flexible": False,
-            "real_rank": 2 * n,
             "chern": chern,
         },
         "search": {
-            "m": n,
             "bound": {"type": "sum_of_squares", "multipliers": [1]},
         },
     }
@@ -232,10 +221,8 @@ def s2xs2() -> dict:
             "p1": [],
             "euler": [[4, [1, 1]]],
             "euler_sign_flexible": True,
-            "real_rank": 4,
         },
         "search": {
-            "m": 2,
             "bound": {
                 "type": "explicit",
                 "per_variable": [3, 3],

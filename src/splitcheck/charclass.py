@@ -10,12 +10,16 @@ and the complex total Chern class is the product of (1 + c1(L_i)).  Targets
 carry the tangent-bundle values these must match; Euler matching is up to
 sign when the orientation is not pinned.
 
+A splitting of the tangent bundle lists n = top_degree / 2 line bundles:
+a trivial real plane is the line bundle with c1 = 0.
+
 `TargetMatcher` is the only statement of the acceptance rule: candidates,
 `matches_targets` and every search hit go through it.  It rejects a target
 no sum reaches, against which "no splitting" would be certified vacuously:
-one of the wrong degree, or one whose normal form is not integral.  Those
-checks need no line-bundle count, so `normal_targets` also runs them where
-a case document's targets are read, whether or not any section uses them.
+one of the wrong degree, one whose normal form is not integral, or a p1 or
+Euler target that the Chern target contradicts.  `normal_targets` also
+runs those checks where a case document's targets are read, whether or
+not any section uses them.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .ring import (
 
 
 class RankError(ValueError):
-    """Line-bundle count is incompatible with the requested real rank."""
+    """A sum does not list top_degree / 2 line bundles."""
 
 
 class TargetError(ValueError):
@@ -68,21 +72,25 @@ class TargetClasses(Frozen):
     bundles; sign-rigid by nature).
     """
 
-    __slots__ = ("p1_target", "euler_target", "euler_sign_flexible", "real_rank", "chern_target")
+    __slots__ = ("p1_target", "euler_target", "euler_sign_flexible", "chern_target")
 
     def __init__(
         self,
         p1_target: GradedClass,
         euler_target: GradedClass,
         euler_sign_flexible: bool,
-        real_rank: int,
         chern_target: GradedClass | None = None,
     ):
         object.__setattr__(self, "p1_target", p1_target)
         object.__setattr__(self, "euler_target", euler_target)
         object.__setattr__(self, "euler_sign_flexible", euler_sign_flexible)
-        object.__setattr__(self, "real_rank", real_rank)
         object.__setattr__(self, "chern_target", chern_target)
+
+    @property
+    def sign_flexible(self) -> bool:
+        """Whether a bundle's sign may flip: the Euler class is matched up to
+        sign and no Chern target pins the orientation."""
+        return self.euler_sign_flexible and self.chern_target is None
 
 
 def first_pontryagin(lbsum: LineBundleSum) -> GradedClass:
@@ -146,48 +154,54 @@ def normal_targets(
 ) -> tuple[GradedClass, GradedClass, GradedClass | None]:
     """The normal forms of the p1, Euler and Chern targets, once each is reachable.
 
-    These are the target checks that do not depend on the number of line
-    bundles: p1 of degree 4, the Euler class of the real rank, each integral,
-    and a total Chern class whose degree-0 part is 1.
+    p1 is of degree 4 and the Euler class of the top degree, each integral.
+    A total Chern class has degree-0 part 1, and fixes the other two: the
+    realification of a complex bundle has p1 = c1^2 - 2 c2, and its Euler
+    class is the top Chern class.
     """
     p1 = _normal_target(ring, targets.p1_target, "p1", 4)
-    euler = _normal_target(ring, targets.euler_target, "euler", targets.real_rank)
+    euler = _normal_target(ring, targets.euler_target, "euler", ring.top_degree)
     chern = None
     if targets.chern_target is not None:
         chern = _normal_target(ring, targets.chern_target, "chern")
         if chern.component(0) != ring.one():
             raise TargetError(f"chern: degree-0 part is {ring.format_class(chern.component(0))}, not 1")
+        c1 = chern.component(2)
+        fixed_p1 = ring_sub(ring_mul(ring, c1, c1), ring_scale(2, chern.component(4)))
+        for field, given, fixed in (("p1", p1, fixed_p1), ("euler", euler, chern.component(ring.top_degree))):
+            if given != fixed:
+                raise TargetError(
+                    f"{field}: {ring.format_class(given)} contradicts the chern target, "
+                    f"which makes it {ring.format_class(fixed)}"
+                )
     return p1, euler, chern
 
 
 class TargetMatcher:
-    """The acceptance rule for sums of m line bundles, compiled once.
+    """The acceptance rule for splittings over a ring, compiled once.
 
-    Construction runs the rank and target checks and takes the targets'
-    normal forms; `match` compares by equality and builds a residual only
-    for a check that fails.
+    Construction runs the target checks and takes the targets' normal
+    forms; `match` compares by equality and builds a residual only for a
+    check that fails.
     """
 
-    def __init__(self, ring: RingPresentation, targets: TargetClasses, m: int):
-        if 2 * m > targets.real_rank:
-            raise RankError(f"{m} line bundles exceed real rank {targets.real_rank}")
-        # a sum padded with trivial summands has vanishing top Chern class
-        self.saturated = 2 * m == targets.real_rank
-        self.sign_flexible = targets.euler_sign_flexible
+    def __init__(self, ring: RingPresentation, targets: TargetClasses):
+        self.n = ring.top_degree // 2
+        self.sign_flexible = targets.sign_flexible
         self.p1, self.euler, self.chern = normal_targets(ring, targets)
-        if not self.saturated and not self.euler.is_zero():
-            raise RankError("trivial summands are only allowed when the Euler target vanishes")
         self.euler_neg = ring_scale(-1, self.euler)
 
     def match(self, lbsum: LineBundleSum) -> MatchReport:
-        """Compare a sum of the m line bundles the matcher was built for."""
+        """Compare a sum of top_degree / 2 line bundles; any other count is a `RankError`."""
+        if lbsum.m != self.n:
+            raise RankError(f"a splitting lists top_degree / 2 = {self.n} line bundles, got {lbsum.m}")
         residuals: dict[str, GradedClass] = {}
         p1 = first_pontryagin(lbsum)
         p1_ok = p1 == self.p1
         if not p1_ok:
             residuals["p1"] = ring_sub(p1, self.p1)
 
-        e = euler_class(lbsum) if self.saturated else GradedClass.zero()
+        e = euler_class(lbsum)
         euler_sign: int | None = None
         if e == self.euler:
             euler_sign = 1
@@ -217,7 +231,7 @@ class TargetMatcher:
 def matches_targets(lbsum: LineBundleSum, targets: TargetClasses) -> MatchReport:
     """Exact comparison of computed classes against the targets.
 
-    The sum may be shorter than the real rank (trivial summands) only when
-    the Euler target vanishes; a nonzero Euler class has no trivial factors.
+    The sum lists top_degree / 2 line bundles, a trivial summand among
+    them as a zero class.
     """
-    return TargetMatcher(lbsum.ring, targets, lbsum.m).match(lbsum)
+    return TargetMatcher(lbsum.ring, targets).match(lbsum)

@@ -22,7 +22,6 @@ from . import __version__
 from .cases import PARAMETER_NAMES, builtin_case, list_builtin_cases
 from .charclass import (
     LineBundleSum,
-    RankError,
     TargetClasses,
     TargetError,
     matches_targets,
@@ -84,7 +83,6 @@ def _load_targets(ring: RingPresentation, raw, where: str = "targets") -> Target
         p1_target=field(raw, "p1", where, read_class),
         euler_target=field(raw, "euler", where, read_class),
         euler_sign_flexible=field(raw, "euler_sign_flexible", where, boolean),
-        real_rank=field(raw, "real_rank", where, partial(integer, low=0)),
         chern_target=field(raw, "chern", where, read_class, None),
     )
     # checked here, so targets that no section uses cannot pass unreachable
@@ -118,12 +116,11 @@ def _load_search_spec(
         raise CaseError(f"{at}.type: unknown bound type {kind!r}")
     if budget is None:
         budget = field(raw, "budget", where, integer, DEFAULT_BUDGET)
-    budget = integer(budget, f"{where}.budget")  # a run_case override too
-    m = field(raw, "m", where, integer)
+    budget = integer(budget, f"{where}.budget", low=0)  # a run_case override too
     try:
-        return SearchSpec(ring=ring, targets=targets, m=m, bound=bound, budget=budget)
-    except ValueError as exc:
-        raise CaseError(f"{where}.{exc}") from exc
+        return SearchSpec(ring=ring, targets=targets, bound=bound, budget=budget)
+    except ValueError as exc:  # more line bundles than the walk takes, named ring.top_degree
+        raise CaseError(str(exc)) from exc
 
 
 def _load_root_system(raw, where: str) -> RootSystem:
@@ -353,8 +350,6 @@ def run_case(doc: Mapping, budget: int | None = None) -> dict:
         spec = _load_search_spec(ring, targets, doc["search"], budget)
         try:
             sections["search"] = enumerate_splittings(spec).as_jsonable()
-        except RankError as exc:
-            raise CaseError(f"search.m: {exc}") from exc
         except BoundError as exc:
             key = "per_variable" if isinstance(spec.bound, ExplicitBound) else "multipliers"
             raise CaseError(f"search.bound.{key}: {exc}") from exc
@@ -373,7 +368,10 @@ def run_case(doc: Mapping, budget: int | None = None) -> dict:
 def _load_case_document(ref: str, parameter: int | None) -> Mapping:
     """A built-in case, or the JSON object in the file `ref`."""
     if ref in list_builtin_cases():
-        return builtin_case(ref, parameter)
+        try:
+            return builtin_case(ref, parameter)
+        except ValueError as exc:  # the case's own check, which names its parameter
+            raise CaseError(f"--q: {exc}") from exc
     if not os.path.exists(ref):
         raise CaseError(
             f"{ref!r} is neither a built-in case nor an existing file; "

@@ -1,8 +1,10 @@
 """Certified exhaustive search for line-bundle splittings.
 
-The unknowns are the m x r integer coordinates of the first Chern classes in
-the degree-2 basis.  Bounds come from a nonnegative integer multiplier
-vector over the degree-4 component equations of the p1 match: when the
+A splitting has m = top_degree / 2 line bundles, a trivial summand among
+them as a zero class.  The unknowns are the m x r integer coordinates of
+their first Chern classes in the degree-2 basis.  Bounds come from a
+nonnegative integer multiplier vector over the degree-4 component
+equations of the p1 match: when the
 combination is a positive diagonal quadratic form sum lam_j x_j^2 = C, any
 solution satisfies that equation *with equality*.  Each bundle's own share
 sum_j lam_j v_j^2 is nonnegative, so every bundle vector lies in the
@@ -19,8 +21,10 @@ enumeration serves every bound:
    (lattice points of an ellipsoid, Fincke-Pohst, Math. Comp. 44, 1985),
    enumerated one coordinate at a time over |v_j| <= isqrt(norm left /
    lam_j), in the box's lex order; an explicit bound has no form and keeps
-   the whole box.  Only the larger of v and -v is kept when the Euler
-   target is sign-flexible, and the ball is stably sorted by norm;
+   the whole box.  Only the larger of v and -v is kept when the targets
+   are sign-flexible (`TargetClasses.sign_flexible`, the one sign rule of
+   the matcher, the walk and the canonical form), and the ball is stably
+   sorted by norm;
 2. the join table: each ball vector's square c1^2, a tuple over the
    degree-4 basis, packed into one int key sum_t c_t R^t.  The p1 tuple and
    the squares are integral, as the rules and the p1 target the matcher
@@ -38,9 +42,9 @@ enumeration serves every bound:
    last level probes inline: the residual key is one int subtraction,
    looked up in the table (meet in the middle with a sorted list,
    Horowitz-Sahni, JACM 1974);
-4. the Euler prefilter: when the bundles fill the real rank, the walk
-   carries the prefix product down, one `RingTables.mul` per node.  A probe
-   with hits folds in its own vector once, and each hit one more: a hit
+4. the Euler prefilter: the walk carries the prefix product down, one
+   `RingTables.mul` per node.  A probe with hits folds in its own vector
+   once, and each hit one more: a hit
    whose Euler tuple is neither the target nor (when sign-flexible) its
    negation is dropped before the matcher.
 
@@ -93,30 +97,31 @@ class ExplicitBound(Frozen):
 
 
 class SearchSpec(Record):
-    __slots__ = ("ring", "targets", "m", "bound", "budget")
+    __slots__ = ("ring", "targets", "bound", "budget")
 
     def __init__(
         self,
         ring: RingPresentation,
         targets: TargetClasses,
-        m: int,
         bound: SumOfSquaresBound | ExplicitBound,
         budget: int = DEFAULT_BUDGET,
     ):
-        if m < 1:
-            raise ValueError(f"m: need at least one line bundle, got {m}")
-        if m > MAX_M:
-            raise ValueError(f"m: {m} line bundles is more than the {MAX_M} the search walks")
+        m = ring.top_degree // 2
+        if not 1 <= m <= MAX_M:
+            raise ValueError(
+                f"ring.top_degree: {ring.top_degree} gives {m} line bundles; the search walks 1 to {MAX_M}"
+            )
         if budget < 0:
             raise ValueError(f"budget: expected an integer >= 0, got {budget}")
         self.ring = ring
         self.targets = targets
-        self.m = m
         self.bound = bound
         self.budget = budget
 
-    def allows_sign_flips(self) -> bool:
-        return self.targets.euler_sign_flexible and self.targets.chern_target is None
+    @property
+    def m(self) -> int:
+        """The number of line bundles: a splitting of TM has top_degree / 2."""
+        return self.ring.top_degree // 2
 
 
 class DerivedBounds(Record):
@@ -360,11 +365,11 @@ def _walk(
         (abs(x) for vec in squares for x in vec), default=0
     )
     keys = [pack(vec, span) for vec in squares]
+    del squares  # the keys hold all the walk needs of them
     table: dict[int, list[int]] = {}
     for i, key in enumerate(keys):
         table.setdefault(key, []).append(i)
     m, last = spec.m, spec.m - 1
-    saturated = matcher.saturated
     euler_targets = {tables.vector(matcher.euler, m)}
     if matcher.sign_flexible:
         euler_targets.add(tables.vector(matcher.euler_neg, m))
@@ -377,7 +382,7 @@ def _walk(
             if matcher.match(LineBundleSum(ring, classes)).matched:
                 raw.append(vectors)
 
-    def walk(start: int, norm: int, residual: int, product: Vector | None) -> None:
+    def walk(start: int, norm: int, residual: int, product: Vector) -> None:
         depth = len(prefix)
         # a solution's norms sum to exactly limit and never decrease along the
         # multiset, so each of the m - depth vectors still to place is within the cut
@@ -385,8 +390,7 @@ def _walk(
         if depth < last - 1:
             for i in range(start, cut):
                 prefix.append(i)
-                walk(i, norm + norms[i], residual - keys[i],
-                     tables.mul(depth, product, ball[i]) if saturated else None)
+                walk(i, norm + norms[i], residual - keys[i], tables.mul(depth, product, ball[i]))
                 prefix.pop()
             return
         # the last prefix level: each step is one probe of the join
@@ -395,12 +399,8 @@ def _walk(
             if hits is not None and hits[-1] >= i:
                 hits = hits[bisect.bisect_left(hits, i):]
                 vec = ball[i]
-                if saturated:
-                    head = tables.mul(depth, product, vec)
-                    hits = [
-                        k for k in hits
-                        if tables.mul(depth + 1, head, ball[k]) in euler_targets
-                    ]
+                head = tables.mul(depth, product, vec)
+                hits = [k for k in hits if tables.mul(depth + 1, head, ball[k]) in euler_targets]
                 if hits:
                     accept(tuple(ball[j] for j in prefix) + (vec,), hits)
 
@@ -409,9 +409,7 @@ def _walk(
         walk(0, 0, pack(p1, span), tables.one)
     else:
         hits = table.get(pack(p1, span), [])
-        if saturated:
-            hits = [k for k in hits if tables.mul(0, tables.one, ball[k]) in euler_targets]
-        accept((), hits)
+        accept((), [k for k in hits if tables.mul(0, tables.one, ball[k]) in euler_targets])
     # walk holds itself in its closure; without this the cycle keeps the
     # ball and the join alive until the cyclic collector runs
     del walk
@@ -429,7 +427,7 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
     solutions, not exhaustive, and a note.  A ball of more than `MAX_BALL`
     vectors raises `BoundError`, as the budget bounds visits, not memory.
     """
-    matcher = TargetMatcher(spec.ring, spec.targets, spec.m)
+    matcher = TargetMatcher(spec.ring, spec.targets)
     bounds = derive_bounds(spec)
     cells = math.prod(2 * b + 1 for b in bounds.per_variable)
     notes: list[str] = []
@@ -439,7 +437,7 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
         weights, limit = [0] * len(bounds.per_variable), 0
     else:
         weights, limit = bounds.diagonal, bounds.constant
-    flips = spec.allows_sign_flips()
+    flips = spec.targets.sign_flexible
     budget = spec.budget
     raw: list[tuple[tuple[int, ...], ...]] = []
     visited = cells

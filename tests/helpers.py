@@ -24,8 +24,10 @@ confluence check that steps every applicable rule at every monomial of
 degree <= top, and the count of the monomials no rule rewrites.
 `ref_enumerate` is the search's differential oracle: the ordered-tuple walk
 over every coordinate at once, with no ball, no join and no symmetry
-reduction.  `ref_canonicalize_solution` is the canonicalizer's oracle: the
-greatest of all m! * 2^m images under permutations and sign flips.
+reduction; given a bundle count k below the spec's, it walks k bundles and
+pads each sum with zero vectors, the trivial summands.
+`ref_canonicalize_solution` is the canonicalizer's oracle: the greatest of
+all m! * 2^m images under permutations and sign flips.
 `ref_probe_count` is the visit count's oracle: the recount the walk once ran
 over every subtree the norm-sum cut skips, recursing with no memo.
 
@@ -187,23 +189,27 @@ def _shell(weights, value: int, prefix: list, on_leaf) -> None:
         prefix.pop()
 
 
-def ref_enumerate(spec) -> tuple:
-    """Canonical solution set of a search, by walking ordered m-tuples.
+def ref_enumerate(spec, count: int | None = None) -> tuple:
+    """Canonical solution set of a search, by walking ordered tuples of
+    `count` bundles (the spec's m when None), each padded with m - count
+    zero vectors.
 
     A sum-of-squares bound walks the exact shell sum_j lam_j x_j^2 = C over
-    all m * r coordinates; an explicit bound walks the full box.  A tuple
+    all count * r coordinates; an explicit bound walks the full box.  A tuple
     whose summed squares miss the p1 target cannot match, so only the rest
     go to `matches_targets`, which alone accepts.
     """
+    count = spec.m if count is None else count
     bounds = derive_bounds(spec)
     ring = spec.ring
     r = len(basis(ring, 2))
     p1 = normal_form(ring, spec.targets.p1_target)
     squares: dict = {}
     found = set()
+    padding = ((0,) * r,) * (spec.m - count)
 
     def on_leaf(flat) -> None:
-        vecs = tuple(flat[i * r : (i + 1) * r] for i in range(spec.m))
+        vecs = tuple(flat[i * r : (i + 1) * r] for i in range(count)) + padding
         p1_sum = GradedClass.zero()
         for vec in vecs:
             if vec not in squares:
@@ -214,17 +220,17 @@ def ref_enumerate(spec) -> tuple:
             return
         lbsum = LineBundleSum(ring, tuple(squares[vec][0] for vec in vecs))
         if matches_targets(lbsum, spec.targets).matched:
-            found.add(ref_canonicalize_solution(vecs, spec.allows_sign_flips()))
+            found.add(ref_canonicalize_solution(vecs, spec.targets.sign_flexible))
 
     if isinstance(spec.bound, ExplicitBound):
-        ranges = [range(-b, b + 1) for b in bounds.per_variable] * spec.m
+        ranges = [range(-b, b + 1) for b in bounds.per_variable] * count
         for flat in itertools.product(*ranges):
             on_leaf(flat)
     else:
         denom = math.lcm(*(d.denominator for d in bounds.diagonal))
         constant = bounds.constant * denom
         if constant.denominator == 1:
-            weights = [int(d * denom) for d in bounds.diagonal] * spec.m
+            weights = [int(d * denom) for d in bounds.diagonal] * count
             _shell(weights, int(constant), [], on_leaf)
     return tuple(sorted(found))
 

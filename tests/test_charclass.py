@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,11 @@ from splitcheck.charclass import (
     LineBundleSum,
     RankError,
     TargetClasses,
+    TargetError,
     euler_class,
     first_pontryagin,
     matches_targets,
+    normal_targets,
     total_chern,
 )
 from splitcheck.ring import GradedClass, basis, ring_scale
@@ -74,7 +77,6 @@ def test_total_chern_target_is_sign_rigid():
         p1_target=first_pontryagin(witness),
         euler_target=euler_class(witness),
         euler_sign_flexible=False,
-        real_rank=4,
         chern_target=total_chern(witness),
     )
     assert matches_targets(witness, targets).matched
@@ -100,34 +102,36 @@ def test_product_of_spheres_positive_control():
 
 
 def test_rank_validation():
+    """A splitting of a 4-manifold lists two line bundles, a trivial summand
+    as a zero class: three, or one, is a rank error, and the search walks two."""
     ring = ring_for("cp2-connect-sum")
     targets = targets_for("cp2-connect-sum")
-    with pytest.raises(RankError) as too_many:
-        matches_targets(lbsum(ring, (0, 1), (0, 1), (0, 1)), targets)
-    # an unsaturated sum cannot hit a nonzero Euler target
-    with pytest.raises(RankError) as unsaturated:
-        matches_targets(lbsum(ring, (0, 1)), targets)
-    # the search states the same rule through the same matcher
-    spec = search_spec_for("cp2-connect-sum")
-    for m, expected in [(3, too_many), (1, unsaturated)]:
-        with pytest.raises(RankError) as raised:
-            enumerate_splittings(replaced(spec, m=m))
-        assert str(raised.value) == str(expected.value)
+    for vecs in [((0, 1), (0, 1), (0, 1)), ((0, 1),)]:
+        message = f"a splitting lists top_degree / 2 = 2 line bundles, got {len(vecs)}"
+        with pytest.raises(RankError, match=f"^{re.escape(message)}$"):
+            matches_targets(lbsum(ring, *vecs), targets)
+    assert not matches_targets(lbsum(ring, (0, 1), (0, 0)), targets).euler_ok
+    assert search_spec_for("cp2-connect-sum").m == 2
 
 
-def test_unsaturated_sum_with_zero_euler_target():
-    ring = ring_for("cp2-connect-sum")
-    targets = TargetClasses(
-        p1_target=cls(((2, 0), 2)),
-        euler_target=GradedClass.zero(),
-        euler_sign_flexible=True,
-        real_rank=6,
-    )
-    # one line bundle plus trivial rank-4 padding: e = 0 by the padding
-    report = matches_targets(lbsum(ring, (1, 1)), targets)
-    assert report.p1_ok  # (u + v)^2 = u^2 + v^2 = 2u^2
-    assert report.euler_ok
-    assert report.matched
+def test_chern_target_fixes_p1_and_euler():
+    """The realification of a complex bundle has p1 = c1^2 - 2 c2 and Euler
+    class c_top, so a Chern target contradicting either is refused: no sum
+    reaches both, and "no splitting" would hold vacuously."""
+    ring = ring_for("cpn-split", 2)  # h^3 = 0
+    chern = cls(((0,), 1), ((1,), 2), ((2,), 1))  # (1 + h)^2
+    targets = TargetClasses(cls(((2,), 2)), cls(((2,), 1)), False, chern)
+    assert normal_targets(ring, targets) == (cls(((2,), 2)), cls(((2,), 1)), chern)
+    spec = replaced(search_spec_for("cpn-split", 2), targets=targets)
+    assert enumerate_splittings(spec).solutions == (((1,), (1,)),)
+    for field, bad, message in [
+        # p1 = c1^2 - 2 c2 = 4h^2 - 2h^2
+        ("p1_target", cls(((2,), 4)), "p1: 4*h^2 contradicts the chern target, which makes it 2*h^2"),
+        # the Euler class is the top Chern class
+        ("euler_target", cls(((2,), 2)), "euler: 2*h^2 contradicts the chern target, which makes it h^2"),
+    ]:
+        with pytest.raises(TargetError, match=f"^{re.escape(message)}$"):
+            normal_targets(ring, replaced(targets, **{field: bad}))
 
 
 def test_zero_summand_kills_euler():
@@ -187,7 +191,6 @@ def test_matches_own_classes_roundtrip():
                 p1_target=first_pontryagin(sum_),
                 euler_target=euler_class(sum_),
                 euler_sign_flexible=False,
-                real_rank=2 * m,
             )
             assert matches_targets(sum_, targets).matched
 

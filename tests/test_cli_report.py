@@ -17,9 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import ref_jsonable, ref_refused_at
+from helpers import ref_enumerate, ref_jsonable, ref_refused_at
 from splitcheck.cases import builtin_case, list_builtin_cases
-from splitcheck.cli import CaseError, main, run_case
+from splitcheck.cli import CaseError, _load_search_spec, _load_targets, main, run_case
 from splitcheck.genus import MAX_ROOTS
 from splitcheck.report import (
     CanonicalError,
@@ -30,7 +30,7 @@ from splitcheck.report import (
     input_digest,
 )
 from splitcheck.repcat import MAX_RANK
-from splitcheck.ring import MAX_GENERATORS, monomials_of_degree
+from splitcheck.ring import MAX_GENERATORS, monomials_of_degree, parse_presentation
 from splitcheck.search import MAX_BALL, MAX_M
 
 # -- serialization ----------------------------------------------------------------
@@ -293,24 +293,24 @@ def test_run_case_genus_roots():
 # every report byte-identical; a deliberate report change updates these
 # digests and says so in CHANGES.md.
 REPORT_DIGESTS = {
-    ("cp2-connect-sum", None): "f2b322689753498a4fa8222a052684799277aaf870e66d4df847338134837877",
-    ("cpn-split", None): "87e0aa29457023748444fce09f8198f2d74ad2d92f90951b633bc7b939b23ede",
+    ("cp2-connect-sum", None): "b254efa9d968505349a02834c4fa609c2a4ecbc22bc75200ee40bc94ea50cce6",
+    ("cpn-split", None): "b7c5a68bbc9d40e9b93dd8de715bb476e49b2621ce88e0e76d3be128c31654b3",
     ("genus-cpn", None): "023d63150f7b31adcc32b934fcb00ef8d21039b7e2518214c6b650565dbd1443",
     ("hp1-presentation", None): "350c0b3239685dd3ad833bc649ee9f7a4d0647f26a45c1f09f2c79a0390b52f4",
     ("m20-eschenburg", None): "e300025cc6555e38c7a8268397da2e80c0b62aaee097f8edd7cec7afaaa59801",
-    ("r-p", None): "5cce0210c9a8f94ab2c74e2442f9528a3355ad48c91ec821670ae7aa740e2a4e",
-    ("r-p-u-variant", None): "ea13cbf5d9a70c09670f5b03ed83876d166f5747cc7c22e92a4e6add4d37af00",
-    ("s2xs2", None): "470a05b0c40ebc3c7f54713fc9d53ed7e0918d6cf27d7ced82fd087d2667953b",
-    ("sp2-t2", None): "9a250810f834e3bfcf63ca749c8a1308d68560b150e843096db7aebf1c10f308",
-    ("su3-t2", None): "c94806cbefb914edbd00d7c5c2a026d8dfa37e2507e682f224b5d5ac4cd22bd5",
-    ("r-p", 1): "42b9b374e8c2f6bce0f2a2803b2e8fd439414c441979d1517acfe68e084990ec",
-    ("r-p", 2): "5cce0210c9a8f94ab2c74e2442f9528a3355ad48c91ec821670ae7aa740e2a4e",
-    ("r-p", 3): "8f7b08c81bfa72126ad1f18e4678ac89a406bf68a091943599667c0550503e21",
-    ("r-p", 4): "8399f1f35270b0cdfc6175d30ef71890fba5f87cd5fa823affc699269cc7d809",
-    ("r-p", 5): "de51674bd5693c3d6dea46a2df05caf5548053b0fbb957f4117aa0c5cefee0af",
-    ("cpn-split", 2): "87e0aa29457023748444fce09f8198f2d74ad2d92f90951b633bc7b939b23ede",
-    ("cpn-split", 3): "e3b1a244ccee01584d3f63aeb40c7b0384e51bfbdc14143de8eb8a8794eb4fe9",
-    ("cpn-split", 4): "f90aea168877a5b6250750d0228e25999dad3135c3b19a3f8bc43aef1b48ce19",
+    ("r-p", None): "29348dd42bd256a12fd1aefcae9c471fa31ea1369707f20c780386d6f1a5231c",
+    ("r-p-u-variant", None): "365e8f17a2c25db4663305c6e895d03863fb0f6770af79e245a988967c90eb12",
+    ("s2xs2", None): "69d165388c72c67c85d079b1bb023de0206e8f58ac824ded013f14d737d8c1d7",
+    ("sp2-t2", None): "e96dc05547f304c545c518cebf242d542fe02540ae493b5c96596aa9f1b81bc6",
+    ("su3-t2", None): "6b6fb49f26b6c7dd3d36f9269666d659d1b703626b488e4bcb165166c120172a",
+    ("r-p", 1): "190ab4e9f116dbd28e7a64864f8ab1bef682941c418ac3259337adb3469558d5",
+    ("r-p", 2): "29348dd42bd256a12fd1aefcae9c471fa31ea1369707f20c780386d6f1a5231c",
+    ("r-p", 3): "2904b2e717e3cbc54bbd4b931e38879068618cec139dfd78819a92b88c7a5d18",
+    ("r-p", 4): "b15618b88c2b81d82f11d0e2882e093b8f630f40eebbee80b3c1d87f17fce306",
+    ("r-p", 5): "aed278b70565c3d5648140a3ae6cc18bc12785c0f24cc79c0c8b8dbce05ab25e",
+    ("cpn-split", 2): "b7c5a68bbc9d40e9b93dd8de715bb476e49b2621ce88e0e76d3be128c31654b3",
+    ("cpn-split", 3): "71439961f2796510e766e17fcb3874410850dfa8e08e0a79fe45ef697ec099bb",
+    ("cpn-split", 4): "123939c61b0fee8c3c0eeea41fdadbc90060e1848766f662510c4d4b7f3f58ee",
     ("genus-cpn", 1): "8bd0d53beed1aff6c95b46a5e4f70c02ca8b9fe9cd98b2daa7efd02a118e8e35",
     ("genus-cpn", 2): "023d63150f7b31adcc32b934fcb00ef8d21039b7e2518214c6b650565dbd1443",
     ("genus-cpn", 3): "a34268a0b86594900887dcd39f61ded77f44f3cc522303192ef9c221fe1b13b3",
@@ -427,16 +427,9 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         # a switch a case file still gives must equal the one chi and sigma give
         ("hp1-presentation", ("obstruction", "almost_complex_forbidden"), False),
         ("m20-eschenburg", ("obstruction", "euler_nonzero"), False),
-        ("su3-t2", ("search", "m"), [1]),
-        ("su3-t2", ("search", "m"), 2.7),
-        ("su3-t2", ("search", "m"), "2"),
         ("su3-t2", ("search", "budget"), {}),
         ("su3-t2", ("search", "budget"), -5),
         ("s2xs2", ("search", "bound", "per_variable", 0), True),
-        ("su3-t2", ("targets", "real_rank"), None),
-        # a negative rank is the rank's error, not the candidates' or search.m's
-        ("cp2-connect-sum", ("targets", "real_rank"), -2),
-        ("su3-t2", ("targets", "real_rank"), -2),
         # text fields are JSON strings only: str() would print 7 as "7"
         ("cp2-connect-sum", ("name",), 7),
         ("cp2-connect-sum", ("anchor",), 7),
@@ -486,8 +479,6 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         # search and candidate errors name the field they come from
         ("cp2-connect-sum", ("ring", "relations", 0), {"lhs": [1, 1], "rhs": [[1, [2, 0]]]},
          ("search", "bound", "multipliers")),
-        # a ring below degree 4 has no degree-4 equation to weight
-        (("cpn-split", 2), ("ring",), _LINE_RING, ("search", "bound", "multipliers")),
         # a zero form is reported as numbers, not as a tuple of Fraction reprs
         ("cp2-connect-sum", ("search", "bound", "multipliers"), [0]),
         # a multiplier is a JSON integer: scaling every multiplier by k > 0
@@ -501,16 +492,18 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         (("cpn-split", 2), ("targets", "chern"), None),
         (("genus-cpn", 2), ("genus", "roots"), None),
         ("m20-eschenburg", ("genus", "congruence"), None),
-        ("cp2-connect-sum", ("search", "m"), 3),
-        ("cp2-connect-sum", ("search", "m"), 1),
-        ("cp2-connect-sum", ("search", "m"), 0),
         ("s2xs2", ("search", "bound", "per_variable"), [3]),
+        # a splitting of a 4-manifold lists two line bundles, no more, no fewer
         ("cp2-connect-sum", ("candidates", 0), [[1, 2], [0, 1], [0, 1]]),
+        ("cp2-connect-sum", ("candidates", 0), [[1, 2]]),
         ("cp2-connect-sum", ("candidates", 0), []),
         # targets no sum of line bundles reaches would certify vacuously
         ("s2xs2", ("targets", "p1"), [[1, [1, 0]]]),
         ("cp2-connect-sum", ("targets", "euler"), [[4, [1, 0]]]),
         (("cpn-split", 3), ("targets", "chern"), [[4, [1]], [6, [2]], [4, [3]]]),
+        # (1 + h)^3 makes p1 = c1^2 - 2 c2 = 3h^2 and the Euler class c2 = 3h^2
+        (("cpn-split", 2), ("targets", "p1"), [[4, [2]]]),
+        (("cpn-split", 2), ("targets", "euler"), [[2, [2]]]),
         # targets are checked where they are read, whether or not a section uses them
         (("r-p-u-variant", 2), ("targets", "p1"), [[1, [1, 1, 1]]]),
         # every class built from integral c1's is integral
@@ -526,6 +519,14 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         bad = builtin_case(name) if isinstance(name, str) else builtin_case(*name)
         _set(bad, path, value)
         _refused(bad, _field_name(named[0] if named else path), tmp_path, capsys)
+    # a ring below degree 4 has no degree-4 equation to weight: the projective
+    # line with its own targets, c(TM) = 1 + 2h
+    line = builtin_case("cpn-split", 2)
+    line["ring"] = _LINE_RING
+    line["targets"] = {
+        "p1": [], "euler": [[2, [1]]], "euler_sign_flexible": False, "chern": [[1, [0]], [2, [1]]],
+    }
+    _refused(line, "search.bound.multipliers", tmp_path, capsys)
     # MAX_RANK itself still runs
     at_cap = builtin_case("hp1-presentation")
     at_cap["obstruction"]["factors"][1]["rank"] = MAX_RANK
@@ -600,7 +601,7 @@ def _field_name(path) -> str:
     return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
 
 
-_INT_KEYS = ("m", "budget", "real_rank", "manifold_dim", "chi", "sigma", "quarter_dim", "top_degree")
+_INT_KEYS = ("budget", "manifold_dim", "chi", "sigma", "quarter_dim", "top_degree")
 _BOOL_KEYS = ("euler_sign_flexible", "acknowledged")
 # optional cross-checks of the derived switches, which no built-in gives
 _OBSTRUCTION_BOOL_KEYS = ("euler_nonzero", "almost_complex_forbidden")
@@ -750,24 +751,50 @@ def test_cli_unknown_case_is_an_error():
     assert "neither a built-in case nor an existing file" in proc.stderr
 
 
-def test_cli_refuses_a_search_deeper_than_max_m(tmp_path):
-    """The walk recurses once per bundle, so a search.m past MAX_M is an
-    error naming the field and the limit, not a RecursionError traceback;
-    MAX_M itself still runs."""
-    doc = builtin_case("cp2-connect-sum")
-    doc["targets"]["euler"] = []
-    doc["targets"]["real_rank"] = 1980
-    doc["search"]["m"] = 990
-    path = tmp_path / "deep.json"
+def test_cli_refuses_a_search_deeper_than_max_m(capsys):
+    """The walk recurses once per bundle, and a splitting has top_degree / 2
+    of them, so a top degree past 2 MAX_M is an error naming the ring's
+    field and the limit, not a RecursionError traceback; MAX_M itself still
+    runs."""
+    for n in (MAX_M + 1, 300, 1000):
+        capsys.readouterr()
+        assert main(["verify", "cpn-split", "--q", str(n)]) == 1, n
+        assert capsys.readouterr() == ("", (
+            f"error: ring.top_degree: {2 * n} gives {n} line bundles; the search walks 1 to {MAX_M}\n"
+        )), n
+    # the zero vector, MAX_M times, is the one splitting with p1 = 0 and e = 0
+    doc = builtin_case("cpn-split", MAX_M)
+    doc["targets"] = {"p1": [], "euler": [], "euler_sign_flexible": False}
+    search = run_case(doc)["sections"]["search"]
+    assert (search["exhaustive"], search["solutions"]) == (True, [[[0]] * MAX_M])
+
+
+def test_a_stale_rank_or_bundle_count_runs_on_the_derived_one(tmp_path, capsys):
+    """`targets.real_rank` and `search.m` are derived from `ring.top_degree`
+    and never read: a document that still gives them runs the search for
+    top_degree / 2 line bundles, and only its input digest differs."""
+    plain = run_case(builtin_case("su3-t2"))
+    doc = builtin_case("su3-t2")
+    doc["targets"]["real_rank"] = 6
+    doc["search"]["m"] = 2  # read once, as two bundles and a trivial plane, and refused
+    path = tmp_path / "stale.json"
     path.write_text(json.dumps(doc))
-    for argv in (["verify", "cpn-split", "--q", "1000"], ["verify", str(path)]):
-        proc = run_cli(*argv)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: search.m: ")
-        assert f"the {MAX_M} the search walks" in proc.stderr
-        assert "Traceback" not in proc.stderr
-    doc["search"]["m"] = MAX_M
-    assert run_case(doc)["sections"]["search"]["exhaustive"] is True
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["input_digest"] != plain["input_digest"]
+    assert {**report, "input_digest": None} == {**plain, "input_digest": None}
+    # a rank-6 bundle on a 4-manifold is not its tangent bundle: the search
+    # is for two line bundles, not three
+    doc = builtin_case("cp2-connect-sum")
+    doc["targets"].update(euler=[], real_rank=6)
+    doc["search"]["m"] = 3
+    search = run_case(doc)["sections"]["search"]
+    ring = parse_presentation(doc["ring"])
+    spec = _load_search_spec(ring, _load_targets(ring, doc["targets"]), doc["search"], None)
+    assert spec.m == 2
+    assert search["exhaustive"] is True
+    assert search["solutions"] == [[list(vec) for vec in sol] for sol in ref_enumerate(spec)]
 
 
 def test_cli_refuses_a_ball_past_the_cap(tmp_path, capsys):
@@ -776,6 +803,7 @@ def test_cli_refuses_a_ball_past_the_cap(tmp_path, capsys):
     ellipsoid stops at its MAX_BALL + 1st vector, and the search is refused
     naming the multipliers."""
     doc = builtin_case("cpn-split", 2)
+    del doc["targets"]["chern"]  # it fixes p1 = 3h^2
     doc["targets"]["p1"] = [[10**12, [2]]]
     path = tmp_path / "ball.json"
     path.write_text(json.dumps(doc))
@@ -828,12 +856,20 @@ def test_cli_verifies_a_rule_chain_longer_than_the_recursion_limit(tmp_path, cap
     assert json.loads(capsys.readouterr().out)["sections"]["ring"]["basis_sizes"]["120"] == 1
 
 
-def test_cli_parameter_flag():
+def test_cli_parameter_flag(capsys):
     proc = run_cli("genus", "genus-cpn", "--q", "2")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["sections"]["genus"]["chi_y"] == [1, -1, 1]
-    rejected = run_cli("verify", "s2xs2", "--q", "3")
-    assert rejected.returncode == 1
+    # a refused --q names --q, as a refused --budget names --budget; the
+    # case's own check then names its parameter, q or n
+    for argv, message in [
+        (["s2xs2", "--q", "3"], "--q: case 's2xs2' takes no parameter"),
+        (["r-p", "--q", "0"], "--q: q: expected an integer >= 1, got 0"),
+        (["cpn-split", "--q", "1"], "--q: n: expected an integer >= 2, got 1"),
+    ]:
+        capsys.readouterr()
+        assert main(["verify", *argv]) == 1, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
 
 
 def test_builtin_parameters_are_integers_not_bools():

@@ -18,6 +18,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,7 @@ from splitcheck.repcat import (
     RootSystem,
     catalog_irreps,
 )
-from splitcheck.ring import GradedClass, PresentationError, RewriteRule
+from splitcheck.ring import GradedClass, PresentationError, RewriteRule, RingPresentation
 from splitcheck.search import (
     MAX_M,
     DerivedBounds,
@@ -98,10 +99,18 @@ def test_no_module_imports_dataclasses():
 # -- constructor checks ------------------------------------------------------------
 
 
-def _spec(m: int) -> SearchSpec:
-    ring = ring_for("cp2-connect-sum")
-    targets = TargetClasses(GradedClass.zero(), GradedClass.zero(), True, 4)
-    return SearchSpec(ring=ring, targets=targets, m=m, bound=SumOfSquaresBound((1, 1)))
+@cache
+def _ring(top_degree: int) -> RingPresentation:
+    """The polynomial ring on one generator, truncated above top_degree; one
+    per degree, as rings compare by identity."""
+    return RingPresentation(("h",), (), top_degree)
+
+
+def _spec(top_degree: int) -> SearchSpec:
+    """A search for top_degree / 2 line bundles."""
+    ring = _ring(top_degree)
+    targets = TargetClasses(GradedClass.zero(), GradedClass.zero(), True)
+    return SearchSpec(ring=ring, targets=targets, bound=SumOfSquaresBound((1,)))
 
 
 CHECKS = [
@@ -127,9 +136,11 @@ CHECKS = [
     pytest.param(lambda: RootSystem("B", 0), ValueError, "rank: B_m requires rank >= 1", id="RootSystem-B-rank"),
     pytest.param(lambda: ObstructionCase((RootSystem("A", 1),), 5, 0, 0), ValueError,
                  "manifold_dim: expected an even positive integer, got 5", id="ObstructionCase-dim"),
-    pytest.param(lambda: _spec(0), ValueError, "m: need at least one line bundle, got 0", id="SearchSpec-m-low"),
-    pytest.param(lambda: _spec(MAX_M + 1), ValueError,
-                 f"m: {MAX_M + 1} line bundles is more than the {MAX_M} the search walks", id="SearchSpec-m-high"),
+    pytest.param(lambda: _spec(0), ValueError,
+                 f"ring.top_degree: 0 gives 0 line bundles; the search walks 1 to {MAX_M}", id="SearchSpec-m-low"),
+    pytest.param(lambda: _spec(2 * MAX_M + 2), ValueError,
+                 f"ring.top_degree: {2 * MAX_M + 2} gives {MAX_M + 1} line bundles; the search walks 1 to {MAX_M}",
+                 id="SearchSpec-m-high"),
 ]
 
 
@@ -157,8 +168,8 @@ FROZEN = [
     pytest.param(lambda: RewriteRule((2, 0), cls(((0, 2), 1))), "lhs", (1, 1), id="RewriteRule"),
     pytest.param(lambda: LineBundleSum(ring_for("cp2-connect-sum"), (cls(((1, 0), 1)),)), "ring",
                  ring_for("s2xs2"), id="LineBundleSum"),
-    pytest.param(lambda: TargetClasses(GradedClass.zero(), GradedClass.zero(), True, 4), "real_rank", 6,
-                 id="TargetClasses"),
+    pytest.param(lambda: TargetClasses(GradedClass.zero(), GradedClass.zero(), True), "euler_sign_flexible",
+                 False, id="TargetClasses"),
     pytest.param(lambda: YPolynomial.from_coeffs([1, 2]), "coefficients", (1, 3), id="YPolynomial"),
     pytest.param(lambda: ChernRootData(ring_for("cp2-connect-sum"), (cls(((1, 0), 1)),)), "roots",
                  (cls(((0, 1), 1)),), id="ChernRootData"),
@@ -175,7 +186,7 @@ FROZEN = [
 
 MUTABLE = [
     pytest.param(lambda: MatchReport(True, True, True, 1, None, {}), "euler_sign", -1, id="MatchReport"),
-    pytest.param(lambda: _spec(1), "m", 2, id="SearchSpec"),
+    pytest.param(lambda: _spec(4), "budget", 5, id="SearchSpec"),
     pytest.param(lambda: DerivedBounds((3, 3), True), "certified", False, id="DerivedBounds"),
     pytest.param(lambda: SearchCertificate("digest", "explicit", (3, 3), 49, 49, (), True, 10), "visited", 48,
                  id="SearchCertificate"),

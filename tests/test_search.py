@@ -126,10 +126,7 @@ def test_cross_terms_rejected():
 def test_indefinite_form_rejected():
     ring = ring_for("s2xs2")
     targets = targets_for("s2xs2")
-    spec = SearchSpec(
-        ring=ring, targets=targets, m=2,
-        bound=SumOfSquaresBound((1,)),
-    )
+    spec = SearchSpec(ring=ring, targets=targets, bound=SumOfSquaresBound((1,)))
     with pytest.raises(BoundError):
         derive_bounds(spec)
 
@@ -155,9 +152,8 @@ def test_zero_target_means_zero_box():
         p1_target=GradedClass.zero(),
         euler_target=GradedClass.zero(),
         euler_sign_flexible=True,
-        real_rank=4,
     )
-    spec = SearchSpec(ring=ring, targets=targets, m=2, bound=SumOfSquaresBound((1,)))
+    spec = SearchSpec(ring=ring, targets=targets, bound=SumOfSquaresBound((1,)))
     assert derive_bounds(spec).per_variable == (0, 0)
 
 
@@ -242,9 +238,8 @@ def test_eight_line_bundles_canonicalize_in_linear_time():
             "p1": [[8, [2]]],
             "euler": [[1, [8]]],
             "euler_sign_flexible": True,
-            "real_rank": 16,
         },
-        "search": {"m": 8, "bound": {"type": "sum_of_squares", "multipliers": [1]}},
+        "search": {"bound": {"type": "sum_of_squares", "multipliers": [1]}},
     }
     started = time.perf_counter()
     search = run_case(doc)["sections"]["search"]
@@ -435,7 +430,9 @@ def test_ball_past_the_cap_is_refused(monkeypatch):
     monkeypatch.setattr(search, "_ellipsoid", recorded)
     monkeypatch.setattr(search, "MAX_BALL", 100)
     doc = builtin_case("cpn-split", 2)
-    doc["targets"]["p1"] = [[10**6, [2]]]  # a box and a ball of 2,001 vectors
+    # without the Chern target, which fixes p1 = 3h^2: a box and a ball of 2,001 vectors
+    del doc["targets"]["chern"]
+    doc["targets"]["p1"] = [[10**6, [2]]]
     with pytest.raises(CaseError, match=(
         r"^search\.bound\.multipliers: the ball of the 2001-cell box holds more than 100 vectors"
     )):
@@ -511,16 +508,26 @@ def test_builtin_solutions_match_reference(name, par):
     assert cert.solutions == ref_enumerate(spec)
 
 
-def test_euler_degree_above_the_top_matches_reference():
-    """Three bundles on a ring of top degree 4: the Euler class would sit in
-    degree 6, past the ring's tables, so its target and every product is zero."""
-    base = search_spec_for("cp2-connect-sum")
-    targets = replaced(base.targets, euler_target=GradedClass.zero(), real_rank=6)
-    spec = replaced(base, targets=targets, m=3)
-    cert = enumerate_splittings(spec)
-    assert cert.exhaustive
-    assert len(cert.solutions) == 22
-    assert cert.solutions == ref_enumerate(spec)
+@pytest.mark.parametrize(("name", "p1", "one_bundle"), [
+    # (u +- v)^2 = u^2 + v^2 = 2u^2, padded with a trivial plane
+    ("cp2-connect-sum", [((2, 0), 2)], {((1, 1), (0, 0)), ((1, -1), (0, 0))}),
+    # s2xs2's own p1 = 0: 2ab = 0 for the class a*u + b*v
+    ("s2xs2", [], {((a, 0), (0, 0)) for a in range(4)} | {((0, b), (0, 0)) for b in range(4)}),
+], ids=["cp2-connect-sum", "s2xs2"])
+def test_trivial_summands_are_zero_vectors(name, p1, one_bundle):
+    """With a zero Euler target, a splitting into k < n line bundles plus a
+    trivial part is a splitting into n whose other n - k classes vanish: the
+    solutions with at least n - k zero vectors are exactly the sums of k
+    bundles, padded with zero vectors."""
+    base = search_spec_for(name)
+    targets = replaced(base.targets, p1_target=GradedClass.from_terms(p1), euler_target=GradedClass.zero())
+    spec = replaced(base, targets=targets)
+    n, zero = spec.m, (0,) * len(spec.ring.tables.bases[1])
+    solutions = enumerate_splittings(spec).solutions
+    for k in range(1, n + 1):
+        padded = {sol for sol in solutions if sol.count(zero) >= n - k}
+        assert padded == set(ref_enumerate(spec, k)), k
+    assert set(ref_enumerate(spec, 1)) == one_bundle
 
 
 PLANTED_CASES = [c for c in DIFFERENTIAL_CASES if c != ("cpn-split", 2)]
@@ -541,13 +548,12 @@ def test_planted_solutions_match_reference(name, par):
             p1_target=first_pontryagin(lbsum),
             euler_target=euler_class(lbsum),
             euler_sign_flexible=rng.random() < 0.5,
-            real_rank=base.targets.real_rank,
             chern_target=total_chern(lbsum) if with_chern else None,
         )
         spec = replaced(base, targets=targets)
         cert = enumerate_splittings(spec)
         expected = ref_enumerate(spec)
-        assert canonicalize_solution(vecs, spec.allows_sign_flips()) in expected, (name, trial)
+        assert canonicalize_solution(vecs, spec.targets.sign_flexible) in expected, (name, trial)
         assert cert.solutions == expected, (name, trial)
 
 
@@ -572,7 +578,7 @@ def test_planted_equal_norms_meet_the_cut(name, par, vecs):
     norms = {sum(d * x * x for d, x in zip(bounds.diagonal, v)) for v in vecs}
     assert norms == {bounds.constant / spec.m}
     cert = enumerate_splittings(spec)
-    assert canonicalize_solution(vecs, spec.allows_sign_flips()) in cert.solutions
+    assert canonicalize_solution(vecs, spec.targets.sign_flexible) in cert.solutions
     assert cert.solutions == ref_enumerate(spec)
 
 
@@ -586,7 +592,7 @@ def _ball_norms(spec) -> list[int]:
     bounds = derive_bounds(spec)
     weights = bounds.diagonal or (0,) * len(bounds.per_variable)
     limit = bounds.constant or 0
-    flips = spec.allows_sign_flips()
+    flips = spec.targets.sign_flexible
     norms = []
     for vec in itertools.product(*(range(-b, b + 1) for b in bounds.per_variable)):
         norm = sum(w * x * x for w, x in zip(weights, vec))
@@ -697,7 +703,7 @@ def _matched_solutions(monkeypatch, spec):
     monkeypatch.setattr(TargetMatcher, "match", recording)
     cert = enumerate_splittings(spec)
     accepted = {
-        canonicalize_solution(vecs, spec.allows_sign_flips()) for vecs, report in reports if report.matched
+        canonicalize_solution(vecs, spec.targets.sign_flexible) for vecs, report in reports if report.matched
     }
     return cert, accepted, [report for _, report in reports]
 
@@ -728,11 +734,9 @@ def test_chern_is_decided_by_the_matcher(monkeypatch):
     base = search_spec_for("cpn-split", 3)
     ring = base.ring
     lbsum = LineBundleSum(ring, tuple(ring.class_from_coeffs((1,)) for _ in range(3)))
-    h2 = ring.class_from_coeffs((1,))
-    # (1 + h)^3 + h^2 has c1 = 3, c2 = 4, so c1^2 - 2c2 = 1 is not the p1 coefficient 3
-    chern = GradedClass.from_terms(
-        list(total_chern(lbsum).terms.items()) + list(ring_mul(ring, h2, h2).terms.items())
-    )
+    # c1 = 5h and c2 = 11h^2 give c1^2 - 2c2 = 3h^2, the p1 target, and c3 = h^3
+    # is the Euler one; but no three of +-h sum to 5h
+    chern = GradedClass.from_terms([((0,), 1), ((1,), 5), ((2,), 11), ((3,), 1)])
     targets = replaced(
         base.targets,
         p1_target=first_pontryagin(lbsum),
