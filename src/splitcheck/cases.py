@@ -33,7 +33,6 @@ def cp2_connect_sum() -> dict:
         "targets": {
             "p1": [[6, [2, 0]]],
             "euler": [[4, [2, 0]]],
-            "euler_sign_flexible": True,
         },
         "candidates": [
             [[1, 2], [0, 1]],
@@ -63,7 +62,6 @@ def su3_t2() -> dict:
         "targets": {
             "p1": [[8, [2, 0]]],
             "euler": [[6, [2, 1]]],
-            "euler_sign_flexible": True,
         },
         "search": {
             "bound": {"type": "sum_of_squares", "multipliers": [0, 1]},
@@ -95,7 +93,6 @@ def r_p(q: int = 2) -> dict:
         "targets": {
             "p1": [[6 + 8 * q * q, [2, 0, 0]]],
             "euler": [[8, [2, 0, 1]]],
-            "euler_sign_flexible": True,
         },
         "search": {
             "bound": {"type": "sum_of_squares", "multipliers": [0, 0, 1]},
@@ -138,7 +135,6 @@ def r_p_u_variant(q: int = 2) -> dict:
         "targets": {
             "p1": [[-(6 + 8 * q * q), [1, 1, 0]]],
             "euler": [[8, [1, 1, 1]]],
-            "euler_sign_flexible": True,
         },
     }
 
@@ -159,7 +155,6 @@ def sp2_t2() -> dict:
         "targets": {
             "p1": [[12, [0, 2]]],
             "euler": [[8, [1, 3]]],
-            "euler_sign_flexible": True,
         },
         "search": {
             "bound": {"type": "sum_of_squares", "multipliers": [1, 0]},
@@ -179,8 +174,8 @@ def cpn_split(n: int = 2) -> dict:
     """Complex projective n-space with the full Chern class as the target.
 
     A splitting into line bundles would have to reproduce every Chern
-    component, so the Euler sign is rigid and the total Chern class is part
-    of the target.
+    component.  The total Chern class tells each line bundle from its
+    conjugate, so it pins every bundle's sign, and with it the Euler sign.
     """
     integer(n, "n", low=2)  # a degree-4 class needs n >= 2
     chern = [[comb(n + 1, k), [k]] for k in range(0, n + 1)]
@@ -191,7 +186,6 @@ def cpn_split(n: int = 2) -> dict:
         "targets": {
             "p1": [[n + 1, [2]]],
             "euler": [[n + 1, [n]]],
-            "euler_sign_flexible": False,
             "chern": chern,
         },
         "search": {
@@ -220,7 +214,6 @@ def s2xs2() -> dict:
         "targets": {
             "p1": [],
             "euler": [[4, [1, 1]]],
-            "euler_sign_flexible": True,
         },
         "search": {
             "bound": {

@@ -7,8 +7,9 @@ first Chern classes, each a degree-2 integral class.  The realification has
     e  = product of the c1(L_i)  (degree 2m)
 
 and the complex total Chern class is the product of (1 + c1(L_i)).  Targets
-carry the tangent-bundle values these must match; Euler matching is up to
-sign when the orientation is not pinned.
+carry the tangent-bundle values these must match.  The conjugate of L_i
+gives the same real bundle, oppositely oriented (c1 and e change sign, p1
+does not), so Euler is matched up to sign; only a Chern target pins signs.
 
 A splitting of the tangent bundle lists n = top_degree / 2 line bundles:
 a trivial real plane is the line bundle with c1 = 0.
@@ -66,31 +67,28 @@ class LineBundleSum(Frozen):
 class TargetClasses(Frozen):
     """Tangent-bundle values a candidate splitting must reproduce.
 
-    euler_sign_flexible records that the Euler class is only known up to
-    orientation.  chern_target, when present, is an inhomogeneous total
-    Chern class that must match componentwise (used for complex tangent
-    bundles; sign-rigid by nature).
+    The Euler target is matched up to sign.  chern_target, when present, is
+    an inhomogeneous total Chern class that must match componentwise (used
+    for complex tangent bundles); it alone pins each bundle's sign.
     """
 
-    __slots__ = ("p1_target", "euler_target", "euler_sign_flexible", "chern_target")
+    __slots__ = ("p1_target", "euler_target", "chern_target")
 
     def __init__(
         self,
         p1_target: GradedClass,
         euler_target: GradedClass,
-        euler_sign_flexible: bool,
         chern_target: GradedClass | None = None,
     ):
         object.__setattr__(self, "p1_target", p1_target)
         object.__setattr__(self, "euler_target", euler_target)
-        object.__setattr__(self, "euler_sign_flexible", euler_sign_flexible)
         object.__setattr__(self, "chern_target", chern_target)
 
     @property
     def sign_flexible(self) -> bool:
-        """Whether a bundle's sign may flip: the Euler class is matched up to
-        sign and no Chern target pins the orientation."""
-        return self.euler_sign_flexible and self.chern_target is None
+        """Whether a bundle's sign may flip: no Chern target tells a line
+        bundle from its conjugate, which has the same p1 and flips e."""
+        return self.chern_target is None
 
 
 def first_pontryagin(lbsum: LineBundleSum) -> GradedClass:
@@ -182,12 +180,13 @@ class TargetMatcher:
 
     Construction runs the target checks and takes the targets' normal
     forms; `match` compares by equality and builds a residual only for a
-    check that fails.
+    check that fails.  The Euler class matches up to sign: with a Chern
+    target, whose top component the Euler target equals, a sum that passes
+    the Chern check has e = +euler.
     """
 
     def __init__(self, ring: RingPresentation, targets: TargetClasses):
         self.n = ring.top_degree // 2
-        self.sign_flexible = targets.sign_flexible
         self.p1, self.euler, self.chern = normal_targets(ring, targets)
         self.euler_neg = ring_scale(-1, self.euler)
 
@@ -205,7 +204,7 @@ class TargetMatcher:
         euler_sign: int | None = None
         if e == self.euler:
             euler_sign = 1
-        elif self.sign_flexible and e == self.euler_neg:
+        elif e == self.euler_neg:
             euler_sign = -1
         else:
             residuals["euler"] = ring_sub(e, self.euler)

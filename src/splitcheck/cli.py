@@ -77,12 +77,14 @@ def _class_reader(ring: RingPresentation):
 
 
 def _load_targets(ring: RingPresentation, raw, where: str = "targets") -> TargetClasses:
+    # Euler is matched up to sign and only a Chern target pins signs: no key sets the rule
+    if ring.top_degree < 2:
+        raise CaseError(f"ring.top_degree: {ring.top_degree} gives no line bundle to match the {where} against")
     raw = obj(raw, where)
     read_class = _class_reader(ring)
     targets = TargetClasses(
         p1_target=field(raw, "p1", where, read_class),
         euler_target=field(raw, "euler", where, read_class),
-        euler_sign_flexible=field(raw, "euler_sign_flexible", where, boolean),
         chern_target=field(raw, "chern", where, read_class, None),
     )
     # checked here, so targets that no section uses cannot pass unreachable

@@ -21,10 +21,10 @@ enumeration serves every bound:
    (lattice points of an ellipsoid, Fincke-Pohst, Math. Comp. 44, 1985),
    enumerated one coordinate at a time over |v_j| <= isqrt(norm left /
    lam_j), in the box's lex order; an explicit bound has no form and keeps
-   the whole box.  Only the larger of v and -v is kept when the targets
-   are sign-flexible (`TargetClasses.sign_flexible`, the one sign rule of
-   the matcher, the walk and the canonical form), and the ball is stably
-   sorted by norm;
+   the whole box.  Only the larger of v and -v is kept when no Chern
+   target pins the bundles' signs (`TargetClasses.sign_flexible`, read by
+   the ball and the canonical form alone), and the ball is stably sorted
+   by norm;
 2. the join table: each ball vector's square c1^2, a tuple over the
    degree-4 basis, packed into one int key sum_t c_t R^t.  The p1 tuple and
    the squares are integral, as the rules and the p1 target the matcher
@@ -45,8 +45,8 @@ enumeration serves every bound:
 4. the Euler prefilter: the walk carries the prefix product down, one
    `RingTables.mul` per node.  A probe with hits folds in its own vector
    once, and each hit one more: a hit
-   whose Euler tuple is neither the target nor (when sign-flexible) its
-   negation is dropped before the matcher.
+   whose Euler tuple is neither the target nor its negation, the Euler
+   class being matched up to sign, is dropped before the matcher.
 
 The lookup and the prefilter only reject: every candidate they let through
 is accepted or rejected by `charclass.TargetMatcher`, the one acceptance
@@ -370,9 +370,7 @@ def _walk(
     for i, key in enumerate(keys):
         table.setdefault(key, []).append(i)
     m, last = spec.m, spec.m - 1
-    euler_targets = {tables.vector(matcher.euler, m)}
-    if matcher.sign_flexible:
-        euler_targets.add(tables.vector(matcher.euler_neg, m))
+    euler_targets = {tables.vector(matcher.euler, m), tables.vector(matcher.euler_neg, m)}
     raw: list[tuple[tuple[int, ...], ...]] = []
 
     def accept(head: tuple[tuple[int, ...], ...], hits: list[int]) -> None:

@@ -26,6 +26,9 @@ degree <= top, and the count of the monomials no rule rewrites.
 over every coordinate at once, with no ball, no join and no symmetry
 reduction; given a bundle count k below the spec's, it walks k bundles and
 pads each sum with zero vectors, the trivial summands.
+`ref_rigid_enumerate` is the sign rule's oracle: the same walk with no
+matcher and a rigid Euler rule, p1 equal and e = +euler, each solution's
+bundles sorted but their signs left as found.
 `ref_canonicalize_solution` is the canonicalizer's oracle: the greatest of
 all m! * 2^m images under permutations and sign flips.
 `ref_probe_count` is the visit count's oracle: the recount the walk once ran
@@ -189,18 +192,34 @@ def _shell(weights, value: int, prefix: list, on_leaf) -> None:
         prefix.pop()
 
 
+def _ref_tuples(spec, count: int, on_leaf) -> None:
+    """Every ordered tuple of `count` bundle vectors the bound admits, flat.
+
+    A sum-of-squares bound walks the exact shell sum_j lam_j x_j^2 = C over
+    all count * r coordinates; an explicit bound walks the full box.
+    """
+    bounds = derive_bounds(spec)
+    if isinstance(spec.bound, ExplicitBound):
+        ranges = [range(-b, b + 1) for b in bounds.per_variable] * count
+        for flat in itertools.product(*ranges):
+            on_leaf(flat)
+    else:
+        denom = math.lcm(*(d.denominator for d in bounds.diagonal))
+        constant = bounds.constant * denom
+        if constant.denominator == 1:
+            weights = [int(d * denom) for d in bounds.diagonal] * count
+            _shell(weights, int(constant), [], on_leaf)
+
+
 def ref_enumerate(spec, count: int | None = None) -> tuple:
     """Canonical solution set of a search, by walking ordered tuples of
     `count` bundles (the spec's m when None), each padded with m - count
     zero vectors.
 
-    A sum-of-squares bound walks the exact shell sum_j lam_j x_j^2 = C over
-    all count * r coordinates; an explicit bound walks the full box.  A tuple
-    whose summed squares miss the p1 target cannot match, so only the rest
-    go to `matches_targets`, which alone accepts.
+    A tuple whose summed squares miss the p1 target cannot match, so only
+    the rest go to `matches_targets`, which alone accepts.
     """
     count = spec.m if count is None else count
-    bounds = derive_bounds(spec)
     ring = spec.ring
     r = len(basis(ring, 2))
     p1 = normal_form(ring, spec.targets.p1_target)
@@ -222,16 +241,39 @@ def ref_enumerate(spec, count: int | None = None) -> tuple:
         if matches_targets(lbsum, spec.targets).matched:
             found.add(ref_canonicalize_solution(vecs, spec.targets.sign_flexible))
 
-    if isinstance(spec.bound, ExplicitBound):
-        ranges = [range(-b, b + 1) for b in bounds.per_variable] * count
-        for flat in itertools.product(*ranges):
-            on_leaf(flat)
-    else:
-        denom = math.lcm(*(d.denominator for d in bounds.diagonal))
-        constant = bounds.constant * denom
-        if constant.denominator == 1:
-            weights = [int(d * denom) for d in bounds.diagonal] * count
-            _shell(weights, int(constant), [], on_leaf)
+    _ref_tuples(spec, count, on_leaf)
+    return tuple(sorted(found))
+
+
+def ref_rigid_enumerate(spec) -> tuple:
+    """The solutions under a rigid Euler rule, with no matcher: the ordered
+    tuples of m bundles whose p1 is the target and whose Euler class is
+    +euler itself, each with its bundles sorted in descending order and
+    their signs left as found.  The Chern target, if any, is not read."""
+    ring, m = spec.ring, spec.m
+    r = len(basis(ring, 2))
+    p1 = normal_form(ring, spec.targets.p1_target)
+    euler = normal_form(ring, spec.targets.euler_target)
+    squares: dict = {}
+    found = set()
+
+    def on_leaf(flat) -> None:
+        vecs = [tuple(flat[i * r : (i + 1) * r]) for i in range(m)]
+        p1_sum = GradedClass.zero()
+        for vec in vecs:
+            if vec not in squares:
+                c = ring.class_from_coeffs(vec)
+                squares[vec] = (c, ring_mul(ring, c, c))
+            p1_sum = ring_add(p1_sum, squares[vec][1])
+        if p1_sum != p1:
+            return
+        product = ring.one()
+        for vec in vecs:
+            product = ring_mul(ring, product, squares[vec][0])
+        if product == euler:
+            found.add(tuple(sorted(vecs, reverse=True)))
+
+    _ref_tuples(spec, m, on_leaf)
     return tuple(sorted(found))
 
 

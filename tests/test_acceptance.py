@@ -126,7 +126,7 @@ def test_criterion_4_sp2_search():
     targets = targets_for("sp2-t2")
     assert targets.p1_target == GradedClass.from_terms([((0, 2), 12)])
     assert targets.euler_target == GradedClass.from_terms([((1, 3), 8)])
-    assert targets.euler_sign_flexible
+    assert targets.sign_flexible
     spec = search_spec_for("sp2-t2")
     assert spec.m == 4
     cert = enumerate_splittings(spec)

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import generator_class, random_degree2, replaced, ring_for, search_spec_for, targets_for
+from splitcheck.cases import builtin_case
 from splitcheck.charclass import (
     LineBundleSum,
     RankError,
@@ -22,6 +23,7 @@ from splitcheck.charclass import (
     normal_targets,
     total_chern,
 )
+from splitcheck.cli import run_case
 from splitcheck.ring import GradedClass, basis, ring_scale
 from splitcheck.search import enumerate_splittings
 
@@ -76,7 +78,6 @@ def test_total_chern_target_is_sign_rigid():
     targets = TargetClasses(
         p1_target=first_pontryagin(witness),
         euler_target=euler_class(witness),
-        euler_sign_flexible=False,
         chern_target=total_chern(witness),
     )
     assert matches_targets(witness, targets).matched
@@ -88,6 +89,22 @@ def test_total_chern_target_is_sign_rigid():
     assert report.euler_ok
     assert not report.chern_ok
     assert not report.matched
+    # the Euler class matches up to sign even with a Chern target, which
+    # alone then refuses e = -euler: (3h) + (-h) on CP^2 has e = -3h^2
+    doc = builtin_case("cpn-split", 2)
+    doc["candidates"] = [[[3], [-1]], [[1], [1]]]
+    assert run_case(doc)["sections"]["matching"] == [
+        {
+            "candidate": [[3], [-1]], "matched": False, "p1_ok": False,
+            "euler_ok": True, "euler_sign": -1, "chern_ok": False,
+            "residuals": {"p1": "7*h^2", "chern": "-h - 6*h^2"},
+        },
+        {
+            "candidate": [[1], [1]], "matched": False, "p1_ok": False,
+            "euler_ok": False, "euler_sign": None, "chern_ok": False,
+            "residuals": {"p1": "-h^2", "euler": "-2*h^2", "chern": "-h - 2*h^2"},
+        },
+    ]
 
 
 def test_product_of_spheres_positive_control():
@@ -120,7 +137,7 @@ def test_chern_target_fixes_p1_and_euler():
     reaches both, and "no splitting" would hold vacuously."""
     ring = ring_for("cpn-split", 2)  # h^3 = 0
     chern = cls(((0,), 1), ((1,), 2), ((2,), 1))  # (1 + h)^2
-    targets = TargetClasses(cls(((2,), 2)), cls(((2,), 1)), False, chern)
+    targets = TargetClasses(cls(((2,), 2)), cls(((2,), 1)), chern)
     assert normal_targets(ring, targets) == (cls(((2,), 2)), cls(((2,), 1)), chern)
     spec = replaced(search_spec_for("cpn-split", 2), targets=targets)
     assert enumerate_splittings(spec).solutions == (((1,), (1,)),)
@@ -190,7 +207,6 @@ def test_matches_own_classes_roundtrip():
             targets = TargetClasses(
                 p1_target=first_pontryagin(sum_),
                 euler_target=euler_class(sum_),
-                euler_sign_flexible=False,
             )
             assert matches_targets(sum_, targets).matched
 

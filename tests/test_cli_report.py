@@ -293,24 +293,24 @@ def test_run_case_genus_roots():
 # every report byte-identical; a deliberate report change updates these
 # digests and says so in CHANGES.md.
 REPORT_DIGESTS = {
-    ("cp2-connect-sum", None): "b254efa9d968505349a02834c4fa609c2a4ecbc22bc75200ee40bc94ea50cce6",
-    ("cpn-split", None): "b7c5a68bbc9d40e9b93dd8de715bb476e49b2621ce88e0e76d3be128c31654b3",
+    ("cp2-connect-sum", None): "1886cb8401b74d9283c1eb91d39747bf217362db2db237451810cf7cf57819a4",
+    ("cpn-split", None): "021e9f3b319224ac3a7bc36b042969a813c52fd637527e6b4542cc722d689876",
     ("genus-cpn", None): "023d63150f7b31adcc32b934fcb00ef8d21039b7e2518214c6b650565dbd1443",
     ("hp1-presentation", None): "350c0b3239685dd3ad833bc649ee9f7a4d0647f26a45c1f09f2c79a0390b52f4",
     ("m20-eschenburg", None): "e300025cc6555e38c7a8268397da2e80c0b62aaee097f8edd7cec7afaaa59801",
-    ("r-p", None): "29348dd42bd256a12fd1aefcae9c471fa31ea1369707f20c780386d6f1a5231c",
-    ("r-p-u-variant", None): "365e8f17a2c25db4663305c6e895d03863fb0f6770af79e245a988967c90eb12",
-    ("s2xs2", None): "69d165388c72c67c85d079b1bb023de0206e8f58ac824ded013f14d737d8c1d7",
-    ("sp2-t2", None): "e96dc05547f304c545c518cebf242d542fe02540ae493b5c96596aa9f1b81bc6",
-    ("su3-t2", None): "6b6fb49f26b6c7dd3d36f9269666d659d1b703626b488e4bcb165166c120172a",
-    ("r-p", 1): "190ab4e9f116dbd28e7a64864f8ab1bef682941c418ac3259337adb3469558d5",
-    ("r-p", 2): "29348dd42bd256a12fd1aefcae9c471fa31ea1369707f20c780386d6f1a5231c",
-    ("r-p", 3): "2904b2e717e3cbc54bbd4b931e38879068618cec139dfd78819a92b88c7a5d18",
-    ("r-p", 4): "b15618b88c2b81d82f11d0e2882e093b8f630f40eebbee80b3c1d87f17fce306",
-    ("r-p", 5): "aed278b70565c3d5648140a3ae6cc18bc12785c0f24cc79c0c8b8dbce05ab25e",
-    ("cpn-split", 2): "b7c5a68bbc9d40e9b93dd8de715bb476e49b2621ce88e0e76d3be128c31654b3",
-    ("cpn-split", 3): "71439961f2796510e766e17fcb3874410850dfa8e08e0a79fe45ef697ec099bb",
-    ("cpn-split", 4): "123939c61b0fee8c3c0eeea41fdadbc90060e1848766f662510c4d4b7f3f58ee",
+    ("r-p", None): "f8f395db2b2f61f85f98fe5890a4b3e48f0d80dcc3af2f4490f4b8835750fc2d",
+    ("r-p-u-variant", None): "ca17af8fbc732ae87b551e391384e524a16337abc7414b0129be7947edc62ec9",
+    ("s2xs2", None): "b2945578059608e8121ea5886061f23866cf1c78e4e7d050a9ce773e9804fed5",
+    ("sp2-t2", None): "c7500ec66198a50a49a3c8046c2d35e09e65d6fdad83cb154f7eaf2dc8fc865d",
+    ("su3-t2", None): "7f313359156d5021eaba65ebd6603030412b80eb7b8d400dc09e6133ad08cf4e",
+    ("r-p", 1): "ad8c07c97a3d8c022fb1e4806870ac7d01b03d11f4b770303d2bb8f56706492c",
+    ("r-p", 2): "f8f395db2b2f61f85f98fe5890a4b3e48f0d80dcc3af2f4490f4b8835750fc2d",
+    ("r-p", 3): "b9e5676c3383aba109db8c1eb01bfa06f68de6009987f54c151d33671ad4372a",
+    ("r-p", 4): "b05a50df1aaca85537eb597ad773447e5366724dd38267ed914ddaa01a6af318",
+    ("r-p", 5): "e3527053ba54d7f2189db83f9500575a44f368e11b075873017c5248890ce41c",
+    ("cpn-split", 2): "021e9f3b319224ac3a7bc36b042969a813c52fd637527e6b4542cc722d689876",
+    ("cpn-split", 3): "5842cddefbf004d20ecbeb712a344f4b0a4196d893b63d697c47d1a887360ba6",
+    ("cpn-split", 4): "6123f20c05d398e33dd62c87436ebbf3b07169f8e7c883c18458af5b0180e052",
     ("genus-cpn", 1): "8bd0d53beed1aff6c95b46a5e4f70c02ca8b9fe9cd98b2daa7efd02a118e8e35",
     ("genus-cpn", 2): "023d63150f7b31adcc32b934fcb00ef8d21039b7e2518214c6b650565dbd1443",
     ("genus-cpn", 3): "a34268a0b86594900887dcd39f61ded77f44f3cc522303192ef9c221fe1b13b3",
@@ -421,7 +421,6 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
     # True is an int to Python
     for name, path, value, *named in [
         ("s2xs2", ("search", "bound", "acknowledged"), "false"),
-        ("sp2-t2", ("targets", "euler_sign_flexible"), "false"),
         ("hp1-presentation", ("obstruction", "euler_nonzero"), 1),
         ("m20-eschenburg", ("obstruction", "almost_complex_forbidden"), None),
         # a switch a case file still gives must equal the one chi and sigma give
@@ -504,6 +503,9 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         # (1 + h)^3 makes p1 = c1^2 - 2 c2 = 3h^2 and the Euler class c2 = 3h^2
         (("cpn-split", 2), ("targets", "p1"), [[4, [2]]]),
         (("cpn-split", 2), ("targets", "euler"), [[2, [2]]]),
+        # a ring of top degree 0 has no line bundle for targets to be matched against
+        ("cp2-connect-sum", ("ring", "top_degree"), 0),
+        (("cpn-split", 2), ("ring", "top_degree"), 0),
         # targets are checked where they are read, whether or not a section uses them
         (("r-p-u-variant", 2), ("targets", "p1"), [[1, [1, 1, 1]]]),
         # every class built from integral c1's is integral
@@ -524,7 +526,7 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
     line = builtin_case("cpn-split", 2)
     line["ring"] = _LINE_RING
     line["targets"] = {
-        "p1": [], "euler": [[2, [1]]], "euler_sign_flexible": False, "chern": [[1, [0]], [2, [1]]],
+        "p1": [], "euler": [[2, [1]]], "chern": [[1, [0]], [2, [1]]],
     }
     _refused(line, "search.bound.multipliers", tmp_path, capsys)
     # MAX_RANK itself still runs
@@ -602,7 +604,7 @@ def _field_name(path) -> str:
 
 
 _INT_KEYS = ("budget", "manifold_dim", "chi", "sigma", "quarter_dim", "top_degree")
-_BOOL_KEYS = ("euler_sign_flexible", "acknowledged")
+_BOOL_KEYS = ("acknowledged",)
 # optional cross-checks of the derived switches, which no built-in gives
 _OBSTRUCTION_BOOL_KEYS = ("euler_nonzero", "almost_complex_forbidden")
 _STR_KEYS = ("name", "anchor", "note", "provenance", "family")
@@ -674,7 +676,7 @@ def test_typed_fields_cover_every_section():
     kinds = {(path[0], kind) for _, path, kind in TYPED_FIELDS}
     assert kinds >= {
         ("ring", "int"), ("ring", "str"),
-        ("targets", "int"), ("targets", "bool"), ("candidates", "int"),
+        ("targets", "int"), ("candidates", "int"),
         ("search", "int"), ("search", "bool"), ("genus", "int"),
         ("obstruction", "int"), ("obstruction", "bool"),
         ("name", "str"), ("anchor", "str"), ("search", "str"), ("obstruction", "str"),
@@ -764,7 +766,7 @@ def test_cli_refuses_a_search_deeper_than_max_m(capsys):
         )), n
     # the zero vector, MAX_M times, is the one splitting with p1 = 0 and e = 0
     doc = builtin_case("cpn-split", MAX_M)
-    doc["targets"] = {"p1": [], "euler": [], "euler_sign_flexible": False}
+    doc["targets"] = {"p1": [], "euler": []}
     search = run_case(doc)["sections"]["search"]
     assert (search["exhaustive"], search["solutions"]) == (True, [[[0]] * MAX_M])
 
@@ -795,6 +797,27 @@ def test_a_stale_rank_or_bundle_count_runs_on_the_derived_one(tmp_path, capsys):
     assert spec.m == 2
     assert search["exhaustive"] is True
     assert search["solutions"] == [[list(vec) for vec in sol] for sol in ref_enumerate(spec)]
+
+
+@pytest.mark.parametrize(("name", "par"), [("s2xs2", None), ("cpn-split", 2)])
+def test_a_stale_sign_flag_runs_on_the_derived_rule(tmp_path, capsys, name, par):
+    """The Euler class is matched up to sign, and only a Chern target pins a
+    bundle's sign, so `targets.euler_sign_flexible` is never read: with any
+    value a document runs as without it, and only its input digest differs."""
+    plain = run_case(builtin_case(name, par))
+    for stale in (True, False, "x"):
+        doc = builtin_case(name, par)
+        doc["targets"]["euler_sign_flexible"] = stale
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 0, stale
+        report = json.loads(capsys.readouterr().out)
+        assert report["input_digest"] != plain["input_digest"], stale
+        assert {**report, "input_digest": None} == {**plain, "input_digest": None}, stale
+    if name == "s2xs2":  # one solution up to sign, found on the sign-canonical ball
+        search = plain["sections"]["search"]
+        assert (search["solutions"], search["visited"]) == ([[[2, 0], [0, 2]]], 74)
 
 
 def test_cli_refuses_a_ball_past_the_cap(tmp_path, capsys):

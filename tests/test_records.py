@@ -109,7 +109,7 @@ def _ring(top_degree: int) -> RingPresentation:
 def _spec(top_degree: int) -> SearchSpec:
     """A search for top_degree / 2 line bundles."""
     ring = _ring(top_degree)
-    targets = TargetClasses(GradedClass.zero(), GradedClass.zero(), True)
+    targets = TargetClasses(GradedClass.zero(), GradedClass.zero())
     return SearchSpec(ring=ring, targets=targets, bound=SumOfSquaresBound((1,)))
 
 
@@ -168,8 +168,8 @@ FROZEN = [
     pytest.param(lambda: RewriteRule((2, 0), cls(((0, 2), 1))), "lhs", (1, 1), id="RewriteRule"),
     pytest.param(lambda: LineBundleSum(ring_for("cp2-connect-sum"), (cls(((1, 0), 1)),)), "ring",
                  ring_for("s2xs2"), id="LineBundleSum"),
-    pytest.param(lambda: TargetClasses(GradedClass.zero(), GradedClass.zero(), True), "euler_sign_flexible",
-                 False, id="TargetClasses"),
+    pytest.param(lambda: TargetClasses(GradedClass.zero(), GradedClass.zero()), "chern_target",
+                 GradedClass.zero(), id="TargetClasses"),
     pytest.param(lambda: YPolynomial.from_coeffs([1, 2]), "coefficients", (1, 3), id="YPolynomial"),
     pytest.param(lambda: ChernRootData(ring_for("cp2-connect-sum"), (cls(((1, 0), 1)),)), "roots",
                  (cls(((0, 1), 1)),), id="ChernRootData"),

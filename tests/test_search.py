@@ -4,7 +4,8 @@ The oracle-equivalence block replays each search's accept/reject decision
 against the hand-expanded equation systems in helpers.py: full boxes for the
 two small geometries, deterministic samples for the larger two.  The
 differential block compares whole solution sets against `ref_enumerate`,
-the ordered-tuple walk with no ball, join or symmetry reduction.  The
+the ordered-tuple walk with no ball, join or symmetry reduction, and
+against `ref_rigid_enumerate`, that walk under a rigid Euler rule.  The
 table block checks the compiled ring tables against `ring_mul` and
 `euler_class`, and the acceptance block checks that every solution was
 accepted by `TargetMatcher.match`.
@@ -29,6 +30,7 @@ from helpers import (
     ref_canonicalize_solution,
     ref_enumerate,
     ref_probe_count,
+    ref_rigid_enumerate,
     replaced,
     ring_for,
     rp_oracle,
@@ -49,7 +51,7 @@ from splitcheck.charclass import (
 )
 from splitcheck.cli import run_case
 from splitcheck.report import CaseError, canonical_bytes
-from splitcheck.ring import GradedClass, RingTables, basis, ring_mul
+from splitcheck.ring import GradedClass, RingTables, basis, normal_form, ring_mul
 from splitcheck.search import (
     DEFAULT_BUDGET,
     BoundError,
@@ -151,7 +153,6 @@ def test_zero_target_means_zero_box():
     targets = TargetClasses(
         p1_target=GradedClass.zero(),
         euler_target=GradedClass.zero(),
-        euler_sign_flexible=True,
     )
     spec = SearchSpec(ring=ring, targets=targets, bound=SumOfSquaresBound((1,)))
     assert derive_bounds(spec).per_variable == (0, 0)
@@ -237,7 +238,6 @@ def test_eight_line_bundles_canonicalize_in_linear_time():
         "targets": {
             "p1": [[8, [2]]],
             "euler": [[1, [8]]],
-            "euler_sign_flexible": True,
         },
         "search": {"bound": {"type": "sum_of_squares", "multipliers": [1]}},
     }
@@ -508,6 +508,32 @@ def test_builtin_solutions_match_reference(name, par):
     assert cert.solutions == ref_enumerate(spec)
 
 
+@pytest.mark.parametrize(("name", "par"), [
+    ("cp2-connect-sum", None), ("su3-t2", None), ("sp2-t2", None), ("s2xs2", None), ("r-p", 1),
+])
+def test_a_rigid_euler_rule_lists_the_positive_sign_patterns(name, par):
+    """Conjugating one line bundle keeps p1 and flips the Euler class, so
+    matching Euler up to sign changes no verdict: a rigid rule, e = +euler
+    only, finds a splitting iff the search does, and its solutions are
+    exactly the sign patterns of the search's solutions with e = +euler."""
+    spec = search_spec_for(name, par)
+    ring = spec.ring
+    derived = enumerate_splittings(spec).solutions
+    rigid = ref_rigid_enumerate(spec)
+    assert bool(rigid) == bool(derived)
+    euler = normal_form(ring, spec.targets.euler_target)
+    positive = set()
+    for sol in derived:
+        for signs in itertools.product((1, -1), repeat=len(sol)):
+            vecs = tuple(tuple(s * x for x in vec) for s, vec in zip(signs, sol))
+            lbsum = LineBundleSum(ring, tuple(ring.class_from_coeffs(vec) for vec in vecs))
+            if euler_class(lbsum) == euler:
+                positive.add(tuple(sorted(vecs, reverse=True)))
+    assert set(rigid) == positive
+    if name == "s2xs2":  # 2v + 2u, and its conjugate pair -2u - 2v
+        assert set(rigid) == {((2, 0), (0, 2)), ((0, -2), (-2, 0))}
+
+
 @pytest.mark.parametrize(("name", "p1", "one_bundle"), [
     # (u +- v)^2 = u^2 + v^2 = 2u^2, padded with a trivial plane
     ("cp2-connect-sum", [((2, 0), 2)], {((1, 1), (0, 0)), ((1, -1), (0, 0))}),
@@ -547,7 +573,6 @@ def test_planted_solutions_match_reference(name, par):
         targets = TargetClasses(
             p1_target=first_pontryagin(lbsum),
             euler_target=euler_class(lbsum),
-            euler_sign_flexible=rng.random() < 0.5,
             chern_target=total_chern(lbsum) if with_chern else None,
         )
         spec = replaced(base, targets=targets)
