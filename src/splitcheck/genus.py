@@ -41,7 +41,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .record import Frozen, Record
+from .record import Frozen
 from .ring import GradedClass, RingPresentation, _tighten
 # Not called here: perfbench/tracing.py rebinds this name on this module.
 from .ring import ring_mul  # noqa: F401
@@ -438,53 +438,3 @@ def hirzebruch_congruence(chi_val: int, sigma_val: int, m: int) -> bool:
     (chi = 3, sigma = -1) fails it, yet reversed it is CP^2.
     """
     return (chi_val - (-1) ** m * sigma_val) % 4 == 0
-
-
-class TelescopeReport(Record):
-    __slots__ = ("n", "chi", "sigma", "correction", "identity_holds", "congruent")
-
-    def __init__(self, n: int, chi: int, sigma: int, correction: int, identity_holds: bool, congruent: bool):
-        self.n = n
-        self.chi = chi
-        self.sigma = sigma
-        self.correction = correction
-        self.identity_holds = identity_holds
-        self.congruent = congruent
-
-
-def telescoped_congruence(coefficients: Sequence[int]) -> TelescopeReport:
-    """Mechanize the duality-to-congruence fold for integer chi^p vectors.
-
-    For n = 4k the alternating sum telescopes to
-        chi(-1) = chi(1) - 4 * sum of chi^(2p+1) for p < k,
-    and for n = 4k+2 to
-        chi(-1) = -chi(1) + 4 * sum of chi^(2p) for p <= k,
-    provided chi^p = chi^(n-p).  The report carries the exact correction term
-    (a multiple of 4 by construction) and whether the identity held.
-    """
-    coeffs = [int(c) for c in coefficients]
-    n = len(coeffs) - 1
-    if n % 2:
-        raise ValueError("need an even complex dimension (odd-length vector)")
-    if any(coeffs[p] != coeffs[n - p] for p in range(n + 1)):
-        raise ValueError("coefficient vector is not duality-symmetric")
-    chi = sum((-1) ** p * c for p, c in enumerate(coeffs))
-    sigma = sum(coeffs)
-    if n % 4 == 0:
-        k = n // 4
-        correction = -4 * sum(coeffs[2 * p + 1] for p in range(k))
-        identity = chi == sigma + correction
-        congruent = (chi - sigma) % 4 == 0
-    else:
-        k = (n - 2) // 4
-        correction = 4 * sum(coeffs[2 * p] for p in range(k + 1))
-        identity = chi == -sigma + correction
-        congruent = (chi + sigma) % 4 == 0
-    return TelescopeReport(
-        n=n,
-        chi=chi,
-        sigma=sigma,
-        correction=correction,
-        identity_holds=identity,
-        congruent=congruent,
-    )

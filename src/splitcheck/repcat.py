@@ -137,16 +137,6 @@ def _weyl_data(rs: RootSystem, weight: Sequence[int]) -> WeylData:
     return weight, dim, REAL if pairing % 2 == 0 else QUATERNIONIC
 
 
-def weyl_dim(rs: RootSystem, weight: Sequence[int]) -> int:
-    """Complex dimension of the irrep with the given dominant weight."""
-    return _weyl_data(rs, weight)[1]
-
-
-def field_type(rs: RootSystem, weight: Sequence[int]) -> str:
-    """Frobenius-Schur type of the irrep with the given dominant weight."""
-    return _weyl_data(rs, weight)[2]
-
-
 def fs_indicator(ftype: str) -> int:
     return {REAL: 1, COMPLEX: 0, QUATERNIONIC: -1}[ftype]
 
@@ -212,10 +202,6 @@ class Irrep(Frozen):
             name=name,
         )
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(w == 0 for w in self.highest_weight)
-
 
 class IrrepCatalog(Frozen):
     __slots__ = ("rs", "dim_bound", "entries")
@@ -224,9 +210,6 @@ class IrrepCatalog(Frozen):
         object.__setattr__(self, "rs", rs)
         object.__setattr__(self, "dim_bound", dim_bound)
         object.__setattr__(self, "entries", entries)
-
-    def nontrivial(self) -> list[Irrep]:
-        return [e for e in self.entries if not e.is_trivial]
 
 
 def _enumerate_weights(rs: RootSystem, cdim_bound: int) -> Iterator[WeylData]:

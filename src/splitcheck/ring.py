@@ -447,13 +447,6 @@ def ring_mul(ring: RingPresentation, a: GradedClass, b: GradedClass) -> GradedCl
     return _graded(acc)
 
 
-def ring_pow(ring: RingPresentation, a: GradedClass, exp: int) -> GradedClass:
-    out = ring.one()
-    for _ in range(exp):
-        out = ring_mul(ring, out, a)
-    return out
-
-
 def integrate(ring: RingPresentation, c: GradedClass) -> Fraction:
     """Coefficient of the fundamental monomial in the normal form of c."""
     nf = normal_form(ring, c)

@@ -15,6 +15,9 @@ digit width from `ref_coefficient_bound`, the bound's plain product formula.
 layer's `Fraction` oracles: the root read through `normal_form` and
 `RingTables.vector`, Horner's rule in Fractions, and the comparison of each
 coefficient with its signed mirror.
+`telescoped_congruence` is the oracle of acceptance criterion 7: the fold
+of the alternating sum of a duality-symmetric chi^p vector into the mod-4
+congruence, with its correction term.
 `generator_class`, `divide_by_one_plus_y` and `replaced` serve the tests only.
 `ref_rows` and `ref_table_mul` are the compiled ring tables' oracle: dense
 rows built with `ring_mul`, and the loop over every row entry.
@@ -46,6 +49,10 @@ the serializer's oracle: the plain isinstance chain, with no dispatch on
 exact types.  `ref_refused_at` is the oracle of the path `check_exact`
 names: a second walk from the top that asks the check of each part in turn.
 
+The golden block at the end maps each file in tests/golden/ to its run:
+`golden_run` parses the name, `render_golden` prints what the run prints,
+and `assert_golden` compares that with the file and fails with a diff.
+
 Coordinate convention used throughout: a degree-2 vector lists coefficients
 in the ascending basis order of the ring, which for generators written in
 document order [g1, ..., gk] means the *last* generator comes first.  So for
@@ -56,16 +63,22 @@ vector (x0, x1, x2) is x0*v3 + x1*v2 + x2*v1.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import difflib
+import io
 import itertools
+import json
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 from splitcheck import repcat
 from splitcheck.cases import builtin_case
-from splitcheck.charclass import LineBundleSum, TargetClasses, matches_targets
-from splitcheck.cli import _load_search_spec, _load_targets
+from splitcheck.charclass import LineBundleSum, TargetClasses, euler_class, first_pontryagin, matches_targets
+from splitcheck.cli import _load_search_spec, _load_targets, main
 from splitcheck.genus import ChernRootData, RootCountError, YPolynomial, _Factor
 from splitcheck.repcat import (
     COMPLEX,
@@ -77,8 +90,8 @@ from splitcheck.repcat import (
     ObstructionCase,
     RootSystem,
     product_catalog,
-    weyl_dim,
 )
+from splitcheck.record import Record
 from splitcheck.report import check_exact
 from splitcheck.ring import (
     ConfluenceError,
@@ -96,7 +109,7 @@ from splitcheck.ring import (
     ring_add,
     ring_mul,
 )
-from splitcheck.search import ExplicitBound, derive_bounds
+from splitcheck.search import ExplicitBound, derive_bounds, enumerate_splittings
 from splitcheck.series import (
     series_exp_neg,
     series_scaled_argument,
@@ -648,6 +661,56 @@ def ref_duality_check(chi: YPolynomial, n: int) -> bool:
     return all(coeffs[p] == sign * coeffs[n - p] for p in range(n + 1))
 
 
+class TelescopeReport(Record):
+    __slots__ = ("n", "chi", "sigma", "correction", "identity_holds", "congruent")
+
+    def __init__(self, n: int, chi: int, sigma: int, correction: int, identity_holds: bool, congruent: bool):
+        self.n = n
+        self.chi = chi
+        self.sigma = sigma
+        self.correction = correction
+        self.identity_holds = identity_holds
+        self.congruent = congruent
+
+
+def telescoped_congruence(coefficients) -> TelescopeReport:
+    """Mechanize the duality-to-congruence fold for integer chi^p vectors.
+
+    For n = 4k the alternating sum telescopes to
+        chi(-1) = chi(1) - 4 * sum of chi^(2p+1) for p < k,
+    and for n = 4k+2 to
+        chi(-1) = -chi(1) + 4 * sum of chi^(2p) for p <= k,
+    provided chi^p = chi^(n-p).  The report carries the exact correction term
+    (a multiple of 4 by construction) and whether the identity held.
+    """
+    coeffs = [int(c) for c in coefficients]
+    n = len(coeffs) - 1
+    if n % 2:
+        raise ValueError("need an even complex dimension (odd-length vector)")
+    if any(coeffs[p] != coeffs[n - p] for p in range(n + 1)):
+        raise ValueError("coefficient vector is not duality-symmetric")
+    chi = sum((-1) ** p * c for p, c in enumerate(coeffs))
+    sigma = sum(coeffs)
+    if n % 4 == 0:
+        k = n // 4
+        correction = -4 * sum(coeffs[2 * p + 1] for p in range(k))
+        identity = chi == sigma + correction
+        congruent = (chi - sigma) % 4 == 0
+    else:
+        k = (n - 2) // 4
+        correction = 4 * sum(coeffs[2 * p] for p in range(k + 1))
+        identity = chi == -sigma + correction
+        congruent = (chi + sigma) % 4 == 0
+    return TelescopeReport(
+        n=n,
+        chi=chi,
+        sigma=sigma,
+        correction=correction,
+        identity_holds=identity,
+        congruent=congruent,
+    )
+
+
 # -- reference representation dimensions and types ----------------------------
 
 
@@ -701,7 +764,7 @@ def _ref_enumerate_weights(rs: RootSystem, cdim_bound: int):
         previous = None
         while True:
             candidate = prefix + [value] + [0] * (rank - index - 1)
-            dim = weyl_dim(rs, candidate)
+            dim = Irrep.build(rs, candidate).complex_dim
             if previous is not None and dim < previous:
                 raise AssertionError("Weyl dimension decreased along a coordinate ray")
             previous = dim
@@ -826,3 +889,99 @@ def ref_refused_at(value, where: str) -> str:
         except TypeError:
             return ref_refused_at(item, path)
     return where
+
+
+# -- golden reports ---------------------------------------------------------------
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+# COMMAND.CASE[.qN][.bN].json: `verify` and `reps` name a splitcheck command
+# line, `search.planted.bN.json` the planted r-p q=2 search cut at budget N
+_GOLDEN_NAME = re.compile(
+    r"(verify|reps|search)\.([a-z0-9]+(?:-[a-z0-9]+)*)(?:\.q([0-9]+))?(?:\.b([0-9]+))?\.json"
+)
+
+
+def golden_run(name: str) -> tuple[str, str, int | None, int | None]:
+    """(command, case, q, budget) of a golden file's name."""
+    match = _GOLDEN_NAME.fullmatch(name)
+    if match is None or (match[1] == "search" and (match[2], match[3]) != ("planted", None)):
+        raise ValueError(f"{name}: not a golden name (COMMAND.CASE[.qN][.bN].json)")
+    command, case, q, budget = match.groups()
+    return command, case, None if q is None else int(q), None if budget is None else int(budget)
+
+
+def golden_argv(name: str) -> list[str]:
+    """The splitcheck command line whose output a golden file holds."""
+    command, case, q, budget = golden_run(name)
+    if command == "search":
+        raise ValueError(f"{name}: the planted search has no command line")
+    return [command, case] + (["--q", str(q)] if q is not None else []) + (
+        ["--budget", str(budget)] if budget is not None else []
+    )
+
+
+def golden_id(name: str) -> str:
+    """A run's test id: its case, q and budget, joined by '-'."""
+    return "-".join(str(part) for part in golden_run(name)[1:] if part is not None)
+
+
+def golden_names(*commands: str, budgeted: bool | None = None) -> list[str]:
+    """The golden files of the given commands (all of them, given none), in
+    name order, only those with a budget or without one when `budgeted` is
+    set; a name that does not parse is in no list, and fails
+    `test_every_golden_file_is_a_run`."""
+    names = []
+    for path in sorted(GOLDEN_DIR.iterdir()):
+        try:
+            command, _, _, budget = golden_run(path.name)
+        except ValueError:  # update.py, or a name the test fails
+            continue
+        if (not commands or command in commands) and budgeted in (None, budget is not None):
+            names.append(path.name)
+    return names
+
+
+def planted_rp2():
+    """r-p q=2 with targets read off one splitting; the walk finds it at about visited 1,500."""
+    base = search_spec_for("r-p", 2)
+    ring = base.ring
+    vecs = ((1, 2, 0), (0, 1, -2), (1, 0, 3))
+    lbsum = LineBundleSum(ring, tuple(ring.class_from_coeffs(v) for v in vecs))
+    targets = replaced(base.targets, p1_target=first_pontryagin(lbsum), euler_target=euler_class(lbsum))
+    return replaced(base, targets=targets)
+
+
+def render_golden(name: str) -> str:
+    """What a golden file holds: the stdout of its command line, or the
+    planted search's certificate indented as `verify` indents a report."""
+    command, _, _, budget = golden_run(name)
+    if command == "search":
+        cert = enumerate_splittings(replaced(planted_rp2(), budget=budget))
+        return json.dumps(cert.as_jsonable(), sort_keys=True, indent=2) + "\n"
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(golden_argv(name))
+    except SystemExit as exc:  # argparse refused the command line
+        code = exc.code
+    if code != 0:
+        raise AssertionError(f"{name}: splitcheck {' '.join(golden_argv(name))} exited {code}")
+    return out.getvalue()
+
+
+def assert_same_text(expected: str, actual: str, name: str) -> None:
+    """Fail with a unified diff from `expected` to `actual` unless they are equal."""
+    if actual != expected:
+        diff = difflib.unified_diff(
+            expected.splitlines(keepends=True), actual.splitlines(keepends=True), f"golden/{name}", "now"
+        )
+        raise AssertionError(f"{name} differs from its golden file:\n{''.join(diff)}")
+
+
+def assert_golden(name: str) -> str:
+    """Run a golden file's command and compare what it prints with the file;
+    return the text."""
+    actual = render_golden(name)
+    assert_same_text((GOLDEN_DIR / name).read_text(encoding="utf-8"), actual, name)
+    return actual

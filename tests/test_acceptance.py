@@ -35,6 +35,7 @@ from helpers import (
     sp2_oracle,
     su3_oracle,
     targets_for,
+    telescoped_congruence,
 )
 from splitcheck.cases import builtin_case, list_builtin_cases
 from splitcheck.charclass import euler_class, first_pontryagin
@@ -48,7 +49,6 @@ from splitcheck.genus import (
     hirzebruch_congruence,
     signature_direct,
     signature_from_chi,
-    telescoped_congruence,
     top_chern_integral,
 )
 from splitcheck.repcat import (
@@ -56,10 +56,8 @@ from splitcheck.repcat import (
     ObstructionCase,
     RootSystem,
     catalog_irreps,
-    field_type,
     obstruct_tangent_rep,
     product_catalog,
-    weyl_dim,
 )
 from splitcheck.report import canonical_bytes
 from splitcheck.ring import (
@@ -201,22 +199,22 @@ def test_criterion_8_representation_dimensions():
         rs = RootSystem("B", m)
         for i in range(1, m):
             weight = tuple(1 if k == i - 1 else 0 for k in range(m))
-            assert weyl_dim(rs, weight) == comb(2 * m + 1, i)
+            assert Irrep.build(rs, weight).complex_dim == comb(2 * m + 1, i)
         spin_weight = tuple(0 for _ in range(m - 1)) + (1,)
-        assert weyl_dim(rs, spin_weight) == 2**m
+        assert Irrep.build(rs, spin_weight).complex_dim == 2**m
 
     # smallest and second-smallest nontrivial irreps of Spin(4n - 1)
     for n in (3, 5, 7, 9):
         rank = 2 * n - 1
         rs = RootSystem("B", rank)
         bound = 8 * n * n - 6 * n + 1
-        nontrivial = catalog_irreps(rs, bound).nontrivial()
+        nontrivial = [e for e in catalog_irreps(rs, bound).entries if any(e.highest_weight)]
         assert nontrivial[0].name == "L^1"
         assert nontrivial[0].real_dim == 4 * n - 1
         assert nontrivial[1].real_dim == bound  # 171 at n = 5
 
-    assert field_type(RootSystem("B", 2), (0, 1)) == "quaternionic"  # Spin(5)
-    assert field_type(RootSystem("B", 5), (0, 0, 0, 0, 1)) == "quaternionic"  # Spin(11)
+    assert Irrep.build(RootSystem("B", 2), (0, 1)).field_type == "quaternionic"  # Spin(5)
+    assert Irrep.build(RootSystem("B", 5), (0, 0, 0, 0, 1)).field_type == "quaternionic"  # Spin(11)
     assert elapsed() < 10.0
 
 
@@ -239,7 +237,7 @@ def test_criterion_8_claim_half_spin_is_real_32():
     "quaternionic of real dimension 64",
 )
 def test_criterion_8_claim_catalog_contains_half_spin():
-    names = [e.name for e in catalog_irreps(RootSystem("B", 5), 36).nontrivial()]
+    names = [e.name for e in catalog_irreps(RootSystem("B", 5), 36).entries if any(e.highest_weight)]
     assert names == ["L^1", "D"]
 
 

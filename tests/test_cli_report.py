@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -17,7 +16,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import ref_enumerate, ref_jsonable, ref_refused_at
+from helpers import (
+    GOLDEN_DIR,
+    assert_golden,
+    assert_same_text,
+    golden_id,
+    golden_names,
+    golden_run,
+    ref_enumerate,
+    ref_jsonable,
+    ref_refused_at,
+    render_golden,
+)
 from splitcheck.cases import builtin_case, list_builtin_cases
 from splitcheck.cli import CaseError, _load_search_spec, _load_targets, main, run_case
 from splitcheck.genus import MAX_ROOTS
@@ -288,45 +298,50 @@ def test_run_case_genus_roots():
     assert run_case(doc)["sections"]["genus"]["chi_y"] == [0, 0, 0, 0]
 
 
-# sha256 of the canonical report of each built-in, at its default and over
-# the parameter ranges the acceptance criteria use.  A refactor must leave
-# every report byte-identical; a deliberate report change updates these
-# digests and says so in CHANGES.md.
-REPORT_DIGESTS = {
-    ("cp2-connect-sum", None): "1886cb8401b74d9283c1eb91d39747bf217362db2db237451810cf7cf57819a4",
-    ("cpn-split", None): "021e9f3b319224ac3a7bc36b042969a813c52fd637527e6b4542cc722d689876",
-    ("genus-cpn", None): "023d63150f7b31adcc32b934fcb00ef8d21039b7e2518214c6b650565dbd1443",
-    ("hp1-presentation", None): "350c0b3239685dd3ad833bc649ee9f7a4d0647f26a45c1f09f2c79a0390b52f4",
-    ("m20-eschenburg", None): "e300025cc6555e38c7a8268397da2e80c0b62aaee097f8edd7cec7afaaa59801",
-    ("r-p", None): "f8f395db2b2f61f85f98fe5890a4b3e48f0d80dcc3af2f4490f4b8835750fc2d",
-    ("r-p-u-variant", None): "ca17af8fbc732ae87b551e391384e524a16337abc7414b0129be7947edc62ec9",
-    ("s2xs2", None): "b2945578059608e8121ea5886061f23866cf1c78e4e7d050a9ce773e9804fed5",
-    ("sp2-t2", None): "c7500ec66198a50a49a3c8046c2d35e09e65d6fdad83cb154f7eaf2dc8fc865d",
-    ("su3-t2", None): "7f313359156d5021eaba65ebd6603030412b80eb7b8d400dc09e6133ad08cf4e",
-    ("r-p", 1): "ad8c07c97a3d8c022fb1e4806870ac7d01b03d11f4b770303d2bb8f56706492c",
-    ("r-p", 2): "f8f395db2b2f61f85f98fe5890a4b3e48f0d80dcc3af2f4490f4b8835750fc2d",
-    ("r-p", 3): "b9e5676c3383aba109db8c1eb01bfa06f68de6009987f54c151d33671ad4372a",
-    ("r-p", 4): "b05a50df1aaca85537eb597ad773447e5366724dd38267ed914ddaa01a6af318",
-    ("r-p", 5): "e3527053ba54d7f2189db83f9500575a44f368e11b075873017c5248890ce41c",
-    ("cpn-split", 2): "021e9f3b319224ac3a7bc36b042969a813c52fd637527e6b4542cc722d689876",
-    ("cpn-split", 3): "5842cddefbf004d20ecbeb712a344f4b0a4196d893b63d697c47d1a887360ba6",
-    ("cpn-split", 4): "6123f20c05d398e33dd62c87436ebbf3b07169f8e7c883c18458af5b0180e052",
-    ("genus-cpn", 1): "8bd0d53beed1aff6c95b46a5e4f70c02ca8b9fe9cd98b2daa7efd02a118e8e35",
-    ("genus-cpn", 2): "023d63150f7b31adcc32b934fcb00ef8d21039b7e2518214c6b650565dbd1443",
-    ("genus-cpn", 3): "a34268a0b86594900887dcd39f61ded77f44f3cc522303192ef9c221fe1b13b3",
-    ("genus-cpn", 4): "ec30455ff0e0e4714b71eb7f0096e2915580db6a46145a48b6a8453d1d454cd3",
-}
+# Each file in tests/golden/ holds what one run prints, and its name is the
+# run (`golden_run`): the built-ins at their defaults and over the parameter
+# ranges the acceptance criteria use, the `reps` catalogs, and the budget
+# cuts of test_search.py.  A refactor must leave every file as it is; a
+# deliberate report change rewrites them with tests/golden/update.py and says
+# so in CHANGES.md.
+REPORT_GOLDENS = golden_names("verify", budgeted=False)
 
 
-def test_report_digests_cover_every_builtin():
-    assert {name for name, par in REPORT_DIGESTS if par is None} == set(list_builtin_cases())
+def test_goldens_cover_every_builtin():
+    """Every built-in has a golden report of `verify NAME`."""
+    assert {case for _, case, q, _ in map(golden_run, REPORT_GOLDENS) if q is None} == set(list_builtin_cases())
 
 
-@pytest.mark.parametrize(("name", "par"), list(REPORT_DIGESTS),
-                         ids=[n if p is None else f"{n}-{p}" for n, p in REPORT_DIGESTS])
-def test_builtin_reports_are_byte_identical(name, par):
-    report = canonical_bytes(run_case(builtin_case(name, par)))
-    assert hashlib.sha256(report).hexdigest() == REPORT_DIGESTS[(name, par)]
+def test_every_golden_file_is_a_run():
+    """Every file but the writer parses as a run, and the golden tests read
+    each run: a file no test reads, or one whose name does not parse, fails."""
+    names = sorted(path.name for path in GOLDEN_DIR.iterdir() if path.name != "update.py")
+    for name in names:
+        golden_run(name)
+    read = REPORT_GOLDENS + golden_names("reps") + golden_names("verify", "search", budgeted=True)
+    assert sorted(set(names) - set(read)) == []
+
+
+@pytest.mark.parametrize("name", REPORT_GOLDENS, ids=golden_id)
+def test_builtin_reports_are_byte_identical(name):
+    assert_golden(name)
+
+
+def test_a_changed_golden_fails_with_a_diff_naming_the_key():
+    """One value changed in a golden text fails the comparison with a
+    unified diff whose removed and added lines carry the changed key."""
+    name = "verify.sp2-t2.b45.json"
+    text = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    assert text.count('"visited": 46\n') == 1
+    edited = text.replace('"visited": 46\n', '"visited": 47\n')
+    with pytest.raises(AssertionError) as info:
+        assert_same_text(edited, render_golden(name), name)
+    message = str(info.value)
+    assert message.startswith(f"{name} differs from its golden file:\n--- golden/{name}\n+++ now\n@@ ")
+    changed = [line for line in message.splitlines()[3:] if line[:1] in "-+"]
+    assert changed == ['-      "visited": 47', '+      "visited": 46']
+    with pytest.raises(ValueError, match="not a golden name"):
+        golden_run("verify.r-p.q.json")
 
 
 class _ReadRecorder(dict):
@@ -355,27 +370,19 @@ def _recorded(node, path: tuple, reads: set, keys: set):
     return node
 
 
-@pytest.mark.parametrize(("name", "par"), list(REPORT_DIGESTS),
-                         ids=[n if p is None else f"{n}-{p}" for n, p in REPORT_DIGESTS])
-def test_builtin_documents_carry_only_keys_a_section_reads(name, par):
+@pytest.mark.parametrize("name", REPORT_GOLDENS, ids=golden_id)
+def test_builtin_documents_carry_only_keys_a_section_reads(name):
+    _, case, par, _ = golden_run(name)
     reads: set = set()
     keys: set = set()
-    plain = run_case(builtin_case(name, par))
-    assert run_case(_recorded(builtin_case(name, par), (), reads, keys)) == plain
+    plain = run_case(builtin_case(case, par))
+    assert run_case(_recorded(builtin_case(case, par), (), reads, keys)) == plain
     assert keys - reads == set()
 
 
-# sha256 of what `splitcheck reps NAME` prints
-REPS_DIGESTS = {
-    "hp1-presentation": "747b346a9621f80875fbac1ee194ab650aeda0c48c12308daa82f77a357dae97",
-    "m20-eschenburg": "4918784298e21f2db38a97eb01525e4dc21671978abf7d9c2ad7ea09bf99e203",
-}
-
-
-@pytest.mark.parametrize("name", list(REPS_DIGESTS))
-def test_cli_reps_output_is_byte_identical(name, capsys):
-    assert main(["reps", name]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == REPS_DIGESTS[name]
+@pytest.mark.parametrize("name", golden_names("reps"), ids=golden_id)
+def test_cli_reps_output_is_byte_identical(name):
+    assert_golden(name)
 
 
 @pytest.mark.parametrize("name", list_builtin_cases())

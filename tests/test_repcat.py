@@ -30,15 +30,25 @@ from splitcheck.repcat import (
     ProductIrrep,
     RootSystem,
     catalog_irreps,
-    field_type,
     fs_indicator,
     obstruct_tangent_rep,
     product_catalog,
-    weyl_dim,
 )
 
 A1 = RootSystem("A", 1)
 CIRCLE = RootSystem("T", 1)
+
+
+def dim_of(rs: RootSystem, weight) -> int:
+    return Irrep.build(rs, weight).complex_dim
+
+
+def type_of(rs: RootSystem, weight) -> str:
+    return Irrep.build(rs, weight).field_type
+
+
+def nontrivial_of(catalog) -> list[Irrep]:
+    return [e for e in catalog.entries if any(e.highest_weight)]
 
 
 def spin(n_odd: int) -> RootSystem:
@@ -66,20 +76,20 @@ def test_b_family_closed_form_dimensions(m):
     rs = RootSystem("B", m)
     for i in range(1, m):
         weight = tuple(1 if k == i - 1 else 0 for k in range(m))
-        assert weyl_dim(rs, weight) == comb(2 * m + 1, i)
+        assert dim_of(rs, weight) == comb(2 * m + 1, i)
     # top exterior power carries twice the last fundamental weight
     if m >= 2:
         weight = tuple(0 for _ in range(m - 1)) + (2,)
-        assert weyl_dim(rs, weight) == comb(2 * m + 1, m)
+        assert dim_of(rs, weight) == comb(2 * m + 1, m)
     # the spin representation
     weight = tuple(0 for _ in range(m - 1)) + (1,)
-    assert weyl_dim(rs, weight) == 2**m
+    assert dim_of(rs, weight) == 2**m
 
 
 def test_su2_dimensions_and_types():
-    dims = [weyl_dim(A1, (k,)) for k in range(6)]
+    dims = [dim_of(A1, (k,)) for k in range(6)]
     assert dims == [1, 2, 3, 4, 5, 6]
-    types = [field_type(A1, (k,)) for k in range(6)]
+    types = [type_of(A1, (k,)) for k in range(6)]
     assert types == [REAL, QUATERNIONIC, REAL, QUATERNIONIC, REAL, QUATERNIONIC]
 
 
@@ -87,8 +97,8 @@ def test_su2_is_spin3():
     """A_1 and B_1 give the same irreps: dimension w + 1, real iff w is even."""
     b1 = RootSystem("B", 1)
     for w in range(21):
-        assert weyl_dim(A1, (w,)) == weyl_dim(b1, (w,)) == w + 1
-        assert field_type(A1, (w,)) == field_type(b1, (w,)) == (REAL if w % 2 == 0 else QUATERNIONIC)
+        assert dim_of(A1, (w,)) == dim_of(b1, (w,)) == w + 1
+        assert type_of(A1, (w,)) == type_of(b1, (w,)) == (REAL if w % 2 == 0 else QUATERNIONIC)
     for bound in (1, 2, 7, 20):
         a_weights = [e.highest_weight for e in catalog_irreps(A1, bound).entries]
         assert a_weights == [e.highest_weight for e in catalog_irreps(b1, bound).entries]
@@ -97,10 +107,10 @@ def test_su2_is_spin3():
 
 
 def test_circle_weights():
-    assert weyl_dim(CIRCLE, (0,)) == 1
-    assert weyl_dim(CIRCLE, (5,)) == 1
-    assert field_type(CIRCLE, (0,)) == REAL
-    assert field_type(CIRCLE, (3,)) == COMPLEX
+    assert dim_of(CIRCLE, (0,)) == 1
+    assert dim_of(CIRCLE, (5,)) == 1
+    assert type_of(CIRCLE, (0,)) == REAL
+    assert type_of(CIRCLE, (3,)) == COMPLEX
 
 
 def test_weight_validation():
@@ -116,17 +126,16 @@ def test_weight_validation():
         (spin(7), (1,)),
         (spin(7), (0, -1, 2)),
     ]:
-        for fn in (weyl_dim, field_type):
-            with pytest.raises(ValueError):
-                fn(rs, weight)
+        with pytest.raises(ValueError):
+            Irrep.build(rs, weight)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_b_family_matches_fraction_oracle(m):
     rs = RootSystem("B", m)
     for weight in itertools.product(range(3), repeat=m):
-        assert weyl_dim(rs, weight) == ref_weyl_dim(rs, weight), weight
-        assert field_type(rs, weight) == ref_field_type(rs, weight), weight
+        assert dim_of(rs, weight) == ref_weyl_dim(rs, weight), weight
+        assert type_of(rs, weight) == ref_field_type(rs, weight), weight
 
 
 @pytest.mark.parametrize("bound", [20, 36, 64])
@@ -165,7 +174,7 @@ def test_catalogs_match_dfs_oracle(rs, bound):
 
 
 def test_vector_rep_frozen():
-    assert weyl_dim(spin(7), (1, 0, 0)) == 7
+    assert dim_of(spin(7), (1, 0, 0)) == 7
     assert Irrep.build(spin(7), (1, 0, 0)).name == "L^1"
 
 
@@ -181,7 +190,7 @@ def test_spin_rep_types_frozen():
     for n, expected in cases.items():
         rs = spin(n)
         weight = tuple(0 for _ in range(rs.rank - 1)) + (1,)
-        assert field_type(rs, weight) == expected, f"Spin({n})"
+        assert type_of(rs, weight) == expected, f"Spin({n})"
 
 
 def test_exterior_powers_are_real():
@@ -189,7 +198,7 @@ def test_exterior_powers_are_real():
         rs = spin(n)
         for i in range(1, rs.rank):
             weight = tuple(1 if k == i - 1 else 0 for k in range(rs.rank))
-            assert field_type(rs, weight) == REAL
+            assert type_of(rs, weight) == REAL
 
 
 def test_spin11_half_spin_honest_values():
@@ -227,13 +236,13 @@ def test_su2_catalog_bound_six():
     entries = catalog_irreps(A1, 6).entries
     assert [e.name for e in entries] == ["W1", "W3", "W2", "W5"]
     assert [e.real_dim for e in entries] == [1, 3, 4, 5]
-    assert [e.name for e in catalog_irreps(A1, 6).nontrivial()] == ["W3", "W2", "W5"]
+    assert [e.name for e in nontrivial_of(catalog_irreps(A1, 6))] == ["W3", "W2", "W5"]
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_vector_rep_is_only_small_irrep(n):
     rs = RootSystem("B", n)
-    nontrivial = catalog_irreps(rs, 2 * n + 1).nontrivial()
+    nontrivial = nontrivial_of(catalog_irreps(rs, 2 * n + 1))
     assert [e.name for e in nontrivial] == ["L^1"]
     assert nontrivial[0].real_dim == 2 * n + 1
 
@@ -245,7 +254,7 @@ def test_second_smallest_irrep_dimension(n):
     next; at n = 3 the quaternionic half-spin rep lands above it at 64."""
     rs = spin(4 * n - 1)
     bound = 8 * n * n - 6 * n + 1
-    nontrivial = catalog_irreps(rs, bound).nontrivial()
+    nontrivial = nontrivial_of(catalog_irreps(rs, bound))
     assert nontrivial[0].name == "L^1"
     assert nontrivial[0].real_dim == 4 * n - 1
     assert nontrivial[1].name == "L^2"
@@ -254,7 +263,7 @@ def test_second_smallest_irrep_dimension(n):
 
 
 def test_spin11_catalog_at_bound_36():
-    nontrivial = catalog_irreps(spin(11), 36).nontrivial()
+    nontrivial = nontrivial_of(catalog_irreps(spin(11), 36))
     assert [e.name for e in nontrivial] == ["L^1"]
 
 
@@ -265,12 +274,12 @@ def test_spin11_catalog_at_bound_36():
     "dimension 64 and exceeds the bound",
 )
 def test_spin11_catalog_claimed_to_contain_half_spin():
-    nontrivial = catalog_irreps(spin(11), 36).nontrivial()
+    nontrivial = nontrivial_of(catalog_irreps(spin(11), 36))
     assert [e.name for e in nontrivial] == ["L^1", "D"]
 
 
 def test_spin11_wide_catalog():
-    entries = catalog_irreps(spin(11), 64).nontrivial()
+    entries = nontrivial_of(catalog_irreps(spin(11), 64))
     assert [(e.name, e.real_dim) for e in entries] == [
         ("L^1", 11),
         ("L^2", 55),

@@ -14,8 +14,8 @@ accepted by `TargetMatcher.match`.
 from __future__ import annotations
 
 import gc
-import hashlib
 import itertools
+import json
 import math
 import random
 import time
@@ -26,7 +26,12 @@ from hypothesis import strategies as st
 
 from helpers import (
     accepts,
+    assert_golden,
     cp2_oracle,
+    golden_id,
+    golden_names,
+    golden_run,
+    planted_rp2,
     ref_canonicalize_solution,
     ref_enumerate,
     ref_probe_count,
@@ -50,7 +55,7 @@ from splitcheck.charclass import (
     total_chern,
 )
 from splitcheck.cli import run_case
-from splitcheck.report import CaseError, canonical_bytes
+from splitcheck.report import CaseError
 from splitcheck.ring import GradedClass, RingTables, basis, normal_form, ring_mul
 from splitcheck.search import (
     DEFAULT_BUDGET,
@@ -335,28 +340,12 @@ def test_budget_exhaustion_on_staged():
         assert enumerate_splittings(spec).as_jsonable() == cert.as_jsonable(), budget
 
 
-def _planted_rp2():
-    """r-p q=2 with targets read off one splitting; the walk finds it at about visited 1,500."""
-    base = search_spec_for("r-p", 2)
-    ring = base.ring
-    vecs = ((1, 2, 0), (0, 1, -2), (1, 0, 3))
-    lbsum = LineBundleSum(ring, tuple(ring.class_from_coeffs(v) for v in vecs))
-    targets = replaced(base.targets, p1_target=first_pontryagin(lbsum), euler_target=euler_class(lbsum))
-    return replaced(base, targets=targets)
-
-
-# sha256 of the canonical certificate, taken from the walk that made every
-# probe, at budgets that ran out inside a range of probes (r-p 1600, sp2 45,
-# planted 700) or a subtree (r-p 16000, sp2 96) that the norm-sum cut skips;
-# refused before it walks, the search keeps these bytes (those certificates
-# with the keys since dropped taken out, so the pins still descend from that walk)
-BUDGET_CUT_DIGESTS = [
-    (("r-p", 3), 1600, "956bb291fb98bddd4ec3d7550ead80bdcf039fa1d68146093c73136691de55a9"),
-    (("r-p", 3), 16000, "50171c7b4d0945176512108796dbca76649900abbc80b793ebf23362122be104"),
-    (("sp2-t2", None), 45, "a0c66993c6d71a1b8b243283424deeda6233e366ed0938a858e1e46686031c78"),
-    (("sp2-t2", None), 96, "d473fb4f061094fd5e1db9e4093d4d2d2b5ddeccabc11ca2f6b5b823163e9458"),
-    ("planted", 700, "29dedc3e345a7c5568741630a1468bb4a199d5c37a111b87d5d0e120cb24bec8"),
-]
+# Each budget-cut golden file holds the certificate of a walk that made
+# every probe, at a budget that ran out inside a range of probes (r-p 1600,
+# sp2 45, planted 700) or inside a subtree that the norm-sum cut skips (r-p
+# 16000, sp2 96); the search, which refuses such a budget before it walks,
+# keeps those certificates
+BUDGET_CUT_GOLDENS = golden_names("verify", "search", budgeted=True)
 
 
 @pytest.mark.parametrize(("name", "par", "budget"), [("r-p", 3, None), ("su3-t2", None, None), ("r-p", 3, 5000)])
@@ -374,14 +363,12 @@ def test_search_leaves_no_reference_cycle(name, par, budget):
         gc.enable()
 
 
-# named by case and budget, so a re-pinned digest keeps the test's name
-@pytest.mark.parametrize(("case", "budget", "digest"), BUDGET_CUT_DIGESTS,
-                         ids=["r-p-3-1600", "r-p-3-16000", "sp2-t2-45", "sp2-t2-96", "planted-700"])
-def test_budget_inside_a_cut_keeps_the_certificate(case, budget, digest):
-    spec = _planted_rp2() if case == "planted" else search_spec_for(*case)
-    cert = enumerate_splittings(replaced(spec, budget=budget))
-    assert cert.visited == budget + 1
-    assert hashlib.sha256(canonical_bytes(cert.as_jsonable())).hexdigest() == digest
+@pytest.mark.parametrize("name", BUDGET_CUT_GOLDENS, ids=golden_id)
+def test_budget_inside_a_cut_keeps_the_certificate(name):
+    command, _, _, budget = golden_run(name)
+    report = json.loads(assert_golden(name))
+    cert = report if command == "search" else report["sections"]["search"]
+    assert cert["visited"] == budget + 1
 
 
 @pytest.mark.parametrize("case", ["planted", ("sp2-t2", None), ("s2xs2", None)])
@@ -390,7 +377,7 @@ def test_budget_below_the_count_refuses_the_search(case):
     the search: visited is budget + 1, with no solutions, not exhaustive and
     a note, whatever the walk would have met first.  A budget of at least
     the count gives the full certificate."""
-    spec = _planted_rp2() if case == "planted" else search_spec_for(*case)
+    spec = planted_rp2() if case == "planted" else search_spec_for(*case)
     full = enumerate_splittings(spec)
     # the planted target and s2xs2 have solutions, which a refusal drops
     assert full.exhaustive and (full.solutions or case == ("sp2-t2", None))

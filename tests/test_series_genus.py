@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from helpers import (
     RING_IDS,
     RING_REFS,
+    TelescopeReport,
     divide_by_one_plus_y,
     generator_class,
     random_degree2,
@@ -34,12 +35,12 @@ from helpers import (
     ref_table_mul,
     ref_top_chern_integral,
     ring_for,
+    telescoped_congruence,
 )
 from splitcheck.genus import (
     _EULER_FACTOR,
     ChernRootData,
     RootCountError,
-    TelescopeReport,
     YPolynomial,
     _coefficient_bound,
     _divide_by_one_plus_y,
@@ -53,7 +54,6 @@ from splitcheck.genus import (
     hirzebruch_congruence,
     signature_direct,
     signature_from_chi,
-    telescoped_congruence,
     todd_from_chi,
     top_chern_integral,
 )
