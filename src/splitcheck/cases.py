@@ -41,7 +41,7 @@ def cp2_connect_sum() -> dict:
             "bound": {"type": "sum_of_squares", "multipliers": [1]},
         },
         "genus": {
-            "congruence": {"chi": 4, "sigma": 2, "quarter_dim": 1},
+            "congruence": {"chi": 4, "sigma": 2},
         },
     }
 
@@ -241,7 +241,7 @@ def hp1_presentation() -> dict:
             "quaternionic projective spaces admit no almost complex structure",
         },
         "genus": {
-            "congruence": {"chi": 2, "sigma": 0, "quarter_dim": 1},
+            "congruence": {"chi": 2, "sigma": 0},
         },
     }
 
@@ -261,7 +261,7 @@ def m20_eschenburg() -> dict:
             "so no almost complex structure exists",
         },
         "genus": {
-            "congruence": {"chi": 6, "sigma": 0, "quarter_dim": 5},
+            "congruence": {"chi": 6, "sigma": 0},
         },
     }
 

@@ -135,22 +135,32 @@ def _load_root_system(raw, where: str) -> RootSystem:
         raise CaseError(f"{where}.{exc}") from exc
 
 
-def _load_congruence(raw, where: str) -> tuple[int, int, int]:
-    """The congruence object's chi, sigma and quarter_dim."""
+def _dimension(doc: Mapping, ring: RingPresentation | None) -> tuple[int, str] | None:
+    """The manifold's one dimension and the field that states it; a ring's top degree comes first."""
+    if ring is not None:
+        return ring.top_degree, "ring.top_degree"
+    if "obstruction" in doc:
+        raw = field(doc, "obstruction", "", obj)
+        return field(raw, "manifold_dim", "obstruction", integer), "obstruction.manifold_dim"
+    return None
+
+
+def _load_congruence(raw, where: str, dimension: tuple[int, str] | None) -> tuple[int, int, int]:
+    """The congruence object's chi and sigma, and m for the case's dimension 4m."""
     raw = obj(raw, where)
-    return (
-        field(raw, "chi", where, integer),
-        field(raw, "sigma", where, integer),
-        field(raw, "quarter_dim", where, partial(integer, low=1)),
-    )
+    chi = field(raw, "chi", where, integer)
+    sigma = field(raw, "sigma", where, integer)
+    if dimension is None:
+        raise CaseError(f"{where}: the case states no dimension (ring.top_degree or obstruction.manifold_dim)")
+    dim, source = dimension
+    if dim <= 0 or dim % 4:
+        raise CaseError(f"{where}: is taken in a dimension 4m with m >= 1, but {source} is {dim}")
+    return chi, sigma, dim // 4
 
 
 def _load_obstruction(doc: Mapping) -> ObstructionCase:
-    """The obstruction section, with chi and sigma read from genus.congruence.
-
-    The two filter switches are derived from chi and sigma; a document that
-    still gives one must give the derived value.
-    """
+    """The obstruction section, with chi and sigma read from genus.congruence;
+    both filter switches are derived from them."""
     where = "obstruction"
     raw = field(doc, where, "", obj)
     factors = field(raw, "factors", where, partial(array, item=_load_root_system))
@@ -161,28 +171,13 @@ def _load_obstruction(doc: Mapping) -> ObstructionCase:
     genus = field(doc, "genus", "", obj, {})
     if "congruence" not in genus:
         raise CaseError(f"genus.congruence: {where} reads chi and sigma from it, but it is missing")
-    chi, sigma, quarter = field(genus, "congruence", "genus", _load_congruence)
-    try:
-        case = ObstructionCase(
-            factors=tuple(factors), manifold_dim=manifold_dim, chi=chi, sigma=sigma,
-            provenance=provenance,
-        )
-    except ValueError as exc:  # an odd or nonpositive manifold_dim
-        raise CaseError(f"{where}.{exc}") from exc
-    if 4 * quarter != manifold_dim:
-        raise CaseError(
-            f"genus.congruence.quarter_dim: expected {where}.manifold_dim / 4, "
-            f"got {quarter} for a manifold of dimension {manifold_dim}"
-        )
-    for key in ("euler_nonzero", "almost_complex_forbidden"):
-        given = field(raw, key, where, boolean, None)
-        derived = getattr(case, key)
-        if given is not None and given != derived:
-            raise CaseError(
-                f"{where}.{key}: given {json.dumps(given)}, but chi = {chi} and "
-                f"sigma = {sigma} make it {json.dumps(derived)}"
-            )
-    return case
+    # the congruence refuses a dimension that is not a positive multiple of 4,
+    # so the case's own check on manifold_dim cannot fail here
+    dimension = (manifold_dim, f"{where}.manifold_dim")
+    chi, sigma, _ = field(genus, "congruence", "genus", partial(_load_congruence, dimension=dimension))
+    return ObstructionCase(
+        factors=tuple(factors), manifold_dim=manifold_dim, chi=chi, sigma=sigma, provenance=provenance,
+    )
 
 
 # -- sections ----------------------------------------------------------------
@@ -221,7 +216,8 @@ def _matching_section(ring: RingPresentation, targets: TargetClasses, raw, where
     return out
 
 
-def _genus_section(ring: RingPresentation | None, raw, where: str = "genus") -> dict:
+def _genus_section(ring: RingPresentation | None, raw, dimension: tuple[int, str] | None) -> dict:
+    where = "genus"
     raw = obj(raw, where)
     out: dict = {}
     if "roots" in raw:
@@ -239,12 +235,7 @@ def _genus_section(ring: RingPresentation | None, raw, where: str = "genus") -> 
         out["todd"] = todd_from_chi(chi)
         out["duality"] = duality_check(chi, data.n)
     if "congruence" in raw:
-        chi_val, sigma_val, quarter = field(raw, "congruence", where, _load_congruence)
-        if ring is not None and 4 * quarter != ring.top_degree:
-            raise CaseError(
-                f"{where}.congruence.quarter_dim: expected ring.top_degree / 4, "
-                f"got {quarter} for a ring of top degree {ring.top_degree}"
-            )
+        chi_val, sigma_val, quarter = field(raw, "congruence", where, partial(_load_congruence, dimension=dimension))
         out["congruence"] = {
             "chi": chi_val,
             "sigma": sigma_val,
@@ -356,9 +347,12 @@ def run_case(doc: Mapping, budget: int | None = None) -> dict:
             key = "per_variable" if isinstance(spec.bound, ExplicitBound) else "multipliers"
             raise CaseError(f"search.bound.{key}: {exc}") from exc
     if "genus" in doc:
-        sections["genus"] = _genus_section(ring, doc["genus"])
+        sections["genus"] = _genus_section(ring, doc["genus"], _dimension(doc, ring))
     if "obstruction" in doc:
-        sections["obstruction"] = _obstruction_section(_load_obstruction(doc))
+        case = _load_obstruction(doc)
+        if ring is not None and case.manifold_dim != ring.top_degree:
+            raise CaseError(f"obstruction.manifold_dim: {case.manifold_dim} is not ring.top_degree, {ring.top_degree}")
+        sections["obstruction"] = _obstruction_section(case)
     if not sections:
         raise CaseError("case document has no actionable section")
     return _report(doc, title, sections)
@@ -419,8 +413,16 @@ def _check_expectation(report: dict, expect: str) -> str | None:
     raise CaseError(f"unknown expectation {expect!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals are `CaseError`s, so a bad command line exits 1
+    like every other refusal; its subparsers are built from this class too."""
+
+    def error(self, message: str):
+        raise CaseError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="splitcheck",
         description="exact verification of line-bundle splitting obstructions",
     )
@@ -466,9 +468,8 @@ def _print(text: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "list":
             _print("\n".join(
                 f"{name} (parameter: {PARAMETER_NAMES[name]})" if name in PARAMETER_NAMES else name
@@ -486,8 +487,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif args.command == "genus":
             if "genus" not in doc:
                 raise CaseError("case document has no genus section")
-            slim = {k: doc[k] for k in ("name", "anchor", "ring", "genus") if k in doc}
-            report = run_case(slim)
+            title = _title(doc)
+            ring = parse_presentation(doc["ring"]) if "ring" in doc else None
+            sections = {"ring": _ring_section(ring)} if ring is not None else {}
+            sections["genus"] = _genus_section(ring, doc["genus"], _dimension(doc, ring))
+            # the digest covers what the sections read: the dimension may come from obstruction
+            slim = {k: doc[k] for k in ("name", "anchor", "ring", "genus", "obstruction") if k in doc}
+            report = _report(slim, title, sections)
         else:  # obstruct or reps
             if "obstruction" not in doc:
                 raise CaseError("case document has no obstruction section")

@@ -59,6 +59,10 @@ from .series import (
 # search.MAX_M puts on a splitting's line bundles; every built-in root set
 # has at most n + 2 roots.
 MAX_ROOTS = 256
+# The work grows with the nonzero roots times n, the top degree over 2: on the
+# same host CP^31's 32 roots of h (992) take about 1.6 s, and CP^60's 61
+# (3,660) took 91-151 s.  Every built-in root set has at most 6 roots, n <= 4.
+MAX_ROOT_WORK = 1024
 
 
 class RootCountError(ValueError):
@@ -135,6 +139,13 @@ class ChernRootData(Frozen):
         for i, r in enumerate(roots):
             if not r.is_zero() and r.homogeneous_degree() != 2:
                 raise ValueError(f"root #{i} is not homogeneous of degree 2")
+        nonzero = sum(not r.is_zero() for r in roots)
+        n = ring.top_degree // 2
+        if nonzero * n > MAX_ROOT_WORK:
+            raise ValueError(
+                f"{nonzero} nonzero roots times n = {n} is {nonzero * n}, "
+                f"more than the {MAX_ROOT_WORK} the genus integrates"
+            )
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "roots", roots)
 

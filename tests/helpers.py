@@ -960,11 +960,8 @@ def render_golden(name: str) -> str:
         cert = enumerate_splittings(replaced(planted_rp2(), budget=budget))
         return json.dumps(cert.as_jsonable(), sort_keys=True, indent=2) + "\n"
     out = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out):
-            code = main(golden_argv(name))
-    except SystemExit as exc:  # argparse refused the command line
-        code = exc.code
+    with contextlib.redirect_stdout(out):
+        code = main(golden_argv(name))
     if code != 0:
         raise AssertionError(f"{name}: splitcheck {' '.join(golden_argv(name))} exited {code}")
     return out.getvalue()

@@ -14,7 +14,6 @@ test_repcat.py as well.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from fractions import Fraction
@@ -24,21 +23,15 @@ import pytest
 from helpers import (
     RING_IDS,
     RING_REFS,
-    accepts,
-    cp2_oracle,
     generator_class,
     random_class,
     random_degree2,
     ring_for,
-    rp_oracle,
     search_spec_for,
-    sp2_oracle,
-    su3_oracle,
     targets_for,
     telescoped_congruence,
 )
 from splitcheck.cases import builtin_case, list_builtin_cases
-from splitcheck.charclass import euler_class, first_pontryagin
 from splitcheck.cli import run_case
 from splitcheck.genus import (
     ChernRootData,
@@ -62,10 +55,8 @@ from splitcheck.repcat import (
 from splitcheck.report import canonical_bytes
 from splitcheck.ring import (
     GradedClass,
-    basis,
     check_confluence,
     integrate,
-    normal_form,
     parse_presentation,
     ring_add,
     ring_mul,

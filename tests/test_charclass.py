@@ -24,7 +24,7 @@ from splitcheck.charclass import (
     total_chern,
 )
 from splitcheck.cli import run_case
-from splitcheck.ring import GradedClass, basis, ring_scale
+from splitcheck.ring import GradedClass, ring_scale
 from splitcheck.search import enumerate_splittings
 
 

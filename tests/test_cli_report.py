@@ -30,7 +30,7 @@ from helpers import (
 )
 from splitcheck.cases import builtin_case, list_builtin_cases
 from splitcheck.cli import CaseError, _load_search_spec, _load_targets, main, run_case
-from splitcheck.genus import MAX_ROOTS
+from splitcheck.genus import MAX_ROOT_WORK, MAX_ROOTS
 from splitcheck.report import (
     CanonicalError,
     canonical_bytes,
@@ -428,11 +428,6 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
     # True is an int to Python
     for name, path, value, *named in [
         ("s2xs2", ("search", "bound", "acknowledged"), "false"),
-        ("hp1-presentation", ("obstruction", "euler_nonzero"), 1),
-        ("m20-eschenburg", ("obstruction", "almost_complex_forbidden"), None),
-        # a switch a case file still gives must equal the one chi and sigma give
-        ("hp1-presentation", ("obstruction", "almost_complex_forbidden"), False),
-        ("m20-eschenburg", ("obstruction", "euler_nonzero"), False),
         ("su3-t2", ("search", "budget"), {}),
         ("su3-t2", ("search", "budget"), -5),
         ("s2xs2", ("search", "bound", "per_variable", 0), True),
@@ -444,11 +439,12 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         ("m20-eschenburg", ("obstruction", "manifold_dim"), "20"),
         ("m20-eschenburg", ("obstruction", "manifold_dim"), 7),
         ("m20-eschenburg", ("obstruction", "manifold_dim"), 0),
-        # (-1) ** quarter_dim is a float below 1, and a dimension 4m needs m >= 1
-        ("m20-eschenburg", ("genus", "congruence", "quarter_dim"), 0),
-        ("m20-eschenburg", ("genus", "congruence", "quarter_dim"), -1),
-        # the obstruction's congruence is taken in its own dimension
-        ("hp1-presentation", ("genus", "congruence", "quarter_dim"), 2),
+        # the congruence is taken in the case's dimension, which must be 4m with m >= 1
+        ("m20-eschenburg", ("obstruction", "manifold_dim"), 22),
+        ("su3-t2", ("genus",), {"congruence": {"chi": 6, "sigma": 0}}, ("genus", "congruence")),
+        # a case with a ring and an obstruction states one dimension
+        ("cp2-connect-sum", ("obstruction",), {"factors": [{"family": "A", "rank": 1}], "manifold_dim": 8},
+         ("obstruction", "manifold_dim")),
         ("hp1-presentation", ("obstruction", "factors", 0, "rank"), True),
         ("hp1-presentation", ("obstruction", "factors", 0, "family"), 5),
         ("hp1-presentation", ("obstruction", "factors", 0, "family"), ["A"]),
@@ -461,7 +457,6 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
         ("hp1-presentation", ("genus", "congruence", "chi"), [1]),
         ("hp1-presentation", ("genus", "congruence", "chi"), True),
         ("hp1-presentation", ("genus", "congruence", "sigma"), 0.0),
-        ("m20-eschenburg", ("genus", "congruence", "quarter_dim"), "5"),
         # root-data errors carry the field, not just "root #0" or a count
         ("genus-cpn", ("genus", "roots"), [[[1, [1]]]]),
         ("genus-cpn", ("genus", "roots"), [[[1, [2]]]] * 3),
@@ -547,7 +542,6 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
     # the multisets are counted before they are walked: 105,159 of them here
     big = builtin_case("m20-eschenburg")
     big["obstruction"]["manifold_dim"] = 60
-    big["genus"]["congruence"]["quarter_dim"] = 15
     _refused(big, "obstruction.manifold_dim", tmp_path, capsys)
     # refused before the work grows with the dimension: SU(2)'s catalog stops
     # at its 10,001st irrep, and the circle's 1 and rot1 alone fill these
@@ -559,7 +553,6 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
     ]:
         lone = builtin_case("hp1-presentation")
         lone["obstruction"].update(factors=factors, manifold_dim=dim)
-        lone["genus"]["congruence"]["quarter_dim"] = dim // 4
         _refused(lone, named, tmp_path, capsys)
     # `reps` lists each catalog, so it refuses the one past the cap too
     lone["obstruction"]["factors"] = [{"family": "A", "rank": 1}]  # in dimension 10^12
@@ -571,6 +564,10 @@ def test_run_case_errors_name_the_field(tmp_path, capsys):
     no_genus = builtin_case("hp1-presentation")
     del no_genus["genus"]
     _refused(no_genus, "genus.congruence", tmp_path, capsys)
+    # and with neither a ring nor an obstruction, the congruence has no dimension
+    no_dimension = builtin_case("hp1-presentation")
+    del no_dimension["obstruction"]
+    _refused(no_dimension, "genus.congruence", tmp_path, capsys)
 
 
 @pytest.mark.parametrize(("path", "value", "named"), [
@@ -610,10 +607,8 @@ def _field_name(path) -> str:
     return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
 
 
-_INT_KEYS = ("budget", "manifold_dim", "chi", "sigma", "quarter_dim", "top_degree")
+_INT_KEYS = ("budget", "manifold_dim", "chi", "sigma", "top_degree")
 _BOOL_KEYS = ("acknowledged",)
-# optional cross-checks of the derived switches, which no built-in gives
-_OBSTRUCTION_BOOL_KEYS = ("euler_nonzero", "almost_complex_forbidden")
 _STR_KEYS = ("name", "anchor", "note", "provenance", "family")
 
 
@@ -659,10 +654,7 @@ def _typed_fields() -> list:
                 visit(name, item, path + (i,))
 
     for name in list_builtin_cases():
-        doc = builtin_case(name)
-        visit(name, doc, ())
-        if "obstruction" in doc:
-            out.extend((name, ("obstruction", key), "bool") for key in _OBSTRUCTION_BOOL_KEYS)
+        visit(name, builtin_case(name), ())
     return out
 
 
@@ -685,7 +677,7 @@ def test_typed_fields_cover_every_section():
         ("ring", "int"), ("ring", "str"),
         ("targets", "int"), ("candidates", "int"),
         ("search", "int"), ("search", "bool"), ("genus", "int"),
-        ("obstruction", "int"), ("obstruction", "bool"),
+        ("obstruction", "int"),
         ("name", "str"), ("anchor", "str"), ("search", "str"), ("obstruction", "str"),
     }
 
@@ -743,15 +735,74 @@ def test_cli_verify_congruence_expectation(tmp_path, capsys):
     proc = run_cli("verify", "m20-eschenburg", "--expect", "congruence-fails")
     assert proc.returncode == 0
     # chi = 3, sigma = 1 holds in dimension 4, the ring's; taken in
-    # dimension 8 it would fail, and --expect would certify that
+    # dimension 8 it would fail, so a stale quarter_dim of 2 cannot make
+    # --expect certify that
     doc = builtin_case("cp2-connect-sum")
     doc["genus"]["congruence"] = {"chi": 3, "sigma": 1, "quarter_dim": 2}
     path = tmp_path / "quarter.json"
     path.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["verify", str(path), "--expect", "congruence-fails"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: genus.congruence.quarter_dim: expected ring.top_degree / 4, got 2"), err
+    assert main(["verify", str(path), "--expect", "congruence-fails"]) == 3
+    out, err = capsys.readouterr()
+    congruence = json.loads(out)["sections"]["genus"]["congruence"]
+    assert congruence == {"chi": 3, "sigma": 1, "quarter_dim": 1, "holds": True}
+    assert err == "expectation not met: expected the congruence to fail, but it holds\n"
+
+
+@pytest.mark.parametrize("name", ["cp2-connect-sum", "hp1-presentation", "m20-eschenburg"])
+def test_stale_dimension_and_switch_keys_run_on_the_derived_values(tmp_path, capsys, name):
+    """`genus.congruence.quarter_dim` is derived from the case's dimension,
+    and the obstruction's switches from chi and sigma, so none of them is
+    read: with any value a document runs as without them, and only its
+    input digest differs."""
+    plain = run_case(builtin_case(name))
+    for stale_dim, stale_switch in [(2, True), (0, False), ("5", "x")]:
+        doc = builtin_case(name)
+        doc["genus"]["congruence"]["quarter_dim"] = stale_dim
+        if "obstruction" in doc:
+            doc["obstruction"].update(euler_nonzero=stale_switch, almost_complex_forbidden=stale_switch)
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 0, stale_dim
+        report = json.loads(capsys.readouterr().out)
+        assert report["input_digest"] != plain["input_digest"], stale_dim
+        assert {**report, "input_digest": None} == {**plain, "input_digest": None}, stale_dim
+
+
+@pytest.mark.parametrize("name", ["hp1-presentation", "m20-eschenburg"])
+def test_cli_genus_takes_the_dimension_from_the_obstruction(capsys, name):
+    """A case with no ring states its dimension in `obstruction.manifold_dim`:
+    `genus` prints the genus section `verify` does, and its digest covers
+    the obstruction it read the dimension from."""
+    assert main(["genus", name]) == 0
+    report = json.loads(capsys.readouterr().out)
+    verified = json.loads((GOLDEN_DIR / f"verify.{name}.json").read_text())
+    assert report["sections"] == {"genus": verified["sections"]["genus"]}
+    doc = builtin_case(name)
+    assert report["input_digest"] == input_digest({k: doc[k] for k in ("name", "anchor", "genus", "obstruction")})
+    assert report["sections"]["genus"]["congruence"]["holds"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["verify"],
+    ["verify", "su3-t2", "--budget", "x"],
+    ["reps", "r-p", "--budget", "5"],
+], ids=["no-command", "no-case", "budget-not-int", "budget-on-reps"])
+def test_cli_usage_errors_exit_1(capsys, argv):
+    """A command line argparse refuses exits 1, as every other refusal does,
+    with the message on stderr and nothing on stdout."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: splitcheck"), err
+
+
+def test_cli_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "-h"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: splitcheck verify")
 
 
 def test_cli_unknown_case_is_an_error():
@@ -900,6 +951,21 @@ def test_cli_parameter_flag(capsys):
         capsys.readouterr()
         assert main(["verify", *argv]) == 1, argv
         assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+
+
+def test_cli_genus_caps_the_integrators_work(capsys):
+    """The genus integrator's work grows with the nonzero roots times n:
+    CP^32's 33 roots give 1,056, past MAX_ROOT_WORK, and are refused at
+    once naming `genus.roots`; CP^31's 32 roots (992) still run."""
+    start = time.perf_counter()
+    assert main(["genus", "genus-cpn", "--q", "32"]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", (
+        f"error: genus.roots: 33 nonzero roots times n = 32 is 1056, "
+        f"more than the {MAX_ROOT_WORK} the genus integrates\n"
+    ))
+    assert main(["genus", "genus-cpn", "--q", "31"]) == 0
+    assert json.loads(capsys.readouterr().out)["sections"]["genus"]["euler"] == 32
 
 
 def test_builtin_parameters_are_integers_not_bools():

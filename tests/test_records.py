@@ -3,10 +3,11 @@
 Importing the package must not load `dataclasses` (nor `inspect`, which it
 pulls in): a fresh interpreter checks what `import splitcheck.cli` loads,
 and an AST scan checks that no module imports it.  The package root
-re-exports nothing, so importing one module loads only what it imports.
-The contract block checks what the records keep: each constructor check
-raises its message, an immutable record refuses assignment and deletion,
-and equal classes hash alike.
+re-exports nothing, so importing one module loads only what it imports,
+and a second scan checks that every module and test reads each name it
+imports.  The contract block checks what the records keep: each
+constructor check raises its message, an immutable record refuses
+assignment and deletion, and equal classes hash alike.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ from splitcheck.search import (
 )
 from splitcheck.series import TruncatedSeries
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "splitcheck"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "splitcheck"
 
 
 def cls(*pairs) -> GradedClass:
@@ -96,6 +98,30 @@ def test_no_module_imports_dataclasses():
     assert importers == []
 
 
+def test_every_imported_name_is_used():
+    """A module's imports say what it relies on, so each name it imports
+    is read there.  `__future__` imports are exempt, and so are lines marked
+    `# noqa: F401`: the names perfbench's tracing rebinds on a module."""
+    unused = []
+    for path in sorted([*PACKAGE.glob("*.py"), *TESTS.rglob("*.py")]):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.relative_to(TESTS.parent)}:{node.lineno} {name}")
+    assert unused == []
+
+
 # -- constructor checks ------------------------------------------------------------
 
 
@@ -131,6 +157,9 @@ CHECKS = [
                  "rule lhs (0, 0) is the constant monomial 1, which no rule may rewrite", id="RewriteRule-constant"),
     pytest.param(lambda: ChernRootData(ring_for("cp2-connect-sum"), (cls(((0, 1), 1)), cls(((1, 1), 1)))),
                  ValueError, "root #1 is not homogeneous of degree 2", id="ChernRootData-degree"),
+    pytest.param(lambda: ChernRootData(_ring(64), (cls(((1,), 1)),) * 33 + (GradedClass.zero(),)), ValueError,
+                 "33 nonzero roots times n = 32 is 1056, more than the 1024 the genus integrates",
+                 id="ChernRootData-work"),
     pytest.param(lambda: RootSystem("C", 2), ValueError, "family: unsupported family 'C'", id="RootSystem-family"),
     pytest.param(lambda: RootSystem("T", 2), ValueError, "rank: family T requires rank 1", id="RootSystem-rank-1"),
     pytest.param(lambda: RootSystem("B", 0), ValueError, "rank: B_m requires rank >= 1", id="RootSystem-B-rank"),
