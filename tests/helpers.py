@@ -895,10 +895,11 @@ def ref_refused_at(value, where: str) -> str:
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-# COMMAND.CASE[.qN][.bN].json: `verify` and `reps` name a splitcheck command
-# line, `search.planted.bN.json` the planted r-p q=2 search cut at budget N
+# COMMAND.CASE[.qN][.bN].json: `verify`, `genus`, `obstruct` and `reps` name a
+# splitcheck command line, `search.planted.bN.json` the planted r-p q=2
+# search cut at budget N
 _GOLDEN_NAME = re.compile(
-    r"(verify|reps|search)\.([a-z0-9]+(?:-[a-z0-9]+)*)(?:\.q([0-9]+))?(?:\.b([0-9]+))?\.json"
+    r"(verify|genus|obstruct|reps|search)\.([a-z0-9]+(?:-[a-z0-9]+)*)(?:\.q([0-9]+))?(?:\.b([0-9]+))?\.json"
 )
 
 

@@ -300,8 +300,9 @@ def test_run_case_genus_roots():
 
 # Each file in tests/golden/ holds what one run prints, and its name is the
 # run (`golden_run`): the built-ins at their defaults and over the parameter
-# ranges the acceptance criteria use, the `reps` catalogs, and the budget
-# cuts of test_search.py.  A refactor must leave every file as it is; a
+# ranges the acceptance criteria use, the `genus`, `obstruct` and `reps`
+# runs of the obstruction and genus built-ins, and the budget cuts of
+# test_search.py.  A refactor must leave every file as it is; a
 # deliberate report change rewrites them with tests/golden/update.py and says
 # so in CHANGES.md.
 REPORT_GOLDENS = golden_names("verify", budgeted=False)
@@ -318,7 +319,7 @@ def test_every_golden_file_is_a_run():
     names = sorted(path.name for path in GOLDEN_DIR.iterdir() if path.name != "update.py")
     for name in names:
         golden_run(name)
-    read = REPORT_GOLDENS + golden_names("reps") + golden_names("verify", "search", budgeted=True)
+    read = REPORT_GOLDENS + golden_names("genus", "obstruct", "reps") + golden_names("verify", "search", budgeted=True)
     assert sorted(set(names) - set(read)) == []
 
 
@@ -382,6 +383,11 @@ def test_builtin_documents_carry_only_keys_a_section_reads(name):
 
 @pytest.mark.parametrize("name", golden_names("reps"), ids=golden_id)
 def test_cli_reps_output_is_byte_identical(name):
+    assert_golden(name)
+
+
+@pytest.mark.parametrize("name", golden_names("genus", "obstruct"), ids=lambda name: name.removesuffix(".json"))
+def test_cli_genus_and_obstruct_output_is_byte_identical(name):
     assert_golden(name)
 
 
