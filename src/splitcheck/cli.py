@@ -2,9 +2,10 @@
 
 A case document is a JSON object (or a built-in from the case library) with
 a ring presentation and any of: target classes, candidate splittings, a
-search section, genus data, an obstruction section.  `verify` runs every
-section present, in order: ring checks, class matching, search, genus,
-obstruction.  The exit code reports operational success only; mathematical
+search section, genus data, an obstruction section.  Every command reads
+and checks the whole document first, then builds only the report sections
+it prints (`COMMAND_SECTIONS`); `verify` prints every one the document
+has.  The exit code reports operational success only; mathematical
 verdicts are asserted with --expect.  Every field is read through the
 readers in `report`, so a malformed one is a `CaseError` naming its path.
 """
@@ -29,6 +30,7 @@ from .charclass import (
 )
 from .genus import (
     ChernRootData,
+    check_root_count,
     chi_y,
     duality_check,
     euler_from_chi,
@@ -117,8 +119,7 @@ def _load_search_spec(
     else:
         raise CaseError(f"{at}.type: unknown bound type {kind!r}")
     if budget is None:
-        budget = field(raw, "budget", where, integer, DEFAULT_BUDGET)
-    budget = integer(budget, f"{where}.budget", low=0)  # a run_case override too
+        budget = field(raw, "budget", where, partial(integer, low=0), DEFAULT_BUDGET)
     try:
         return SearchSpec(ring=ring, targets=targets, bound=bound, budget=budget)
     except ValueError as exc:  # more line bundles than the walk takes, named ring.top_degree
@@ -135,16 +136,6 @@ def _load_root_system(raw, where: str) -> RootSystem:
         raise CaseError(f"{where}.{exc}") from exc
 
 
-def _dimension(doc: Mapping, ring: RingPresentation | None) -> tuple[int, str] | None:
-    """The manifold's one dimension and the field that states it; a ring's top degree comes first."""
-    if ring is not None:
-        return ring.top_degree, "ring.top_degree"
-    if "obstruction" in doc:
-        raw = field(doc, "obstruction", "", obj)
-        return field(raw, "manifold_dim", "obstruction", integer), "obstruction.manifold_dim"
-    return None
-
-
 def _load_congruence(raw, where: str, dimension: tuple[int, str] | None) -> tuple[int, int, int]:
     """The congruence object's chi and sigma, and m for the case's dimension 4m."""
     raw = obj(raw, where)
@@ -158,23 +149,54 @@ def _load_congruence(raw, where: str, dimension: tuple[int, str] | None) -> tupl
     return chi, sigma, dim // 4
 
 
-def _load_obstruction(doc: Mapping) -> ObstructionCase:
-    """The obstruction section, with chi and sigma read from genus.congruence;
-    both filter switches are derived from them."""
+def _load_candidates(ring: RingPresentation, raw, where: str = "candidates") -> list:
+    """Each candidate splitting: top_degree / 2 vectors of c1 coordinates over the degree-2 basis."""
+    n = ring.top_degree // 2
+    candidates = array(raw, where, partial(array, item=partial(integers, length=len(basis(ring, 2)))))
+    for i, cand in enumerate(candidates):
+        if len(cand) != n:
+            raise CaseError(f"{where}[{i}]: a splitting lists top_degree / 2 = {n} line bundles, got {len(cand)}")
+    return candidates
+
+
+def _load_genus(ring: RingPresentation | None, raw, dimension: tuple[int, str] | None):
+    """The genus section's root data and congruence (chi, sigma, m); either may be None, not both."""
+    where = "genus"
+    raw = obj(raw, where)
+    data = congruence = None
+    if "roots" in raw:
+        if ring is None:
+            raise CaseError(f"{where}.roots requires a ring presentation")
+        roots = tuple(field(raw, "roots", where, partial(array, item=_class_reader(ring))))
+        try:
+            data = ChernRootData(ring=ring, roots=roots)
+            check_root_count(data)
+        except ValueError as exc:
+            raise CaseError(f"{where}.roots: {exc}") from exc
+    if "congruence" in raw:
+        congruence = field(raw, "congruence", where, partial(_load_congruence, dimension=dimension))
+    if data is None and congruence is None:
+        raise CaseError(f"{where}: needs 'roots' or 'congruence'")
+    return data, congruence
+
+
+def _load_obstruction(raw, dimension: tuple[int, str], congruence: tuple[int, int, int] | None) -> ObstructionCase:
+    """The obstruction section in the case's dimension, with chi and sigma
+    from genus.congruence; both filter switches are derived from them."""
     where = "obstruction"
-    raw = field(doc, where, "", obj)
+    raw = obj(raw, where)
     factors = field(raw, "factors", where, partial(array, item=_load_root_system))
     if not factors:
         raise CaseError(f"{where}.factors: expected a nonempty list")
     manifold_dim = field(raw, "manifold_dim", where, integer)
+    if manifold_dim != dimension[0]:  # the ring states the dimension too
+        raise CaseError(f"{where}.manifold_dim: {manifold_dim} is not {dimension[1]}, {dimension[0]}")
     provenance = field(raw, "provenance", where, string, "")
-    genus = field(doc, "genus", "", obj, {})
-    if "congruence" not in genus:
+    if congruence is None:
         raise CaseError(f"genus.congruence: {where} reads chi and sigma from it, but it is missing")
-    # the congruence refuses a dimension that is not a positive multiple of 4,
-    # so the case's own check on manifold_dim cannot fail here
-    dimension = (manifold_dim, f"{where}.manifold_dim")
-    chi, sigma, _ = field(genus, "congruence", "genus", partial(_load_congruence, dimension=dimension))
+    # the congruence was read in this dimension and refuses one that is not
+    # a positive multiple of 4, so the case's own check cannot fail here
+    chi, sigma, _ = congruence
     return ObstructionCase(
         factors=tuple(factors), manifold_dim=manifold_dim, chi=chi, sigma=sigma, provenance=provenance,
     )
@@ -193,15 +215,10 @@ def _ring_section(ring: RingPresentation) -> dict:
     }
 
 
-def _matching_section(ring: RingPresentation, targets: TargetClasses, raw, where: str) -> list:
-    coordinates = partial(integers, length=len(basis(ring, 2)))
+def _matching_section(ring: RingPresentation, targets: TargetClasses, candidates: list) -> list:
     out = []
-    for i, cand in enumerate(array(raw, where, partial(array, item=coordinates))):
-        classes = [ring.class_from_coeffs(vec) for vec in cand]
-        try:
-            rep = matches_targets(LineBundleSum(ring, tuple(classes)), targets)
-        except ValueError as exc:  # a rank error or an empty candidate
-            raise CaseError(f"{where}[{i}]: {exc}") from exc
+    for cand in candidates:
+        rep = matches_targets(LineBundleSum(ring, tuple(map(ring.class_from_coeffs, cand))), targets)
         out.append(
             {
                 "candidate": [list(vec) for vec in cand],
@@ -216,34 +233,34 @@ def _matching_section(ring: RingPresentation, targets: TargetClasses, raw, where
     return out
 
 
-def _genus_section(ring: RingPresentation | None, raw, dimension: tuple[int, str] | None) -> dict:
-    where = "genus"
-    raw = obj(raw, where)
+def _search_section(spec: SearchSpec) -> dict:
+    try:
+        return enumerate_splittings(spec).as_jsonable()
+    except BoundError as exc:
+        key = "per_variable" if isinstance(spec.bound, ExplicitBound) else "multipliers"
+        raise CaseError(f"search.bound.{key}: {exc}") from exc
+
+
+def _genus_section(data: ChernRootData | None, congruence: tuple[int, int, int] | None) -> dict:
     out: dict = {}
-    if "roots" in raw:
-        if ring is None:
-            raise CaseError(f"{where}.roots requires a ring presentation")
-        roots = tuple(field(raw, "roots", where, partial(array, item=_class_reader(ring))))
+    if data is not None:
         try:
-            data = ChernRootData(ring=ring, roots=roots)
             chi = chi_y(data)
-        except ValueError as exc:
-            raise CaseError(f"{where}.roots: {exc}") from exc
+        except ValueError as exc:  # roots whose integral is no genus of the dimension
+            raise CaseError(f"genus.roots: {exc}") from exc
         out["chi_y"] = list(chi.coefficients)
         out["euler"] = euler_from_chi(chi)
         out["signature"] = signature_from_chi(chi)
         out["todd"] = todd_from_chi(chi)
         out["duality"] = duality_check(chi, data.n)
-    if "congruence" in raw:
-        chi_val, sigma_val, quarter = field(raw, "congruence", where, partial(_load_congruence, dimension=dimension))
+    if congruence is not None:
+        chi_val, sigma_val, quarter = congruence
         out["congruence"] = {
             "chi": chi_val,
             "sigma": sigma_val,
             "quarter_dim": quarter,
             "holds": hirzebruch_congruence(chi_val, sigma_val, quarter),
         }
-    if not out:
-        raise CaseError(f"{where}: needs 'roots' or 'congruence'")
     return out
 
 
@@ -301,61 +318,67 @@ def _reps_section(case: ObstructionCase) -> dict:
     return out
 
 
-def _title(doc: Mapping) -> tuple[str, str]:
-    """The case's name and anchor, checked before any section runs."""
-    return field(doc, "name", "", string, "unnamed"), field(doc, "anchor", "", string, "")
+# The report sections each command prints, in order, and the document
+# section it cannot run without.  Every command reads the whole document.
+COMMAND_SECTIONS = {
+    "verify": (("ring", "matching", "search", "genus", "obstruction"), None),
+    "genus": (("ring", "genus"), "genus"),
+    "obstruct": (("obstruction",), "obstruction"),
+    "reps": (("reps",), "obstruction"),
+}
 
 
-def _report(doc: Mapping, title: tuple[str, str], sections: dict) -> dict:
-    try:
-        digest = input_digest(dict(doc))
-    except CanonicalError as exc:  # a float in a field no section reads, say
-        raise CaseError(f"{exc.where or 'case document'}: {exc}") from exc
-    return {
-        "case": title[0],
-        "anchor": title[1],
-        "version": __version__,
-        "input_digest": digest,
-        "sections": sections,
-    }
-
-
-def run_case(doc: Mapping, budget: int | None = None) -> dict:
-    """Execute every actionable section of a case document, in order."""
-    title = _title(obj(doc, "case document"))
-    sections: dict = {}
-    ring = None
-    targets = None
+def run_case(doc: Mapping, budget: int | None = None, command: str = "verify") -> dict:
+    """Read and check every section of a case document, then build the
+    report sections `command` prints.  `budget` overrides `search.budget`,
+    as `--budget` does."""
+    doc = obj(doc, "case document")
+    printed, needed = COMMAND_SECTIONS[command]
+    if needed is not None and needed not in doc:
+        raise CaseError(f"'{needed}': {command} needs this section, and the case document has none")
+    if budget is not None:
+        integer(budget, "--budget", low=0)
+        if "search" not in doc:
+            raise CaseError("--budget: the case has no search section to bound")
+    title = {"case": field(doc, "name", "", string, "unnamed"), "anchor": field(doc, "anchor", "", string, "")}
+    build: dict = {}  # each report section the document gives, ready to build
+    ring = targets = congruence = None
     if "ring" in doc:
         ring = parse_presentation(doc["ring"])
-        sections["ring"] = _ring_section(ring)
+        build["ring"] = partial(_ring_section, ring)
     if "targets" in doc:
         if ring is None:
             raise CaseError("'targets' requires a 'ring' section")
         targets = _load_targets(ring, doc["targets"])
+    for key in ("candidates", "search"):
+        if key in doc and targets is None:
+            raise CaseError(f"'{key}' requires a 'targets' section")
     if "candidates" in doc:
-        if targets is None:
-            raise CaseError("'candidates' requires a 'targets' section")
-        sections["matching"] = _matching_section(ring, targets, doc["candidates"], "candidates")
+        build["matching"] = partial(_matching_section, ring, targets, _load_candidates(ring, doc["candidates"]))
     if "search" in doc:
-        if targets is None:
-            raise CaseError("'search' requires a 'targets' section")
-        spec = _load_search_spec(ring, targets, doc["search"], budget)
-        try:
-            sections["search"] = enumerate_splittings(spec).as_jsonable()
-        except BoundError as exc:
-            key = "per_variable" if isinstance(spec.bound, ExplicitBound) else "multipliers"
-            raise CaseError(f"search.bound.{key}: {exc}") from exc
+        build["search"] = partial(_search_section, _load_search_spec(ring, targets, doc["search"], budget))
+    # the manifold's one dimension, and the field that states it
+    dimension = None
+    if ring is not None:
+        dimension = ring.top_degree, "ring.top_degree"
+    elif "obstruction" in doc:
+        raw = field(doc, "obstruction", "", obj)
+        dimension = field(raw, "manifold_dim", "obstruction", integer), "obstruction.manifold_dim"
     if "genus" in doc:
-        sections["genus"] = _genus_section(ring, doc["genus"], _dimension(doc, ring))
+        data, congruence = _load_genus(ring, doc["genus"], dimension)
+        build["genus"] = partial(_genus_section, data, congruence)
     if "obstruction" in doc:
-        case = _load_obstruction(doc)
-        if ring is not None and case.manifold_dim != ring.top_degree:
-            raise CaseError(f"obstruction.manifold_dim: {case.manifold_dim} is not ring.top_degree, {ring.top_degree}")
-        sections["obstruction"] = _obstruction_section(case)
+        case = _load_obstruction(doc["obstruction"], dimension, congruence)
+        build["obstruction"] = partial(_obstruction_section, case)
+        build["reps"] = partial(_reps_section, case)
+    try:
+        digest = input_digest(dict(doc))
+    except CanonicalError as exc:  # a float in a field no section reads, say
+        raise CaseError(f"{exc.where or 'case document'}: {exc}") from exc
+    sections = {key: build[key]() for key in printed if key in build}
     if not sections:
         raise CaseError("case document has no actionable section")
-    return _report(doc, title, sections)
+    return {**title, "version": __version__, "input_digest": digest, "sections": sections}
 
 
 # -- command line ------------------------------------------------------------
@@ -442,13 +465,13 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--budget", type=int, default=None, metavar="N",
                         help="override the tuple visit budget")
 
-    genus = sub.add_parser("genus", help="run only the ring and genus sections")
+    genus = sub.add_parser("genus", help="print only the ring and genus sections")
     add_common(genus)
 
     reps = sub.add_parser("reps", help="dump the irrep catalogs for an obstruction case")
     add_common(reps)
 
-    obstruct = sub.add_parser("obstruct", help="run only the obstruction section")
+    obstruct = sub.add_parser("obstruct", help="print only the obstruction section")
     add_common(obstruct)
 
     sub.add_parser("list", help="list built-in case names")
@@ -478,33 +501,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_OK
 
         doc = _load_case_document(args.case, args.q)
-        if args.command == "verify":
-            if args.budget is not None:
-                integer(args.budget, "--budget", low=0)
-                if "search" not in doc:
-                    raise CaseError("--budget: the case has no search section to bound")
-            report = run_case(doc, budget=args.budget)
-        elif args.command == "genus":
-            if "genus" not in doc:
-                raise CaseError("case document has no genus section")
-            title = _title(doc)
-            ring = parse_presentation(doc["ring"]) if "ring" in doc else None
-            sections = {"ring": _ring_section(ring)} if ring is not None else {}
-            sections["genus"] = _genus_section(ring, doc["genus"], _dimension(doc, ring))
-            # the digest covers what the sections read: the dimension may come from obstruction
-            slim = {k: doc[k] for k in ("name", "anchor", "ring", "genus", "obstruction") if k in doc}
-            report = _report(slim, title, sections)
-        else:  # obstruct or reps
-            if "obstruction" not in doc:
-                raise CaseError("case document has no obstruction section")
-            title = _title(doc)
-            case = _load_obstruction(doc)
-            if args.command == "obstruct":
-                # the digest covers what the section reads: chi and sigma come from genus
-                slim = {k: doc[k] for k in ("name", "anchor", "genus", "obstruction") if k in doc}
-                report = _report(slim, title, {"obstruction": _obstruction_section(case)})
-            else:
-                report = _report(doc, title, {"reps": _reps_section(case)})
+        report = run_case(doc, budget=getattr(args, "budget", None), command=args.command)
 
         check_exact(report)
         # written first, so a failed write prints no report before its error
@@ -514,7 +511,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             except OSError as exc:  # a missing directory, say, or a directory
                 raise CaseError(f"--emit {args.emit}: cannot write the report: {exc}") from exc
         _print(json.dumps(report, sort_keys=True, indent=2, default=exact_json))
-        if args.command == "verify" and args.expect:
+        if getattr(args, "expect", None):
             mismatch = _check_expectation(report, args.expect)
             if mismatch:
                 print(f"expectation not met: {mismatch}", file=sys.stderr)

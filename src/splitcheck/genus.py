@@ -350,7 +350,8 @@ def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[lis
     return digits, denom
 
 
-def _check_root_count(data: ChernRootData) -> None:
+def check_root_count(data: ChernRootData) -> None:
+    """Refuse fewer roots than the complex dimension n with a `RootCountError`."""
     if len(data.roots) < data.n:
         raise RootCountError(f"need at least {data.n} roots, got {len(data.roots)}")
 
@@ -374,7 +375,7 @@ def chi_y_scaled(data: ChernRootData, t: Fraction | int) -> YPolynomial:
     """
     if not t:
         raise ValueError("t must be nonzero")
-    _check_root_count(data)
+    check_root_count(data)
     n = data.n
     extra = len(data.roots) - n
     raw, denom = _integrate_multiplicative(data, _genus_factor(n, t))
@@ -420,7 +421,7 @@ def top_chern_integral(data: ChernRootData) -> Fraction | int:
 
     Fewer than n roots is a RootCountError, as for chi_y.
     """
-    _check_root_count(data)
+    check_root_count(data)
     raw, denom = _integrate_multiplicative(data, _EULER_FACTOR)
     return _quotient(raw[0], denom)
 

@@ -776,18 +776,84 @@ def test_stale_dimension_and_switch_keys_run_on_the_derived_values(tmp_path, cap
         assert {**report, "input_digest": None} == {**plain, "input_digest": None}, stale_dim
 
 
-@pytest.mark.parametrize("name", ["hp1-presentation", "m20-eschenburg"])
+@pytest.mark.parametrize("name", ["hp1-presentation", "m20-eschenburg", "cp2-connect-sum"])
 def test_cli_genus_takes_the_dimension_from_the_obstruction(capsys, name):
     """A case with no ring states its dimension in `obstruction.manifold_dim`:
-    `genus` prints the genus section `verify` does, and its digest covers
-    the obstruction it read the dimension from."""
+    `genus` prints the genus section `verify` does (and the ring section,
+    when there is a ring), and its digest covers the whole document, here
+    `cp2-connect-sum`'s targets, candidates and search too."""
     assert main(["genus", name]) == 0
     report = json.loads(capsys.readouterr().out)
     verified = json.loads((GOLDEN_DIR / f"verify.{name}.json").read_text())
-    assert report["sections"] == {"genus": verified["sections"]["genus"]}
-    doc = builtin_case(name)
-    assert report["input_digest"] == input_digest({k: doc[k] for k in ("name", "anchor", "genus", "obstruction")})
+    assert report["sections"] == {k: v for k, v in verified["sections"].items() if k in ("ring", "genus")}
+    assert report["input_digest"] == input_digest(builtin_case(name)) == verified["input_digest"]
     assert report["sections"]["genus"]["congruence"]["holds"] is False
+
+
+def _cp2_with_obstruction() -> dict:
+    """`cp2-connect-sum` with an obstruction section in its own dimension,
+    so that every command has a section to print."""
+    doc = builtin_case("cp2-connect-sum")
+    doc["obstruction"] = {"factors": [{"family": "A", "rank": 1}], "manifold_dim": 4}
+    return doc
+
+
+_PROBE_BASES = {"cp2-connect-sum+obstruction": _cp2_with_obstruction,
+                "hp1-presentation": lambda: builtin_case("hp1-presentation")}
+
+# (base, path, value, the field `verify` names): one fault each, in a
+# section some command does not print
+_PROBES = [
+    ("cp2-connect-sum+obstruction", ("search", "bound", "type"), "box", "search.bound.type"),
+    ("cp2-connect-sum+obstruction", ("targets", "p1"), "x", "targets.p1"),
+    ("cp2-connect-sum+obstruction", ("candidates", 0, 0), [1, 2, 3], "candidates[0][0]"),
+    ("cp2-connect-sum+obstruction", ("candidates", 0), [[1, 2]], "candidates[0]"),
+    ("cp2-connect-sum+obstruction", ("obstruction",), 5, "obstruction"),
+    ("cp2-connect-sum+obstruction", ("obstruction", "manifold_dim"), 8, "obstruction.manifold_dim"),
+    # one root of a 4-manifold: the count is checked where the roots are read
+    ("cp2-connect-sum+obstruction", ("genus", "roots"), [[[1, [1, 0]]]], "genus.roots"),
+    ("hp1-presentation", ("ring",), 5, "ring"),
+    ("hp1-presentation", ("genus", "roots"), "x", "genus.roots"),
+    ("hp1-presentation", ("search",), {"bound": {"type": "sum_of_squares", "multipliers": [1]}}, "'search'"),
+]
+
+
+@pytest.mark.parametrize("command", ["verify", "genus", "obstruct", "reps"])
+@pytest.mark.parametrize("base", _PROBE_BASES)
+def test_probe_bases_run_under_every_command(capsys, tmp_path, base, command):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(_PROBE_BASES[base]()))
+    assert main([command, str(path)]) == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "genus", "obstruct", "reps"])
+@pytest.mark.parametrize(("base", "path", "value", "named"), _PROBES,
+                         ids=[f"{base}:{_field_name(path)}" for base, path, *_ in _PROBES])
+def test_every_command_refuses_what_verify_refuses(capsys, tmp_path, base, path, value, named, command):
+    """Every command reads and checks the whole document, so a fault in a
+    section it does not print exits 1 naming the field `verify` names."""
+    doc = _PROBE_BASES[base]()
+    _set(doc, path, value)
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(doc))
+    assert main([command, str(case)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {named}"), err
+
+
+def test_every_section_is_read_before_any_is_built():
+    """A fault found while building the search (a zero form) stops only a
+    command that prints the search, and a reading fault in a later section
+    is reported before it."""
+    doc = builtin_case("cp2-connect-sum")
+    doc["search"]["bound"]["multipliers"] = [0]
+    assert run_case(doc, command="genus")["sections"]["genus"]["congruence"]["holds"] is False
+    with pytest.raises(CaseError, match=r"^search\.bound\.multipliers: combined form is not positive"):
+        run_case(doc)
+    doc["genus"]["congruence"]["chi"] = "x"
+    for command in ("verify", "genus"):
+        with pytest.raises(CaseError, match=r"^genus\.congruence\.chi: "):
+            run_case(doc, command=command)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1131,5 +1197,10 @@ def test_cli_reader_closing_early_gets_no_traceback():
 def test_main_in_process_exit_codes(capsys):
     assert main(["list"]) == 0
     assert main(["verify", "genus-cpn", "--q", "2"]) == 0
-    assert main(["reps", "cp2-connect-sum"]) == 1  # no obstruction section
     capsys.readouterr()
+    # a command refuses a case without the section it cannot run without, naming it
+    for command, name, needed in [("reps", "cp2-connect-sum", "obstruction"),
+                                  ("obstruct", "cp2-connect-sum", "obstruction"),
+                                  ("genus", "su3-t2", "genus")]:
+        assert main([command, name]) == 1
+        assert capsys.readouterr().err.startswith(f"error: '{needed}': {command} needs this section"), command

@@ -1,8 +1,10 @@
-"""Every field of every built-in document, broken ten ways.
+"""Every field of every built-in document, broken ten ways, under every command.
 
 Each path of each built-in document (a key of a mapping or an item of a
 list, at any depth) is deleted or replaced by null, true, "x", 1.5, -1, 0,
-10^12, [] or {}.  Each such document must either run or be refused with a
+10^12, [] or {}.  Each such document is run by `verify`, by `genus` when the
+built-in has a genus section, and by `obstruct` and `reps` when it has an
+obstruction section.  Each run must either succeed or be refused with a
 `CaseError` whose message begins with a field path (`ring.relations[0].lhs`,
 optionally quoted) under one of the documents' own sections; anything else,
 a traceback or a run past LIMIT seconds, is a fault.  The path named is not
@@ -22,7 +24,7 @@ import pytest
 from splitcheck.cases import builtin_case, list_builtin_cases
 from splitcheck.cli import CaseError, run_case
 
-# seconds per document; the whole sweep takes about a second
+# seconds per run; the whole sweep takes about two seconds
 LIMIT = 5
 
 MUTATIONS = [("delete", None), ("null", None), ("true", True), ('"x"', "x"), ("1.5", 1.5),
@@ -61,11 +63,16 @@ def _mutated(doc, path, label, value):
     return doc
 
 
-def _outcome(doc) -> str | None:
-    """None if the document runs or is refused naming a field, else the fault."""
+def _commands(doc) -> list[str]:
+    """The commands whose sections the built-in `doc` has."""
+    return ["verify"] + ["genus"] * ("genus" in doc) + ["obstruct", "reps"] * ("obstruction" in doc)
+
+
+def _outcome(doc, command: str) -> str | None:
+    """None if the command runs or refuses the document naming a field, else the fault."""
     signal.setitimer(signal.ITIMER_REAL, LIMIT)
     try:
-        run_case(doc)
+        run_case(doc, command=command)
     except CaseError as exc:
         match = _FIELD_PATH.match(str(exc))
         if match is None or match[1] not in SECTIONS:
@@ -85,10 +92,11 @@ def test_every_mutation_runs_or_names_a_field(name):
     previous = signal.signal(signal.SIGALRM, _alarm)
     try:
         faults = [
-            f"{'.'.join(map(str, path))} <- {label}: {fault}"
+            f"{command} {'.'.join(map(str, path))} <- {label}: {fault}"
             for path in _paths(base)
             for label, value in MUTATIONS
-            if (fault := _outcome(_mutated(base, path, label, value))) is not None
+            for command in _commands(base)
+            if (fault := _outcome(_mutated(base, path, label, value), command)) is not None
         ]
     finally:
         signal.signal(signal.SIGALRM, previous)

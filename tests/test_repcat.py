@@ -13,13 +13,13 @@ from __future__ import annotations
 import itertools
 import tracemalloc
 from math import comb
+from unittest import mock
 
 import pytest
 
 from helpers import ref_catalog_irreps, ref_field_type, ref_obstruct, ref_weyl_dim
-from splitcheck import repcat
+from splitcheck import cli, repcat
 from splitcheck.cases import builtin_case
-from splitcheck.cli import _load_obstruction
 from splitcheck.repcat import (
     COMPLEX,
     QUATERNIONIC,
@@ -481,9 +481,15 @@ def test_grid_reaches_every_switch_pair():
             assert switches == set(itertools.product((True, False), repeat=2)), dim
 
 
+def _walked_case(name: str) -> ObstructionCase:
+    """The case `splitcheck obstruct NAME` hands to the walk."""
+    with mock.patch.object(cli, "obstruct_tangent_rep", wraps=obstruct_tangent_rep) as walk:
+        cli.run_case(builtin_case(name), command="obstruct")
+    return walk.call_args.args[0]
+
+
 @pytest.mark.parametrize("cases", [
-    pytest.param([_load_obstruction(builtin_case(name))
-                  for name in ("hp1-presentation", "m20-eschenburg")], id="builtins"),
+    pytest.param([_walked_case(name) for name in ("hp1-presentation", "m20-eschenburg")], id="builtins"),
     # to dimension 40: about 18,000 (A1) and 21,000 (A1-B5) multisets per flag pair
     pytest.param(_grid_cases((A1,), top=40), id="A1"),
     pytest.param(_grid_cases((A1, spin(7))), id="A1-B3"),
