@@ -553,16 +553,42 @@ def cancelling_ring() -> RingPresentation:
     return RingPresentation(["x", "y"], [rule], 6)
 
 
+def huge_ring() -> RingPresentation:
+    """x^2 = N y^2 with N = 10^4400 + 7, top degree 6: `str` refuses N on
+    Python 3.11 and later, so a kernel that wrote its coefficients into its
+    source could not be built."""
+    rule = RewriteRule((2, 0), cls(((0, 2), 10**4400 + 7)))
+    return RingPresentation(["x", "y"], [rule], 6)
+
+
+def wide_ring() -> RingPresentation:
+    """60 generators, top degree 4, each square and product but the last
+    generator's square a multiple of it: a product of two degree-2 classes
+    sums 3,600 terms, past what the compiler takes in one expression."""
+    n = 60
+    fundamental = tuple(int(g == n - 1) * 2 for g in range(n))
+    rules = [
+        RewriteRule(mono, cls((fundamental, (1, -1, 2, -3)[index % 4])))
+        for index, mono in enumerate(monomials_of_degree(n, 2))
+        if mono != fundamental
+    ]
+    return RingPresentation([f"x{g}" for g in range(n)], rules, 4)
+
+
+EXTRA_RINGS = {"cancel": cancelling_ring, "huge": huge_ring, "wide": wide_ring}
+
+
 @pytest.mark.parametrize(
     ("name", "par"),
-    TABLE_RINGS + [("cancel", None)],
-    ids=[name if par is None else f"{name}-{par}" for name, par in TABLE_RINGS] + ["cancel"],
+    TABLE_RINGS + [(name, None) for name in EXTRA_RINGS],
+    ids=[name if par is None else f"{name}-{par}" for name, par in TABLE_RINGS] + list(EXTRA_RINGS),
 )
 def test_sparse_tables_match_dense_reference(name, par):
-    """`terms` holds exactly the nonzero `ring_mul` entries, and `mul` equals
-    the dense loop at every k, past the tables included."""
-    if name == "cancel":
-        ring = cancelling_ring()
+    """`terms` holds exactly the nonzero `ring_mul` entries, `mul` equals
+    the dense loop at every k, past the tables included, and so does each
+    compiled kernel at its degree."""
+    if name in EXTRA_RINGS:
+        ring = EXTRA_RINGS[name]()
     else:
         ring = parse_presentation(builtin_case(name, par)["ring"])
     tables = ring.tables
@@ -583,4 +609,8 @@ def test_sparse_tables_match_dense_reference(name, par):
         for trial in range(25):
             a = _random_vector(rng, size, fractions=trial % 2 == 1)
             b = _random_vector(rng, r, fractions=trial % 3 == 2)
-            assert tables.mul(k, a, b) == ref_table_mul(bases, rows, k, a, b)
+            product = ref_table_mul(bases, rows, k, a, b)
+            assert tables.mul(k, a, b) == product
+            if k < len(tables.kernels):
+                assert tables.kernels[k](k, a, b) == product
+    assert len(tables.kernels) == len(tables.terms)

@@ -58,6 +58,7 @@ from splitcheck.cli import run_case
 from splitcheck.report import CaseError
 from splitcheck.ring import GradedClass, RingTables, basis, normal_form, ring_mul
 from splitcheck.search import (
+    COMPILE_VISITS,
     DEFAULT_BUDGET,
     BoundError,
     ExplicitBound,
@@ -778,23 +779,67 @@ def test_prefilter_hands_the_matcher_only_accepted_hits(monkeypatch, name, par):
     assert all(report.matched for report in reports)
 
 
+def _counted_products(monkeypatch) -> tuple[list[int], list[int]]:
+    """The degree of each product taken from here on, by path: the first
+    list through `RingTables.mul`, the second through `RingTables.kernels`."""
+    table, compiled = [], []
+    mul, kernels = RingTables.mul, RingTables.kernels.func
+
+    def counting_mul(self, k, a, b):
+        table.append(k)
+        return mul(self, k, a, b)
+
+    def counting(kernel):
+        def product(k, a, b):
+            compiled.append(k)
+            return kernel(k, a, b)
+
+        return product
+
+    monkeypatch.setattr(RingTables, "mul", counting_mul)
+    monkeypatch.setattr(RingTables, "kernels", property(lambda self: tuple(map(counting, kernels(self)))))
+    return table, compiled
+
+
 def test_prefilter_drops_every_hit_of_a_case_with_no_splitting(monkeypatch):
     """r-p at q = 2: the join finds 684 p1 hits and the Euler prefilter drops
     them all, so the matcher is never called.  The prefilter spends one
-    table product at k = m - 1 on each hit, and nothing else does."""
+    product at k = m - 1 on each hit, and nothing else does; the walk is
+    past `COMPILE_VISITS`, so each is a compiled kernel's."""
     spec = search_spec_for("r-p", 2)
-    products = []
-    mul = RingTables.mul
-
-    def counting(self, k, a, b):
-        products.append(k)
-        return mul(self, k, a, b)
-
-    monkeypatch.setattr(RingTables, "mul", counting)
+    table, compiled = _counted_products(monkeypatch)
     cert, _, reports = _matched_solutions(monkeypatch, spec)
     assert cert.exhaustive and cert.solutions == ()
-    assert products.count(spec.m - 1) == 684
+    assert compiled.count(spec.m - 1) == 684
+    assert table == []
     assert reports == []
+
+
+@pytest.mark.parametrize(("name", "par"), [("s2xs2", None), ("r-p", 1), ("r-p", 2)])
+def test_only_a_walk_past_the_threshold_compiles_its_products(monkeypatch, name, par):
+    """s2xs2 (74 visits) and r-p at q = 1 (1,305) multiply through the table
+    loop, r-p at q = 2 (5,690) through the kernels: each search takes every
+    product on one path."""
+    spec = search_spec_for(name, par)
+    table, compiled = _counted_products(monkeypatch)
+    cert = enumerate_splittings(spec)
+    if cert.visited > COMPILE_VISITS:
+        assert compiled and table == []
+    else:
+        assert table and compiled == []
+    assert (cert.visited > COMPILE_VISITS) == (par == 2)
+
+
+@pytest.mark.parametrize(("name", "par"), DIFFERENTIAL_CASES + [("r-p", 3)])
+def test_both_product_paths_give_one_certificate(monkeypatch, name, par):
+    """Forcing every walk onto the kernels, or onto the table loop, changes
+    no certificate: the two paths take the same products."""
+    spec = search_spec_for(name, par)
+    certs = []
+    for threshold in (-1, DEFAULT_BUDGET):
+        monkeypatch.setattr(search, "COMPILE_VISITS", threshold)
+        certs.append(enumerate_splittings(spec).as_jsonable())
+    assert certs[0] == certs[1]
 
 
 # -- oracle equivalence ---------------------------------------------------------------
