@@ -10,11 +10,12 @@ so all of them go through one multiplicative-sequence integrator.
 
 The integrator packs each y-polynomial into one int by the substitution
 y -> 2^s (Kronecker substitution), so the running product is one int tuple
-per degree and each root is multiplied in through the ring's tables
-(`ring.RingTables`) once per power, whatever the y-degree.  The tables'
-entries are ints, as the ring's rules are integral; the factor's rational
-series coefficients and the roots are scaled to ints by their common
-denominators, which are divided out of the integral at the end.
+per degree and each root is multiplied in through the ring's compiled
+kernels (`ring.RingTables.kernels`) once per power, whatever the
+y-degree.  The tables' entries are ints, as the ring's rules are
+integral; the factor's rational series coefficients and the roots are
+scaled to ints by their common denominators, which are divided out of
+the integral at the end.
 
 Only the top degree is ever read.  A zero root contributes its factor's
 constant term, so the zero roots become one scalar power.  The running
@@ -264,7 +265,7 @@ def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[lis
     from Z[y] that is injective on polynomials whose coefficients are below
     R/2 in absolute value.  So the product is one int tuple per degree 2d,
     over the ring's degree-2d basis, and each root's normal form is
-    multiplied in through the ring's tables once per power, whatever the
+    multiplied in through the ring's kernels once per power, whatever the
     y-degree.  Arithmetic stays on ints: the tables' entries are ints, the
     factor's coefficients are scaled by their common denominator D, and the
     roots by the lcm L of their coordinates' denominators; only the
@@ -311,13 +312,14 @@ def _integrate_multiplicative(data: ChernRootData, factor: _Factor) -> tuple[lis
         top = int(n == 0)  # the empty product is 1, of degree 0
     else:
         *heads, last = nonzero
+        kernels = tables.kernels
         product = {0: tables.one}
         for vec in heads:
             out: dict[int, tuple[int, ...]] = {}
             power = product  # the product times root^k
             for k, c in enumerate(packed):
                 if k:
-                    power = {d + 1: tables.mul(d, part, vec) for d, part in power.items() if d < n}
+                    power = {d + 1: kernels[d](part, vec) for d, part in power.items() if d < n}
                 if c:
                     for d, part in power.items():
                         acc = out.get(d)

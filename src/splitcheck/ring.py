@@ -30,22 +30,23 @@ Coefficients are ints or Fractions only; anything else raises `TypeError`.
 
 Each ring also compiles itself once, on first use, into `RingTables`: a
 class of degree 2k becomes its coefficient tuple over the degree-2k basis,
-and multiplication by a degree-2 class becomes one pass over the nonzero
-entries of a table, read off the memoized normal forms of monomial
-products, so every entry is an int.  That table is the only one: the
-search and its bound multiply through `RingTables.mul`, and the genus
-integrator through `mul` and its transpose `RingTables.dual_mul`, which
-carries a functional on one degree back to the degree below; `ring_mul` on
-dicts stays the product the acceptance rule uses.  A long search walk
-multiplies through `RingTables.kernels` instead, the same table turned
-into one straight-line Python function per degree.
+and multiplication by a degree-2 class is read off a table of the nonzero
+entries of the memoized normal forms of monomial products, so every entry
+is an int.  That table is the only one, and it has one product:
+`RingTables.kernels`, the table turned into one straight-line Python
+function per degree, compiled once per distinct table in a process
+(`compile_kernels`).  The search and the genus integrator multiply
+through the kernels, the search's bound reads the table's entries, and
+the integrator's functionals go back a degree through the table's
+transpose, `RingTables.dual_mul`; `ring_mul` on dicts stays the product
+the acceptance rule uses.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from math import comb
 from operator import add, le
 
@@ -71,6 +72,10 @@ MAX_GENERATORS = 256
 # The compiler recurses once per operator of a sum and refuses a few
 # thousand, so a kernel adds a longer sum up in statements of this many terms.
 KERNEL_SUM_TERMS = 64
+# `compile_kernels` keeps this many tables' kernels: perfbench's search
+# mix compiles 5 tables, its genus root sets 7 and its built-in verdicts 5
+# (13 at most, one per ring document they parse).
+KERNEL_CACHE_SIZE = 16
 
 
 def _tighten(value: Coeff) -> Coeff:
@@ -482,6 +487,58 @@ def basis(ring: RingPresentation, degree: int) -> list[Monomial]:
     return list(cached)
 
 
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def compile_kernels(terms: tuple, sizes: tuple[int, ...]) -> tuple[Callable[[Vector, Vector], Vector], ...]:
+    """The product at each degree of a table as one straight-line function.
+
+    `terms` is `RingTables.terms` and `sizes` the lengths of its bases; the
+    kernels depend on nothing else, so rings with equal tables share them.
+    Kernel k takes a over basis k and b over basis 1, unpacks both to
+    locals and returns, for each t, the sum of a_i * b_j * z over the
+    (i, j, t, z) in `terms[k]`.  All degrees come from one `compile()`,
+    and degrees with equal bodies share a function.  Only indices and
+    names reach the source: each z other than 1 and -1 is a closure
+    variable of the function that makes the kernels, so no int is ever
+    formatted (`str` refuses one of more than 4,300 digits).  A miss costs
+    0.15-0.25 ms for a built-in ring, and 1.3 s and 370 MB of peak memory
+    for one of 95,284 monomials (CPython 3.11, a shared 2-vCPU host).
+    """
+    names: dict[int, str] = {}  # each coefficient other than +-1 -> its variable
+    bodies: dict[str, str] = {}  # each kernel body -> its function's name
+    picks = []
+    for k, entries in enumerate(terms):
+        sums: list[list[str]] = [[] for _ in range(sizes[k + 1])]
+        for i, j, t, z in entries:
+            if z == 1 or z == -1:
+                sums[t].append(f"{'+' if z > 0 else '-'}a{i}*b{j}")
+            else:
+                sums[t].append(f"+a{i}*b{j}*{names.setdefault(z, f'z{len(names)}')}")
+        lines = []
+        if entries:
+            lines.append("".join(f"a{i}," for i in range(sizes[k])) + "=a")
+            lines.append("".join(f"b{j}," for j in range(sizes[1])) + "=b")
+        outputs = []
+        for t, parts in enumerate(sums):
+            if len(parts) <= KERNEL_SUM_TERMS:
+                outputs.append("".join(parts).removeprefix("+") or "0")
+                continue
+            for c in range(0, len(parts), KERNEL_SUM_TERMS):
+                chunk = "".join(parts[c:c + KERNEL_SUM_TERMS]).removeprefix("+")
+                lines.append(f"o{t}{'+=' if c else '='}{chunk}")
+            outputs.append(f"o{t}")
+        lines.append(f"return ({''.join(out + ',' for out in outputs)})")
+        body = "".join(f"\n  {line}" for line in lines)
+        picks.append(bodies.setdefault(body, f"k{len(bodies)}"))
+    source = (
+        f"def kernels({','.join(names.values())}):"
+        + "".join(f"\n def {name}(a,b):{body}" for body, name in bodies.items())
+        + f"\n return ({''.join(name + ',' for name in picks)})"
+    )
+    namespace: dict = {}
+    exec(compile(source, "<RingTables.kernels>", "exec"), namespace)
+    return namespace["kernels"](*names)
+
+
 class RingTables:
     """Multiplication by the degree-2 coordinates, compiled to its nonzero entries.
 
@@ -492,13 +549,9 @@ class RingTables:
     normal form of that monomial product; the rules are integral, so z
     is an int.  A class of degree 2k is its tuple over `bases[k]`, and
     every degree past the tables is the empty tuple.  A product of normal
-    forms is linear in both factors, so `mul` equals `ring_mul` on tuples.
-
-    `kernels` compiles the same entries, on first use, into one
-    straight-line function per degree, three to four times faster per
-    product than `mul`'s loop; compiling costs 0.1-0.2 ms for a ring of
-    three degrees, so the search uses them only for a walk of more than
-    `search.COMPILE_VISITS` visits, and `mul` stays for everything else.
+    forms is linear in both factors, so `kernels[k]` equals `ring_mul` on
+    tuples.  The kernels are the one product; `dual_mul`, its transpose,
+    and `mul_norm` read the entries themselves.
     """
 
     def __init__(self, ring: RingPresentation):
@@ -523,70 +576,18 @@ class RingTables:
             return ()
         return tuple(cls.coefficient(mono) for mono in self.bases[k])
 
-    def mul(self, k: int, a: Vector, b: Vector) -> Vector:
-        """The tuple of a * b for a over `bases[k]` and b over `bases[1]`."""
-        if k >= len(self.terms):
-            return ()
-        out = [0] * len(self.bases[k + 1])
-        for i, j, t, z in self.terms[k]:
-            out[t] += a[i] * b[j] * z
-        return tuple(out)
-
     @cached_property
-    def kernels(self) -> tuple[Callable[[int, Vector, Vector], Vector], ...]:
-        """`mul` at each degree of the tables as one straight-line function, built on first use.
-
-        `kernels[k](k, a, b) == mul(k, a, b)` for every k < len(terms): a
-        kernel takes `mul`'s arguments and ignores the degree, so a caller
-        holding one function per degree may hold `mul` itself instead.  It
-        unpacks a and b to locals and returns, for each t, the sum of
-        a_i * b_j * z over the (i, j, t, z) in `terms[k]`.  All degrees come
-        from one `compile()`, and degrees with equal bodies share a
-        function.  Only indices and names reach the source: each z other
-        than 1 and -1 is a closure variable of the function that makes the
-        kernels, so no int is ever formatted (`str` refuses one of more than
-        4,300 digits).
-        """
-        names: dict[int, str] = {}  # each coefficient other than +-1 -> its variable
-        bodies: dict[str, str] = {}  # each kernel body -> its function's name
-        picks = []
-        for k, terms in enumerate(self.terms):
-            sums: list[list[str]] = [[] for _ in self.bases[k + 1]]
-            for i, j, t, z in terms:
-                if z == 1 or z == -1:
-                    sums[t].append(f"{'+' if z > 0 else '-'}a{i}*b{j}")
-                else:
-                    sums[t].append(f"+a{i}*b{j}*{names.setdefault(z, f'z{len(names)}')}")
-            lines = []
-            if terms:
-                lines.append("".join(f"a{i}," for i in range(len(self.bases[k]))) + "=a")
-                lines.append("".join(f"b{j}," for j in range(len(self.bases[1]))) + "=b")
-            outputs = []
-            for t, parts in enumerate(sums):
-                if len(parts) <= KERNEL_SUM_TERMS:
-                    outputs.append("".join(parts).removeprefix("+") or "0")
-                    continue
-                for c in range(0, len(parts), KERNEL_SUM_TERMS):
-                    chunk = "".join(parts[c:c + KERNEL_SUM_TERMS]).removeprefix("+")
-                    lines.append(f"o{t}{'+=' if c else '='}{chunk}")
-                outputs.append(f"o{t}")
-            lines.append(f"return ({''.join(out + ',' for out in outputs)})")
-            body = "".join(f"\n  {line}" for line in lines)
-            picks.append(bodies.setdefault(body, f"k{len(bodies)}"))
-        source = (
-            f"def kernels({','.join(names.values())}):"
-            + "".join(f"\n def {name}(_,a,b):{body}" for body, name in bodies.items())
-            + f"\n return ({''.join(name + ',' for name in picks)})"
-        )
-        namespace: dict = {}
-        exec(compile(source, "<RingTables.kernels>", "exec"), namespace)
-        return namespace["kernels"](*names)
+    def kernels(self) -> tuple[Callable[[Vector, Vector], Vector], ...]:
+        """`kernels[k](a, b)`, for k < len(terms), is the tuple of a * b for a
+        over `bases[k]` and b over `bases[1]`: `compile_kernels` of this
+        table, so a table seen before in the process costs no compile."""
+        return compile_kernels(tuple(self.terms), tuple(map(len, self.bases)))
 
     def dual_mul(self, k: int, w: Vector, b: Vector) -> Vector:
         """The functional v -> w(v * b) over `bases[k]`, for w over `bases[k + 1]`.
 
-        The transpose of `mul` through the same entries: the dot product
-        of the result with a equals that of w with `mul(k, a, b)`.
+        The transpose of `kernels[k]` through the same entries: the dot
+        product of the result with a equals that of w with `kernels[k](a, b)`.
         """
         if k >= len(self.terms):
             return ()
@@ -600,8 +601,8 @@ class RingTables:
         """tau, the largest l1 norm of a product of basis elements, built on first use.
 
         `bases[k][i] * bases[1][j]` has l1 norm sum |z| over the (i, j, t, z)
-        in `terms[k]`, and each output of `mul(k, a, b)` is sum_i,j a_i b_j
-        times that product, so its l1 norm is at most tau * |a|_1 * |b|_1.
+        in `terms[k]`, and each product `kernels[k](a, b)` is sum_i,j a_i b_j
+        times that one, so its l1 norm is at most tau * |a|_1 * |b|_1.
         """
         norms: dict[tuple[int, int, int], int] = {}
         for k, terms in enumerate(self.terms):

@@ -12,9 +12,9 @@ ellipsoid sum_j lam_j v_j^2 <= C, which certifies the per-variable box
 |x_j| <= floor(sqrt(C/lam_j)).  Scaling the multipliers by k > 0 scales
 lam and C alike and keeps the ellipsoid, so integers lose no bound.
 
-The search multiplies through the ring's table (`ring.RingTables`, built
-once per ring): its degree-2 products give the bound's quadratic form,
-and every class the walk touches is a tuple over a fixed basis.  One
+The search reads the ring's table (`ring.RingTables`, built once per
+ring): its degree-2 entries give the bound's quadratic form, and every
+class the walk touches is a tuple over a fixed basis.  One
 enumeration serves every bound:
 
 1. the ball: the vectors of the per-bundle box inside that ellipsoid
@@ -47,11 +47,9 @@ enumeration serves every bound:
    once, and each hit one more: a hit
    whose Euler tuple is neither the target nor its negation, the Euler
    class being matched up to sign, is dropped before the matcher.  The
-   squares and these products are `RingTables.mul` for a walk of at most
-   `COMPILE_VISITS` visits, a count known before it starts; a longer walk
-   pays once for the ring's compiled kernels (`RingTables.kernels`, one
-   straight-line function per degree) and takes each product at about a
-   quarter of the cost.  Both paths give the same tuples.
+   squares and these products are the ring's compiled kernels
+   (`RingTables.kernels`, one straight-line function per degree, compiled
+   once per distinct table in a process).
 
 The lookup and the prefilter only reject: every candidate they let through
 is accepted or rejected by `charclass.TargetMatcher`, the one acceptance
@@ -76,12 +74,6 @@ DEFAULT_BUDGET = 10**9
 # The walk recurses once per bundle, so m is capped well below Python's
 # recursion limit; the largest built-in m is 4.
 MAX_M = 256
-# A walk of more visits than this multiplies through the ring's compiled
-# kernels, a shorter one through `RingTables.mul`.  Compiling r-p's three
-# degrees costs about 170 us inside a verdict, and a kernel saves about
-# 0.3-0.6 us a product; r-p, whose walk takes fewest products per visit of
-# the built-ins (about 0.2), so repays the compile near 2,000 visits.
-COMPILE_VISITS = 2_000
 # The budget bounds visits, not memory, and the ball and its join take about
 # 470 bytes per vector; r-p at q = 20 (1.5 s in-process) keeps 12,635.
 MAX_BALL = 10**6
@@ -368,19 +360,16 @@ def _walk(
     ball: list[tuple[int, ...]],
     norms: list[int],
     limit: int,
-    visited: int,
 ) -> list[tuple[tuple[int, ...], ...]]:
     """The bundle tuples the matcher accepts: each nondecreasing index
     multiset of m - 1 ball vectors within the norm-sum cut, joined on p1 to
-    a last vector and passed through the Euler prefilter.  Past
-    `COMPILE_VISITS` visits the products go through the ring's compiled
-    kernels, else through the table loop itself."""
+    a last vector and passed through the Euler prefilter.  Every product
+    is a compiled kernel of the ring's tables."""
     ring = spec.ring
     tables = ring.tables
-    # the product at each degree, called as mul(k, a, b) on either path
-    muls = tables.kernels if visited > COMPILE_VISITS else (tables.mul,) * len(tables.terms)
+    kernels = tables.kernels
     p1 = tables.vector(matcher.p1, 2)
-    squares = [muls[1](1, vec, vec) for vec in ball]
+    squares = [kernels[1](vec, vec) for vec in ball]
     span = max(map(abs, p1), default=0) + spec.m * max(
         (abs(x) for vec in squares for x in vec), default=0
     )
@@ -390,7 +379,7 @@ def _walk(
     for i, key in enumerate(keys):
         table.setdefault(key, []).append(i)
     m, last = spec.m, spec.m - 1
-    euler = muls[last]  # the prefilter's product, into degree 2m
+    euler = kernels[last]  # the prefilter's product, into degree 2m
     euler_targets = {tables.vector(matcher.euler, m), tables.vector(matcher.euler_neg, m)}
     raw: list[tuple[tuple[int, ...], ...]] = []
 
@@ -406,11 +395,11 @@ def _walk(
         # a solution's norms sum to exactly limit and never decrease along the
         # multiset, so each of the m - depth vectors still to place is within the cut
         cut = bisect.bisect_right(norms, (limit - norm) // (m - depth), start)
-        mul = muls[depth]
+        mul = kernels[depth]
         if depth < last - 1:
             for i in range(start, cut):
                 prefix.append(i)
-                walk(i, norm + norms[i], residual - keys[i], mul(depth, product, ball[i]))
+                walk(i, norm + norms[i], residual - keys[i], mul(product, ball[i]))
                 prefix.pop()
             return
         # the last prefix level: each step is one probe of the join
@@ -419,8 +408,8 @@ def _walk(
             if hits is not None and hits[-1] >= i:
                 hits = hits[bisect.bisect_left(hits, i):]
                 vec = ball[i]
-                head = mul(depth, product, vec)
-                hits = [k for k in hits if euler(last, head, ball[k]) in euler_targets]
+                head = mul(product, vec)
+                hits = [k for k in hits if euler(head, ball[k]) in euler_targets]
                 if hits:
                     accept(tuple(ball[j] for j in prefix) + (vec,), hits)
 
@@ -429,7 +418,7 @@ def _walk(
         walk(0, 0, pack(p1, span), tables.one)
     else:
         hits = table.get(pack(p1, span), [])
-        accept((), [k for k in hits if euler(last, tables.one, ball[k]) in euler_targets])
+        accept((), [k for k in hits if euler(tables.one, ball[k]) in euler_targets])
     # walk holds itself in its closure; without this the cycle keeps the
     # ball and the join alive until the cyclic collector runs
     del walk
@@ -469,7 +458,7 @@ def enumerate_splittings(spec: SearchSpec) -> SearchCertificate:
         norms = [norms[i] for i in order]
         visited += count_probes(norms, spec.m, limit)
         if visited <= budget:
-            raw = _walk(spec, matcher, [ball[i] for i in order], norms, limit, visited)
+            raw = _walk(spec, matcher, [ball[i] for i in order], norms, limit)
     if visited > budget:
         visited = budget + 1
         notes.append(f"visit budget {budget} exhausted; enumeration incomplete")

@@ -9,8 +9,9 @@ The reference genus functions at the end compute chi_y, the direct signature
 and the Euler integral with their own loops and their own y-class product,
 independently of the package's shared integrator, as a differential oracle.
 `ref_integrate_packed` is the packed integrator's own oracle: the loop that
-multiplies every root into every degree of the running product, with its
-digit width from `ref_coefficient_bound`, the bound's plain product formula.
+multiplies every root into every degree of the running product through
+`ref_table_mul`, with its digit width from `ref_coefficient_bound`, the
+bound's plain product formula.
 `ref_integer_roots`, `ref_evaluate` and `ref_duality_check` are the genus
 layer's `Fraction` oracles: the root read through `normal_form` and
 `RingTables.vector`, Horner's rule in Fractions, and the comparison of each
@@ -20,7 +21,8 @@ of the alternating sum of a duality-symmetric chi^p vector into the mod-4
 congruence, with its correction term.
 `generator_class`, `divide_by_one_plus_y` and `replaced` serve the tests only.
 `ref_rows` and `ref_table_mul` are the compiled ring tables' oracle: dense
-rows built with `ring_mul`, and the loop over every row entry.
+rows built with `ring_mul`, and the loop over every row entry;
+`counted_kernel_calls` records the degree of each compiled product taken.
 `ref_first_rule`, `ref_check_confluence` and `ref_basis_sizes` are the
 rule index's oracle: the scan of the rule list at each monomial, the
 confluence check that steps every applicable rule at every monomial of
@@ -98,6 +100,7 @@ from splitcheck.ring import (
     GradedClass,
     RewriteRule,
     RingPresentation,
+    RingTables,
     basis,
     integrate,
     monomial_degree,
@@ -472,7 +475,8 @@ def ref_rows(ring: RingPresentation) -> list:
 
 
 def ref_table_mul(bases, rows, k: int, a, b) -> tuple:
-    """`RingTables.mul` as the dense loop over every row entry."""
+    """`RingTables.kernels[k](a, b)` as the dense loop over every row entry,
+    the empty tuple past the tables."""
     if k >= len(rows):
         return ()
     out = [0] * len(bases[k + 1])
@@ -484,6 +488,24 @@ def ref_table_mul(bases, rows, k: int, a, b) -> tuple:
                     for t, z in enumerate(entry):
                         out[t] += xy * z
     return tuple(out)
+
+
+def counted_kernel_calls(monkeypatch) -> list[int]:
+    """The degree k of each `RingTables.kernels[k]` call from here on."""
+    degrees: list[int] = []
+    kernels = RingTables.kernels.func
+
+    def counting(k, kernel):
+        def product(a, b):
+            degrees.append(k)
+            return kernel(a, b)
+
+        return product
+
+    monkeypatch.setattr(
+        RingTables, "kernels", property(lambda self: tuple(map(counting, itertools.count(), kernels(self))))
+    )
+    return degrees
 
 
 # -- reference genus integrals ------------------------------------------------
@@ -593,8 +615,9 @@ def ref_coefficient_bound(factor: _Factor, vecs, tau: int) -> int:
 def ref_integrate_packed(data: ChernRootData, factor: _Factor) -> tuple[list[int], int]:
     """`genus._integrate_multiplicative` as the loop over every root and
     degree: each root, a zero one included, is multiplied into every degree
-    of the running product, and the last one too.  The bound, the shift and
-    the decoding are the integrator's, so the digits must agree exactly."""
+    of the running product, and the last one too, each product a
+    `ref_table_mul`.  The bound, the shift and the decoding are the
+    integrator's, so the digits must agree exactly."""
     ring = data.ring
     tables = ring.tables
     n = data.n
@@ -603,6 +626,7 @@ def ref_integrate_packed(data: ChernRootData, factor: _Factor) -> tuple[list[int
     vecs, roots_denom = data.integer_roots
     shift = (2 * ref_coefficient_bound(factor, vecs, tables.mul_norm)).bit_length() + 1
     packed = [sum(c << shift * j for j, c in enumerate(ck)) for ck in coeffs]
+    rows = ref_rows(ring)
     zero = [(0,) * len(tables.bases[d]) for d in range(n + 1)]
     product = [tables.one] + zero[1:]
     for vec in vecs:
@@ -611,7 +635,7 @@ def ref_integrate_packed(data: ChernRootData, factor: _Factor) -> tuple[list[int
         if any(vec):
             power = product  # the product times root^k
             for k in range(1, last + 1):
-                power = zero[:k] + [tables.mul(d, power[d], vec) for d in range(k - 1, n)]
+                power = zero[:k] + [ref_table_mul(tables.bases, rows, d, power[d], vec) for d in range(k - 1, n)]
                 c = packed[k]
                 if c:
                     for d in range(k, n + 1):

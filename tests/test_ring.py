@@ -30,6 +30,7 @@ from helpers import (
 )
 from splitcheck.cases import builtin_case, list_builtin_cases
 from splitcheck.ring import (
+    KERNEL_CACHE_SIZE,
     ConfluenceError,
     DegreeError,
     DivergenceError,
@@ -39,6 +40,7 @@ from splitcheck.ring import (
     RingPresentation,
     basis,
     check_confluence,
+    compile_kernels,
     integrate,
     monomials_of_degree,
     normal_form,
@@ -584,9 +586,8 @@ EXTRA_RINGS = {"cancel": cancelling_ring, "huge": huge_ring, "wide": wide_ring}
     ids=[name if par is None else f"{name}-{par}" for name, par in TABLE_RINGS] + list(EXTRA_RINGS),
 )
 def test_sparse_tables_match_dense_reference(name, par):
-    """`terms` holds exactly the nonzero `ring_mul` entries, `mul` equals
-    the dense loop at every k, past the tables included, and so does each
-    compiled kernel at its degree."""
+    """`terms` holds exactly the nonzero `ring_mul` entries, and each
+    compiled kernel equals the dense loop at its degree."""
     if name in EXTRA_RINGS:
         ring = EXTRA_RINGS[name]()
     else:
@@ -604,13 +605,33 @@ def test_sparse_tables_match_dense_reference(name, par):
         )
     rng = random.Random(sum(map(ord, f"sparse-{name}-{par}")))
     r = len(bases[1])
-    for k in range(len(bases) + 2):
-        size = len(bases[k]) if k < len(bases) else 0
-        for trial in range(25):
-            a = _random_vector(rng, size, fractions=trial % 2 == 1)
-            b = _random_vector(rng, r, fractions=trial % 3 == 2)
-            product = ref_table_mul(bases, rows, k, a, b)
-            assert tables.mul(k, a, b) == product
-            if k < len(tables.kernels):
-                assert tables.kernels[k](k, a, b) == product
     assert len(tables.kernels) == len(tables.terms)
+    for k, kernel in enumerate(tables.kernels):
+        for trial in range(25):
+            a = _random_vector(rng, len(bases[k]), fractions=trial % 2 == 1)
+            b = _random_vector(rng, r, fractions=trial % 3 == 2)
+            assert kernel(a, b) == ref_table_mul(bases, rows, k, a, b)
+
+
+def _rp_tables(q: int):
+    return parse_presentation(builtin_case("r-p", q)["ring"]).tables
+
+
+def test_one_table_is_compiled_once_per_process():
+    """Two parses of one document share one kernels tuple; r-p at q = 2
+    and q = 3 have different tables, so different kernels."""
+    assert _rp_tables(2).kernels is _rp_tables(2).kernels
+    two, three = _rp_tables(2), _rp_tables(3)
+    assert two.terms != three.terms
+    assert two.kernels is not three.kernels
+    a = tuple(range(1, len(two.bases[1]) + 1))
+    assert two.kernels[1](a, a) != three.kernels[1](a, a)
+
+
+def test_kernel_cache_is_bounded():
+    """After KERNEL_CACHE_SIZE + 1 distinct tables, at most KERNEL_CACHE_SIZE are kept."""
+    tables = [_rp_tables(q) for q in range(1, KERNEL_CACHE_SIZE + 2)]
+    assert len({tuple(t.terms) for t in tables}) == KERNEL_CACHE_SIZE + 1
+    for t in tables:
+        t.kernels
+    assert compile_kernels.cache_info().currsize <= KERNEL_CACHE_SIZE

@@ -19,6 +19,7 @@ import json
 import math
 import random
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 from helpers import (
     accepts,
     assert_golden,
+    counted_kernel_calls,
     cp2_oracle,
     golden_id,
     golden_names,
@@ -36,6 +38,8 @@ from helpers import (
     ref_enumerate,
     ref_probe_count,
     ref_rigid_enumerate,
+    ref_rows,
+    ref_table_mul,
     replaced,
     ring_for,
     rp_oracle,
@@ -58,7 +62,6 @@ from splitcheck.cli import run_case
 from splitcheck.report import CaseError
 from splitcheck.ring import GradedClass, RingTables, basis, normal_form, ring_mul
 from splitcheck.search import (
-    COMPILE_VISITS,
     DEFAULT_BUDGET,
     BoundError,
     ExplicitBound,
@@ -688,12 +691,12 @@ def test_tables_match_ring_mul(name, par):
         vecs = [tuple(rng.randint(-4, 4) for _ in range(r)) for _ in range(m)]
         classes = tuple(ring.class_from_coeffs(v) for v in vecs)
         square = ring_mul(ring, classes[0], classes[0])
-        assert tables.mul(1, vecs[0], vecs[0]) == tuple(square.coefficient(mono) for mono in b4)
+        assert tables.kernels[1](vecs[0], vecs[0]) == tuple(square.coefficient(mono) for mono in b4)
         euler = tuple(euler_class(LineBundleSum(ring, classes)).coefficient(mono) for mono in top)
         # the walk and its Euler prefilter fold one vector per level into the product
         product, prefix = tables.one, ring.one()
         for k, (vec, c) in enumerate(zip(vecs, classes)):
-            product, prefix = tables.mul(k, product, vec), ring_mul(ring, prefix, c)
+            product, prefix = tables.kernels[k](product, vec), ring_mul(ring, prefix, c)
             assert product == tables.vector(prefix, k + 1)
         assert product == euler
 
@@ -779,67 +782,29 @@ def test_prefilter_hands_the_matcher_only_accepted_hits(monkeypatch, name, par):
     assert all(report.matched for report in reports)
 
 
-def _counted_products(monkeypatch) -> tuple[list[int], list[int]]:
-    """The degree of each product taken from here on, by path: the first
-    list through `RingTables.mul`, the second through `RingTables.kernels`."""
-    table, compiled = [], []
-    mul, kernels = RingTables.mul, RingTables.kernels.func
-
-    def counting_mul(self, k, a, b):
-        table.append(k)
-        return mul(self, k, a, b)
-
-    def counting(kernel):
-        def product(k, a, b):
-            compiled.append(k)
-            return kernel(k, a, b)
-
-        return product
-
-    monkeypatch.setattr(RingTables, "mul", counting_mul)
-    monkeypatch.setattr(RingTables, "kernels", property(lambda self: tuple(map(counting, kernels(self)))))
-    return table, compiled
-
-
 def test_prefilter_drops_every_hit_of_a_case_with_no_splitting(monkeypatch):
     """r-p at q = 2: the join finds 684 p1 hits and the Euler prefilter drops
     them all, so the matcher is never called.  The prefilter spends one
-    product at k = m - 1 on each hit, and nothing else does; the walk is
-    past `COMPILE_VISITS`, so each is a compiled kernel's."""
+    compiled product at k = m - 1 on each hit, and nothing else does."""
     spec = search_spec_for("r-p", 2)
-    table, compiled = _counted_products(monkeypatch)
+    degrees = counted_kernel_calls(monkeypatch)
     cert, _, reports = _matched_solutions(monkeypatch, spec)
     assert cert.exhaustive and cert.solutions == ()
-    assert compiled.count(spec.m - 1) == 684
-    assert table == []
+    assert degrees.count(spec.m - 1) == 684
     assert reports == []
 
 
-@pytest.mark.parametrize(("name", "par"), [("s2xs2", None), ("r-p", 1), ("r-p", 2)])
-def test_only_a_walk_past_the_threshold_compiles_its_products(monkeypatch, name, par):
-    """s2xs2 (74 visits) and r-p at q = 1 (1,305) multiply through the table
-    loop, r-p at q = 2 (5,690) through the kernels: each search takes every
-    product on one path."""
-    spec = search_spec_for(name, par)
-    table, compiled = _counted_products(monkeypatch)
-    cert = enumerate_splittings(spec)
-    if cert.visited > COMPILE_VISITS:
-        assert compiled and table == []
-    else:
-        assert table and compiled == []
-    assert (cert.visited > COMPILE_VISITS) == (par == 2)
-
-
-@pytest.mark.parametrize(("name", "par"), DIFFERENTIAL_CASES + [("r-p", 3)])
+@pytest.mark.parametrize(("name", "par"), DIFFERENTIAL_CASES + [("r-p", 3), ("cpn-split", 20)])
 def test_both_product_paths_give_one_certificate(monkeypatch, name, par):
-    """Forcing every walk onto the kernels, or onto the table loop, changes
-    no certificate: the two paths take the same products."""
+    """A walk whose every product is the dense reference loop over
+    `ref_rows` gives the certificate of the walk on the compiled kernels."""
     spec = search_spec_for(name, par)
-    certs = []
-    for threshold in (-1, DEFAULT_BUDGET):
-        monkeypatch.setattr(search, "COMPILE_VISITS", threshold)
-        certs.append(enumerate_splittings(spec).as_jsonable())
-    assert certs[0] == certs[1]
+    tables = spec.ring.tables
+    compiled = enumerate_splittings(spec).as_jsonable()
+    rows = ref_rows(spec.ring)
+    reference = tuple(partial(ref_table_mul, tables.bases, rows, k) for k in range(len(tables.terms)))
+    monkeypatch.setattr(RingTables, "kernels", property(lambda self: reference))
+    assert enumerate_splittings(spec).as_jsonable() == compiled
 
 
 # -- oracle equivalence ---------------------------------------------------------------

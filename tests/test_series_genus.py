@@ -17,10 +17,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import helpers
 from helpers import (
     RING_IDS,
     RING_REFS,
     TelescopeReport,
+    counted_kernel_calls,
     divide_by_one_plus_y,
     generator_class,
     random_degree2,
@@ -61,7 +63,6 @@ from splitcheck.cases import builtin_case
 from splitcheck.ring import (
     GradedClass,
     RingPresentation,
-    RingTables,
     basis,
     monomials_of_degree,
     parse_presentation,
@@ -476,8 +477,8 @@ def test_integrator_on_a_point():
 
 @pytest.mark.parametrize(("name", "par"), RING_REFS, ids=RING_IDS)
 def test_dual_mul_is_the_transpose_of_mul(name, par):
-    """<dual_mul(k, w, b), a> = <w, mul(k, a, b)> in every degree, and both
-    are empty one degree past the tables."""
+    """<dual_mul(k, w, b), a> = <w, kernels[k](a, b)> in every degree, and
+    dual_mul is empty one degree past the tables."""
     ring = ring_for(name, par)
     tables = ring.tables
     rows = ref_rows(ring)
@@ -492,7 +493,8 @@ def test_dual_mul_is_the_transpose_of_mul(name, par):
             dual = tables.dual_mul(k, w, b)
             assert len(dual) == size
             product = ref_table_mul(tables.bases, rows, k, a, b)
-            assert tables.mul(k, a, b) == product
+            if k < len(tables.terms):
+                assert tables.kernels[k](a, b) == product
             assert sum(x * y for x, y in zip(dual, a)) == sum(x * y for x, y in zip(w, product))
     assert tables.dual_mul(len(tables.terms), (), (0,) * r) == ()
 
@@ -502,21 +504,22 @@ def test_dual_mul_is_the_transpose_of_mul(name, par):
     [("su3-t2", (7, 0, 2), (15, 15, 9)), ("sp2-t2", (23, 16, 3), (40, 40, 16))],
 )
 def test_integrator_table_product_counts(monkeypatch, name, counts, oracle_counts):
-    """`RingTables.mul` calls of chi_y, signature_direct and
-    top_chern_integral on n nonzero roots: each head root costs one product
+    """`RingTables.kernels` calls of chi_y, signature_direct and
+    top_chern_integral on n nonzero roots, and `ref_table_mul` calls of
+    their oracle: each head root costs one product
     per power of x and degree of the running product below the top, the
     last root is never multiplied in, and zero roots cost nothing.  At odd n
     (su3-t2, n = 3) the even x/tanh x reaches no top degree, so
     signature_direct forms no product."""
     ring = ring_for(name)
-    products = []
-    mul = RingTables.mul
+    products = counted_kernel_calls(monkeypatch)
+    reference = helpers.ref_table_mul
 
-    def counting(self, k, a, b):
+    def counting(bases, rows, k, a, b):
         products.append(k)
-        return mul(self, k, a, b)
+        return reference(bases, rows, k, a, b)
 
-    monkeypatch.setattr(RingTables, "mul", counting)
+    monkeypatch.setattr(helpers, "ref_table_mul", counting)
     rng = random.Random(sum(map(ord, f"counts-{name}")))
     for _ in range(3):
         roots = tuple(_nonzero_roots(rng, ring, ring.top_degree // 2))
@@ -540,8 +543,8 @@ def test_integrator_table_product_counts(monkeypatch, name, counts, oracle_count
 
 @pytest.mark.parametrize(("name", "par"), RING_REFS, ids=RING_IDS)
 def test_table_products_obey_the_row_norm_bound(name, par):
-    """|mul(k, a, b)|_1 <= tau |a|_1 |b|_1: the inequality the integrator's
-    digit width rests on."""
+    """|kernels[k](a, b)|_1 <= tau |a|_1 |b|_1: the inequality the
+    integrator's digit width rests on."""
     ring = ring_for(name, par)
     tables = ring.tables
     tau = tables.mul_norm
@@ -552,7 +555,7 @@ def test_table_products_obey_the_row_norm_bound(name, par):
         for _ in range(30):
             a = tuple(rng.randint(-50, 50) for _ in tables.bases[k])
             b = tuple(rng.randint(-50, 50) for _ in range(r))
-            norm = sum(map(abs, tables.mul(k, a, b)))
+            norm = sum(map(abs, tables.kernels[k](a, b)))
             assert norm <= tau * sum(map(abs, a)) * sum(map(abs, b))
     # tau is attained: some product of basis elements has norm tau
     assert any(sum(map(abs, entry)) == tau for table in rows for row in table for entry in row)
