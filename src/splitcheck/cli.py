@@ -264,20 +264,24 @@ def _genus_section(data: ChernRootData | None, congruence: tuple[int, int, int] 
     return out
 
 
-def _trace_entry(trace) -> dict:
-    # each name resolves against the section's catalog, which holds its dims and type
-    return {
-        "summands": [[p.name, count] for p, count in trace.summands],
-        "rejected_by": trace.rejected_by,
-        "detail": trace.detail,
-    }
-
-
 def _obstruction_section(case: ObstructionCase) -> dict:
     try:
         result = obstruct_tangent_rep(case)
     except ValueError as exc:  # more products or multisets than the caps allow
         raise CaseError(f"obstruction.{exc}") from exc
+    # one row per (filter, detail), in the order the walk first meets it, with
+    # its first multiset as witness; each name resolves against the catalog
+    reasons: dict[tuple[str, str], dict] = {}
+    survivors = []
+    for trace in result.traces:
+        summands = [[p.name, count] for p, count in trace.summands]
+        if trace.rejected_by is None:
+            survivors.append(summands)
+            continue
+        row = reasons.setdefault((trace.rejected_by, trace.detail), {
+            "rejected_by": trace.rejected_by, "detail": trace.detail, "count": 0, "witness": summands,
+        })
+        row["count"] += 1
     return {
         "factors": [rs.group_name for rs in case.factors],
         "manifold_dim": case.manifold_dim,
@@ -294,7 +298,8 @@ def _obstruction_section(case: ObstructionCase) -> dict:
             }
             for p in result.product_entries
         ],
-        "traces": [_trace_entry(t) for t in result.traces],
+        "reasons": list(reasons.values()),
+        "survivors": survivors,
     }
 
 

@@ -38,7 +38,10 @@ MAX_RANK = 32
 # every multiset of the kept products; both are counted first and capped.
 # The built-ins build at most 30 products and walk at most 174 multisets;
 # five SU(2) factors in dimension 20 would build 759,375 products, and
-# SU(2) x Spin(11) in dimension 60 has 105,159 multisets (an 18.6 MB report).
+# SU(2) x Spin(11) in dimension 60 has 105,159 multisets.  The multiset cap
+# bounds the walk's time and its in-memory traces: with CPython 3.11 on a
+# 2-core host, that case is refused in 2 ms, where its walk would take
+# 0.7-0.9 s and hold about 26 MB of traces.
 MAX_PRODUCTS = 10_000
 MAX_MULTISETS = 10_000
 

@@ -46,7 +46,10 @@ is the catalog's own oracle: the weight search that builds each irrep from
 its weight alone, so every dimension is computed again.  `ref_multisets` and
 `ref_obstruct` are the obstruction walk's oracle: every multiset as a flat
 nondecreasing index sequence, one generator frame per summand, with the
-filters read off the flat sequence.  `ref_jsonable` is
+filters read off the flat sequence.  `multiset_count` counts those multisets
+by an index DP, and `ref_survivor_exists` is the verdict's knapsack oracle:
+a DP over (remaining dimension, a real entry seen yet) that never lists a
+multiset, with the filter switches taken from chi and sigma.  `ref_jsonable` is
 the serializer's oracle: the plain isinstance chain, with no dispatch on
 exact types.  `ref_refused_at` is the oracle of the path `check_exact`
 names: a second walk from the top that asks the check of each part in turn.
@@ -67,6 +70,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import difflib
+import functools
 import io
 import itertools
 import json
@@ -863,6 +867,44 @@ def ref_obstruct(case: ObstructionCase) -> tuple:
         traces.append((multiset, rejected_by, detail))
     survives = any(rejected_by is None for _, rejected_by, _ in traces)
     return ("VALID-V-EXISTS" if survives else "NO-VALID-V"), traces
+
+
+def multiset_count(dims: list[int], total: int) -> int:
+    """Independent count of multisets with the given total, by index DP."""
+
+    @functools.lru_cache(maxsize=None)
+    def ways(start: int, remaining: int) -> int:
+        if remaining == 0:
+            return 1
+        if start == len(dims) or remaining < 0:
+            return 0
+        return ways(start + 1, remaining) + (
+            ways(start, remaining - dims[start]) if dims[start] <= remaining else 0
+        )
+
+    return ways(0, total)
+
+
+def ref_survivor_exists(catalog, total: int, chi: int, sigma: int) -> bool:
+    """Whether some multiset of `catalog` entries (dicts with `real_dim` and
+    `field_type`) of real dimension `total` passes both filters.
+
+    F1 (chi != 0) allows only even-dimensional entries; F2 (total = 4m and
+    chi = +-sigma fails mod 4 in both orientations) needs at least one real
+    entry.  The DP marks each reachable (dimension, a real entry seen yet).
+    """
+    f1 = chi != 0
+    f2 = total % 4 == 0 and (chi - sigma) % 4 != 0 and (chi + sigma) % 4 != 0
+    allowed = [(e["real_dim"], e["field_type"] == REAL) for e in catalog if not (f1 and e["real_dim"] % 2)]
+    reach = [[False, False] for _ in range(total + 1)]
+    reach[0][False] = True
+    for r in range(total):
+        for seen in (False, True):
+            if reach[r][seen]:
+                for dim, real in allowed:
+                    if r + dim <= total:
+                        reach[r + dim][seen or real] = True
+    return reach[total][True] or (not f2 and reach[total][False])
 
 
 # -- reference serializer -------------------------------------------------------

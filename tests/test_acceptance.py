@@ -24,6 +24,7 @@ from helpers import (
     RING_IDS,
     RING_REFS,
     generator_class,
+    multiset_count,
     random_class,
     random_degree2,
     ring_for,
@@ -230,23 +231,6 @@ def test_criterion_8_claim_half_spin_is_real_32():
 def test_criterion_8_claim_catalog_contains_half_spin():
     names = [e.name for e in catalog_irreps(RootSystem("B", 5), 36).entries if any(e.highest_weight)]
     assert names == ["L^1", "D"]
-
-
-def multiset_count(dims: list[int], total: int) -> int:
-    """Independent count of multisets with the given total, by index DP."""
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def ways(start: int, remaining: int) -> int:
-        if remaining == 0:
-            return 1
-        if start == len(dims) or remaining < 0:
-            return 0
-        return ways(start + 1, remaining) + (
-            ways(start, remaining - dims[start]) if dims[start] <= remaining else 0
-        )
-
-    return ways(0, total)
 
 
 @pytest.mark.parametrize(("case_name", "trace_count"), [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -23,9 +24,11 @@ from helpers import (
     golden_id,
     golden_names,
     golden_run,
+    multiset_count,
     ref_enumerate,
     ref_jsonable,
     ref_refused_at,
+    ref_survivor_exists,
     render_golden,
 )
 from splitcheck.cases import builtin_case, list_builtin_cases
@@ -39,7 +42,7 @@ from splitcheck.report import (
     fraction_from_json,
     input_digest,
 )
-from splitcheck.repcat import MAX_RANK
+from splitcheck.repcat import MAX_RANK, ObstructionCase, RootSystem, obstruct_tangent_rep
 from splitcheck.ring import MAX_GENERATORS, monomials_of_degree, parse_presentation
 from splitcheck.search import MAX_BALL, MAX_M
 
@@ -229,41 +232,120 @@ def test_run_case_connect_sum_sections():
     assert canonical_bytes(report) == canonical_bytes(json.loads(canonical_bytes(report)))
 
 
+def _check_obstruction_section(section: dict) -> list[int]:
+    """Check every witness and survivor against the section's own catalog
+    and switches, and every multiset against the counts; return the counts."""
+    order = [entry["name"] for entry in section["catalog"]]
+    catalog = {entry["name"]: entry for entry in section["catalog"]}
+    total = section["manifold_dim"]
+
+    def names_of(summands) -> list[str]:
+        names = [name for name, _ in summands]
+        assert all(name in catalog for name in names)
+        positions = [order.index(name) for name in names]
+        assert positions == sorted(set(positions))  # catalog order, no repeats
+        assert all(isinstance(count, int) and count > 0 for _, count in summands)
+        assert sum(count * catalog[name]["real_dim"] for name, count in summands) == total
+        return names
+
+    assert len({(row["rejected_by"], row["detail"]) for row in section["reasons"]}) == len(section["reasons"])
+    for row in section["reasons"]:
+        names = names_of(row["witness"])
+        odd = [name for name in names if catalog[name]["real_dim"] % 2]
+        assert isinstance(row["count"], int) and row["count"] > 0
+        if row["rejected_by"] == "F1":
+            # the odd entry the detail names is the witness's first
+            assert section["euler_nonzero"] and odd
+            named = re.fullmatch(r"odd-dimensional summand (\S+) \(real dim (\d+)\) forces a vanishing Euler class",
+                                 row["detail"])
+            assert named and named[1] == odd[0] and int(named[2]) == catalog[odd[0]]["real_dim"]
+        else:
+            assert row["rejected_by"] == "F2" and section["almost_complex_forbidden"]
+            assert not (section["euler_nonzero"] and odd)
+            assert all(catalog[name]["field_type"] in ("complex", "quaternionic") for name in names)
+    for survivor in section["survivors"]:
+        names = names_of(survivor)
+        assert not (section["euler_nonzero"] and any(catalog[name]["real_dim"] % 2 for name in names))
+        assert not (section["almost_complex_forbidden"]
+                    and all(catalog[name]["field_type"] != "real" for name in names))
+    counts = [row["count"] for row in section["reasons"]]
+    dims = [entry["real_dim"] for entry in section["catalog"]]
+    assert sum(counts) + len(section["survivors"]) == multiset_count(dims, total)
+    assert (section["verdict"] == "VALID-V-EXISTS") == bool(section["survivors"])
+    return counts
+
+
 def test_run_case_obstruction_sections():
     report = run_case(builtin_case("m20-eschenburg"))
     section = report["sections"]["obstruction"]
     assert section["factors"] == ["SU(2)", "Spin(11)"]
     assert section["verdict"] == "NO-VALID-V"
     assert len(section["catalog"]) == 16
-    assert len(section["traces"]) == 174
-    for trace in section["traces"]:
-        assert trace["rejected_by"] in ("F1", "F2")
-        assert trace["detail"]
+    assert [row["rejected_by"] for row in section["reasons"]] == ["F1", "F1", "F2", "F1", "F1", "F1"]
+    assert all(row["detail"] for row in section["reasons"])
+    assert section["survivors"] == []
     assert report["sections"]["genus"]["congruence"]["holds"] is False
 
 
-def test_obstruction_traces_are_catalog_multiplicities():
-    hp1 = json.loads(canonical_bytes(run_case(builtin_case("hp1-presentation"))))
-    assert [(t["summands"], t["rejected_by"]) for t in hp1["sections"]["obstruction"]["traces"]] == [
-        ([["W1x1", 4]], "F1"),
-        ([["W1x1", 1], ["W3x1", 1]], "F1"),
-        ([["W2x1", 1]], "F2"),
+def test_obstruction_reasons_are_catalog_multiplicities():
+    hp1 = json.loads(canonical_bytes(run_case(builtin_case("hp1-presentation"))))["sections"]["obstruction"]
+    assert [(row["witness"], row["rejected_by"], row["count"]) for row in hp1["reasons"]] == [
+        ([["W1x1", 4]], "F1", 2),
+        ([["W2x1", 1]], "F2", 1),
     ]
-    # the canonical report alone is enough to check each m20 trace
+    assert _check_obstruction_section(hp1) == [2, 1]
+    # the canonical report alone is enough to check each m20 reason
     blob = canonical_bytes(run_case(builtin_case("m20-eschenburg")))
-    assert len(blob) <= 30_000
-    section = json.loads(blob)["sections"]["obstruction"]
-    order = [entry["name"] for entry in section["catalog"]]
-    catalog = {entry["name"]: entry for entry in section["catalog"]}
-    for trace in section["traces"]:
-        names = [name for name, _ in trace["summands"]]
-        assert all(name in catalog for name in names)
-        positions = [order.index(name) for name in names]
-        assert positions == sorted(set(positions))  # catalog order, no repeats
-        assert all(isinstance(count, int) and count > 0 for _, count in trace["summands"])
-        assert sum(count * catalog[name]["real_dim"] for name, count in trace["summands"]) == 20
-        if trace["rejected_by"] == "F2":
-            assert all(catalog[name]["field_type"] in ("complex", "quaternionic") for name in names)
+    assert len(blob) <= 4_000
+    assert _check_obstruction_section(json.loads(blob)["sections"]["obstruction"]) == [140, 17, 7, 6, 2, 2]
+
+
+def _obstruct(factors: list, manifold_dim: int, chi: int, sigma: int) -> dict:
+    """The `obstruct` report section of a case with these factors."""
+    doc = {
+        "name": "probe",
+        "obstruction": {"factors": factors, "manifold_dim": manifold_dim},
+        "genus": {"congruence": {"chi": chi, "sigma": sigma}},
+    }
+    return run_case(doc, command="obstruct")["sections"]["obstruction"]
+
+
+@pytest.mark.parametrize(("factors", "manifold_dim", "chi", "sigma", "counts", "survivors"), [
+    # chi = 3 turns F1 on; 3 = -sigma mod 4 turns F2 off, so Spin(5)'s spin
+    # representation D (quaternionic, real dim 8) survives
+    ([{"family": "B", "rank": 2}], 8, 3, 1, [2], [[["D", 1]]]),
+    # neither filter is on, so every multiset survives
+    ([{"family": "A", "rank": 1}], 4, 0, 0, [], [[["W1", 4]], [["W1", 1], ["W3", 1]], [["W2", 1]]]),
+])
+def test_survivors_are_the_unrejected_traces(factors, manifold_dim, chi, sigma, counts, survivors):
+    section = _obstruct(factors, manifold_dim, chi, sigma)
+    assert _check_obstruction_section(section) == counts
+    assert section["survivors"] == survivors
+    assert section["verdict"] == "VALID-V-EXISTS"
+    case = ObstructionCase(tuple(RootSystem(f["family"], f["rank"]) for f in factors), manifold_dim, chi, sigma)
+    walked = [[[p.name, count] for p, count in t.summands]
+              for t in obstruct_tangent_rep(case).traces if t.rejected_by is None]
+    assert section["survivors"] == walked
+
+
+def test_verdict_matches_the_knapsack_oracle():
+    """On random factor lists within the caps, a survivor exists exactly when
+    the knapsack DP over the catalog's dimensions finds one.  The largest
+    draw, S^1 x S^1 x S^1 in dimension 16, walks 6,435 multisets, within
+    MAX_MULTISETS."""
+    rng = random.Random(4242)
+    groups = [("A", 1), ("B", 1), ("B", 2), ("B", 3), ("T", 1)]
+    verdicts = []
+    for _ in range(200):
+        factors = [dict(zip(("family", "rank"), rng.choice(groups))) for _ in range(rng.randint(1, 3))]
+        # genus.congruence, which gives chi and sigma, is stated only in a dimension 4m
+        manifold_dim, chi, sigma = rng.randrange(4, 17, 4), rng.randint(-4, 4), rng.randint(-4, 4)
+        section = _obstruct(factors, manifold_dim, chi, sigma)
+        exists = ref_survivor_exists(section["catalog"], manifold_dim, chi, sigma)
+        assert (section["verdict"] == "VALID-V-EXISTS") == exists == bool(section["survivors"]), (factors, manifold_dim)
+        _check_obstruction_section(section)
+        verdicts.append(section["verdict"])
+    assert set(verdicts) == {"VALID-V-EXISTS", "NO-VALID-V"}
 
 
 def test_a_stale_fundamental_runs_on_the_derived_one(tmp_path, capsys):
